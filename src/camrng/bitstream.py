@@ -26,6 +26,10 @@ for _b in range(256):
     _BIT_REVERSE[_b] = _r
 del _b, _r, _i
 
+# Bytes per piece of MSB-first output, so exporting a long stream never
+# holds a second full-size copy of it.
+_MSB_CHUNK_BYTES = 4 << 20
+
 
 class BitString:
     """An immutable-by-convention sequence of bits, stored packed.
@@ -70,6 +74,18 @@ class BitString:
         return cls(np.packbits(bits, bitorder="little"), bits.size)
 
     @classmethod
+    def from_msb_bytes(cls, data, n_bits: int | None = None) -> "BitString":
+        """The first n_bits (default all) of an MSB-first byte stream.
+
+        Inverse of :meth:`to_msb_bytes`; bits past n_bits in the final
+        byte are dropped.
+        """
+        data = np.frombuffer(data, dtype=np.uint8)
+        if n_bits is None:
+            n_bits = 8 * data.size
+        return cls(_BIT_REVERSE[data[: (n_bits + 7) // 8]], n_bits)
+
+    @classmethod
     def zeros(cls, n_bits: int) -> "BitString":
         return cls(np.zeros((n_bits + 7) // 8, dtype=np.uint8), n_bits)
 
@@ -106,10 +122,21 @@ class BitString:
         zero bits appended to fill the final byte.
         """
         padding = (-self.n_bits) % 8
-        return _BIT_REVERSE[self.packed].tobytes(), padding
+        return b"".join(self.msb_chunks()), padding
+
+    def msb_chunks(self):
+        """Yield the :meth:`to_msb_bytes` payload in pieces of at most 4 MiB."""
+        for lo in range(0, self.packed.size, _MSB_CHUNK_BYTES):
+            yield _BIT_REVERSE[self.packed[lo : lo + _MSB_CHUNK_BYTES]].tobytes()
 
     def count_ones(self) -> int:
-        return int(np.bitwise_count(self.packed).sum())
+        # Popcount whole 64-bit words, then the trailing bytes: summing
+        # one count per word is several times faster than one per byte.
+        whole = self.packed.size - self.packed.size % 8
+        words = self.packed[:whole].view("<u8")
+        return int(np.bitwise_count(words).sum()) + int(
+            np.bitwise_count(self.packed[whole:]).sum()
+        )
 
     # ------------------------------------------------------------------
     # Operators

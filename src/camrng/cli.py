@@ -160,6 +160,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
+def _block_size(text: str) -> int:
+    value = int(text)
+    if value < 8:
+        raise argparse.ArgumentTypeError(f"must be >= 8, got {value}")
+    return value
+
+
 def _seed_u64(text: str) -> int:
     value = int(text, 0)
     if not 0 <= value < 2**64:
@@ -569,13 +583,12 @@ def cmd_test(args: argparse.Namespace) -> int:
         data = np.fromfile(args.input, dtype=np.uint8)
     except OSError as exc:
         raise OSError(f"reading {args.input}: {exc}") from exc
-    bits = np.unpackbits(data)
-    if args.bits is not None:
-        if args.bits > bits.size:
-            raise UsageError(
-                f"--bits {args.bits} exceeds the {bits.size} bits in the file"
-            )
-        bits = bits[: args.bits]
+    if args.bits is not None and args.bits > 8 * data.size:
+        raise UsageError(
+            f"--bits {args.bits} exceeds the {8 * data.size} bits in the file"
+        )
+    bits = BitString.from_msb_bytes(data, args.bits)
+    del data  # the battery and export read only the packed copy
 
     report = run_battery(
         bits, alpha=args.alpha, block_size=args.block_size, max_lag=args.max_lag
@@ -705,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bits", type=_positive_int, default=None,
         help="test only the first N bits (drop export padding)",
     )
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p.add_argument("--block-size", type=_positive_int, default=DEFAULT_BLOCK_SIZE)
+    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
+    p.add_argument("--block-size", type=_block_size, default=DEFAULT_BLOCK_SIZE)
     p.add_argument("--max-lag", type=_positive_int, default=DEFAULT_MAX_LAG)
     p.add_argument("--export", metavar="FILE", help="re-export tested bits as bytes")
     p.set_defaults(func=cmd_test)

@@ -130,24 +130,21 @@ class BinaryMatrix:
         kw = (self.k + 63) // 64
         if n_pos * 256 * kw * 8 > _TABLE_BYTES_LIMIT:
             return None
-        # Columns of M, packed: transpose the unpacked rows in byte-sized
-        # column groups.  cols01[:, c] is column c as k bits.
+        # Columns of M, packed: unpack the first n_pos bytes of every row
+        # and repack the transpose.  cols[p, t] is column 8p + t as k bits.
         rows_bytes = self.rows.astype("<u8").view(np.uint8).reshape(self.k, -1)
+        bits = np.unpackbits(rows_bytes[:, :n_pos], axis=1, bitorder="little")
+        cols = np.zeros((n_pos * 8, kw * 8), dtype=np.uint8)
+        cols[:, : (self.k + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
+        cols = cols.view("<u8").reshape(n_pos, 8, kw)
+        # T[v] is the XOR of the columns of v's set bits, so the entries
+        # with top bit t are the ones below 2^t XOR column t.
         tables = np.zeros((n_pos, 256, kw), dtype=np.uint64)
-        col_group = np.zeros((8, kw), dtype=np.uint64)
-        for p in range(n_pos):
-            bits = np.unpackbits(
-                rows_bytes[:, p], bitorder="little"
-            ).reshape(self.k, 8)
-            for t in range(8):
-                packed = np.packbits(bits[:, t], bitorder="little")
-                packed = np.pad(packed, (0, kw * 8 - packed.size))
-                col_group[t] = packed.view("<u8")
-            # Fill the 256 entries by peeling the lowest set bit:
-            # T[v] = T[v without lowest bit] ^ column(lowest bit).
-            for v in range(1, 256):
-                low = v & -v
-                tables[p, v] = tables[p, v ^ low] ^ col_group[low.bit_length() - 1]
+        for t in range(8):
+            half = 1 << t
+            np.bitwise_xor(
+                tables[:, :half], cols[:, t, None, :], out=tables[:, half : 2 * half]
+            )
         self._tables = tables
         return tables
 

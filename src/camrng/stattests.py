@@ -5,6 +5,13 @@ correlation, byte entropy) gates pipeline output without external
 tooling; export_stream produces the MSB-first byte stream that external
 batteries (dieharder, NIST SP 800-22 suites) consume.
 
+Every statistic is an integer count taken on the packed stream, never on
+one byte per bit: ones by popcount, ones per block from a per-word
+popcount prefix sum, bit transitions and (1,1) pairs at lag tau by
+popcounts of the stream XORed or ANDed with itself shifted by tau words
+and bits, and the byte histogram by bincount of the packed bytes.  A
+0/1 array argument is packed once on entry.
+
 Every p-value here is two-sided against the fair-coin null.  A stream
 "passes" a test when p >= alpha; with several tests at alpha = 0.01 an
 ideal stream still fails one occasionally, so battery verdicts are
@@ -44,13 +51,70 @@ class TestOutcome(NamedTuple):
     note: str | None = None
 
 
-def _as_bits01(bits) -> np.ndarray:
-    if isinstance(bits, BitString):
-        return bits.to_bits01()
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit array may only contain 0 and 1")
-    return arr
+def _as_bitstring(bits) -> BitString:
+    """The stream as a BitString; a 0/1 array is packed (and validated)."""
+    return bits if isinstance(bits, BitString) else BitString.from_bits01(bits)
+
+
+def _words(bits: BitString) -> np.ndarray:
+    """The stream as little-endian uint64 words, zero-padded to a whole word."""
+    packed = bits.packed
+    if packed.size % 8:
+        packed = np.concatenate([packed, np.zeros(-packed.size % 8, np.uint8)])
+    return packed.view("<u8")
+
+
+def _bit_slice(bits: BitString, start: int, stop: int) -> np.ndarray:
+    """Bits start..stop-1 as a 0/1 array, unpacking only the bytes they span."""
+    lo = start // 8
+    part = np.unpackbits(bits.packed[lo : (stop + 7) // 8], bitorder="little")
+    return part[start - 8 * lo : stop - 8 * lo]
+
+
+# _LOW_MASKS[r] keeps the low r bits of a word.
+_LOW_MASKS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+
+# Words per pass of the chunked loops: 256 KiB of stream, so a pass's
+# temporaries stay in cache (in the lag loop, while every lag is applied)
+# and stay small (bincount widens each byte it counts to an intp).
+_CHUNK_WORDS = 1 << 15
+
+
+def _lag_popcounts(bits: BitString, lags, combine) -> list[int]:
+    """Per lag tau, popcount of combine(x, x shifted down by tau bits).
+
+    Bit i of the shifted stream is bit i + tau of x, and zero from bit
+    n - tau on, so with np.bitwise_and this counts the (1,1) pairs at
+    distance tau; with np.bitwise_xor it counts the differing pairs plus
+    the ones among the last tau bits.  Any tau >= 1 works, including
+    multiples of 64 and lags longer than a word.
+    """
+    words = _words(bits)
+    n_words = words.size
+    reach = max(lags) // 64 + 1
+    size = min(_CHUNK_WORDS, n_words)
+    shifted = np.empty(size, np.uint64)
+    spill = np.empty(size, np.uint64)
+    counts = np.empty(size, np.uint8)
+    totals = [0] * len(lags)
+    for lo in range(0, n_words, _CHUNK_WORDS):
+        m = min(_CHUNK_WORDS, n_words - lo)
+        seg = words[lo : lo + m + reach]
+        if seg.size < m + reach:
+            seg = np.concatenate([seg, np.zeros(m + reach - seg.size, np.uint64)])
+        x, sh, sp, cnt = seg[:m], shifted[:m], spill[:m], counts[:m]
+        for idx, tau in enumerate(lags):
+            q, r = divmod(int(tau), 64)
+            if r:
+                np.right_shift(seg[q : q + m], r, out=sh)
+                np.left_shift(seg[q + 1 : q + 1 + m], 64 - r, out=sp)
+                np.bitwise_or(sh, sp, out=sh)
+                combine(x, sh, out=sh)
+            else:
+                combine(x, seg[q : q + m], out=sh)
+            np.bitwise_count(sh, out=cnt)
+            totals[idx] += int(cnt.sum())
+    return totals
 
 
 def monobit_test(bits) -> TestOutcome:
@@ -59,11 +123,11 @@ def monobit_test(bits) -> TestOutcome:
     statistic z = (ones - zeros)/sqrt(n); p = erfc(|z|/sqrt(2)).
     Requires >= 100 bits.
     """
-    b = _as_bits01(bits)
-    n = b.size
+    b = _as_bitstring(bits)
+    n = b.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"monobit test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    ones = int(np.count_nonzero(b))
+    ones = b.count_ones()
     z = (2 * ones - n) / math.sqrt(n)
     return TestOutcome(statistic=z, p_value=float(erfc(abs(z) / math.sqrt(2))))
 
@@ -76,15 +140,30 @@ def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestOutc
     """
     if block_size < 8:
         raise ValueError(f"block_size must be >= 8, got {block_size}")
-    b = _as_bits01(bits)
-    n_blocks = b.size // block_size
+    b = _as_bitstring(bits)
+    n_blocks = b.n_bits // block_size
     if n_blocks < 10:
         raise ValueError(
             f"block frequency test needs >= 10 blocks of {block_size}, "
             f"got {n_blocks}"
         )
-    blocks = b[: n_blocks * block_size].reshape(n_blocks, block_size)
-    pi = blocks.mean(axis=1)
+    words = _words(b)
+    pi = np.empty(n_blocks, dtype=np.float64)
+    step = max(1, _CHUNK_WORDS * 64 // block_size)  # blocks per pass
+    for j0 in range(0, n_blocks, step):
+        j1 = min(j0 + step, n_blocks)
+        edges = np.arange(j0, j1 + 1, dtype=np.int64) * block_size
+        first = int(edges[0]) >> 6
+        seg = words[first : (int(edges[-1]) >> 6) + 1]
+        # Ones from word `first` up to bit e: a prefix sum of per-word
+        # popcounts up to word e // 64, plus its low e % 64 bits.
+        ones_before_word = np.zeros(seg.size + 1, dtype=np.int64)
+        ones_before_word[1:] = np.bitwise_count(seg)
+        np.cumsum(ones_before_word, out=ones_before_word)
+        idx = (edges >> 6) - first
+        partial = seg[np.minimum(idx, seg.size - 1)] & _LOW_MASKS[edges & 63]
+        ones_before = ones_before_word[idx] + np.bitwise_count(partial)
+        pi[j0:j1] = np.diff(ones_before) / block_size
     chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
     return TestOutcome(
         statistic=chi2, p_value=float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
@@ -98,11 +177,11 @@ def runs_test(bits) -> TestOutcome:
     1/2; outside that gate the outcome carries a note and p_value 0.0
     rather than raising (the stream already failed monobit anyway).
     """
-    b = _as_bits01(bits)
-    n = b.size
+    b = _as_bitstring(bits)
+    n = b.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"runs test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    pi = float(np.count_nonzero(b)) / n
+    pi = float(b.count_ones()) / n
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
         return TestOutcome(
@@ -110,7 +189,10 @@ def runs_test(bits) -> TestOutcome:
             p_value=0.0,
             note=f"not applicable: |pi - 0.5| = {abs(pi - 0.5):.4g} >= {tau:.4g}",
         )
-    runs = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+    # XOR with the next bit counts every transition, plus bit n-1
+    # itself, which is compared with the zero past the end.
+    last_bit = int(_bit_slice(b, n - 1, n)[0])
+    runs = 1 + _lag_popcounts(b, [1], np.bitwise_xor)[0] - last_bit
     expected = 2.0 * n * pi * (1.0 - pi)
     # standard deviation of the run count for i.i.d. bits
     sigma = 2.0 * math.sqrt(n) * pi * (1.0 - pi)
@@ -146,27 +228,30 @@ def serial_correlation(bits, max_lag: int = DEFAULT_MAX_LAG) -> SerialCorrelatio
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    b = _as_bits01(bits)
-    n = b.size
+    b = _as_bitstring(bits)
+    n = b.n_bits
     if n < 100 * max_lag:
         raise ValueError(
             f"serial correlation at max_lag={max_lag} needs >= {100 * max_lag} "
             f"bits, got {n}"
         )
-    s = int(np.count_nonzero(b))
+    s = b.count_ones()
     mean = s / n
     denom = s - s * s / n
     if denom == 0:
         raise ValueError("constant bit sequence has no defined autocorrelation")
 
     lags = np.arange(1, max_lag + 1)
+    pair_counts = _lag_popcounts(b, lags, np.bitwise_and)
+    # ones among the first and the last tau bits, at index tau - 1
+    ones_first = np.cumsum(_bit_slice(b, 0, max_lag))
+    ones_last = np.cumsum(_bit_slice(b, n - max_lag, n)[::-1])
     coefficients = np.empty(max_lag, dtype=np.float64)
-    # Cumulative ones from each end avoid re-summing the overlaps.
     for idx, tau in enumerate(lags):
         tau = int(tau)
-        c_tau = int(np.count_nonzero(b[:-tau] & b[tau:]))
-        s_head = s - int(np.count_nonzero(b[n - tau :]))
-        s_tail = s - int(np.count_nonzero(b[:tau]))
+        c_tau = pair_counts[idx]
+        s_head = s - int(ones_last[tau - 1])
+        s_tail = s - int(ones_first[tau - 1])
         cov = c_tau - mean * (s_head + s_tail) + (n - tau) * mean * mean
         coefficients[idx] = cov / denom
     threshold = 4.0 / math.sqrt(n)
@@ -176,13 +261,17 @@ def serial_correlation(bits, max_lag: int = DEFAULT_MAX_LAG) -> SerialCorrelatio
     )
 
 
-def _byte_counts(b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Histogram of the stream's bytes (MSB-first grouping, full bytes only)."""
-    n_bytes = b.size // 8
-    if n_bytes == 0:
-        return np.zeros(256, dtype=np.int64), 0
-    as_bytes = np.packbits(b[: n_bytes * 8])  # big bitorder = MSB first
-    return np.bincount(as_bytes, minlength=256).astype(np.int64), n_bytes
+def _byte_entropy(bits: BitString) -> tuple[float, int]:
+    """Entropy in bits/byte of the stream's full MSB-first bytes, and their count."""
+    n_bytes = bits.n_bits // 8
+    counts = np.zeros(256, dtype=np.int64)
+    step = 8 * _CHUNK_WORDS
+    for lo in range(0, n_bytes, step):
+        counts += np.bincount(bits.packed[lo : min(lo + step, n_bytes)], minlength=256)
+    # MSB-first byte v is stored as packed byte _BIT_REVERSE[v].
+    counts = counts[_BIT_REVERSE]
+    f = counts[counts > 0] / n_bytes
+    return float(-np.sum(f * np.log2(f))), n_bytes
 
 
 def shannon_byte_entropy(bits) -> float:
@@ -192,14 +281,12 @@ def shannon_byte_entropy(bits) -> float:
     partial byte is ignored.  Requires >= 80,000 bits.  Note the
     estimator's negative bias of about 255/(2 N ln 2) bits at N bytes.
     """
-    b = _as_bits01(bits)
-    if b.size < _MIN_ENTROPY_BITS:
+    b = _as_bitstring(bits)
+    if b.n_bits < _MIN_ENTROPY_BITS:
         raise ValueError(
-            f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {b.size}"
+            f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {b.n_bits}"
         )
-    counts, n_bytes = _byte_counts(b)
-    f = counts[counts > 0] / n_bytes
-    return float(-np.sum(f * np.log2(f)))
+    return _byte_entropy(b)[0]
 
 
 class ExportResult(NamedTuple):
@@ -222,16 +309,12 @@ def export_stream(bits, destination) -> ExportResult:
     Returns:
         ExportResult(n_bytes, padding_bits).
     """
-    if not isinstance(bits, BitString):
-        bits = BitString.from_bits01(_as_bits01(bits))
+    bits = _as_bitstring(bits)
     padding = (-bits.n_bits) % 8
 
     def _write(fh) -> int:
         written = 0
-        chunk = 4 << 20
-        packed = bits.packed
-        for lo in range(0, packed.size, chunk):
-            part = _BIT_REVERSE[packed[lo : lo + chunk]].tobytes()
+        for part in bits.msb_chunks():
             fh.write(part)
             written += len(part)
         return written
@@ -315,15 +398,18 @@ def run_battery(
     Args:
         bits: BitString or 0/1 array, long enough for every subtest
             (>= max(10*block_size, 100*max_lag, 80000) bits).
-        alpha: per-test significance level for verdicts.
+        alpha: per-test significance level for verdicts, in (0, 1).
 
     Returns:
         TestReport; deterministic for identical input.
     """
-    b = _as_bits01(bits)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    b = _as_bitstring(bits)
+    n = b.n_bits
     needed = max(_MIN_MONOBIT_BITS, 10 * block_size, 100 * max_lag, _MIN_ENTROPY_BITS)
-    if b.size < needed:
-        raise ValueError(f"battery needs >= {needed} bits, got {b.size}")
+    if n < needed:
+        raise ValueError(f"battery needs >= {needed} bits, got {n}")
 
     results = []
 
@@ -347,8 +433,7 @@ def run_battery(
         TestRecord("runs", rn.statistic, rn.p_value, rn.p_value >= alpha, rn.note)
     )
 
-    n = b.size
-    ones = int(np.count_nonzero(b))
+    ones = b.count_ones()
     if ones in (0, n):
         # a constant stream has no defined autocorrelation; score it as
         # a failure with a distinct status rather than crashing
@@ -377,9 +462,7 @@ def run_battery(
             )
         )
 
-    counts, n_bytes = _byte_counts(b)
-    f = counts[counts > 0] / n_bytes
-    h = float(-np.sum(f * np.log2(f)))
+    h, n_bytes = _byte_entropy(b)
     g = 2.0 * n_bytes * math.log(2.0) * (8.0 - h)
     p_entropy = float(gammaincc(255 / 2.0, g / 2.0))
     results.append(
@@ -392,4 +475,4 @@ def run_battery(
         )
     )
 
-    return TestReport(results=results, alpha=alpha, n_bits=int(b.size))
+    return TestReport(results=results, alpha=alpha, n_bits=n)

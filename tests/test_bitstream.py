@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camrng import bitstream
 from camrng.bitstream import BitString
 
 
@@ -101,3 +102,36 @@ def test_msb_export_unpack_identity(bits):
     assert np.array_equal(back[: arr.size], arr)
     assert padding == (-arr.size) % 8
     assert not back[arr.size :].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=40), st.data())
+def test_from_msb_bytes_inverts_to_msb_bytes(data, draw):
+    n_bits = draw.draw(st.integers(0, 8 * len(data)))
+    bs = BitString.from_msb_bytes(np.frombuffer(data, dtype=np.uint8), n_bits)
+    want = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
+    assert np.array_equal(bs.to_bits01(), want)
+    payload, padding = bs.to_msb_bytes()
+    assert padding == (-n_bits) % 8
+    assert payload == BitString.from_bits01(want).to_msb_bytes()[0]
+
+
+def test_from_msb_bytes_defaults_to_all_and_rejects_overlong():
+    assert BitString.from_msb_bytes(b"\x81\x80").to_msb_bytes() == (b"\x81\x80", 0)
+    with pytest.raises(ValueError):
+        BitString.from_msb_bytes(b"\x81", 9)
+
+
+def test_msb_chunks_cover_payload_in_order(monkeypatch):
+    monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 16)
+    bits = np.random.default_rng(3).integers(0, 2, 1001, dtype=np.uint8)
+    chunks = list(BitString.from_bits01(bits).msb_chunks())
+    assert [len(c) for c in chunks] == [16] * 7 + [14]
+    want = np.packbits(np.concatenate([bits, np.zeros(7, np.uint8)])).tobytes()
+    assert b"".join(chunks) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=300))
+def test_count_ones_property(bits):
+    assert BitString.from_bits01(np.array(bits, dtype=np.uint8)).count_ones() == sum(bits)

@@ -214,6 +214,104 @@ def test_test_export_round_trip(tmp_path):
     assert src.read_bytes() == exported.read_bytes()
 
 
+def test_test_bits_export_keeps_first_bits_zero_padded(tmp_path):
+    rng = np.random.default_rng(1)
+    data = rng.integers(0, 256, 15_001, dtype=np.uint8).tobytes()
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    exported = tmp_path / "head.bin"
+    n_bits = 100_003  # 12_500 whole bytes and 3 bits of the next one
+    assert run("test", src, "--bits", n_bits, "--export", exported) == 0
+    out = exported.read_bytes()
+    assert len(out) == (n_bits + 7) // 8
+    assert out[:-1] == data[: n_bits // 8]
+    assert out[-1] == data[n_bits // 8] & 0b1110_0000
+
+
+def test_test_export_round_trip_odd_length(tmp_path):
+    # a byte count off the 64-bit word grid
+    rng = np.random.default_rng(2)
+    src = tmp_path / "in.bin"
+    src.write_bytes(rng.integers(0, 256, 15_003, dtype=np.uint8).tobytes())
+    exported = tmp_path / "again.bin"
+    run("test", src, "--export", exported)
+    assert src.read_bytes() == exported.read_bytes()
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0", "1", "1.5", "nan"])
+def test_test_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(3).bytes(15_000))
+    assert run("test", src, "--alpha", alpha) == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_test_rejects_block_size_below_eight(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(4).bytes(15_000))
+    assert run("test", src, "--block-size", "7") == 2
+    assert "--block-size" in capsys.readouterr().err
+
+
+# `camrng test --json` on a seeded vector, as printed before the battery
+# moved to packed words; every float must match to the last bit.
+PINNED_TEST_JSON = {
+    "command": "test",
+    "alpha": 0.01,
+    "n_bits": 319997,
+    "n_passed": 5,
+    "n_tests": 5,
+    "all_passed": True,
+    "results": [
+        {
+            "name": "monobit",
+            "statistic": 0.4932092918015908,
+            "p_value": 0.6218647131267033,
+            "passed": True,
+            "note": None,
+        },
+        {
+            "name": "block-frequency[100]",
+            "statistic": 3296.8,
+            "p_value": 0.11146720793058863,
+            "passed": True,
+            "note": None,
+        },
+        {
+            "name": "runs",
+            "statistic": -0.5740973683502425,
+            "p_value": 0.5659019140920182,
+            "passed": True,
+            "note": None,
+        },
+        {
+            "name": "serial-correlation[1..65]",
+            "statistic": 0.004986833813780169,
+            "p_value": 0.3114848338384646,
+            "passed": True,
+            "note": "worst lag 63; Bonferroni-corrected",
+        },
+        {
+            "name": "byte-entropy",
+            "statistic": 7.995517966578858,
+            "p_value": 0.6023154159683185,
+            "passed": True,
+            "note": "G-statistic chi-square(255)",
+        },
+    ],
+}
+
+
+def test_test_json_pinned(tmp_path, capsys):
+    src = tmp_path / "pin.bin"
+    src.write_bytes(np.random.default_rng(1405).bytes(40_000))
+    rc = run(
+        "test", src, "--bits", 319_997, "--block-size", 100, "--max-lag", 65, "--json"
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == json.dumps(PINNED_TEST_JSON, indent=2) + "\n"
+
+
 def test_characterize_stack_report(tmp_path, capsys):
     frames = _simulate_small(tmp_path, n_frames=12, capsys=capsys)
     out = tmp_path / "char"

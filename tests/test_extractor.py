@@ -125,6 +125,36 @@ def test_extract_matches_matmul_oracle(k, l):
     )
 
 
+def loop_byte_tables(matrix: BinaryMatrix) -> np.ndarray:
+    """Per-byte-position tables built one position and one value at a time."""
+    n_pos = (matrix.l + 7) // 8
+    kw = (matrix.k + 63) // 64
+    rows_bytes = matrix.rows.astype("<u8").view(np.uint8).reshape(matrix.k, -1)
+    tables = np.zeros((n_pos, 256, kw), dtype=np.uint64)
+    col_group = np.zeros((8, kw), dtype=np.uint64)
+    for p in range(n_pos):
+        bits = np.unpackbits(rows_bytes[:, p], bitorder="little").reshape(matrix.k, 8)
+        for t in range(8):
+            packed = np.packbits(bits[:, t], bitorder="little")
+            packed = np.pad(packed, (0, kw * 8 - packed.size))
+            col_group[t] = packed.view("<u8")
+        for v in range(1, 256):
+            low = v & -v
+            tables[p, v] = tables[p, v ^ low] ^ col_group[low.bit_length() - 1]
+    return tables
+
+
+@pytest.mark.parametrize(
+    "k,l", [(1, 2), (3, 17), (63, 100), (64, 128), (65, 130), (130, 1000), (500, 2000)]
+)
+def test_byte_tables_equal_loop_construction(k, l):
+    mat = generate_matrix(b"\x05" * 32, k, l)
+    tables = mat._byte_tables()
+    want = loop_byte_tables(mat)
+    assert tables.dtype == want.dtype and tables.shape == want.shape
+    assert np.array_equal(tables, want)
+
+
 def test_matmul_oracle_matches_pure_python():
     # the oracle itself is cross-checked by a literal double loop
     rng = np.random.default_rng(42)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from camrng.bitstream import BitString
 from camrng.sensor import get_preset, simulate_frame
@@ -237,3 +237,163 @@ def test_raw_bit_planes_show_structure():
     msb = ((codes >> 9) & 1).astype(np.uint8)
     assert monobit_test(lsb).p_value >= 0.01
     assert monobit_test(msb).p_value < 1e-9
+
+
+# ----------------------------------------------------------------------
+# Packed statistics against the unpacked formulas they replaced.  The
+# oracles below take one uint8 per bit and are kept only as a reference.
+# ----------------------------------------------------------------------
+
+
+def oracle_monobit(b):
+    n = b.size
+    ones = int(np.count_nonzero(b))
+    z = (2 * ones - n) / math.sqrt(n)
+    return (z, float(special.erfc(abs(z) / math.sqrt(2))), None)
+
+
+def oracle_block_frequency(b, block_size):
+    n_blocks = b.size // block_size
+    blocks = b[: n_blocks * block_size].reshape(n_blocks, block_size)
+    pi = blocks.mean(axis=1)
+    chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
+    return (chi2, float(special.gammaincc(n_blocks / 2.0, chi2 / 2.0)), None)
+
+
+def oracle_runs(b):
+    n = b.size
+    pi = float(np.count_nonzero(b)) / n
+    tau = 2.0 / math.sqrt(n)
+    if abs(pi - 0.5) >= tau:
+        note = f"not applicable: |pi - 0.5| = {abs(pi - 0.5):.4g} >= {tau:.4g}"
+        return (float("nan"), 0.0, note)
+    runs = 1 + int(np.count_nonzero(b[1:] != b[:-1]))
+    expected = 2.0 * n * pi * (1.0 - pi)
+    sigma = 2.0 * math.sqrt(n) * pi * (1.0 - pi)
+    z = (runs - expected) / sigma
+    return (float(z), float(special.erfc(abs(z) / math.sqrt(2))), None)
+
+
+def oracle_serial_coefficients(b, max_lag):
+    n = b.size
+    s = int(np.count_nonzero(b))
+    mean = s / n
+    denom = s - s * s / n
+    coefficients = np.empty(max_lag, dtype=np.float64)
+    for idx, tau in enumerate(range(1, max_lag + 1)):
+        c_tau = int(np.count_nonzero(b[:-tau] & b[tau:]))
+        s_head = s - int(np.count_nonzero(b[n - tau :]))
+        s_tail = s - int(np.count_nonzero(b[:tau]))
+        cov = c_tau - mean * (s_head + s_tail) + (n - tau) * mean * mean
+        coefficients[idx] = cov / denom
+    return coefficients
+
+
+def oracle_byte_entropy(b):
+    n_bytes = b.size // 8
+    counts = np.bincount(np.packbits(b[: n_bytes * 8]), minlength=256)
+    f = counts[counts > 0] / n_bytes
+    return float(-np.sum(f * np.log2(f)))
+
+
+KINDS = ("fair", "biased", "sparse", "constant0", "constant1", "alternating", "runs")
+
+
+def make_stream(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "fair":
+        return rng.integers(0, 2, n, dtype=np.uint8)
+    if kind == "biased":  # near the runs-test gate either side
+        return (rng.random(n) < rng.uniform(0.47, 0.53)).astype(np.uint8)
+    if kind == "sparse":
+        return (rng.random(n) < 0.01).astype(np.uint8)
+    if kind == "constant0":
+        return np.zeros(n, dtype=np.uint8)
+    if kind == "constant1":
+        return np.ones(n, dtype=np.uint8)
+    if kind == "alternating":
+        return (np.arange(n) + seed % 2).astype(np.uint8) % 2
+    # long runs of random length
+    return (np.cumsum(rng.random(n) < 0.05) % 2).astype(np.uint8)
+
+
+@st.composite
+def streams(draw, min_bits):
+    # n = 64 q + r covers lengths off the byte and the word grid
+    q = draw(st.integers(min_bits // 64, min_bits // 64 + 40))
+    n = max(min_bits, 64 * q + draw(st.integers(0, 63)))
+    kind = draw(st.sampled_from(KINDS))
+    return make_stream(kind, n, draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_outcome(got, want):
+    # exact equality, NaN equal to NaN
+    np.testing.assert_equal(tuple(got), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams(min_bits=100))
+def test_monobit_equals_oracle(b):
+    assert_outcome(monobit_test(b), oracle_monobit(b))
+    assert_outcome(monobit_test(BitString.from_bits01(b)), oracle_monobit(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([8, 100, 128, 129]), st.data())
+def test_block_frequency_equals_oracle(block_size, data):
+    b = data.draw(streams(min_bits=10 * block_size))
+    assert_outcome(block_frequency_test(b, block_size), oracle_block_frequency(b, block_size))
+
+
+@settings(max_examples=80, deadline=None)
+@given(streams(min_bits=100))
+def test_runs_equals_oracle(b):
+    assert_outcome(runs_test(b), oracle_runs(b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 128]), st.data())
+def test_serial_correlation_equals_oracle(max_lag, data):
+    b = data.draw(streams(min_bits=100 * max_lag))
+    n = b.size
+    if b.min() == b.max():
+        with pytest.raises(ValueError, match="constant"):
+            serial_correlation(b, max_lag)
+        return
+    got = serial_correlation(b, max_lag)
+    want = oracle_serial_coefficients(b, max_lag)
+    np.testing.assert_array_equal(got.coefficients, want)
+    np.testing.assert_array_equal(got.lags, np.arange(1, max_lag + 1))
+    assert got.threshold == 4.0 / math.sqrt(n)
+    assert got.flagged == [
+        tau for tau in range(1, max_lag + 1) if abs(want[tau - 1]) > got.threshold
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(streams(min_bits=80_000))
+def test_byte_entropy_equals_oracle(b):
+    assert shannon_byte_entropy(b) == oracle_byte_entropy(b)
+
+
+def test_statistics_equal_oracle_at_word_boundaries():
+    # lags and lengths straddling whole words, where the shift carries
+    rng = np.random.default_rng(21)
+    for n in (12_800, 12_801, 12_863, 12_864, 12_865):
+        b = rng.integers(0, 2, n, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            serial_correlation(b, 128).coefficients, oracle_serial_coefficients(b, 128)
+        )
+        assert_outcome(runs_test(b), oracle_runs(b))
+        assert_outcome(block_frequency_test(b, 129), oracle_block_frequency(b, 129))
+
+
+def test_battery_same_for_array_and_bitstring():
+    b = make_stream("fair", 200_003, 22)
+    assert run_battery(b).to_json() == run_battery(BitString.from_bits01(b)).to_json()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, float("nan")])
+def test_battery_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        run_battery(make_stream("fair", 100_000, 23), alpha=alpha)
