@@ -32,7 +32,6 @@ from .entropy import (
 from .extractor import (
     BinaryMatrix,
     ExtractedStream,
-    RawBitStream,
     ThroughputReport,
     concat_streams,
     extract,
@@ -54,18 +53,14 @@ from .ingest import (
 )
 from .sensor import (
     Frame,
-    PixelSignalModel,
     PRESETS,
     SensorConfig,
-    absorbed_mean,
     digitize_electrons,
     get_preset,
     load_sensor_config,
     save_sensor_config,
     simulate_frame,
-    simulate_pixel,
     simulate_stack,
-    sweep_intensities,
     worker_count,
 )
 from .stattests import (
@@ -95,15 +90,12 @@ __all__ = [
     "PRESETS",
     "PhotonTransferCurve",
     "PixelMask",
-    "PixelSignalModel",
     "PixelStats",
-    "RawBitStream",
     "SensorConfig",
     "SerialCorrelationResult",
     "TestOutcome",
     "TestReport",
     "ThroughputReport",
-    "absorbed_mean",
     "block_frequency_test",
     "build_pixel_mask",
     "concat_streams",
@@ -138,9 +130,7 @@ __all__ = [
     "shannon_byte_entropy",
     "sidecar_path",
     "simulate_frame",
-    "simulate_pixel",
     "simulate_stack",
-    "sweep_intensities",
     "worker_count",
     "write_pgm",
     "write_raw",

@@ -93,19 +93,21 @@ class BitString:
     def concat(cls, parts: "list[BitString]") -> "BitString":
         """Concatenate bit strings, preserving order.
 
-        Fast path when every part except the last ends on a byte
-        boundary; otherwise falls back to unpack/repack.
+        Each part's packed bytes are shifted to its bit offset and ORed
+        in; bits past a part's end are zero, so neighbours never clash.
         """
-        parts = [p for p in parts if p.n_bits]
-        if not parts:
-            return cls.zeros(0)
-        if len(parts) == 1:
-            return parts[0]
-        if all(p.n_bits % 8 == 0 for p in parts[:-1]):
-            packed = np.concatenate([p.packed for p in parts])
-            return cls(packed, sum(p.n_bits for p in parts))
-        bits = np.concatenate([p.to_bits01() for p in parts])
-        return cls.from_bits01(bits)
+        n_bits = sum(p.n_bits for p in parts)
+        # One spare byte takes the shifted-out high bits of the last part.
+        out = np.zeros((n_bits + 7) // 8 + 1, dtype=np.uint8)
+        pos = 0
+        for p in parts:
+            byte, shift = divmod(pos, 8)
+            end = byte + p.packed.size
+            out[byte:end] |= p.packed << shift
+            if shift:
+                out[byte + 1 : end + 1] |= p.packed >> (8 - shift)
+            pos += p.n_bits
+        return cls(out[:-1], n_bits)
 
     # ------------------------------------------------------------------
     # Views and exports

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +36,7 @@ from .extractor import (
     DEFAULT_K,
     DEFAULT_L,
     DEFAULT_MATRIX_SEED,
+    MAX_BLOCK_BITS,
     concat_streams,
     extract,
     frame_to_bits,
@@ -60,7 +60,6 @@ from .sensor import (
     get_preset,
     load_sensor_config,
     simulate_frame,
-    simulate_stack,
     worker_count,
 )
 from .stattests import (
@@ -80,83 +79,32 @@ class UsageError(Exception):
     """Invalid invocation; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One invocation's resolved settings, checked before work starts."""
-
-    preset: str | None
-    config_path: str | None
-    n_bar: float | None
-    width: int
-    height: int
-    n_frames: int
-    matrix_seed: bytes
-    k: int
-    l: int
-    inputs: tuple[str, ...]
-    out: str | None
-    seed: int
-
-    def validate(self) -> None:
-        if self.preset and self.config_path:
-            raise UsageError("pass --preset or --config, not both")
-        if self.width < 1 or self.height < 1:
-            raise UsageError("frame geometry must be positive")
-        if self.n_frames < 1:
-            raise UsageError("frame count must be >= 1")
-        if self.n_bar is not None and self.n_bar < 0:
-            raise UsageError("--nbar must be >= 0")
-        if not 1 <= self.k < self.l:
-            raise UsageError(f"need 1 <= k < l, got k={self.k} l={self.l}")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError("--seed must fit in an unsigned 64-bit integer")
-
-    def sensor(self) -> SensorConfig:
-        if self.config_path:
-            return load_sensor_config(self.config_path)
-        if self.preset:
-            return get_preset(self.preset)
-        raise UsageError("a sensor is required: pass --preset or --config")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "PipelineConfig":
-        cfg = cls(
-            preset=getattr(args, "preset", None),
-            config_path=getattr(args, "config", None),
-            n_bar=getattr(args, "nbar", None),
-            width=getattr(args, "width", 1),
-            height=getattr(args, "height", 1),
-            n_frames=getattr(args, "frames_count", 1),
-            matrix_seed=getattr(args, "matrix_seed_bytes", DEFAULT_MATRIX_SEED),
-            k=getattr(args, "k", None) or DEFAULT_K,
-            l=getattr(args, "l", None) or DEFAULT_L,
-            inputs=tuple(getattr(args, "inputs", ()) or ()),
-            out=getattr(args, "out", None),
-            seed=getattr(args, "seed", 0),
-        )
-        cfg.validate()
-        return cfg
-
-
 def _emit(args: argparse.Namespace, summary: dict, text_lines: list[str]) -> None:
     """Print the human or machine form of a command summary."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(summary, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def _require_out(cfg: PipelineConfig, what: str = "directory") -> str:
-    if not cfg.out:
-        raise UsageError(f"--out <{what}> is required for this command")
-    return cfg.out
+def _sensor(args: argparse.Namespace) -> SensorConfig:
+    if args.config:
+        return load_sensor_config(args.config)
+    return get_preset(args.preset)
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -221,14 +169,23 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
 
 
 def _stack_summary(frames: list[Frame]) -> tuple[float, float]:
-    values = np.concatenate([f.codes.ravel() for f in frames]).astype(np.float64)
-    return float(values.mean()), float(values.var(ddof=1))
+    """Mean and sample variance of every code in the stack, correctly rounded.
+
+    Exact integer sums per frame, so no float copy of the stack is made.
+    """
+    n = s1 = s2 = 0
+    for f in frames:
+        codes = f.codes.ravel().astype(np.uint64)
+        n += codes.size
+        s1 += int(codes.sum())
+        s2 += int(codes @ codes)
+    var = (n * s2 - s1 * s1) / (n * (n - 1)) if n > 1 else float("nan")
+    return s1 / n, var
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
-    sensor = cfg.sensor()
-    out_dir = _require_out(cfg)
+    sensor = _sensor(args)
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
 
     if args.sweep:
@@ -237,10 +194,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise UsageError("--sweep needs a comma-separated list of intensities")
         if any(nb < 0 for nb in n_bars):
             raise UsageError("sweep intensities must be >= 0")
-    elif cfg.n_bar is None:
+    elif args.nbar is None:
         raise UsageError("pass --nbar or --sweep")
     else:
-        n_bars = [cfg.n_bar]
+        n_bars = [args.nbar]
 
     manifest_entries = []
     text = []
@@ -249,12 +206,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             simulate_frame(
                 sensor,
                 n_bar,
-                cfg.width,
-                cfg.height,
-                cfg.seed,
-                frame_id=i * cfg.n_frames + j,
+                args.width,
+                args.height,
+                args.seed,
+                frame_id=i * args.frames + j,
             )
-            for j in range(cfg.n_frames)
+            for j in range(args.frames)
         ]
         if args.format == "pgm":
             files = []
@@ -272,14 +229,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             path = os.path.join(out_dir, name)
             header = FrameFileHeader(
                 format="raw16le",
-                width=cfg.width,
-                height=cfg.height,
+                width=args.width,
+                height=args.height,
                 bit_depth=sensor.bit_depth,
-                frame_count=cfg.n_frames,
+                frame_count=args.frames,
             )
             write_raw(stack, header, path)
             write_sidecar(
-                path, header, extra={"n_bar": n_bar, "seed": cfg.seed}
+                path, header, extra={"n_bar": n_bar, "seed": args.seed}
             )
             files = [name]
         mean, var = _stack_summary(stack)
@@ -294,15 +251,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         pf = manifest_entries[-1]["predicted_fano"]
         text.append(
-            f"n_bar={n_bar:g}: {cfg.n_frames} frame(s) "
-            f"{cfg.width}x{cfg.height}, mean={mean:.2f} var={var:.2f} "
+            f"n_bar={n_bar:g}: {args.frames} frame(s) "
+            f"{args.width}x{args.height}, mean={mean:.2f} var={var:.2f} "
             f"predicted_fano={'n/a' if pf is None else f'{pf:.4f}'}"
         )
 
     summary = {
         "command": "simulate",
         "config": sensor.to_dict(),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "out": out_dir,
         "format": args.format,
         "stacks": manifest_entries,
@@ -317,9 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
-    sensor = cfg.sensor()
-    out_dir = _require_out(cfg)
+    sensor = _sensor(args)
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     report: dict = {"command": "characterize", "config": sensor.to_dict()}
     text = []
@@ -375,7 +331,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         )
         text.append(f"fano curve: {csv_path}")
     else:
-        frames = _read_frames(cfg.inputs)
+        frames = _read_frames(args.inputs)
         stats = pixel_stats(frames)
         report["n_frames"] = stats.n_frames
         report["mean_code"] = float(stats.mean.mean())
@@ -476,10 +432,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_args(args)
-    sensor = cfg.sensor()
-    out_path = _require_out(cfg, what="file")
-    frames = _read_frames(cfg.inputs)
+    sensor = _sensor(args)
+    out_path = args.out
+    frames = _read_frames(args.inputs)
 
     mask = None
     if args.mask:
@@ -500,7 +455,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         l, k = matrix.l, matrix.k
     else:
         matrix = None
-        l, k = cfg.l, cfg.k
+        l, k = args.l or DEFAULT_L, args.k or DEFAULT_K
+        if not k < l <= MAX_BLOCK_BITS:
+            raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={k} l={l}")
 
     mean_code = float(
         np.mean(
@@ -535,11 +492,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         log2_eps = None
 
     if matrix is None:
-        matrix = generate_matrix(cfg.matrix_seed, k, l)
+        matrix = generate_matrix(args.matrix_seed, k, l)
     if args.save_matrix:
         save_matrix(matrix, args.save_matrix)
 
-    raw = concat_streams([frame_to_bits(f, mask) for f in frames])
+    raw = concat_streams(frame_to_bits(f, mask) for f in frames)
     result = extract(raw, matrix, n_workers=worker_count())
     n_bytes, padding = export_stream(result.bits, out_path)
 
@@ -612,6 +569,14 @@ def cmd_test(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_RUNTIME
 
 
+def _add_sensor_and_out(p: argparse.ArgumentParser, out_help: str) -> None:
+    """The sensor choice and output path of simulate, characterize, extract."""
+    sensor = p.add_mutually_exclusive_group(required=True)
+    sensor.add_argument("--preset", choices=sorted(PRESETS), help="built-in sensor")
+    sensor.add_argument("--config", metavar="JSON", help="sensor config file")
+    p.add_argument("--out", metavar="PATH", required=True, help=out_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="camrng",
@@ -619,13 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frames, characterize them, plan and run extraction, test output.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", metavar="JSON", help="sensor config file (see --preset)"
-    )
-    common.add_argument(
-        "--seed", type=_seed_u64, default=0, help="simulation seed (default 0)"
-    )
-    common.add_argument("--out", metavar="PATH", help="output file or directory")
     common.add_argument(
         "--json", action="store_true", help="print machine-readable JSON only"
     )
@@ -635,24 +593,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", parents=[common], help="simulate sensor frames to files"
     )
-    p.add_argument("--preset", choices=sorted(PRESETS), help="built-in sensor")
-    p.add_argument("--nbar", type=float, help="mean absorbed photons per pixel")
+    _add_sensor_and_out(p, "output directory")
+    p.add_argument(
+        "--nbar", type=_nonnegative_float, help="mean absorbed photons per pixel"
+    )
     p.add_argument(
         "--sweep", metavar="LIST", help="comma-separated intensities (overrides --nbar)"
     )
     p.add_argument(
-        "--frames", dest="frames_count", type=_positive_int, default=1,
-        help="frames per intensity (>= 1)",
+        "--frames", type=_positive_int, default=1, help="frames per intensity (>= 1)"
     )
     p.add_argument("--width", type=_positive_int, default=256)
     p.add_argument("--height", type=_positive_int, default=256)
     p.add_argument("--format", choices=("pgm", "raw16le"), default="pgm")
+    p.add_argument(
+        "--seed", type=_seed_u64, default=0, help="simulation seed (default 0)"
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
         "characterize", parents=[common], help="gain, Fano, mask from frames"
     )
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    _add_sensor_and_out(p, "report directory")
     p.add_argument(
         "inputs", nargs="*", metavar="FRAME",
         help=".pgm files or .raw files with sidecars",
@@ -689,17 +651,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "extract", parents=[common], help="frames -> extractor -> byte stream"
     )
-    p.add_argument("--preset", choices=sorted(PRESETS))
+    _add_sensor_and_out(p, "output byte stream file")
     p.add_argument(
         "inputs", nargs="*", metavar="FRAME",
         help=".pgm files or .raw files with sidecars",
     )
-    p.add_argument("--l", type=_positive_int, default=None)
-    p.add_argument("--k", type=_positive_int, default=None)
+    p.add_argument("--l", type=_positive_int, help=f"block bits (default {DEFAULT_L})")
+    p.add_argument("--k", type=_positive_int, help=f"output bits (default {DEFAULT_K})")
     p.add_argument(
-        "--matrix-seed", dest="matrix_seed_bytes", type=_hex_seed,
-        default=DEFAULT_MATRIX_SEED, metavar="HEX64",
-        help="32-byte matrix seed in hex",
+        "--matrix-seed", type=_hex_seed, default=DEFAULT_MATRIX_SEED,
+        metavar="HEX64", help="32-byte matrix seed in hex",
     )
     p.add_argument("--matrix", metavar="FILE", help="load matrix instead of seeding")
     p.add_argument("--save-matrix", metavar="FILE", help="persist the matrix used")

@@ -9,16 +9,15 @@ reproduces the identical extractor.
 Performance notes: matrix rows and bit streams are kept packed (64 bits
 per word).  Extraction precomputes, per input byte position, a 256-entry
 table of packed k-bit column parities; one block then costs ceil(l/8)
-table lookups XORed together instead of k row scans.  For dimensions
-where those tables would be large the code falls back to a direct
-AND+popcount row pass.  Both paths are exact; a naive double loop
-verifies them in the test suite.
+table lookups XORed together instead of k row scans.  Where the tables
+for every position would be large they are built and applied in tiles
+of byte positions, one tile at a time.  A naive matrix product verifies
+the result in the test suite.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +45,7 @@ DEFAULT_MATRIX_SEED = bytes.fromhex(
 # value is fixed so output assembly is identical for any worker count.
 _CHUNK_BLOCKS = 4096
 
-# Byte-parity lookup tables are used when they fit in this many bytes.
+# Byte-parity lookup tables are built in tiles of at most this many bytes.
 _TABLE_BYTES_LIMIT = 64 << 20
 
 
@@ -117,36 +116,53 @@ class BinaryMatrix:
         # Canonical serialization: rows in order, words little-endian.
         return self.rows.astype("<u8").tobytes()
 
-    def _byte_tables(self) -> np.ndarray | None:
-        """Per-byte-position parity tables for the fast extraction path.
+    def _byte_tables(self, lo: int, hi: int) -> np.ndarray:
+        """Parity tables for input byte positions lo .. hi-1.
 
-        tables[p, v] is the packed k-bit XOR of matrix columns
+        tables[p - lo, v] is the packed k-bit XOR of matrix columns
         {8p + t : bit t of v set}, i.e. the contribution of input byte
-        value v at byte position p to the output block.
+        value v at byte position p to the output block.  Columns at or
+        past l are zero, so bits past the block end never count.
         """
-        if self._tables is not None:
-            return self._tables
-        n_pos = (self.l + 7) // 8
         kw = (self.k + 63) // 64
-        if n_pos * 256 * kw * 8 > _TABLE_BYTES_LIMIT:
-            return None
-        # Columns of M, packed: unpack the first n_pos bytes of every row
-        # and repack the transpose.  cols[p, t] is column 8p + t as k bits.
+        # Columns of M, packed: unpack bytes lo..hi of every row (bits
+        # below l only) and repack the transpose.  cols[p, t] is column
+        # 8(lo + p) + t as k bits.
         rows_bytes = self.rows.astype("<u8").view(np.uint8).reshape(self.k, -1)
-        bits = np.unpackbits(rows_bytes[:, :n_pos], axis=1, bitorder="little")
-        cols = np.zeros((n_pos * 8, kw * 8), dtype=np.uint8)
-        cols[:, : (self.k + 7) // 8] = np.packbits(bits.T, axis=1, bitorder="little")
-        cols = cols.view("<u8").reshape(n_pos, 8, kw)
+        bits = np.unpackbits(
+            rows_bytes[:, lo:hi], axis=1, count=min(8 * hi, self.l) - 8 * lo,
+            bitorder="little",
+        )
+        cols = np.zeros(((hi - lo) * 8, kw * 8), dtype=np.uint8)
+        cols[: bits.shape[1], : (self.k + 7) // 8] = np.packbits(
+            bits.T, axis=1, bitorder="little"
+        )
+        cols = cols.view("<u8").reshape(hi - lo, 8, kw)
         # T[v] is the XOR of the columns of v's set bits, so the entries
         # with top bit t are the ones below 2^t XOR column t.
-        tables = np.zeros((n_pos, 256, kw), dtype=np.uint64)
+        tables = np.zeros((hi - lo, 256, kw), dtype=np.uint64)
         for t in range(8):
             half = 1 << t
             np.bitwise_xor(
                 tables[:, :half], cols[:, t, None, :], out=tables[:, half : 2 * half]
             )
-        self._tables = tables
         return tables
+
+    def _table_tiles(self):
+        """Yield (first byte position, tables) tiles covering every position.
+
+        Each tile holds at most _TABLE_BYTES_LIMIT bytes.  The first tile
+        is kept in _tables for later calls; any further tiles are built
+        only when reached and dropped after use, so a matrix never holds
+        more than one tile.
+        """
+        n_pos = (self.l + 7) // 8
+        per_tile = max(1, _TABLE_BYTES_LIMIT // (256 * 8 * ((self.k + 63) // 64)))
+        if self._tables is None:
+            self._tables = self._byte_tables(0, min(per_tile, n_pos))
+        yield 0, self._tables
+        for lo in range(self._tables.shape[0], n_pos, per_tile):
+            yield lo, self._byte_tables(lo, min(lo + per_tile, n_pos))
 
 
 def generate_matrix(seed, k: int, l: int) -> BinaryMatrix:
@@ -226,24 +242,6 @@ def load_matrix(path: str) -> BinaryMatrix:
 
 
 @dataclass
-class RawBitStream:
-    """Concatenated raw bits from pixel codes, pre-extraction.
-
-    Attributes:
-        bits: the packed bit sequence.
-        provenance: how the bits were ordered (contributing frames,
-            pixel ordering, bit ordering).
-    """
-
-    bits: BitString
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def n_bits(self) -> int:
-        return self.bits.n_bits
-
-
-@dataclass
 class ExtractedStream:
     """Extractor output with block accounting.
 
@@ -257,7 +255,7 @@ class ExtractedStream:
     residual_bits_discarded: int
 
 
-def frame_to_bits(frame: Frame, mask=None) -> RawBitStream:
+def frame_to_bits(frame: Frame, mask=None) -> BitString:
     """Serialize a frame's codes to a raw bit stream.
 
     Unmasked pixels are visited in row-major order; each contributes
@@ -270,7 +268,7 @@ def frame_to_bits(frame: Frame, mask=None) -> RawBitStream:
             pixels are skipped.  None means all pixels contribute.
 
     Returns:
-        RawBitStream of n_unmasked * bit_depth bits.
+        BitString of n_unmasked * bit_depth bits.
     """
     codes = frame.codes
     if mask is not None:
@@ -284,85 +282,47 @@ def frame_to_bits(frame: Frame, mask=None) -> RawBitStream:
     b = frame.bit_depth
     # Expand each 16-bit code LSB-first, keep its low bit_depth bits.
     bits = np.unpackbits(flat.view(np.uint8), bitorder="little")
-    bits = bits.reshape(flat.size, 16)[:, :b]
-    stream = BitString.from_bits01(bits.reshape(-1))
-    provenance = {
-        "frames": [dict(frame.meta)],
-        "pixel_order": "row-major-unmasked",
-        "bit_order": "lsb-first",
-        "bit_depth": b,
-    }
-    return RawBitStream(bits=stream, provenance=provenance)
+    return BitString.from_bits01(bits.reshape(flat.size, 16)[:, :b])
 
 
-def concat_streams(streams: list[RawBitStream]) -> RawBitStream:
-    """Concatenate raw streams in order (multi-frame acquisition)."""
-    if not streams:
-        raise ValueError("no streams to concatenate")
-    bits = BitString.concat([s.bits for s in streams])
-    frames = []
-    for s in streams:
-        frames.extend(s.provenance.get("frames", []))
-    provenance = dict(streams[0].provenance)
-    provenance["frames"] = frames
-    return RawBitStream(bits=bits, provenance=provenance)
+def concat_streams(streams) -> BitString:
+    """Join per-frame raw bit streams, in order, into one extractor input."""
+    return BitString.concat(list(streams))
 
 
-def _blocks_as_words(
-    packed: np.ndarray, start_block: int, n_blocks: int, l: int, w: int
+def _block_bytes(
+    packed: np.ndarray, start: int, count: int, l: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Slice l-bit blocks out of a packed stream as (n_blocks, w) words."""
-    bit_lo = start_block * l
-    bit_hi = bit_lo + n_blocks * l
-    byte_lo = bit_lo // 8
-    byte_hi = (bit_hi + 7) // 8
-    bits = np.unpackbits(packed[byte_lo:byte_hi], bitorder="little")
-    bits = bits[bit_lo - byte_lo * 8 : bit_lo - byte_lo * 8 + n_blocks * l]
-    block_bytes = np.packbits(
-        bits.reshape(n_blocks, l), axis=1, bitorder="little"
-    )
-    block_bytes = np.pad(
-        block_bytes, ((0, 0), (0, w * 8 - block_bytes.shape[1]))
-    )
-    return block_bytes.view("<u8")
+    """Byte positions lo .. hi-1 of blocks start .. start+count-1, as (count, hi-lo) bytes.
 
-
-def _parity_words(x: np.ndarray) -> np.ndarray:
-    """Elementwise parity of uint64 values (0 or 1 per element)."""
-    x = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> np.uint64(shift)
-    return (x & np.uint64(1)).astype(np.uint8)
-
-
-def _extract_chunk_tables(
-    block_words: np.ndarray, tables: np.ndarray, k: int, l: int
-) -> np.ndarray:
-    """Fast path: per-byte table XOR.  Returns (B, k) output bits."""
-    n_blocks = block_words.shape[0]
-    kw = tables.shape[2]
-    block_bytes = block_words.astype("<u8").view(np.uint8)
-    acc = np.zeros((n_blocks, kw), dtype=np.uint64)
-    for p in range((l + 7) // 8):
-        acc ^= tables[p][block_bytes[:, p]]
-    out_bytes = acc.astype("<u8").view(np.uint8)
-    return np.unpackbits(out_bytes, axis=1, bitorder="little")[:, :k]
-
-
-def _extract_chunk_rows(
-    block_words: np.ndarray, rows: np.ndarray, k: int
-) -> np.ndarray:
-    """Fallback path: AND with each row, popcount, reduce to parity."""
-    n_blocks = block_words.shape[0]
-    out = np.empty((n_blocks, k), dtype=np.uint8)
-    for j in range(k):
-        counts = np.bitwise_count(block_words & rows[j]).sum(axis=1)
-        out[:, j] = counts & 1
+    Byte p of a block holds its bits 8p .. 8p+7, LSB first.  When l is
+    not a multiple of 8 the last byte also carries the bits that follow
+    the block; the byte tables give those zero weight.
+    """
+    n_pos = (l + 7) // 8
+    if l % 8 == 0:
+        return packed[start * n_pos : (start + count) * n_pos].reshape(count, n_pos)[:, lo:hi]
+    # Blocks r, r+8, r+16, ... begin l bytes apart at one bit shift, so
+    # each such group is a reshape of the stream bytes.  The copy is
+    # zero-padded so that every row of l bytes is whole.
+    byte0 = start * l // 8
+    span = np.zeros(l * ((count + 7) // 8 + 2) + n_pos, dtype=np.uint8)
+    avail = packed[byte0 : byte0 + span.size]
+    span[: avail.size] = avail
+    out = np.empty((count, hi - lo), dtype=np.uint8)
+    for r in range(min(8, count)):
+        first, shift = divmod((start + r) * l, 8)
+        n_rows = len(range(r, count, 8))
+        base = first - byte0 + lo
+        rows = span[base : base + n_rows * l].reshape(n_rows, l)
+        out[r::8] = rows[:, : hi - lo] >> shift
+        if shift:
+            out[r::8] |= rows[:, 1 : hi - lo + 1] << (8 - shift)
     return out
 
 
 def extract(
-    stream: RawBitStream | BitString,
+    stream: BitString,
     matrix: BinaryMatrix,
     *,
     n_workers: int | None = None,
@@ -377,43 +337,54 @@ def extract(
     grid is fixed, so output is bit-identical for any worker count.
 
     Args:
-        stream: raw bits (RawBitStream or bare BitString).
+        stream: raw bits.
         matrix: extraction matrix.
         n_workers: parallel workers, default worker_count().
 
     Returns:
         ExtractedStream of blocks_processed * k bits.
     """
-    bits = stream.bits if isinstance(stream, RawBitStream) else stream
-    l, k, w = matrix.l, matrix.k, matrix.words_per_row
-    n_blocks = bits.n_bits // l
-    residual = bits.n_bits - n_blocks * l
+    l, k = matrix.l, matrix.k
+    n_blocks = stream.n_bits // l
+    residual = stream.n_bits - n_blocks * l
     if n_blocks == 0:
         return ExtractedStream(
             bits=BitString.zeros(0), blocks_processed=0, residual_bits_discarded=residual
         )
 
-    tables = matrix._byte_tables()
-    packed = bits.packed
+    packed = stream.packed
+    acc = np.zeros((n_blocks, (k + 63) // 64), dtype="<u8")
+    n_chunks = (n_blocks + _CHUNK_BLOCKS - 1) // _CHUNK_BLOCKS
 
-    def run_chunk(c: int) -> np.ndarray:
-        start = c * _CHUNK_BLOCKS
-        count = min(_CHUNK_BLOCKS, n_blocks - start)
-        words = _blocks_as_words(packed, start, count, l, w)
-        if tables is not None:
-            out01 = _extract_chunk_tables(words, tables, k, l)
-        else:
-            out01 = _extract_chunk_rows(words, matrix.rows, k)
+    def chunk_rows(c: int) -> slice:
+        return slice(c * _CHUNK_BLOCKS, min((c + 1) * _CHUNK_BLOCKS, n_blocks))
+
+    def xor_tile(c: int, lo: int, tables: np.ndarray) -> None:
+        rows = chunk_rows(c)
+        block_bytes = _block_bytes(
+            packed, rows.start, rows.stop - rows.start, l, lo, lo + tables.shape[0]
+        )
+        chunk_acc = acc[rows]
+        # One reused lookup buffer instead of a fresh array per position;
+        # mode="clip" (byte values are always in range) lets take write
+        # into it unbuffered.
+        looked_up = np.empty_like(chunk_acc)
+        for p in range(tables.shape[0]):
+            np.take(tables[p], block_bytes[:, p], axis=0, out=looked_up, mode="clip")
+            chunk_acc ^= looked_up
+
+    def pack_chunk(c: int) -> np.ndarray:
+        out_bytes = acc[chunk_rows(c)].view(np.uint8)
+        out01 = np.unpackbits(out_bytes, axis=1, bitorder="little")[:, :k]
         return np.packbits(out01.reshape(-1), bitorder="little")
 
-    n_chunks = (n_blocks + _CHUNK_BLOCKS - 1) // _CHUNK_BLOCKS
     if n_workers is None:
         n_workers = worker_count()
-    if n_workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+        run = pool.map if n_workers > 1 and n_chunks > 1 else map
+        for lo, tables in matrix._table_tiles():
+            list(run(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
+        parts = list(run(pack_chunk, range(n_chunks)))
 
     # Every chunk but the last covers _CHUNK_BLOCKS*k bits, a multiple
     # of 8, so packed parts concatenate without bit shifting.
@@ -464,7 +435,8 @@ def extract_throughput_bench(
     batch = BitString(
         rng.integers(0, 256, n_bytes, dtype=np.uint8), batch_blocks * matrix.l
     )
-    # Warm-up builds the lookup tables outside the timed region.
+    # Warm-up builds the cached first table tile outside the timed region
+    # (any further tiles are rebuilt on every call, and timed).
     extract(batch, matrix, n_workers=n_workers)
 
     blocks = 0

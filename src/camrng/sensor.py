@@ -22,7 +22,6 @@ matter how many workers generate it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -196,23 +195,6 @@ def get_preset(name: str) -> SensorConfig:
         ) from None
 
 
-@dataclass(frozen=True)
-class PixelSignalModel:
-    """Statistical model of one pixel's absorbed-photon signal.
-
-    sigma_q is derived from n_bar (sigma_q**2 == n_bar always holds);
-    it is carried as a field only so reports can print it directly.
-    """
-
-    n_bar: float
-    sigma_q: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n_bar < 0:
-            raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
-        object.__setattr__(self, "sigma_q", math.sqrt(self.n_bar))
-
-
 @dataclass
 class Frame:
     """One captured or simulated image.
@@ -259,18 +241,6 @@ class Frame:
         return self.width * self.height
 
 
-def absorbed_mean(incident_mean: float, config: SensorConfig) -> float:
-    """Mean absorbed photons for a given incident mean.
-
-    Poisson statistics survive the loss: thinning a Poisson stream with
-    probability eta yields Poisson(eta * mean), so downstream simulation
-    works directly at the absorbed mean.
-    """
-    if incident_mean < 0:
-        raise ValueError(f"incident_mean must be >= 0, got {incident_mean}")
-    return config.eta * incident_mean
-
-
 def digitize_electrons(electrons: np.ndarray, config: SensorConfig) -> np.ndarray:
     """Apply well saturation, gain, and ADC quantization to electron totals.
 
@@ -284,30 +254,6 @@ def digitize_electrons(electrons: np.ndarray, config: SensorConfig) -> np.ndarra
     codes = np.floor(config.zeta * e + 0.5)
     np.clip(codes, 0, config.max_code, out=codes)
     return codes.astype(np.uint16)
-
-
-def simulate_pixel(
-    model: PixelSignalModel,
-    config: SensorConfig,
-    noise_draws: tuple[int, float],
-) -> int:
-    """Digitize one pixel given pre-drawn noise samples.
-
-    Args:
-        model: signal statistics the draws were sampled from.
-        config: sensor operating mode.
-        noise_draws: (n, t) with n a Poisson(model.n_bar) photon count
-            and t a Normal(0, config.sigma_t**2) technical noise sample,
-            both produced by the caller's deterministic stream.
-
-    Returns:
-        The ADC output code as an int.
-    """
-    n, t = noise_draws
-    if n < 0:
-        raise ValueError(f"photon count must be >= 0, got {n}")
-    electrons = np.array([float(n) + float(t) + config.offset])
-    return int(digitize_electrons(electrons, config)[0])
 
 
 def _block_rng(seed: int, frame_id: int, block: int) -> np.random.Generator:
@@ -425,32 +371,3 @@ def simulate_stack(
         for i in range(n_frames)
     ]
 
-
-def sweep_intensities(
-    config: SensorConfig,
-    n_bars: list[float],
-    shape: tuple[int, int],
-    seed: int,
-    *,
-    n_workers: int | None = None,
-) -> list[Frame]:
-    """Simulate one frame per intensity for a transfer-curve sweep.
-
-    Args:
-        config: sensor operating mode.
-        n_bars: non-empty list of mean absorbed photon counts, each >= 0.
-        shape: (width, height) of every frame.
-        seed: base seed; intensity i uses frame_id=i.
-
-    Returns:
-        One Frame per entry of n_bars, in order.
-    """
-    if len(n_bars) == 0:
-        raise ValueError("n_bars must be non-empty")
-    width, height = shape
-    return [
-        simulate_frame(
-            config, nb, width, height, seed, frame_id=i, n_workers=n_workers
-        )
-        for i, nb in enumerate(n_bars)
-    ]

@@ -262,7 +262,7 @@ def test_criterion_7_end_to_end_randomness():
     min_p = min(r.p_value for r in report.results)
     byte_h = shannon_byte_entropy(out.bits)
 
-    raw_report = run_battery(raw.bits)
+    raw_report = run_battery(raw)
     raw_failed = [r.name for r in raw_report.results if not r.passed]
     elapsed = time.perf_counter() - t0
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from camrng.cli import main
-from camrng.extractor import load_matrix
+from camrng.extractor import DEFAULT_MATRIX_SEED, generate_matrix, load_matrix
+from camrng.ingest import read_pgm
 
 
 def sha(path) -> str:
@@ -195,6 +196,70 @@ def test_extract_matrix_save_and_reuse(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [("--l", 300), ("--k", 60)])
+def test_extract_matrix_reuse_with_one_matching_dimension(tmp_path, flag, value):
+    frames = _simulate_small(tmp_path, n_frames=2)
+    mat_path = tmp_path / "m.qm"
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    assert run(
+        "extract", "--preset", "nokia-n9", *frames, "--l", "300", "--k", "60",
+        "--out", a, "--save-matrix", mat_path,
+    ) == 0
+    assert run(
+        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
+        flag, value, "--out", b,
+    ) == 0
+    assert sha(a) == sha(b)
+
+
+def test_extract_masked_matches_matmul_oracle(tmp_path, capsys):
+    # 4093 usable pixels of 10 bits: each frame ends off the byte grid
+    frames = _simulate_small(tmp_path, n_frames=3, capsys=capsys)
+    mask_path = tmp_path / "mask.json"
+    flagged = {"0,0": "hot", "5,7": "hot", "63,63": "dead"}
+    mask_path.write_text(json.dumps({"width": 64, "height": 64, "flagged": flagged}))
+    out = tmp_path / "masked.bin"
+    l, k = 200, 50
+    assert run(
+        "extract", "--preset", "nokia-n9", *frames, "--mask", mask_path,
+        "--l", l, "--k", k, "--out", out, "--json",
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["raw_bits"] == 3 * 4093 * 10
+
+    usable = np.ones((64, 64), dtype=bool)
+    usable[0, 0] = usable[5, 7] = usable[63, 63] = False
+    codes = np.concatenate([read_pgm(f).codes[usable] for f in frames]).astype(np.int64)
+    raw01 = ((codes[:, None] >> np.arange(10)) & 1).ravel()
+    n_blocks = raw01.size // l
+    mat = generate_matrix(DEFAULT_MATRIX_SEED, k, l)
+    mat01 = np.vstack([mat.row_bits(j) for j in range(k)]).astype(np.int64)
+    want = (raw01[: n_blocks * l].reshape(n_blocks, l) @ mat01.T) % 2
+    got = np.unpackbits(np.frombuffer(out.read_bytes(), dtype=np.uint8))
+    assert np.array_equal(got[: n_blocks * k], want.ravel())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entropy", "--nbar", "410", "--bits", "10", "--seed", "1"),
+        ("plan", "--s", "0.64", "--k", "500", "--config", "x.json"),
+        ("test", "in.bin", "--out", "x"),
+        ("characterize", "--preset", "nokia-n9", "--out", "x", "--seed", "1"),
+        ("extract", "--preset", "nokia-n9", "--out", "x", "--seed", "1"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    assert run(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_nbar(tmp_path, capsys):
+    rc = run("simulate", "--preset", "nokia-n9", "--nbar", "-1", "--out", tmp_path / "x")
+    assert rc == 2
+    assert "--nbar" in capsys.readouterr().err
 
 
 def test_battery_failure_exit_code(tmp_path, capsys):

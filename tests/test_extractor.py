@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from camrng import extractor
 from camrng.bitstream import BitString
 from camrng.extractor import (
     DEFAULT_K,
@@ -17,7 +18,7 @@ from camrng.extractor import (
     load_matrix,
     save_matrix,
 )
-from camrng.sensor import Frame, get_preset, simulate_frame
+from camrng.sensor import Frame
 from camrng.characterize import PixelMask
 
 
@@ -149,10 +150,39 @@ def loop_byte_tables(matrix: BinaryMatrix) -> np.ndarray:
 )
 def test_byte_tables_equal_loop_construction(k, l):
     mat = generate_matrix(b"\x05" * 32, k, l)
-    tables = mat._byte_tables()
+    tables = mat._byte_tables(0, (l + 7) // 8)
     want = loop_byte_tables(mat)
     assert tables.dtype == want.dtype and tables.shape == want.shape
     assert np.array_equal(tables, want)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("k,l", [(3, 17), (65, 130), (130, 1000), (499, 1999)])
+def test_tiled_tables_match_matmul_oracle(monkeypatch, k, l, n_workers):
+    # Room for two byte positions' tables per tile, and 64-block chunks,
+    # so every size runs on several tiles and several chunks.
+    monkeypatch.setattr(extractor, "_TABLE_BYTES_LIMIT", 2 * 256 * 8 * ((k + 63) // 64))
+    monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", 64)
+    mat = generate_matrix(b"\x12" * 32, k, l)
+    assert len(list(mat._table_tiles())) == ((l + 7) // 8 + 1) // 2
+    rng = np.random.default_rng(k + l)
+    n_blocks = 150
+    bits01 = rng.integers(0, 2, size=n_blocks * l + 5, dtype=np.uint8)
+    got = extract(BitString.from_bits01(bits01), mat, n_workers=n_workers)
+    want = oracle_extract(matrix_bits01(mat), bits01[: n_blocks * l].reshape(n_blocks, l))
+    assert np.array_equal(got.bits.to_bits01().reshape(n_blocks, k), want.T)
+    assert got.residual_bits_discarded == 5
+    assert mat._tables.shape[0] == 2  # only the first tile is kept
+
+
+def test_row_bits_past_l_are_ignored():
+    # A matrix file may carry set bits in the padding of each row; blocks
+    # that end mid-byte must still see only columns below l.
+    clean = generate_matrix(b"\x13" * 32, k=5, l=13)
+    rows = clean.rows | ~np.uint64((1 << 13) - 1)
+    dirty = BinaryMatrix(k=5, l=13, rows=rows, seed=clean.seed, digest=clean.digest)
+    bits = BitString.from_bits01(np.random.default_rng(3).integers(0, 2, 13 * 40, np.uint8))
+    assert extract(bits, dirty).bits == extract(bits, clean).bits
 
 
 def test_matmul_oracle_matches_pure_python():
@@ -251,15 +281,13 @@ def test_frame_to_bits_lsb_first():
     frame = Frame(width=1, height=1, codes=codes, bit_depth=10)
     stream = frame_to_bits(frame)
     assert stream.n_bits == 10
-    assert stream.bits.to_bits01().tolist() == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
-    assert stream.provenance["bit_order"] == "lsb-first"
-    assert stream.provenance["bit_depth"] == 10
+    assert stream.to_bits01().tolist() == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
 
 
 def test_frame_to_bits_row_major_order():
     codes = np.array([[1, 2], [3, 4]], dtype=np.uint16)
     frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
-    got = frame_to_bits(frame).bits.to_bits01().reshape(4, 3)
+    got = frame_to_bits(frame).to_bits01().reshape(4, 3)
     want = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert np.array_equal(got, want)
 
@@ -269,7 +297,7 @@ def test_frame_to_bits_mask():
     frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
     flags = np.array([[True, False], [True, True]])
     mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
-    got = frame_to_bits(frame, mask).bits.to_bits01().reshape(3, 3)
+    got = frame_to_bits(frame, mask).to_bits01().reshape(3, 3)
     want = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # codes 1, 5, 2
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
@@ -279,19 +307,8 @@ def test_frame_to_bits_mask():
 def test_concat_streams_orders_frames():
     f1 = Frame(width=1, height=1, codes=np.array([[1]], dtype=np.uint16), bit_depth=2)
     f2 = Frame(width=1, height=1, codes=np.array([[2]], dtype=np.uint16), bit_depth=2)
-    merged = concat_streams([frame_to_bits(f1), frame_to_bits(f2)])
-    assert merged.bits.to_bits01().tolist() == [1, 0, 0, 1]
-    assert len(merged.provenance["frames"]) == 2
-
-
-def test_extract_accepts_raw_stream_wrapper():
-    frame = simulate_frame(get_preset("nokia-n9"), 410.0, 40, 50, seed=21)
-    stream = frame_to_bits(frame)
-    mat = generate_matrix(b"\x10" * 32, k=50, l=200)
-    via_wrapper = extract(stream, mat)
-    via_bits = extract(stream.bits, mat)
-    assert via_wrapper.bits == via_bits.bits
-    assert via_wrapper.blocks_processed == (40 * 50 * 10) // 200
+    merged = concat_streams(frame_to_bits(f) for f in (f1, f2))
+    assert merged.to_bits01().tolist() == [1, 0, 0, 1]
 
 
 def test_throughput_bench_smoke():

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,17 +8,13 @@ from hypothesis import strategies as st
 from camrng.sensor import (
     Frame,
     PRESETS,
-    PixelSignalModel,
     SensorConfig,
-    absorbed_mean,
     digitize_electrons,
     get_preset,
     load_sensor_config,
     save_sensor_config,
     simulate_frame,
-    simulate_pixel,
     simulate_stack,
-    sweep_intensities,
 )
 
 ATIK = get_preset("atik383l")
@@ -108,17 +103,6 @@ def test_config_from_dict_rejects_missing_key():
         SensorConfig.from_dict(d)
 
 
-def test_absorbed_mean():
-    cfg = SensorConfig(
-        name="half", eta=0.5, zeta=2.0, sigma_t=1.0, offset=0.0,
-        full_well=1000.0, bit_depth=12,
-    )
-    assert absorbed_mean(100.0, cfg) == 50.0
-    assert absorbed_mean(7.0, ATIK) == 7.0
-    with pytest.raises(ValueError):
-        absorbed_mean(-1.0, cfg)
-
-
 def test_digitize_rounding_and_clamps():
     cfg = SensorConfig(
         name="g23", eta=1.0, zeta=2.3, sigma_t=0.0, offset=0.0,
@@ -159,16 +143,6 @@ def test_digitize_monotone(electrons):
     e = np.sort(np.array(electrons))
     codes = digitize_electrons(e, cfg)
     assert (np.diff(codes.astype(np.int32)) >= 0).all()
-
-
-def test_simulate_pixel_matches_digitize_chain():
-    model = PixelSignalModel(n_bar=50.0)
-    assert model.sigma_q == pytest.approx(math.sqrt(50.0))
-    code = simulate_pixel(model, NOKIA, noise_draws=(52, 1.25))
-    want = digitize_electrons(
-        np.array([52 + 1.25 + NOKIA.offset]), NOKIA
-    )[0]
-    assert code == want
 
 
 def test_frame_validation():
@@ -241,14 +215,6 @@ def test_simulate_stack_frame_ids():
     ]
     for got, want in zip(stack, singles):
         assert np.array_equal(got.codes, want.codes)
-
-
-def test_sweep_intensities():
-    frames = sweep_intensities(ATIK, [10.0, 100.0], (32, 32), seed=2)
-    assert [f.meta["n_bar"] for f in frames] == [10.0, 100.0]
-    assert frames[0].codes.mean() < frames[1].codes.mean()
-    with pytest.raises(ValueError):
-        sweep_intensities(ATIK, [], (32, 32), seed=2)
 
 
 def test_full_well_saturation_kills_variance():
