@@ -58,7 +58,6 @@ from .sensor import (
     digitize_electrons,
     get_preset,
     load_sensor_config,
-    save_sensor_config,
     simulate_frame,
     simulate_stack,
     worker_count,
@@ -125,7 +124,6 @@ __all__ = [
     "run_battery",
     "runs_test",
     "save_matrix",
-    "save_sensor_config",
     "serial_correlation",
     "shannon_byte_entropy",
     "sidecar_path",

@@ -7,7 +7,7 @@ at bit position i % 8).  That choice makes a packed stream directly
 viewable as little-endian machine words, which the extractor relies on.
 
 Exported byte streams use the opposite convention, MSB of each byte is
-the earliest bit; see :meth:`BitString.to_msb_bytes`.
+the earliest bit; see :meth:`BitString.msb_chunks`.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class BitString:
     def from_msb_bytes(cls, data, n_bits: int | None = None) -> "BitString":
         """The first n_bits (default all) of an MSB-first byte stream.
 
-        Inverse of :meth:`to_msb_bytes`; bits past n_bits in the final
+        Inverse of :meth:`msb_chunks`; bits past n_bits in the final
         byte are dropped.
         """
         data = np.frombuffer(data, dtype=np.uint8)
@@ -113,21 +113,8 @@ class BitString:
     # Views and exports
     # ------------------------------------------------------------------
 
-    def to_bits01(self) -> np.ndarray:
-        """Unpack to one uint8 per bit (0 or 1)."""
-        return np.unpackbits(self.packed, count=self.n_bits, bitorder="little")
-
-    def to_msb_bytes(self) -> tuple[bytes, int]:
-        """Serialize with the earliest bit in the MSB of each byte.
-
-        Returns (payload, padding_bits) where padding_bits counts the
-        zero bits appended to fill the final byte.
-        """
-        padding = (-self.n_bits) % 8
-        return b"".join(self.msb_chunks()), padding
-
     def msb_chunks(self):
-        """Yield the :meth:`to_msb_bytes` payload in pieces of at most 4 MiB."""
+        """Yield the MSB-first bytes, last one zero-padded low, 4 MiB at a time."""
         for lo in range(0, self.packed.size, _MSB_CHUNK_BYTES):
             yield _BIT_REVERSE[self.packed[lo : lo + _MSB_CHUNK_BYTES]].tobytes()
 

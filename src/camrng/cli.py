@@ -94,39 +94,25 @@ def _sensor(args: argparse.Namespace) -> SensorConfig:
     return get_preset(args.preset)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(cast, bound: str, ok):
+    """An argparse type: cast(text), which must be finite and pass ok (see bound)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (-np.inf < value < np.inf and ok(value)):
+            message = f"must be finite and {bound}, got {text}"
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
 
 
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _alpha(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return value
-
-
-def _block_size(text: str) -> int:
-    value = int(text)
-    if value < 8:
-        raise argparse.ArgumentTypeError(f"must be >= 8, got {value}")
-    return value
-
-
-def _seed_u64(text: str) -> int:
-    value = int(text, 0)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+_COUNT = _number(int, ">= 1", lambda v: v >= 1)
+_NBAR = _number(float, ">= 0", lambda v: v >= 0)
+_BIT_DEPTH = _number(int, "in 1..16", lambda v: 1 <= v <= 16)
 
 
 def _hex_seed(text: str) -> bytes:
@@ -141,23 +127,20 @@ def _hex_seed(text: str) -> bytes:
     return raw
 
 
-def _read_frames(paths: tuple[str, ...]) -> list[Frame]:
-    """Load input frames: .pgm files directly, .raw via their sidecar."""
-    frames: list[Frame] = []
+def _read_frames(paths: tuple[str, ...]):
+    """Yield the input frames: .pgm files directly, .raw via their sidecar."""
+    if not paths:
+        raise UsageError("no input frames given")
     for path in paths:
         if path.endswith(".pgm"):
-            frames.append(read_pgm(path))
+            yield read_pgm(path)
         else:
             pair = read_sidecar(path)
             if pair is None:
                 raise UsageError(
                     f"{path}: not a .pgm and no sidecar JSON describes it"
                 )
-            header, _ = pair
-            frames.extend(read_raw(path, header))
-    if not frames:
-        raise UsageError("no input frames given")
-    return frames
+            yield from read_raw(path, pair[0])
 
 
 def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
@@ -189,11 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     if args.sweep:
-        n_bars = [float(t) for t in args.sweep.split(",") if t.strip()]
-        if not n_bars:
-            raise UsageError("--sweep needs a comma-separated list of intensities")
-        if any(nb < 0 for nb in n_bars):
-            raise UsageError("sweep intensities must be >= 0")
+        n_bars = args.sweep
     elif args.nbar is None:
         raise UsageError("pass --nbar or --sweep")
     else:
@@ -287,7 +266,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         sweep: list[tuple[list[Frame], float]] = []
         for entry in manifest["stacks"]:
             paths = tuple(os.path.join(base, name) for name in entry["files"])
-            sweep.append((_read_frames(paths), float(entry["n_bar"])))
+            sweep.append((list(_read_frames(paths)), float(entry["n_bar"])))
         sweep.sort(key=lambda pair: pair[1])
 
         curve = []
@@ -331,7 +310,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         )
         text.append(f"fano curve: {csv_path}")
     else:
-        frames = _read_frames(args.inputs)
+        frames = list(_read_frames(args.inputs))
         stats = pixel_stats(frames)
         report["n_frames"] = stats.n_frames
         report["mean_code"] = float(stats.mean.mean())
@@ -434,7 +413,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
     out_path = args.out
-    frames = _read_frames(args.inputs)
 
     mask = None
     if args.mask:
@@ -443,9 +421,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not mask.flags.any():
             raise ValueError("pixel mask excludes every pixel")
 
-    # Security margin gate before any heavy work: estimate the absorbed
-    # mean from the data itself, convert to entropy per raw bit, and
-    # refuse extraction that would emit more bits than it gathers.
     if args.matrix:
         matrix = load_matrix(args.matrix)
         if args.l is not None and args.l != matrix.l:
@@ -459,16 +434,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not k < l <= MAX_BLOCK_BITS:
             raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={k} l={l}")
 
-    mean_code = float(
-        np.mean(
-            [
-                f.codes[mask.flags].mean() if mask is not None else f.codes.mean()
-                for f in frames
-            ]
-        )
-    )
-    n_bar_est = mean_code / sensor.zeta - sensor.offset
-    bit_depth = frames[0].bit_depth
+    # One frame at a time: keep its mean code and its raw bits, not its codes.
+    means, streams = [], []
+    for frame in _read_frames(args.inputs):
+        if not streams:
+            bit_depth = frame.bit_depth
+        elif frame.bit_depth != bit_depth:
+            raise ValueError(
+                f"frame stack mismatch: a {frame.bit_depth}-bit frame "
+                f"among {bit_depth}-bit frames"
+            )
+        streams.append(frame_to_bits(frame, mask))
+        codes = frame.codes if mask is None else frame.codes[mask.flags]
+        means.append(codes.mean())
+
+    # Security margin gate before matrix work: estimate the absorbed mean
+    # from the data itself, convert to entropy per raw bit, and refuse
+    # extraction that would emit more bits than it gathers.
+    n_bar_est = float(np.mean(means)) / sensor.zeta - sensor.offset
     if n_bar_est <= 0:
         raise ValueError(
             f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
@@ -496,13 +479,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.save_matrix:
         save_matrix(matrix, args.save_matrix)
 
-    raw = concat_streams(frame_to_bits(f, mask) for f in frames)
+    raw = concat_streams(streams)
+    del streams
     result = extract(raw, matrix, n_workers=worker_count())
     n_bytes, padding = export_stream(result.bits, out_path)
 
     summary = {
         "command": "extract",
-        "frames": len(frames),
+        "frames": len(means),
         "raw_bits": raw.n_bits,
         "l": l,
         "k": k,
@@ -519,7 +503,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "out": out_path,
     }
     text = [
-        f"{len(frames)} frame(s) -> {raw.n_bits} raw bits",
+        f"{len(means)} frame(s) -> {raw.n_bits} raw bits",
         f"{result.blocks_processed} blocks of l={l} -> "
         f"{result.bits.n_bits} output bits (k={k}); "
         f"{result.residual_bits_discarded} residual bits discarded",
@@ -594,20 +578,22 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common], help="simulate sensor frames to files"
     )
     _add_sensor_and_out(p, "output directory")
+    p.add_argument("--nbar", type=_NBAR, help="mean absorbed photons per pixel")
     p.add_argument(
-        "--nbar", type=_nonnegative_float, help="mean absorbed photons per pixel"
+        "--sweep", metavar="LIST",
+        type=lambda text: [_NBAR(t) for t in text.split(",") if t.strip()],
+        help="comma-separated intensities (overrides --nbar)",
     )
     p.add_argument(
-        "--sweep", metavar="LIST", help="comma-separated intensities (overrides --nbar)"
+        "--frames", type=_COUNT, default=1, help="frames per intensity (>= 1)"
     )
-    p.add_argument(
-        "--frames", type=_positive_int, default=1, help="frames per intensity (>= 1)"
-    )
-    p.add_argument("--width", type=_positive_int, default=256)
-    p.add_argument("--height", type=_positive_int, default=256)
+    p.add_argument("--width", type=_COUNT, default=256)
+    p.add_argument("--height", type=_COUNT, default=256)
     p.add_argument("--format", choices=("pgm", "raw16le"), default="pgm")
     p.add_argument(
-        "--seed", type=_seed_u64, default=0, help="simulation seed (default 0)"
+        "--seed",
+        type=_number(lambda t: int(t, 0), "in [0, 2**64)", lambda v: 0 <= v < 2**64),
+        default=0, help="simulation seed (default 0)",
     )
     p.set_defaults(func=cmd_simulate)
 
@@ -623,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", metavar="JSON", help="sweep manifest from `simulate --sweep`"
     )
     p.add_argument(
-        "--tolerance", type=float, default=0.15,
+        "--tolerance", type=_number(float, "> 0", lambda v: v > 0), default=0.15,
         help="|F-1| bound for the operating region (default 0.15)",
     )
     p.set_defaults(func=cmd_characterize)
@@ -631,20 +617,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "entropy", parents=[common], help="per-sample quantum entropy report"
     )
-    p.add_argument("--nbar", type=float, required=True)
-    p.add_argument("--bits", type=_positive_int, required=True, help="ADC bit depth")
+    p.add_argument("--nbar", type=_NBAR, required=True)
+    p.add_argument("--bits", type=_BIT_DEPTH, required=True, help="ADC bit depth")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser(
         "plan", parents=[common], help="extractor sizing from the security bound"
     )
-    p.add_argument("--s", type=float, help="entropy per raw bit (0, 1]")
-    p.add_argument("--nbar", type=float, help="compute s from this intensity...")
-    p.add_argument("--bits", type=_positive_int, help="...at this bit depth")
-    p.add_argument("--l", type=_positive_int, default=DEFAULT_L)
-    p.add_argument("--k", type=_positive_int, help="evaluate the bound for this k")
     p.add_argument(
-        "--target", type=float, help="plan k for this log2(epsilon) target (< 0)"
+        "--s", type=_number(float, "in (0, 1]", lambda v: 0 < v <= 1),
+        help="entropy per raw bit (0, 1]",
+    )
+    p.add_argument("--nbar", type=_NBAR, help="compute s from this intensity...")
+    p.add_argument("--bits", type=_BIT_DEPTH, help="...at this bit depth")
+    p.add_argument("--l", type=_COUNT, default=DEFAULT_L)
+    p.add_argument("--k", type=_COUNT, help="evaluate the bound for this k")
+    p.add_argument(
+        "--target", type=_number(float, "< 0", lambda v: v < 0),
+        help="plan k for this log2(epsilon) target (< 0)",
     )
     p.set_defaults(func=cmd_plan)
 
@@ -656,8 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
         "inputs", nargs="*", metavar="FRAME",
         help=".pgm files or .raw files with sidecars",
     )
-    p.add_argument("--l", type=_positive_int, help=f"block bits (default {DEFAULT_L})")
-    p.add_argument("--k", type=_positive_int, help=f"output bits (default {DEFAULT_K})")
+    p.add_argument("--l", type=_COUNT, help=f"block bits (default {DEFAULT_L})")
+    p.add_argument("--k", type=_COUNT, help=f"output bits (default {DEFAULT_K})")
     p.add_argument(
         "--matrix-seed", type=_hex_seed, default=DEFAULT_MATRIX_SEED,
         metavar="HEX64", help="32-byte matrix seed in hex",
@@ -676,12 +666,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", metavar="FILE", help="byte stream (MSB-first bits)")
     p.add_argument(
-        "--bits", type=_positive_int, default=None,
+        "--bits", type=_COUNT, default=None,
         help="test only the first N bits (drop export padding)",
     )
-    p.add_argument("--alpha", type=_alpha, default=DEFAULT_ALPHA)
-    p.add_argument("--block-size", type=_block_size, default=DEFAULT_BLOCK_SIZE)
-    p.add_argument("--max-lag", type=_positive_int, default=DEFAULT_MAX_LAG)
+    p.add_argument(
+        "--alpha", type=_number(float, "in (0, 1)", lambda v: 0 < v < 1),
+        default=DEFAULT_ALPHA,
+    )
+    p.add_argument(
+        "--block-size", type=_number(int, ">= 8", lambda v: v >= 8),
+        default=DEFAULT_BLOCK_SIZE,
+    )
+    p.add_argument("--max-lag", type=_COUNT, default=DEFAULT_MAX_LAG)
     p.add_argument("--export", metavar="FILE", help="re-export tested bits as bytes")
     p.set_defaults(func=cmd_test)
 

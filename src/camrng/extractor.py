@@ -49,24 +49,6 @@ _CHUNK_BLOCKS = 4096
 _TABLE_BYTES_LIMIT = 64 << 20
 
 
-def _normalize_seed(seed) -> bytes:
-    """Coerce a matrix seed to its canonical 32-byte form."""
-    if isinstance(seed, bytes):
-        if len(seed) != 32:
-            raise ValueError(f"matrix seed must be 32 bytes, got {len(seed)}")
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        if seed < 0:
-            raise ValueError("matrix seed int must be nonnegative")
-        return int(seed).to_bytes(32, "big")
-    if isinstance(seed, str):
-        b = bytes.fromhex(seed)
-        if len(b) != 32:
-            raise ValueError(f"matrix seed hex must be 64 digits, got {len(seed)}")
-        return b
-    raise TypeError(f"unsupported seed type {type(seed).__name__}")
-
-
 def _prf_bytes(seed: bytes, n_bytes: int) -> bytes:
     """Deterministic seed expansion: SHA-256(seed || counter) stream.
 
@@ -102,15 +84,6 @@ class BinaryMatrix:
     seed: bytes
     digest: str
     _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def words_per_row(self) -> int:
-        return (self.l + 63) // 64
-
-    def row_bits(self, j: int) -> np.ndarray:
-        """Row j as an array of l zeros and ones (for inspection/tests)."""
-        row_bytes = self.rows[j].astype("<u8").view(np.uint8)
-        return np.unpackbits(row_bytes, count=self.l, bitorder="little")
 
     def _payload_bytes(self) -> bytes:
         # Canonical serialization: rows in order, words little-endian.
@@ -165,7 +138,7 @@ class BinaryMatrix:
             yield lo, self._byte_tables(lo, min(lo + per_tile, n_pos))
 
 
-def generate_matrix(seed, k: int, l: int) -> BinaryMatrix:
+def generate_matrix(seed: bytes, k: int, l: int) -> BinaryMatrix:
     """Expand a 256-bit seed into a k x l extraction matrix.
 
     Bit (row j, column i) of the matrix is bit j*l + i of the SHA-256
@@ -173,7 +146,7 @@ def generate_matrix(seed, k: int, l: int) -> BinaryMatrix:
     byte), giving a platform- and endianness-independent expansion.
 
     Args:
-        seed: 32 bytes, 64 hex digits, or a nonnegative int.
+        seed: 32 bytes.
         k, l: dimensions with 0 < k < l <= 2**20.
 
     Returns:
@@ -183,7 +156,8 @@ def generate_matrix(seed, k: int, l: int) -> BinaryMatrix:
         raise ValueError(f"need 0 < k < l, got k={k}, l={l}")
     if l > MAX_BLOCK_BITS:
         raise ValueError(f"l={l} exceeds limit {MAX_BLOCK_BITS}")
-    seed = _normalize_seed(seed)
+    if not isinstance(seed, bytes) or len(seed) != 32:
+        raise ValueError("matrix seed must be 32 bytes")
 
     stream = _prf_bytes(seed, (k * l + 7) // 8)
     bits = np.unpackbits(
@@ -300,8 +274,6 @@ def _block_bytes(
     the block; the byte tables give those zero weight.
     """
     n_pos = (l + 7) // 8
-    if l % 8 == 0:
-        return packed[start * n_pos : (start + count) * n_pos].reshape(count, n_pos)[:, lo:hi]
     # Blocks r, r+8, r+16, ... begin l bytes apart at one bit shift, so
     # each such group is a reshape of the stream bytes.  The copy is
     # zero-padded so that every row of l bytes is whole.
@@ -381,10 +353,9 @@ def extract(
     if n_workers is None:
         n_workers = worker_count()
     with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-        run = pool.map if n_workers > 1 and n_chunks > 1 else map
         for lo, tables in matrix._table_tiles():
-            list(run(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
-        parts = list(run(pack_chunk, range(n_chunks)))
+            list(pool.map(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
+        parts = list(pool.map(pack_chunk, range(n_chunks)))
 
     # Every chunk but the last covers _CHUNK_BLOCKS*k bits, a multiple
     # of 8, so packed parts concatenate without bit shifting.

@@ -20,18 +20,17 @@ import numpy as np
 from .sensor import Frame
 
 _RAW_FORMATS = ("raw16le", "raw8")
-_FORMATS = ("pgm16",) + _RAW_FORMATS
 
 
 @dataclass(frozen=True)
 class FrameFileHeader:
-    """Geometry and encoding of a frame file.
+    """Geometry and encoding of a raw frame file.
 
     Attributes:
-        format: "pgm16", "raw16le", or "raw8".
+        format: "raw16le" or "raw8".
         width, height: frame geometry in pixels.
         bit_depth: ADC width of the stored codes.
-        frame_count: frames in the file (raw files may hold several).
+        frame_count: frames in the file.
     """
 
     format: str
@@ -41,9 +40,9 @@ class FrameFileHeader:
     frame_count: int = 1
 
     def __post_init__(self):
-        if self.format not in _FORMATS:
+        if self.format not in _RAW_FORMATS:
             raise ValueError(
-                f"format must be one of {_FORMATS}, got {self.format!r}"
+                f"format must be one of {_RAW_FORMATS}, got {self.format!r}"
             )
         if self.width <= 0 or self.height <= 0:
             raise ValueError(
@@ -147,7 +146,6 @@ def read_pgm(path: str) -> Frame:
         height=height,
         codes=codes.reshape(height, width),
         bit_depth=bit_depth,
-        meta={"source": os.fspath(path), "format": "pgm"},
     )
 
 
@@ -183,11 +181,6 @@ def read_raw(path: str, header: FrameFileHeader) -> list[Frame]:
     Returns:
         frame_count Frames in file order.
     """
-    if header.format not in _RAW_FORMATS:
-        raise ValueError(
-            f"read_raw handles {_RAW_FORMATS}, not {header.format!r} "
-            "(use read_pgm for PGM files)"
-        )
     with open(path, "rb") as fh:
         data = fh.read()
     n_samples = header.frame_count * header.width * header.height
@@ -213,7 +206,6 @@ def read_raw(path: str, header: FrameFileHeader) -> list[Frame]:
             height=header.height,
             codes=codes[i],
             bit_depth=header.bit_depth,
-            meta={"source": os.fspath(path), "format": header.format, "index": i},
         )
         for i in range(header.frame_count)
     ]
@@ -221,8 +213,6 @@ def read_raw(path: str, header: FrameFileHeader) -> list[Frame]:
 
 def write_raw(frames: list[Frame], header: FrameFileHeader, path: str) -> None:
     """Write frames as a headerless raw dump matching `header`."""
-    if header.format not in _RAW_FORMATS:
-        raise ValueError(f"write_raw handles {_RAW_FORMATS}, not {header.format!r}")
     if len(frames) != header.frame_count:
         raise ValueError(
             f"header declares {header.frame_count} frames, got {len(frames)}"

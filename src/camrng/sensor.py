@@ -25,7 +25,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class SensorConfig:
     def max_code(self) -> int:
         return (1 << self.bit_depth) - 1
 
-    @property
-    def resolves_single_electrons(self) -> bool:
-        """True when each electron count maps to a distinct code (zeta >= 1)."""
-        return self.zeta >= 1
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -154,12 +149,6 @@ def load_sensor_config(path: str) -> SensorConfig:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return SensorConfig.from_dict(data)
-
-
-def save_sensor_config(config: SensorConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 # Canonical presets: a cooled 16-bit astronomy CCD and a 10-bit phone
@@ -203,15 +192,12 @@ class Frame:
         width, height: geometry in pixels.
         codes: (height, width) array of ADC output codes, row-major.
         bit_depth: ADC width the codes were produced with.
-        meta: free-form provenance (seed and config for simulated frames,
-            source path for ingested ones).
     """
 
     width: int
     height: int
     codes: np.ndarray
     bit_depth: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -235,10 +221,6 @@ class Frame:
                     f"codes [{lo}, {hi}] exceed {self.bit_depth}-bit range"
                 )
         self.codes = codes.astype(np.uint16, copy=False)
-
-    @property
-    def n_pixels(self) -> int:
-        return self.width * self.height
 
 
 def digitize_electrons(electrons: np.ndarray, config: SensorConfig) -> np.ndarray:
@@ -319,32 +301,15 @@ def simulate_frame(
     ]
     if n_workers is None:
         n_workers = worker_count()
-
-    if n_workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda b: _simulate_block(
-                        config, n_bar, seed, frame_id, b, sizes[b]
-                    ),
-                    range(n_blocks),
-                )
+    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+        parts = list(
+            pool.map(
+                lambda b: _simulate_block(config, n_bar, seed, frame_id, b, sizes[b]),
+                range(n_blocks),
             )
-    else:
-        parts = [
-            _simulate_block(config, n_bar, seed, frame_id, b, sizes[b])
-            for b in range(n_blocks)
-        ]
-
+        )
     codes = np.concatenate(parts).reshape(height, width)
-    meta = {
-        "source": "simulated",
-        "config": config.name,
-        "seed": int(seed),
-        "frame_id": int(frame_id),
-        "n_bar": float(n_bar),
-    }
-    return Frame(width=width, height=height, codes=codes, bit_depth=config.bit_depth, meta=meta)
+    return Frame(width=width, height=height, codes=codes, bit_depth=config.bit_depth)
 
 
 def simulate_stack(

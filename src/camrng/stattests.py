@@ -9,8 +9,7 @@ Every statistic is an integer count taken on the packed stream, never on
 one byte per bit: ones by popcount, ones per block from a per-word
 popcount prefix sum, bit transitions and (1,1) pairs at lag tau by
 popcounts of the stream XORed or ANDed with itself shifted by tau words
-and bits, and the byte histogram by bincount of the packed bytes.  A
-0/1 array argument is packed once on entry.
+and bits, and the byte histogram by bincount of the packed bytes.
 
 Every p-value here is two-sided against the fair-coin null.  A stream
 "passes" a test when p >= alpha; with several tests at alpha = 0.01 an
@@ -20,7 +19,6 @@ evidence, not proof.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,19 +39,13 @@ _MIN_ENTROPY_BITS = 80_000
 class TestOutcome(NamedTuple):
     """(statistic, p_value) plus an optional status note.
 
-    note is None for a normally computed result; a gated test that was
-    not applicable reports its reason here (with p_value 0.0) instead of
-    raising.
+    A gated test that was not applicable reports its reason in note
+    (with p_value 0.0) instead of raising.
     """
 
     statistic: float
     p_value: float
     note: str | None = None
-
-
-def _as_bitstring(bits) -> BitString:
-    """The stream as a BitString; a 0/1 array is packed (and validated)."""
-    return bits if isinstance(bits, BitString) else BitString.from_bits01(bits)
 
 
 def _words(bits: BitString) -> np.ndarray:
@@ -117,22 +109,23 @@ def _lag_popcounts(bits: BitString, lags, combine) -> list[int]:
     return totals
 
 
-def monobit_test(bits) -> TestOutcome:
+def monobit_test(bits: BitString) -> TestOutcome:
     """Frequency test: are ones and zeros balanced?
 
     statistic z = (ones - zeros)/sqrt(n); p = erfc(|z|/sqrt(2)).
     Requires >= 100 bits.
     """
-    b = _as_bitstring(bits)
-    n = b.n_bits
+    n = bits.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"monobit test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    ones = b.count_ones()
+    ones = bits.count_ones()
     z = (2 * ones - n) / math.sqrt(n)
     return TestOutcome(statistic=z, p_value=float(erfc(abs(z) / math.sqrt(2))))
 
 
-def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestOutcome:
+def block_frequency_test(
+    bits: BitString, block_size: int = DEFAULT_BLOCK_SIZE
+) -> TestOutcome:
     """Per-block one-proportion chi-square (standard formulation).
 
     chi2 = 4 * block_size * sum((pi_i - 1/2)^2) over N full blocks;
@@ -140,14 +133,13 @@ def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestOutc
     """
     if block_size < 8:
         raise ValueError(f"block_size must be >= 8, got {block_size}")
-    b = _as_bitstring(bits)
-    n_blocks = b.n_bits // block_size
+    n_blocks = bits.n_bits // block_size
     if n_blocks < 10:
         raise ValueError(
             f"block frequency test needs >= 10 blocks of {block_size}, "
             f"got {n_blocks}"
         )
-    words = _words(b)
+    words = _words(bits)
     pi = np.empty(n_blocks, dtype=np.float64)
     step = max(1, _CHUNK_WORDS * 64 // block_size)  # blocks per pass
     for j0 in range(0, n_blocks, step):
@@ -170,18 +162,17 @@ def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestOutc
     )
 
 
-def runs_test(bits) -> TestOutcome:
+def runs_test(bits: BitString) -> TestOutcome:
     """Total-runs test against the expectation 2*n*pi*(1-pi).
 
     Only applicable when the one-proportion pi is within 2/sqrt(n) of
     1/2; outside that gate the outcome carries a note and p_value 0.0
     rather than raising (the stream already failed monobit anyway).
     """
-    b = _as_bitstring(bits)
-    n = b.n_bits
+    n = bits.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"runs test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    pi = float(b.count_ones()) / n
+    pi = float(bits.count_ones()) / n
     tau = 2.0 / math.sqrt(n)
     if abs(pi - 0.5) >= tau:
         return TestOutcome(
@@ -191,8 +182,8 @@ def runs_test(bits) -> TestOutcome:
         )
     # XOR with the next bit counts every transition, plus bit n-1
     # itself, which is compared with the zero past the end.
-    last_bit = int(_bit_slice(b, n - 1, n)[0])
-    runs = 1 + _lag_popcounts(b, [1], np.bitwise_xor)[0] - last_bit
+    last_bit = int(_bit_slice(bits, n - 1, n)[0])
+    runs = 1 + _lag_popcounts(bits, [1], np.bitwise_xor)[0] - last_bit
     expected = 2.0 * n * pi * (1.0 - pi)
     # standard deviation of the run count for i.i.d. bits
     sigma = 2.0 * math.sqrt(n) * pi * (1.0 - pi)
@@ -218,7 +209,9 @@ class SerialCorrelationResult:
         return not self.flagged
 
 
-def serial_correlation(bits, max_lag: int = DEFAULT_MAX_LAG) -> SerialCorrelationResult:
+def serial_correlation(
+    bits: BitString, max_lag: int = DEFAULT_MAX_LAG
+) -> SerialCorrelationResult:
     """Sample autocorrelation of the 0/1 sequence at lags 1..max_lag.
 
     Computed from exact integer pair counts:
@@ -228,24 +221,23 @@ def serial_correlation(bits, max_lag: int = DEFAULT_MAX_LAG) -> SerialCorrelatio
     """
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
-    b = _as_bitstring(bits)
-    n = b.n_bits
+    n = bits.n_bits
     if n < 100 * max_lag:
         raise ValueError(
             f"serial correlation at max_lag={max_lag} needs >= {100 * max_lag} "
             f"bits, got {n}"
         )
-    s = b.count_ones()
+    s = bits.count_ones()
     mean = s / n
     denom = s - s * s / n
     if denom == 0:
         raise ValueError("constant bit sequence has no defined autocorrelation")
 
     lags = np.arange(1, max_lag + 1)
-    pair_counts = _lag_popcounts(b, lags, np.bitwise_and)
+    pair_counts = _lag_popcounts(bits, lags, np.bitwise_and)
     # ones among the first and the last tau bits, at index tau - 1
-    ones_first = np.cumsum(_bit_slice(b, 0, max_lag))
-    ones_last = np.cumsum(_bit_slice(b, n - max_lag, n)[::-1])
+    ones_first = np.cumsum(_bit_slice(bits, 0, max_lag))
+    ones_last = np.cumsum(_bit_slice(bits, n - max_lag, n)[::-1])
     coefficients = np.empty(max_lag, dtype=np.float64)
     for idx, tau in enumerate(lags):
         tau = int(tau)
@@ -274,19 +266,18 @@ def _byte_entropy(bits: BitString) -> tuple[float, int]:
     return float(-np.sum(f * np.log2(f))), n_bytes
 
 
-def shannon_byte_entropy(bits) -> float:
+def shannon_byte_entropy(bits: BitString) -> float:
     """Empirical entropy of the stream grouped into bytes, bits/byte.
 
     Bytes are formed MSB-first (the export convention); a trailing
     partial byte is ignored.  Requires >= 80,000 bits.  Note the
     estimator's negative bias of about 255/(2 N ln 2) bits at N bytes.
     """
-    b = _as_bitstring(bits)
-    if b.n_bits < _MIN_ENTROPY_BITS:
+    if bits.n_bits < _MIN_ENTROPY_BITS:
         raise ValueError(
-            f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {b.n_bits}"
+            f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {bits.n_bits}"
         )
-    return _byte_entropy(b)[0]
+    return _byte_entropy(bits)[0]
 
 
 class ExportResult(NamedTuple):
@@ -294,7 +285,7 @@ class ExportResult(NamedTuple):
     padding_bits: int
 
 
-def export_stream(bits, destination) -> ExportResult:
+def export_stream(bits: BitString, destination) -> ExportResult:
     """Write bits as a byte stream, MSB of each byte = earliest bit.
 
     The final byte is zero-padded on the low side when the bit count is
@@ -302,14 +293,13 @@ def export_stream(bits, destination) -> ExportResult:
     byte count.
 
     Args:
-        bits: BitString or 0/1 array.
+        bits: the stream to write.
         destination: path, or a binary file-like object (e.g.
             sys.stdout.buffer for piping into an external battery).
 
     Returns:
         ExportResult(n_bytes, padding_bits).
     """
-    bits = _as_bitstring(bits)
     padding = (-bits.n_bits) % 8
 
     def _write(fh) -> int:
@@ -376,12 +366,27 @@ class TestReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def _serial_outcome(bits: BitString, max_lag: int) -> tuple[TestOutcome, bool]:
+    """Serial correlation as one battery outcome, and whether no lag was flagged."""
+    n = bits.n_bits
+    if bits.count_ones() in (0, n):
+        # a constant stream has no defined autocorrelation; score it as
+        # a failure with a distinct status rather than crashing
+        note = "not applicable: constant sequence"
+        return TestOutcome(float("nan"), 0.0, note), False
+    sc = serial_correlation(bits, max_lag)
+    z = np.abs(sc.coefficients) * np.sqrt(n - sc.lags)
+    p_lags = erfc(z / math.sqrt(2))
+    p_serial = float(min(1.0, max_lag * p_lags.min()))
+    worst = int(sc.lags[int(np.argmin(p_lags))])
+    statistic = float(sc.coefficients[worst - 1])
+    note = f"worst lag {worst}; Bonferroni-corrected"
+    return TestOutcome(statistic, p_serial, note), not sc.flagged
 
 
 def run_battery(
-    bits,
+    bits: BitString,
     alpha: float = DEFAULT_ALPHA,
     block_size: int = DEFAULT_BLOCK_SIZE,
     max_lag: int = DEFAULT_MAX_LAG,
@@ -391,12 +396,12 @@ def run_battery(
     Serial correlation is folded to a single Bonferroni-corrected
     p-value (min over lags of erfc(|r|sqrt(n)/sqrt(2)), times max_lag),
     which is conservative: ideal input passes at least as often as the
-    per-lag tests would.  Byte entropy is scored by the likelihood-ratio
-    statistic G = 2 N ln2 (8 - H) ~ chi-square(255) under the uniform
-    null.
+    per-lag tests would.  It also fails when any lag is flagged.  Byte
+    entropy is scored by the likelihood-ratio statistic
+    G = 2 N ln2 (8 - H) ~ chi-square(255) under the uniform null.
 
     Args:
-        bits: BitString or 0/1 array, long enough for every subtest
+        bits: the stream, long enough for every subtest
             (>= max(10*block_size, 100*max_lag, 80000) bits).
         alpha: per-test significance level for verdicts, in (0, 1).
 
@@ -405,74 +410,25 @@ def run_battery(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    b = _as_bitstring(bits)
-    n = b.n_bits
+    n = bits.n_bits
     needed = max(_MIN_MONOBIT_BITS, 10 * block_size, 100 * max_lag, _MIN_ENTROPY_BITS)
     if n < needed:
         raise ValueError(f"battery needs >= {needed} bits, got {n}")
 
-    results = []
-
-    mono = monobit_test(b)
-    results.append(
-        TestRecord("monobit", mono.statistic, mono.p_value, mono.p_value >= alpha)
-    )
-
-    bf = block_frequency_test(b, block_size)
-    results.append(
-        TestRecord(
-            f"block-frequency[{block_size}]",
-            bf.statistic,
-            bf.p_value,
-            bf.p_value >= alpha,
-        )
-    )
-
-    rn = runs_test(b)
-    results.append(
-        TestRecord("runs", rn.statistic, rn.p_value, rn.p_value >= alpha, rn.note)
-    )
-
-    ones = b.count_ones()
-    if ones in (0, n):
-        # a constant stream has no defined autocorrelation; score it as
-        # a failure with a distinct status rather than crashing
-        results.append(
-            TestRecord(
-                f"serial-correlation[1..{max_lag}]",
-                float("nan"),
-                0.0,
-                False,
-                "not applicable: constant sequence",
-            )
-        )
-    else:
-        sc = serial_correlation(b, max_lag)
-        z = np.abs(sc.coefficients) * np.sqrt(n - sc.lags)
-        p_lags = erfc(z / math.sqrt(2))
-        p_serial = float(min(1.0, max_lag * p_lags.min()))
-        worst = int(sc.lags[int(np.argmin(p_lags))])
-        results.append(
-            TestRecord(
-                f"serial-correlation[1..{max_lag}]",
-                float(sc.coefficients[worst - 1]),
-                p_serial,
-                p_serial >= alpha and not sc.flagged,
-                f"worst lag {worst}; Bonferroni-corrected",
-            )
-        )
-
-    h, n_bytes = _byte_entropy(b)
+    h, n_bytes = _byte_entropy(bits)
     g = 2.0 * n_bytes * math.log(2.0) * (8.0 - h)
     p_entropy = float(gammaincc(255 / 2.0, g / 2.0))
-    results.append(
-        TestRecord(
-            "byte-entropy",
-            h,
-            p_entropy,
-            p_entropy >= alpha,
-            "G-statistic chi-square(255)",
-        )
-    )
-
+    entropy = TestOutcome(h, p_entropy, "G-statistic chi-square(255)")
+    # (name, outcome, whether nothing beyond the p-value fails it)
+    checks = [
+        ("monobit", monobit_test(bits), True),
+        (f"block-frequency[{block_size}]", block_frequency_test(bits, block_size), True),
+        ("runs", runs_test(bits), True),
+        (f"serial-correlation[1..{max_lag}]", *_serial_outcome(bits, max_lag)),
+        ("byte-entropy", entropy, True),
+    ]
+    results = [
+        TestRecord(name, o.statistic, o.p_value, o.p_value >= alpha and ok, o.note)
+        for name, o, ok in checks
+    ]
     return TestReport(results=results, alpha=alpha, n_bits=n)

@@ -198,7 +198,11 @@ def test_criterion_6_packed_vs_naive_oracle():
             k = int(rng.integers(1, 65))
             l = int(rng.integers(k + 1, 257))
         matrix = generate_matrix(_seed32(f"acceptance-c6-{idx}"), k, l)
-        rows = [_block_int(matrix.row_bits(j)) for j in range(k)]
+        # bit i of a row sits at bit i % 64 of little-endian word i // 64
+        rows = [
+            int.from_bytes(r.astype("<u8").tobytes(), "little")
+            for r in matrix.rows
+        ]
 
         blocks01 = rng.integers(0, 2, (blocks_per_config, l), dtype=np.uint8)
         expected = []
@@ -209,8 +213,9 @@ def test_criterion_6_packed_vs_naive_oracle():
 
         out = extract(BitString.from_bits01(blocks01.ravel()), matrix)
         assert out.blocks_processed == blocks_per_config
+        got = np.unpackbits(out.bits.packed, count=out.bits.n_bits, bitorder="little")
         assert np.array_equal(
-            out.bits.to_bits01(), np.array(expected, dtype=np.uint8)
+            got, np.array(expected, dtype=np.uint8)
         ), f"packed != naive oracle for k={k} l={l}"
         total_blocks += blocks_per_config
 

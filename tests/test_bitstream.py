@@ -7,18 +7,27 @@ from camrng import bitstream
 from camrng.bitstream import BitString
 
 
+def as01(bs: BitString) -> np.ndarray:
+    """One uint8 per bit: the oracle view of a packed stream."""
+    return np.unpackbits(bs.packed, count=bs.n_bits, bitorder="little")
+
+
+def msb_bytes(bs: BitString) -> bytes:
+    return b"".join(bs.msb_chunks())
+
+
 def test_round_trip_small():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
     bs = BitString.from_bits01(bits)
     assert len(bs) == 9
-    assert np.array_equal(bs.to_bits01(), bits)
+    assert np.array_equal(as01(bs), bits)
 
 
 def test_zeros():
     bs = BitString.zeros(13)
     assert len(bs) == 13
     assert bs.count_ones() == 0
-    assert np.array_equal(bs.to_bits01(), np.zeros(13, dtype=np.uint8))
+    assert np.array_equal(as01(bs), np.zeros(13, dtype=np.uint8))
 
 
 def test_rejects_non_binary():
@@ -36,13 +45,13 @@ def test_concat_matches_numpy_reference():
     parts = [rng.integers(0, 2, size=n, dtype=np.uint8) for n in (0, 5, 8, 13, 64, 3)]
     got = BitString.concat([BitString.from_bits01(p) for p in parts])
     want = np.concatenate(parts)
-    assert np.array_equal(got.to_bits01(), want)
+    assert np.array_equal(as01(got), want)
 
 
 def test_xor():
     a = BitString.from_bits01(np.array([1, 0, 1, 0, 1], dtype=np.uint8))
     b = BitString.from_bits01(np.array([1, 1, 0, 0, 1], dtype=np.uint8))
-    assert np.array_equal((a ^ b).to_bits01(), [0, 1, 1, 0, 0])
+    assert np.array_equal(as01(a ^ b), [0, 1, 1, 0, 0])
     with pytest.raises(ValueError):
         a ^ BitString.zeros(4)
 
@@ -60,9 +69,7 @@ def test_eq_ignores_tail_garbage():
 def test_msb_bytes_packing_convention():
     # 8 bits 10000001 -> 0x81
     bs = BitString.from_bits01(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8))
-    data, padding = bs.to_msb_bytes()
-    assert data == b"\x81"
-    assert padding == 0
+    assert msb_bytes(bs) == b"\x81"
 
 
 def test_msb_bytes_partial_final_byte():
@@ -70,16 +77,14 @@ def test_msb_bytes_partial_final_byte():
     bs = BitString.from_bits01(
         np.array([1, 0, 0, 0, 0, 0, 0, 1, 1], dtype=np.uint8)
     )
-    data, padding = bs.to_msb_bytes()
-    assert data == b"\x81\x80"
-    assert padding == 7
+    assert msb_bytes(bs) == b"\x81\x80"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 1), max_size=300))
 def test_round_trip_property(bits):
     arr = np.array(bits, dtype=np.uint8)
-    assert np.array_equal(BitString.from_bits01(arr).to_bits01(), arr)
+    assert np.array_equal(as01(BitString.from_bits01(arr)), arr)
 
 
 @settings(max_examples=100, deadline=None)
@@ -89,7 +94,7 @@ def test_round_trip_property(bits):
 def test_concat_property(parts):
     arrays = [np.array(p, dtype=np.uint8) for p in parts]
     got = BitString.concat([BitString.from_bits01(a) for a in arrays])
-    assert np.array_equal(got.to_bits01(), np.concatenate(arrays) if arrays else [])
+    assert np.array_equal(as01(got), np.concatenate(arrays) if arrays else [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,10 +102,10 @@ def test_concat_property(parts):
 def test_msb_export_unpack_identity(bits):
     # packing to bytes then unpacking MSB-first recovers bits + zero padding
     arr = np.array(bits, dtype=np.uint8)
-    data, padding = BitString.from_bits01(arr).to_msb_bytes()
+    data = msb_bytes(BitString.from_bits01(arr))
     back = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    assert back.size == arr.size + (-arr.size) % 8
     assert np.array_equal(back[: arr.size], arr)
-    assert padding == (-arr.size) % 8
     assert not back[arr.size :].any()
 
 
@@ -110,14 +115,12 @@ def test_from_msb_bytes_inverts_to_msb_bytes(data, draw):
     n_bits = draw.draw(st.integers(0, 8 * len(data)))
     bs = BitString.from_msb_bytes(np.frombuffer(data, dtype=np.uint8), n_bits)
     want = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
-    assert np.array_equal(bs.to_bits01(), want)
-    payload, padding = bs.to_msb_bytes()
-    assert padding == (-n_bits) % 8
-    assert payload == BitString.from_bits01(want).to_msb_bytes()[0]
+    assert np.array_equal(as01(bs), want)
+    assert msb_bytes(bs) == msb_bytes(BitString.from_bits01(want))
 
 
 def test_from_msb_bytes_defaults_to_all_and_rejects_overlong():
-    assert BitString.from_msb_bytes(b"\x81\x80").to_msb_bytes() == (b"\x81\x80", 0)
+    assert msb_bytes(BitString.from_msb_bytes(b"\x81\x80")) == b"\x81\x80"
     with pytest.raises(ValueError):
         BitString.from_msb_bytes(b"\x81", 9)
 

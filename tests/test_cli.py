@@ -6,7 +6,8 @@ import pytest
 
 from camrng.cli import main
 from camrng.extractor import DEFAULT_MATRIX_SEED, generate_matrix, load_matrix
-from camrng.ingest import read_pgm
+from camrng.ingest import read_pgm, write_pgm
+from camrng.sensor import Frame
 
 
 def sha(path) -> str:
@@ -100,7 +101,38 @@ def test_plan_flag_validation(capsys):
     assert run("plan", "--s", "0.5", "--l", "100") == 2
     assert run("plan", "--s", "0.5", "--l", "100", "--k", "10", "--target", "-5") == 2
     assert run("plan", "--l", "100", "--k", "10") == 2  # no way to get s
+    # a valid target that no k can meet is a runtime failure
+    assert run("plan", "--s", "0.01", "--l", "100", "--target", "-100") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--nbar", ("entropy", "--nbar", "nan", "--bits", "10")),
+        ("--nbar", ("entropy", "--nbar", "-1", "--bits", "10")),
+        ("--bits", ("entropy", "--nbar", "410", "--bits", "17")),
+        ("--bits", ("plan", "--nbar", "410", "--bits", "0", "--k", "10")),
+        ("--nbar", ("plan", "--nbar", "-3", "--bits", "10", "--k", "10")),
+        ("--nbar", ("plan", "--nbar", "inf", "--bits", "10", "--k", "10")),
+        ("--s", ("plan", "--s", "2", "--k", "10")),
+        ("--s", ("plan", "--s", "0", "--k", "10")),
+        ("--target", ("plan", "--s", "0.5", "--target", "5")),
+        ("--target", ("plan", "--s", "0.5", "--target=-inf")),
+        ("--l", ("plan", "--s", "0.5", "--l", "1e3", "--k", "10")),
+        ("--tolerance", ("characterize", "--preset", "nokia-n9", "--manifest", "m.json",
+                         "--out", "x", "--tolerance", "nan")),
+        ("--tolerance", ("characterize", "--preset", "nokia-n9", "--manifest", "m.json",
+                         "--out", "x", "--tolerance", "0")),
+        ("--seed", ("simulate", "--preset", "nokia-n9", "--nbar", "1", "--out", "x",
+                    "--seed", str(2**64))),
+        ("--sweep", ("simulate", "--preset", "nokia-n9", "--sweep", "2,nan", "--out", "x")),
+        ("--sweep", ("simulate", "--preset", "nokia-n9", "--sweep", "2,abc", "--out", "x")),
+    ],
+)
+def test_numeric_flags_outside_their_range_are_usage_errors(capsys, flag, argv):
+    assert run(*argv) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def _simulate_small(tmp_path, n_frames=10, capsys=None):
@@ -235,7 +267,8 @@ def test_extract_masked_matches_matmul_oracle(tmp_path, capsys):
     raw01 = ((codes[:, None] >> np.arange(10)) & 1).ravel()
     n_blocks = raw01.size // l
     mat = generate_matrix(DEFAULT_MATRIX_SEED, k, l)
-    mat01 = np.vstack([mat.row_bits(j) for j in range(k)]).astype(np.int64)
+    row_bytes = mat.rows.astype("<u8").view(np.uint8).reshape(k, -1)
+    mat01 = np.unpackbits(row_bytes, axis=1, count=l, bitorder="little").astype(np.int64)
     want = (raw01[: n_blocks * l].reshape(n_blocks, l) @ mat01.T) % 2
     got = np.unpackbits(np.frombuffer(out.read_bytes(), dtype=np.uint8))
     assert np.array_equal(got[: n_blocks * k], want.ravel())
@@ -427,3 +460,124 @@ def test_unknown_subcommand_and_preset(capsys):
     assert run("frobnicate") == 2
     assert run("simulate", "--preset", "bogus", "--nbar", "1", "--out", "x") == 2
     capsys.readouterr()
+
+
+def _write_frames(directory, codes_list, bit_depth):
+    """One PGM per code array; returns the paths."""
+    directory.mkdir(exist_ok=True)
+    paths = []
+    for i, codes in enumerate(codes_list):
+        codes = np.asarray(codes, dtype=np.uint16)
+        frame = Frame(codes.shape[1], codes.shape[0], codes, bit_depth)
+        paths.append(directory / f"f{i}.pgm")
+        write_pgm(frame, paths[-1])
+    return paths
+
+
+def test_extract_refuses_frames_of_mixed_bit_depth(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    ten = _write_frames(tmp_path / "a", [rng.integers(700, 900, (32, 32))], 10)
+    eight = _write_frames(tmp_path / "b", [rng.integers(100, 200, (32, 32))], 8)
+    out = tmp_path / "mixed.bin"
+    rc = run("extract", "--preset", "nokia-n9", *ten, *eight, "--l", "200", "--k", "10",
+             "--out", out)
+    assert rc == 1
+    assert "frame stack mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_refuses_frames_below_the_pedestal(tmp_path, capsys):
+    # atik383l's dark level is 2.3 * 144 = 331.2 codes
+    frames = _write_frames(tmp_path / "f", [np.full((8, 8), 300)] * 2, 16)
+    rc = run("extract", "--preset", "atik383l", *frames, "--out", tmp_path / "o.bin")
+    assert rc == 1
+    assert "not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flagged,message",
+    [
+        ({f"{y},{x}": "hot" for y in range(4) for x in range(4)}, "excludes every pixel"),
+        (None, "geometry"),
+    ],
+)
+def test_extract_refuses_unusable_mask(tmp_path, capsys, flagged, message):
+    frames = _write_frames(tmp_path / "f", [np.full((4, 4), 800)] * 2, 10)
+    mask = tmp_path / "mask.json"
+    size = 4 if flagged is not None else 5
+    doc = {"width": size, "height": size, "flagged": flagged or {}}
+    mask.write_text(json.dumps(doc))
+    rc = run("extract", "--preset", "nokia-n9", *frames, "--mask", mask,
+             "--l", "20", "--k", "2", "--out", tmp_path / "o.bin")
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
+    rc = run("extract", "--preset", "nokia-n9", tmp_path / "gone.pgm",
+             "--out", tmp_path / "o.bin")
+    assert rc == 1
+    assert "gone.pgm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("extract", "--preset", "nokia-n9", "--out", "o.bin"), "no input frames"),
+        (("extract", "--preset", "nokia-n9", "f.raw", "--out", "o.bin"), "sidecar"),
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--matrix-seed", "zz",
+          "--out", "o.bin"), "--matrix-seed"),
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--matrix-seed", "00" * 31,
+          "--out", "o.bin"), "32 bytes"),
+        (("test", "in.bin", "--bits", "8001"), "exceeds"),
+    ],
+)
+def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.raw").write_bytes(b"\x00" * 8)
+    (tmp_path / "in.bin").write_bytes(b"\x00" * 1000)
+    _write_frames(tmp_path, [np.full((4, 4), 800)], 10)[0].rename(tmp_path / "f.pgm")
+    assert run(*argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_extract_rejects_k_that_differs_from_matrix_file(tmp_path, capsys):
+    frames = _simulate_small(tmp_path, n_frames=2)
+    mat_path = tmp_path / "m.qm"
+    assert run(
+        "extract", "--preset", "nokia-n9", *frames, "--l", "300", "--k", "60",
+        "--out", tmp_path / "a.bin", "--save-matrix", mat_path,
+    ) == 0
+    rc = run(
+        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
+        "--k", "61", "--out", tmp_path / "b.bin",
+    )
+    assert rc == 2
+    assert "--k 61" in capsys.readouterr().err
+
+
+def test_zero_threads_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QRNG_THREADS", "0")
+    rc = run("simulate", "--preset", "nokia-n9", "--nbar", "10", "--out", tmp_path / "x")
+    assert rc == 1
+    assert "QRNG_THREADS" in capsys.readouterr().err
+
+
+def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):
+    outs = []
+    for fmt in ("pgm", "raw16le"):
+        frames = tmp_path / fmt
+        assert run(
+            "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
+            "--width", "40", "--height", "30", "--seed", "8", "--out", frames,
+            "--format", fmt,
+        ) == 0
+        inputs = sorted(frames.glob("*.pgm")) or [frames / "frames.raw"]
+        out = tmp_path / f"{fmt}.bin"
+        assert run(
+            "extract", "--preset", "nokia-n9", *inputs, "--l", "400", "--k", "100",
+            "--out", out,
+        ) == 0
+        outs.append(out.read_bytes())
+    assert len(outs[0]) == 3 * 40 * 30 * 10 // 400 * 100 // 8
+    assert outs[0] == outs[1]

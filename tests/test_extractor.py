@@ -24,7 +24,13 @@ from camrng.characterize import PixelMask
 
 def matrix_bits01(matrix: BinaryMatrix) -> np.ndarray:
     """(k, l) dense 0/1 view of a packed matrix."""
-    return np.vstack([matrix.row_bits(j) for j in range(matrix.k)])
+    row_bytes = matrix.rows.astype("<u8").view(np.uint8).reshape(matrix.k, -1)
+    return np.unpackbits(row_bytes, axis=1, count=matrix.l, bitorder="little")
+
+
+def as01(bs: BitString) -> np.ndarray:
+    """One uint8 per bit: the oracle view of a packed stream."""
+    return np.unpackbits(bs.packed, count=bs.n_bits, bitorder="little")
 
 
 def oracle_extract(mat01: np.ndarray, blocks01: np.ndarray) -> np.ndarray:
@@ -65,13 +71,6 @@ def test_generate_matrix_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.rows, c.rows)
 
 
-def test_generate_matrix_seed_forms():
-    as_bytes = generate_matrix(int(7).to_bytes(32, "big"), 4, 16)
-    as_int = generate_matrix(7, 4, 16)
-    as_hex = generate_matrix("00" * 31 + "07", 4, 16)
-    assert as_bytes.digest == as_int.digest == as_hex.digest
-
-
 def test_generate_matrix_validation():
     with pytest.raises(ValueError):
         generate_matrix(b"\x00" * 32, 0, 16)
@@ -81,6 +80,8 @@ def test_generate_matrix_validation():
         generate_matrix(b"\x00" * 32, 4, 1 << 21)
     with pytest.raises(ValueError):
         generate_matrix(b"\x00" * 16, 4, 16)  # short seed
+    with pytest.raises(ValueError):
+        generate_matrix("00" * 32, 4, 16)  # hex text, not bytes
 
 
 def test_digest_is_sha256_of_payload():
@@ -108,22 +109,21 @@ def test_hand_worked_extraction():
     )
     r = BitString.from_bits01(np.array([1, 1, 0, 1], dtype=np.uint8))
     got = extract(r, mat)
-    assert got.bits.to_bits01().tolist() == [0, 1]
+    assert as01(got.bits).tolist() == [0, 1]
     assert got.blocks_processed == 1
     assert got.residual_bits_discarded == 0
 
 
 @pytest.mark.parametrize("k,l", [(2, 4), (3, 17), (13, 100), (64, 256)])
 def test_extract_matches_matmul_oracle(k, l):
-    mat = generate_matrix(np.random.default_rng(k * 1000 + l).integers(2**62), k, l)
+    seed = int(np.random.default_rng(k * 1000 + l).integers(2**62)).to_bytes(32, "big")
+    mat = generate_matrix(seed, k, l)
     rng = np.random.default_rng(l)
     n_blocks = 250
     bits01 = rng.integers(0, 2, size=n_blocks * l, dtype=np.uint8)
     got = extract(BitString.from_bits01(bits01), mat)
     want = oracle_extract(matrix_bits01(mat), bits01.reshape(n_blocks, l))
-    assert np.array_equal(
-        got.bits.to_bits01().reshape(n_blocks, k), want.T
-    )
+    assert np.array_equal(as01(got.bits).reshape(n_blocks, k), want.T)
 
 
 def loop_byte_tables(matrix: BinaryMatrix) -> np.ndarray:
@@ -170,7 +170,7 @@ def test_tiled_tables_match_matmul_oracle(monkeypatch, k, l, n_workers):
     bits01 = rng.integers(0, 2, size=n_blocks * l + 5, dtype=np.uint8)
     got = extract(BitString.from_bits01(bits01), mat, n_workers=n_workers)
     want = oracle_extract(matrix_bits01(mat), bits01[: n_blocks * l].reshape(n_blocks, l))
-    assert np.array_equal(got.bits.to_bits01().reshape(n_blocks, k), want.T)
+    assert np.array_equal(as01(got.bits).reshape(n_blocks, k), want.T)
     assert got.residual_bits_discarded == 5
     assert mat._tables.shape[0] == 2  # only the first tile is kept
 
@@ -281,13 +281,13 @@ def test_frame_to_bits_lsb_first():
     frame = Frame(width=1, height=1, codes=codes, bit_depth=10)
     stream = frame_to_bits(frame)
     assert stream.n_bits == 10
-    assert stream.to_bits01().tolist() == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
+    assert as01(stream).tolist() == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
 
 
 def test_frame_to_bits_row_major_order():
     codes = np.array([[1, 2], [3, 4]], dtype=np.uint16)
     frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
-    got = frame_to_bits(frame).to_bits01().reshape(4, 3)
+    got = as01(frame_to_bits(frame)).reshape(4, 3)
     want = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert np.array_equal(got, want)
 
@@ -297,7 +297,7 @@ def test_frame_to_bits_mask():
     frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
     flags = np.array([[True, False], [True, True]])
     mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
-    got = frame_to_bits(frame, mask).to_bits01().reshape(3, 3)
+    got = as01(frame_to_bits(frame, mask)).reshape(3, 3)
     want = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # codes 1, 5, 2
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
@@ -308,7 +308,7 @@ def test_concat_streams_orders_frames():
     f1 = Frame(width=1, height=1, codes=np.array([[1]], dtype=np.uint16), bit_depth=2)
     f2 = Frame(width=1, height=1, codes=np.array([[2]], dtype=np.uint16), bit_depth=2)
     merged = concat_streams(frame_to_bits(f) for f in (f1, f2))
-    assert merged.to_bits01().tolist() == [1, 0, 0, 1]
+    assert as01(merged).tolist() == [1, 0, 0, 1]
 
 
 def test_throughput_bench_smoke():

@@ -31,7 +31,6 @@ def test_pgm_16bit_fixture(tmp_path):
     assert frame.width == 2 and frame.height == 1
     assert frame.codes.tolist() == [[409, 42]]
     assert frame.bit_depth == 10
-    assert frame.meta["format"] == "pgm"
 
 
 def test_pgm_8bit_fixture(tmp_path):
@@ -93,7 +92,6 @@ def test_raw16le_fixture(tmp_path):
     frames = read_raw(path, header)
     assert len(frames) == 1
     assert frames[0].codes.tolist() == [[410]]
-    assert frames[0].meta["index"] == 0
 
 
 def test_raw8_fixture(tmp_path):
@@ -114,7 +112,6 @@ def test_raw_multi_frame(tmp_path):
     )
     frames = read_raw(path, header)
     assert [f.codes.tolist() for f in frames] == [[[1, 2]], [[3, 4]]]
-    assert [f.meta["index"] for f in frames] == [0, 1]
 
 
 def test_raw_length_mismatch(tmp_path):
@@ -137,12 +134,9 @@ def test_raw_rejects_out_of_range_sample(tmp_path):
         read_raw(path, header)
 
 
-def test_raw_rejects_pgm_format_header(tmp_path):
-    header = FrameFileHeader(
-        format="pgm16", width=1, height=1, bit_depth=10, frame_count=1
-    )
-    with pytest.raises(ValueError, match="read_pgm"):
-        read_raw(tmp_path / "x.raw", header)
+def test_header_rejects_pgm_format():
+    with pytest.raises(ValueError, match="format"):
+        FrameFileHeader(format="pgm16", width=1, height=1, bit_depth=10, frame_count=1)
 
 
 def test_header_validation():

@@ -21,12 +21,12 @@ from camrng.stattests import (
 
 
 def test_monobit_all_zeros_fails():
-    out = monobit_test(np.zeros(1000, dtype=np.uint8))
+    out = monobit_test(BitString.from_bits01(np.zeros(1000, dtype=np.uint8)))
     assert out.p_value < 1e-100
 
 
 def test_monobit_balanced_is_perfect():
-    bits = np.array([0, 1] * 500, dtype=np.uint8)
+    bits = BitString.from_bits01(np.array([0, 1] * 500, dtype=np.uint8))
     out = monobit_test(bits)
     assert out.statistic == 0.0
     assert out.p_value == 1.0
@@ -34,45 +34,45 @@ def test_monobit_balanced_is_perfect():
 
 def test_monobit_needs_bits():
     with pytest.raises(ValueError):
-        monobit_test(np.zeros(99, dtype=np.uint8))
+        monobit_test(BitString.from_bits01(np.zeros(99, dtype=np.uint8)))
 
 
 def test_monobit_statistic_sign():
     mostly_ones = np.ones(1000, dtype=np.uint8)
     mostly_ones[:100] = 0
-    assert monobit_test(mostly_ones).statistic > 0
+    assert monobit_test(BitString.from_bits01(mostly_ones)).statistic > 0
 
 
 def test_block_frequency_alternating_is_perfect():
     # every 128-bit block holds exactly 64 ones
-    bits = np.array([0, 1] * 5000, dtype=np.uint8)
+    bits = BitString.from_bits01(np.array([0, 1] * 5000, dtype=np.uint8))
     out = block_frequency_test(bits, 128)
     assert out.statistic == 0.0
     assert out.p_value == 1.0
 
 
 def test_block_frequency_all_ones_fails():
-    out = block_frequency_test(np.ones(10_000, dtype=np.uint8), 128)
+    out = block_frequency_test(BitString.from_bits01(np.ones(10_000, np.uint8)), 128)
     assert out.p_value < 1e-100
 
 
 def test_block_frequency_validation():
-    bits = np.zeros(5000, dtype=np.uint8)
+    bits = BitString.from_bits01(np.zeros(5000, dtype=np.uint8))
     with pytest.raises(ValueError):
         block_frequency_test(bits, 7)
     with pytest.raises(ValueError):
-        block_frequency_test(np.zeros(100, dtype=np.uint8), 128)
+        block_frequency_test(BitString.from_bits01(np.zeros(100, dtype=np.uint8)), 128)
 
 
 def test_runs_alternating_fails():
-    out = runs_test(np.array([0, 1] * 500, dtype=np.uint8))
+    out = runs_test(BitString.from_bits01(np.array([0, 1] * 500, dtype=np.uint8)))
     assert out.note is None
     assert out.p_value < 1e-100
 
 
 def test_runs_two_runs_fails():
     bits = np.concatenate([np.zeros(500, np.uint8), np.ones(500, np.uint8)])
-    out = runs_test(bits)
+    out = runs_test(BitString.from_bits01(bits))
     assert out.note is None  # proportion gate passes at exactly 1/2
     assert out.p_value < 1e-100
 
@@ -80,7 +80,7 @@ def test_runs_two_runs_fails():
 def test_runs_gate_is_distinct_status():
     biased = np.ones(10_000, dtype=np.uint8)
     biased[:3000] = 0
-    out = runs_test(biased)
+    out = runs_test(BitString.from_bits01(biased))
     assert out.note is not None and "not applicable" in out.note
     assert out.p_value == 0.0
     assert math.isnan(out.statistic)
@@ -88,7 +88,8 @@ def test_runs_gate_is_distinct_status():
 
 def test_serial_correlation_period_two():
     # finite-sample edge terms keep the magnitudes just inside 1
-    got = serial_correlation(np.array([0, 1] * 2000, dtype=np.uint8), max_lag=4)
+    bits = BitString.from_bits01(np.array([0, 1] * 2000, dtype=np.uint8))
+    got = serial_correlation(bits, max_lag=4)
     assert got.coefficients[0] == pytest.approx(-1.0, abs=1e-3)
     assert got.coefficients[1] == pytest.approx(1.0, abs=1e-3)
     assert 1 in got.flagged and 2 in got.flagged
@@ -97,7 +98,7 @@ def test_serial_correlation_period_two():
 def test_serial_correlation_matches_numpy_reference():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=5000, dtype=np.uint8)
-    got = serial_correlation(bits, max_lag=8)
+    got = serial_correlation(BitString.from_bits01(bits), max_lag=8)
     x = bits.astype(np.float64) - bits.mean()
     denom = float(np.sum(x * x))
     for idx, tau in enumerate(range(1, 9)):
@@ -106,12 +107,12 @@ def test_serial_correlation_matches_numpy_reference():
 
 
 def test_serial_correlation_validation():
+    with pytest.raises(ValueError):  # too short
+        serial_correlation(BitString.from_bits01(np.zeros(100, np.uint8)), max_lag=2)
+    with pytest.raises(ValueError):  # constant
+        serial_correlation(BitString.from_bits01(np.zeros(1000, np.uint8)), max_lag=2)
     with pytest.raises(ValueError):
-        serial_correlation(np.zeros(100, dtype=np.uint8), max_lag=2)  # too short
-    with pytest.raises(ValueError):
-        serial_correlation(np.zeros(1000, dtype=np.uint8), max_lag=2)  # constant
-    with pytest.raises(ValueError):
-        serial_correlation(np.ones(1000, dtype=np.uint8), max_lag=0)
+        serial_correlation(BitString.from_bits01(np.ones(1000, np.uint8)), max_lag=0)
 
 
 def test_serial_correlation_iid_mostly_within_threshold():
@@ -120,28 +121,29 @@ def test_serial_correlation_iid_mostly_within_threshold():
     clean = 0
     trials = 400
     for _ in range(trials):
-        bits = rng.integers(0, 2, size=10_000, dtype=np.uint8)
+        bits = BitString.from_bits01(rng.integers(0, 2, size=10_000, dtype=np.uint8))
         if serial_correlation(bits, max_lag=16).all_within_threshold:
             clean += 1
     assert clean >= math.ceil(0.99 * trials)
 
 
 def test_byte_entropy_zero_for_constant():
-    assert shannon_byte_entropy(np.zeros(100_000, dtype=np.uint8)) == 0.0
+    bits = BitString.from_bits01(np.zeros(100_000, dtype=np.uint8))
+    assert shannon_byte_entropy(bits) == 0.0
 
 
 def test_byte_entropy_uniform_in_bias_band():
     rng = np.random.default_rng(12)
     n_bytes = 500_000
     bits = np.unpackbits(rng.integers(0, 256, n_bytes, dtype=np.uint8)[:, None], axis=1)
-    h = shannon_byte_entropy(bits.ravel())
+    h = shannon_byte_entropy(BitString.from_bits01(bits))
     bias = 255.0 / (2.0 * n_bytes * math.log(2.0))
     assert 8.0 - 6.0 * bias <= h < 8.0
 
 
 def test_byte_entropy_length_gate():
     with pytest.raises(ValueError):
-        shannon_byte_entropy(np.zeros(79_999, dtype=np.uint8))
+        shannon_byte_entropy(BitString.from_bits01(np.zeros(79_999, dtype=np.uint8)))
 
 
 def test_export_convention_fixture(tmp_path):
@@ -154,7 +156,7 @@ def test_export_convention_fixture(tmp_path):
 
 def test_export_padding_fixture():
     buf = io.BytesIO()
-    bits = np.array([1, 0, 0, 0, 0, 0, 0, 1, 1], dtype=np.uint8)
+    bits = BitString.from_bits01(np.array([1, 0, 0, 0, 0, 0, 0, 1, 1], dtype=np.uint8))
     result = export_stream(bits, buf)
     assert buf.getvalue() == b"\x81\x80"
     assert result.n_bytes == 2
@@ -166,14 +168,14 @@ def test_export_padding_fixture():
 def test_export_unpack_identity(bits):
     arr = np.array(bits, dtype=np.uint8)
     buf = io.BytesIO()
-    export_stream(arr, buf)
+    export_stream(BitString.from_bits01(arr), buf)
     back = np.unpackbits(np.frombuffer(buf.getvalue(), dtype=np.uint8))
     assert np.array_equal(back[: arr.size], arr)
 
 
 def test_battery_deterministic_and_serializable():
     rng = np.random.default_rng(13)
-    bits = rng.integers(0, 2, size=200_000, dtype=np.uint8)
+    bits = BitString.from_bits01(rng.integers(0, 2, size=200_000, dtype=np.uint8))
     a = run_battery(bits)
     b = run_battery(bits)
     assert a.to_dict() == b.to_dict()
@@ -186,13 +188,14 @@ def test_battery_deterministic_and_serializable():
 
 def test_battery_passes_ideal_input():
     rng = np.random.default_rng(14)
-    report = run_battery(rng.integers(0, 2, size=1_000_000, dtype=np.uint8))
+    bits = BitString.from_bits01(rng.integers(0, 2, size=1_000_000, dtype=np.uint8))
+    report = run_battery(bits)
     assert report.all_passed
 
 
 def test_battery_fails_biased_input():
     rng = np.random.default_rng(15)
-    report = run_battery((rng.random(200_000) < 0.45).astype(np.uint8))
+    report = run_battery(BitString.from_bits01(rng.random(200_000) < 0.45))
     assert not report.all_passed
     by_name = {r.name: r for r in report.results}
     assert not by_name["monobit"].passed
@@ -200,7 +203,7 @@ def test_battery_fails_biased_input():
 
 def test_battery_length_gate():
     with pytest.raises(ValueError):
-        run_battery(np.ones(50_000, dtype=np.uint8))
+        run_battery(BitString.from_bits01(np.ones(50_000, dtype=np.uint8)))
 
 
 def _ks_uniform(p_values):
@@ -214,9 +217,10 @@ def test_p_value_uniformity_under_null():
     trials = rng.integers(0, 2, size=(1000, 10_000), dtype=np.uint8)
     p_mono, p_block, p_runs = [], [], []
     for row in trials:
-        p_mono.append(monobit_test(row).p_value)
-        p_block.append(block_frequency_test(row, 128).p_value)
-        out = runs_test(row)
+        bits = BitString.from_bits01(row)
+        p_mono.append(monobit_test(bits).p_value)
+        p_block.append(block_frequency_test(bits, 128).p_value)
+        out = runs_test(bits)
         if out.note is None:
             p_runs.append(out.p_value)
     assert _ks_uniform(p_mono) > 1e-3
@@ -233,8 +237,8 @@ def test_raw_bit_planes_show_structure():
         for i in range(4)
     ]
     codes = np.concatenate([f.codes.ravel() for f in frames])
-    lsb = (codes & 1).astype(np.uint8)
-    msb = ((codes >> 9) & 1).astype(np.uint8)
+    lsb = BitString.from_bits01(codes & 1)
+    msb = BitString.from_bits01((codes >> 9) & 1)
     assert monobit_test(lsb).p_value >= 0.01
     assert monobit_test(msb).p_value < 1e-9
 
@@ -334,7 +338,6 @@ def assert_outcome(got, want):
 @settings(max_examples=60, deadline=None)
 @given(streams(min_bits=100))
 def test_monobit_equals_oracle(b):
-    assert_outcome(monobit_test(b), oracle_monobit(b))
     assert_outcome(monobit_test(BitString.from_bits01(b)), oracle_monobit(b))
 
 
@@ -342,13 +345,14 @@ def test_monobit_equals_oracle(b):
 @given(st.sampled_from([8, 100, 128, 129]), st.data())
 def test_block_frequency_equals_oracle(block_size, data):
     b = data.draw(streams(min_bits=10 * block_size))
-    assert_outcome(block_frequency_test(b, block_size), oracle_block_frequency(b, block_size))
+    got = block_frequency_test(BitString.from_bits01(b), block_size)
+    assert_outcome(got, oracle_block_frequency(b, block_size))
 
 
 @settings(max_examples=80, deadline=None)
 @given(streams(min_bits=100))
 def test_runs_equals_oracle(b):
-    assert_outcome(runs_test(b), oracle_runs(b))
+    assert_outcome(runs_test(BitString.from_bits01(b)), oracle_runs(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,9 +362,9 @@ def test_serial_correlation_equals_oracle(max_lag, data):
     n = b.size
     if b.min() == b.max():
         with pytest.raises(ValueError, match="constant"):
-            serial_correlation(b, max_lag)
+            serial_correlation(BitString.from_bits01(b), max_lag)
         return
-    got = serial_correlation(b, max_lag)
+    got = serial_correlation(BitString.from_bits01(b), max_lag)
     want = oracle_serial_coefficients(b, max_lag)
     np.testing.assert_array_equal(got.coefficients, want)
     np.testing.assert_array_equal(got.lags, np.arange(1, max_lag + 1))
@@ -373,7 +377,7 @@ def test_serial_correlation_equals_oracle(max_lag, data):
 @settings(max_examples=30, deadline=None)
 @given(streams(min_bits=80_000))
 def test_byte_entropy_equals_oracle(b):
-    assert shannon_byte_entropy(b) == oracle_byte_entropy(b)
+    assert shannon_byte_entropy(BitString.from_bits01(b)) == oracle_byte_entropy(b)
 
 
 def test_statistics_equal_oracle_at_word_boundaries():
@@ -381,19 +385,29 @@ def test_statistics_equal_oracle_at_word_boundaries():
     rng = np.random.default_rng(21)
     for n in (12_800, 12_801, 12_863, 12_864, 12_865):
         b = rng.integers(0, 2, n, dtype=np.uint8)
+        bits = BitString.from_bits01(b)
         np.testing.assert_array_equal(
-            serial_correlation(b, 128).coefficients, oracle_serial_coefficients(b, 128)
+            serial_correlation(bits, 128).coefficients,
+            oracle_serial_coefficients(b, 128),
         )
-        assert_outcome(runs_test(b), oracle_runs(b))
-        assert_outcome(block_frequency_test(b, 129), oracle_block_frequency(b, 129))
+        assert_outcome(runs_test(bits), oracle_runs(b))
+        assert_outcome(block_frequency_test(bits, 129), oracle_block_frequency(b, 129))
 
 
-def test_battery_same_for_array_and_bitstring():
-    b = make_stream("fair", 200_003, 22)
-    assert run_battery(b).to_json() == run_battery(BitString.from_bits01(b)).to_json()
+def test_battery_fails_a_flagged_lag_whose_p_value_passes():
+    # every lag-3 pair copied with probability 0.0075: |r_3| is past the
+    # 4/sqrt(n) flag line, yet its corrected p-value clears a tiny alpha
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 2, 400_000, dtype=np.uint8)
+    copy = rng.random(x.size - 3) < 0.0075
+    x[3:][copy] = x[:-3][copy]
+    report = run_battery(BitString.from_bits01(x), alpha=1e-12)
+    serial = next(r for r in report.results if r.name.startswith("serial"))
+    assert serial.p_value >= 1e-12
+    assert not serial.passed
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, float("nan")])
 def test_battery_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match="alpha"):
-        run_battery(make_stream("fair", 100_000, 23), alpha=alpha)
+        run_battery(BitString.from_bits01(make_stream("fair", 100_000, 23)), alpha)
