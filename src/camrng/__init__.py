@@ -32,10 +32,8 @@ from .entropy import (
 from .extractor import (
     BinaryMatrix,
     ExtractedStream,
-    ThroughputReport,
     concat_streams,
     extract,
-    extract_throughput_bench,
     frame_to_bits,
     generate_matrix,
     load_matrix,
@@ -94,7 +92,6 @@ __all__ = [
     "SerialCorrelationResult",
     "TestOutcome",
     "TestReport",
-    "ThroughputReport",
     "block_frequency_test",
     "build_pixel_mask",
     "concat_streams",
@@ -104,7 +101,6 @@ __all__ = [
     "estimate_zeta",
     "export_stream",
     "extract",
-    "extract_throughput_bench",
     "fano_curve_to_csv",
     "fano_factor",
     "find_operating_region",

@@ -8,14 +8,17 @@ region, and flag unusable pixels.
 All statistics are temporal: each pixel is treated as its own repeated
 measurement across the stack, and per-pixel moments are aggregated
 afterwards.  Spatial statistics would fold any fixed-pattern structure
-into the variance.  Sums are accumulated in exact int64 arithmetic, so
-results are identical for any frame ordering.
+into the variance.  Each stack is read once, one frame at a time, into
+exact int64 sums (code_sums), so results are identical for any frame
+ordering; the Fano point, the gain fit and the pixel mask all take the
+resulting PixelStats.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +51,33 @@ class PixelStats:
     bit_depth: int
 
 
-def _check_stack(frames: list[Frame], minimum: int = 2) -> None:
-    if len(frames) < minimum:
-        raise ValueError(f"need at least {minimum} frames, got {len(frames)}")
-    first = frames[0]
-    for f in frames[1:]:
-        if (f.width, f.height, f.bit_depth) != (
+def code_sums(
+    frames: Iterable[Frame], minimum: int = 1
+) -> tuple[int, Frame, np.ndarray, np.ndarray]:
+    """Exact per-pixel sums of codes and squared codes over a frame stack.
+
+    The frames are read once, one at a time, so any iterable works and
+    only the two int64 sum arrays stay in memory.
+
+    Args:
+        frames: >= minimum frames of identical geometry and bit depth.
+        minimum: fewest frames accepted.
+
+    Returns:
+        (n_frames, first frame, sum of codes, sum of squared codes), the
+        sums as (height, width) int64 arrays.
+
+    Raises:
+        ValueError: fewer than minimum frames, or a frame whose geometry
+            or bit depth differs from the first frame's.
+    """
+    n, first, s1, s2 = 0, None, None, None
+    for f in frames:
+        if first is None:
+            first = f
+            s1 = np.zeros(f.codes.shape, dtype=np.int64)
+            s2 = np.zeros(f.codes.shape, dtype=np.int64)
+        elif (f.width, f.height, f.bit_depth) != (
             first.width,
             first.height,
             first.bit_depth,
@@ -63,30 +87,29 @@ def _check_stack(frames: list[Frame], minimum: int = 2) -> None:
                 f"{f.width}x{f.height}@{f.bit_depth}b vs "
                 f"{first.width}x{first.height}@{first.bit_depth}b"
             )
+        s1 += f.codes
+        s2 += np.square(f.codes, dtype=np.int64)
+        n += 1
+    if n < minimum:
+        raise ValueError(f"need at least {minimum} frames, got {n}")
+    return n, first, s1, s2
 
 
-def pixel_stats(frames: list[Frame]) -> PixelStats:
+def pixel_stats(frames: Iterable[Frame]) -> PixelStats:
     """Per-pixel mean and unbiased variance across a frame stack.
 
     Codes are integers, so the first and second moments are accumulated
-    exactly in int64; the result does not depend on frame order even in
-    the last float bit.
+    exactly in int64 (see code_sums); the result does not depend on
+    frame order even in the last float bit.
 
     Args:
-        frames: >= 2 frames of identical geometry and bit depth.
+        frames: >= 2 frames of identical geometry and bit depth, in any
+            iterable; each is read once.
 
     Returns:
         PixelStats with (height, width) float64 moment arrays.
     """
-    _check_stack(frames, minimum=2)
-    n = len(frames)
-    shape = frames[0].codes.shape
-    s1 = np.zeros(shape, dtype=np.int64)
-    s2 = np.zeros(shape, dtype=np.int64)
-    for f in frames:
-        c = f.codes.astype(np.int64)
-        s1 += c
-        s2 += c * c
+    n, first, s1, s2 = code_sums(frames, minimum=2)
     mean = s1 / n
     # Unbiased: sum((c - mean)^2) = s2 - s1^2/n, divided by n-1.
     variance = (s2 - s1.astype(np.float64) ** 2 / n) / (n - 1)
@@ -95,7 +118,7 @@ def pixel_stats(frames: list[Frame]) -> PixelStats:
         mean=mean,
         variance=variance,
         n_frames=n,
-        bit_depth=frames[0].bit_depth,
+        bit_depth=first.bit_depth,
     )
 
 
@@ -115,7 +138,7 @@ class FanoPoint:
 
 
 def fano_factor(
-    frames: list[Frame], config: SensorConfig, mask: "PixelMask | None" = None
+    stats: PixelStats, config: SensorConfig, mask: "PixelMask | None" = None
 ) -> FanoPoint:
     """Measure the Fano factor of a constant-illumination stack.
 
@@ -126,7 +149,7 @@ def fano_factor(
     Poisson signal gives exactly 1.
 
     Args:
-        frames: >= 2 frames at fixed illumination.
+        stats: pixel_stats of >= 2 frames at fixed illumination.
         config: supplies zeta and offset.
         mask: optional PixelMask restricting which pixels count.
 
@@ -138,7 +161,6 @@ def fano_factor(
             undefined there), or zero temporal variance (degenerate
             stack, e.g. identical frames).
     """
-    stats = pixel_stats(frames)
     if mask is not None:
         if mask.flags.shape != stats.mean.shape:
             raise ValueError(
@@ -188,7 +210,7 @@ class PhotonTransferCurve:
     fit_residual: float
 
 
-def estimate_zeta(sweep: list[tuple[list[Frame], float]]) -> PhotonTransferCurve:
+def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
     """Fit the conversion gain from a photon transfer sweep.
 
     In the shot-noise-limited region Var(c) = zeta**2 (n_bar + sigma_t**2)
@@ -197,8 +219,8 @@ def estimate_zeta(sweep: list[tuple[list[Frame], float]]) -> PhotonTransferCurve
     intercept.
 
     Args:
-        sweep: (frame stack, intensity) pairs at >= 2 distinct
-            intensities, all inside the linear region.
+        sweep: (pixel_stats of a frame stack, intensity) pairs at >= 2
+            distinct intensities, all inside the linear region.
 
     Returns:
         PhotonTransferCurve with the least-squares slope as fitted_zeta.
@@ -209,10 +231,10 @@ def estimate_zeta(sweep: list[tuple[list[Frame], float]]) -> PhotonTransferCurve
     if len(set(intensities)) < 2:
         raise ValueError("sweep intensities are all equal; slope is undefined")
 
-    points = []
-    for frames, _ in sweep:
-        stats = pixel_stats(frames)
-        points.append((float(stats.mean.mean()), float(stats.variance.mean())))
+    points = [
+        (float(stats.mean.mean()), float(stats.variance.mean()))
+        for stats, _ in sweep
+    ]
 
     means = np.array([p[0] for p in points])
     variances = np.array([p[1] for p in points])

@@ -24,12 +24,14 @@ import numpy as np
 from .bitstream import BitString
 from .characterize import (
     build_pixel_mask,
+    code_sums,
     estimate_zeta,
     fano_curve_to_csv,
     fano_factor,
     find_operating_region,
     pixel_stats,
     PixelMask,
+    PixelStats,
 )
 from .entropy import entropy_report, epsilon_bound, plan_extractor
 from .extractor import (
@@ -154,29 +156,27 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
 def _stack_summary(frames: list[Frame]) -> tuple[float, float]:
     """Mean and sample variance of every code in the stack, correctly rounded.
 
-    Exact integer sums per frame, so no float copy of the stack is made.
+    The totals of code_sums' per-pixel sums are exact Python integers.
     """
-    n = s1 = s2 = 0
-    for f in frames:
-        codes = f.codes.ravel().astype(np.uint64)
-        n += codes.size
-        s1 += int(codes.sum())
-        s2 += int(codes @ codes)
-    var = (n * s2 - s1 * s1) / (n * (n - 1)) if n > 1 else float("nan")
-    return s1 / n, var
+    n_frames, _, s1, s2 = code_sums(frames)
+    n = n_frames * s1.size
+    t1 = int(s1.sum())
+    # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
+    t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
+    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else float("nan")
+    return t1 / n, var
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
     if args.sweep:
         n_bars = args.sweep
     elif args.nbar is None:
         raise UsageError("pass --nbar or --sweep")
     else:
         n_bars = [args.nbar]
+    out_dir = args.out
+    os.makedirs(out_dir, exist_ok=True)
 
     manifest_entries = []
     text = []
@@ -263,17 +263,17 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         with open(args.manifest, encoding="utf-8") as fh:
             manifest = json.load(fh)
         base = os.path.dirname(os.path.abspath(args.manifest))
-        sweep: list[tuple[list[Frame], float]] = []
+        sweep: list[tuple[PixelStats, float]] = []
         for entry in manifest["stacks"]:
             paths = tuple(os.path.join(base, name) for name in entry["files"])
-            sweep.append((list(_read_frames(paths)), float(entry["n_bar"])))
+            sweep.append((pixel_stats(_read_frames(paths)), float(entry["n_bar"])))
         sweep.sort(key=lambda pair: pair[1])
 
         curve = []
         skipped = []
-        for frames, n_bar in sweep:
+        for stats, n_bar in sweep:
             try:
-                curve.append((n_bar, fano_factor(frames, sensor)))
+                curve.append((n_bar, fano_factor(stats, sensor)))
             except ValueError as exc:
                 skipped.append({"n_bar": n_bar, "reason": str(exc)})
         ptc = estimate_zeta(sweep)
@@ -310,8 +310,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         )
         text.append(f"fano curve: {csv_path}")
     else:
-        frames = list(_read_frames(args.inputs))
-        stats = pixel_stats(frames)
+        stats = pixel_stats(_read_frames(args.inputs))
         report["n_frames"] = stats.n_frames
         report["mean_code"] = float(stats.mean.mean())
         report["mean_pixel_variance"] = float(stats.variance.mean())
@@ -322,7 +321,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         )
 
         try:
-            point = fano_factor(frames, sensor)
+            point = fano_factor(stats, sensor)
             report["fano"] = {
                 "mean_code": point.mean_code,
                 "variance_code": point.variance_code,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -362,64 +361,4 @@ def extract(
     out = BitString(np.concatenate(parts), n_blocks * k)
     return ExtractedStream(
         bits=out, blocks_processed=n_blocks, residual_bits_discarded=residual
-    )
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Sustained extractor throughput on synthetic input."""
-
-    input_bits_per_second: float
-    output_bits_per_second: float
-    blocks_processed: int
-    elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "input_mbps": self.input_bits_per_second / 1e6,
-            "output_mbps": self.output_bits_per_second / 1e6,
-            "blocks_processed": self.blocks_processed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-
-def extract_throughput_bench(
-    matrix: BinaryMatrix, duration: float, *, n_workers: int | None = None
-) -> ThroughputReport:
-    """Measure sustained extraction rates on synthetic random input.
-
-    Repeatedly extracts pre-generated random batches until `duration`
-    seconds of extraction time have accumulated.
-
-    Args:
-        matrix: extraction matrix to benchmark.
-        duration: minimum seconds of measured work, > 0.
-
-    Returns:
-        ThroughputReport with input (raw consumption) and output rates.
-    """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0 seconds, got {duration}")
-    batch_blocks = 1 << 15
-    rng = np.random.default_rng(0xBE7C)
-    n_bytes = (batch_blocks * matrix.l + 7) // 8
-    batch = BitString(
-        rng.integers(0, 256, n_bytes, dtype=np.uint8), batch_blocks * matrix.l
-    )
-    # Warm-up builds the cached first table tile outside the timed region
-    # (any further tiles are rebuilt on every call, and timed).
-    extract(batch, matrix, n_workers=n_workers)
-
-    blocks = 0
-    elapsed = 0.0
-    while elapsed < duration:
-        t0 = time.perf_counter()
-        result = extract(batch, matrix, n_workers=n_workers)
-        elapsed += time.perf_counter() - t0
-        blocks += result.blocks_processed
-    return ThroughputReport(
-        input_bits_per_second=blocks * matrix.l / elapsed,
-        output_bits_per_second=blocks * matrix.k / elapsed,
-        blocks_processed=blocks,
-        elapsed_seconds=elapsed,
     )

@@ -22,12 +22,12 @@ from camrng import (
     epsilon_bound,
     estimate_zeta,
     extract,
-    extract_throughput_bench,
     fano_factor,
     frame_to_bits,
     concat_streams,
     generate_matrix,
     get_preset,
+    pixel_stats,
     poisson_entropy_asymptotic,
     poisson_entropy_exact,
     read_pgm,
@@ -128,7 +128,7 @@ def test_criterion_4_fano_plateau_sweep():
     for nb in (1, 10, 50, 100, 200, 400, 600):
         frames = simulate_stack(NOKIA, float(nb), 100, 100, 50, seed=12345 + nb)
         try:
-            fano[nb] = fano_factor(frames, NOKIA).fano
+            fano[nb] = fano_factor(pixel_stats(frames), NOKIA).fano
         except ValueError:
             # zero temporal variance: fully saturated stack, F -> 0
             fano[nb] = 0.0
@@ -157,7 +157,10 @@ def test_criterion_5_gain_round_trip():
         (NOKIA, [60.0, 120.0, 200.0, 300.0, 400.0], 888),
     ):
         sweep = [
-            (simulate_stack(config, nb, 128, 128, 16, seed=base_seed + i), nb)
+            (
+                pixel_stats(simulate_stack(config, nb, 128, 128, 16, seed=base_seed + i)),
+                nb,
+            )
             for i, nb in enumerate(n_bars)
         ]
         recovered[config.zeta] = estimate_zeta(sweep).fitted_zeta
@@ -296,18 +299,31 @@ def test_criterion_7_end_to_end_randomness():
 
 def test_criterion_8_throughput_floor():
     matrix = generate_matrix(_seed32("acceptance-c8"), 500, 2000)
-    report = extract_throughput_bench(matrix, duration=1.0)
-    out_mbps = report.output_bits_per_second / 1e6
-    in_mbps = report.input_bits_per_second / 1e6
+    batch_blocks = 1 << 15
+    rng = np.random.default_rng(0xBE7C)
+    batch = BitString(
+        rng.integers(0, 256, batch_blocks * matrix.l // 8, dtype=np.uint8),
+        batch_blocks * matrix.l,
+    )
+    extract(batch, matrix)  # warm-up: builds the cached table tile untimed
+    blocks = 0
+    elapsed = 0.0
+    while elapsed < 1.0:
+        t0 = time.perf_counter()
+        blocks += extract(batch, matrix).blocks_processed
+        elapsed += time.perf_counter() - t0
+    out_bps = blocks * matrix.k / elapsed
+    out_mbps = out_bps / 1e6
+    in_mbps = blocks * matrix.l / elapsed / 1e6
     stretch = out_mbps >= 100.0  # recorded, not gated
-    ok = report.output_bits_per_second >= 1e6
+    ok = out_bps >= 1e6
     _verdict(
         8,
         ok,
         f"output {out_mbps:.1f} Mbps (input {in_mbps:.1f} Mbps), "
         f"100 Mbps stretch target {'met' if stretch else 'not met'}",
     )
-    assert report.output_bits_per_second >= 1e6
+    assert out_bps >= 1e6
 
 
 def test_criterion_9_format_round_trips(tmp_path):

@@ -41,6 +41,17 @@ def test_pixel_stats_validation():
         pixel_stats([frame_of([[1]]), frame_of([[1, 2]])])  # geometry mismatch
 
 
+def test_pixel_stats_of_a_one_shot_iterator_equals_the_list():
+    rng = np.random.default_rng(3)
+    stack = [frame_of(rng.integers(0, 1024, size=(5, 6))) for _ in range(4)]
+    streamed = pixel_stats(iter(stack))
+    listed = pixel_stats(stack)
+    assert streamed.n_frames == listed.n_frames == 4
+    assert streamed.bit_depth == listed.bit_depth == 10
+    assert np.array_equal(streamed.mean, listed.mean)
+    assert np.array_equal(streamed.variance, listed.variance)
+
+
 def test_pixel_stats_order_invariant_bitwise():
     rng = np.random.default_rng(0)
     stack = [
@@ -62,7 +73,7 @@ def test_fano_factor_hand_example():
     )
     # one pixel alternating 10/14: mean 12, variance 8, pedestal 2
     stack = [frame_of([[10]]), frame_of([[14]])]
-    point = fano_factor(stack, cfg)
+    point = fano_factor(pixel_stats(stack), cfg)
     assert point.mean_code == 12.0
     assert point.variance_code == 8.0
     assert point.fano == pytest.approx(8.0 / (2.0 * (12.0 - 2.0)))
@@ -71,7 +82,7 @@ def test_fano_factor_hand_example():
 def test_fano_factor_zero_variance_error():
     stack = [frame_of([[7, 7]]), frame_of([[7, 7]])]
     with pytest.raises(ValueError, match="variance"):
-        fano_factor(stack, NOKIA)
+        fano_factor(pixel_stats(stack), NOKIA)
 
 
 def test_fano_factor_requires_signal_above_pedestal():
@@ -81,7 +92,7 @@ def test_fano_factor_requires_signal_above_pedestal():
     )
     stack = [frame_of([[19]]), frame_of([[21]])]  # mean 20 == pedestal
     with pytest.raises(ValueError, match="pedestal"):
-        fano_factor(stack, cfg)
+        fano_factor(pixel_stats(stack), cfg)
 
 
 def test_fano_factor_mask():
@@ -92,12 +103,12 @@ def test_fano_factor_mask():
     # second pixel is garbage; the mask must exclude it from the average
     stack = [frame_of([[10, 500]]), frame_of([[14, 0]])]
     mask = PixelMask(flags=np.array([[True, False]]), reasons={(0, 1): "hot"})
-    point = fano_factor(stack, cfg, mask=mask)
+    point = fano_factor(pixel_stats(stack), cfg, mask=mask)
     assert point.mean_code == 12.0
     assert point.variance_code == 8.0
     all_masked = PixelMask(flags=np.array([[False, False]]), reasons={})
     with pytest.raises(ValueError, match="mask"):
-        fano_factor(stack, cfg, mask=all_masked)
+        fano_factor(pixel_stats(stack), cfg, mask=all_masked)
 
 
 def test_estimate_zeta_exact_linear_fixture():
@@ -106,7 +117,9 @@ def test_estimate_zeta_exact_linear_fixture():
     for mean, half_spread in ((8, 4), (18, 6), (32, 8)):
         stacks.append(
             (
-                [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])],
+                pixel_stats(
+                    [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
+                ),
                 float(mean),
             )
         )
@@ -118,7 +131,7 @@ def test_estimate_zeta_exact_linear_fixture():
 
 def test_estimate_zeta_simulated_round_trip():
     stacks = [
-        (simulate_stack(NOKIA, nb, 64, 64, 12, seed=int(nb)), nb)
+        (pixel_stats(simulate_stack(NOKIA, nb, 64, 64, 12, seed=int(nb))), nb)
         for nb in (60.0, 120.0, 200.0, 300.0, 400.0)
     ]
     ptc = estimate_zeta(stacks)
@@ -126,11 +139,11 @@ def test_estimate_zeta_simulated_round_trip():
 
 
 def test_estimate_zeta_validation():
-    stack = [frame_of([[1]]), frame_of([[3]])]
+    stats = pixel_stats([frame_of([[1]]), frame_of([[3]])])
     with pytest.raises(ValueError):
-        estimate_zeta([(stack, 5.0)])  # one point cannot fix a slope
+        estimate_zeta([(stats, 5.0)])  # one point cannot fix a slope
     with pytest.raises(ValueError):
-        estimate_zeta([(stack, 5.0), (stack, 5.0)])  # duplicate intensity
+        estimate_zeta([(stats, 5.0), (stats, 5.0)])  # duplicate intensity
 
 
 def point(f):

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import camrng.cli
 from camrng.cli import main
 from camrng.extractor import DEFAULT_MATRIX_SEED, generate_matrix, load_matrix
 from camrng.ingest import read_pgm, write_pgm
@@ -57,7 +59,40 @@ def test_simulate_raw_format_with_sidecar(tmp_path):
 
 def test_simulate_requires_intensity_and_out(tmp_path):
     assert run("simulate", "--preset", "nokia-n9", "--out", tmp_path / "x") == 2
+    assert not (tmp_path / "x").exists()
+    assert run(
+        "simulate", "--preset", "nokia-n9", "--sweep", ",", "--out", tmp_path / "y"
+    ) == 2
+    assert not (tmp_path / "y").exists()
     assert run("simulate", "--preset", "nokia-n9", "--nbar", "10") == 2
+
+
+@pytest.mark.parametrize("n_frames", [1, 3])
+def test_simulate_summary_is_exact(tmp_path, capsys, n_frames):
+    out = tmp_path / "frames"
+    assert run(
+        "simulate", "--preset", "nokia-n9", "--nbar", "50", "--frames", n_frames,
+        "--width", "7", "--height", "5", "--seed", "11", "--out", out, "--json",
+    ) == 0
+    (stack,) = json.loads(capsys.readouterr().out)["stacks"]
+    codes = [int(c) for name in stack["files"] for c in read_pgm(out / name).codes.ravel()]
+    n = len(codes)
+    mean = Fraction(sum(codes), n)
+    variance = sum((c - mean) ** 2 for c in codes) / (n - 1)
+    assert n == 35 * n_frames
+    assert stack["mean_code"] == float(mean)
+    assert stack["variance_code"] == float(variance)
+
+
+def test_simulate_summary_totals_do_not_wrap(monkeypatch):
+    # One frame of four pixels whose squared codes add up past 2**63.
+    codes = [2**31, 2**31 - 7, 1, 2**30]
+    s1 = np.array(codes, dtype=np.int64).reshape(2, 2)
+    monkeypatch.setattr(camrng.cli, "code_sums", lambda frames: (1, None, s1, s1 * s1))
+    mean, variance = camrng.cli._stack_summary([])
+    exact_mean = Fraction(sum(codes), 4)
+    assert mean == float(exact_mean)
+    assert variance == float(sum((c - exact_mean) ** 2 for c in codes) / 3)
 
 
 def test_simulate_rejects_zero_frames(tmp_path, capsys):
@@ -454,6 +489,57 @@ def test_characterize_sweep_manifest(tmp_path, capsys):
     assert doc["fitted_zeta"] == pytest.approx(2.3, rel=0.1)
     assert (out / "fano.csv").exists()
     assert len(doc["fano_points"]) == 3
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_characterize_reads_each_stack_once(tmp_path, capsys, monkeypatch):
+    calls: dict = {}
+    for name in ("pixel_stats", "fano_factor", "estimate_zeta"):
+        _count_calls(monkeypatch, camrng.cli, name, calls)
+
+    frames = _simulate_small(tmp_path, n_frames=10, capsys=capsys)
+    assert run("characterize", "--preset", "nokia-n9", *frames, "--out", tmp_path / "c") == 0
+    assert len(calls["pixel_stats"]) == 1
+    assert not isinstance(calls["pixel_stats"][0][0], list)
+    assert len(calls["fano_factor"]) == 1
+    assert "estimate_zeta" not in calls
+
+    calls.clear()
+    sweep_dir = tmp_path / "sweep"
+    assert run(
+        "simulate", "--preset", "atik383l", "--sweep", "200,600,1800",
+        "--frames", "4", "--width", "16", "--height", "16", "--seed", "2",
+        "--out", sweep_dir,
+    ) == 0
+    assert run(
+        "characterize", "--preset", "atik383l",
+        "--manifest", sweep_dir / "manifest.json", "--out", tmp_path / "s",
+    ) == 0
+    assert len(calls["pixel_stats"]) == 3
+    assert len(calls["fano_factor"]) == 3
+    assert len(calls["estimate_zeta"]) == 1
+    assert len(calls["estimate_zeta"][0][0]) == 3  # every stack of the manifest
+
+
+def test_characterize_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    frames = _write_frames(
+        tmp_path / "f",
+        [rng.integers(700, 900, (32, 32)), rng.integers(700, 900, (32, 16))],
+        10,
+    )
+    rc = run("characterize", "--preset", "nokia-n9", *frames, "--out", tmp_path / "c")
+    assert rc == 1
+    assert "frame stack mismatch" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_and_preset(capsys):

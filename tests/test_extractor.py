@@ -12,7 +12,6 @@ from camrng.extractor import (
     BinaryMatrix,
     concat_streams,
     extract,
-    extract_throughput_bench,
     frame_to_bits,
     generate_matrix,
     load_matrix,
@@ -309,15 +308,3 @@ def test_concat_streams_orders_frames():
     f2 = Frame(width=1, height=1, codes=np.array([[2]], dtype=np.uint16), bit_depth=2)
     merged = concat_streams(frame_to_bits(f) for f in (f1, f2))
     assert as01(merged).tolist() == [1, 0, 0, 1]
-
-
-def test_throughput_bench_smoke():
-    mat = generate_matrix(b"\x11" * 32, k=64, l=256)
-    report = extract_throughput_bench(mat, duration=0.05)
-    assert report.input_bits_per_second > 0
-    assert report.output_bits_per_second == pytest.approx(
-        report.input_bits_per_second * 64 / 256, rel=1e-6
-    )
-    assert report.to_dict()["input_mbps"] == report.input_bits_per_second / 1e6
-    with pytest.raises(ValueError):
-        extract_throughput_bench(mat, duration=0.0)
