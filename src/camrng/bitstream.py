@@ -103,9 +103,11 @@ class BitString:
         for p in parts:
             byte, shift = divmod(pos, 8)
             end = byte + p.packed.size
-            out[byte:end] |= p.packed << shift
             if shift:
+                out[byte:end] |= p.packed << shift
                 out[byte + 1 : end + 1] |= p.packed >> (8 - shift)
+            else:
+                out[byte:end] |= p.packed
             pos += p.n_bits
         return cls(out[:-1], n_bits)
 

@@ -14,13 +14,16 @@ no entropy of its own.  QRNG_THREADS caps internal parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
 
+from . import extractor
 from .bitstream import BitString
 from .characterize import (
     build_pixel_mask,
@@ -39,6 +42,7 @@ from .extractor import (
     DEFAULT_L,
     DEFAULT_MATRIX_SEED,
     MAX_BLOCK_BITS,
+    ExtractedStream,
     concat_streams,
     extract,
     frame_to_bits,
@@ -48,11 +52,11 @@ from .extractor import (
 )
 from .ingest import (
     FrameFileHeader,
+    raw_payload,
     read_pgm,
     read_raw,
     read_sidecar,
     write_pgm,
-    write_raw,
     write_sidecar,
 )
 from .sensor import (
@@ -153,7 +157,7 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
     return 1.0 + config.sigma_t**2 / absorbed
 
 
-def _stack_summary(frames: list[Frame]) -> tuple[float, float]:
+def _stack_summary(frames: Iterable[Frame]) -> tuple[float, float]:
     """Mean and sample variance of every code in the stack, correctly rounded.
 
     The totals of code_sums' per-pixel sums are exact Python integers.
@@ -165,6 +169,13 @@ def _stack_summary(frames: list[Frame]) -> tuple[float, float]:
     t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
     var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else float("nan")
     return t1 / n, var
+
+
+def _written(frames, write):
+    """Yield each frame after write(index, frame) has stored it."""
+    for j, frame in enumerate(frames):
+        write(j, frame)
+        yield frame
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -181,7 +192,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest_entries = []
     text = []
     for i, n_bar in enumerate(n_bars):
-        stack = [
+        # One pass: each frame is written as soon as it is simulated, and
+        # the stack summary reads the same frames on their way out.
+        stack = (
             simulate_frame(
                 sensor,
                 n_bar,
@@ -191,18 +204,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 frame_id=i * args.frames + j,
             )
             for j in range(args.frames)
-        ]
+        )
         if args.format == "pgm":
-            files = []
-            for j, frame in enumerate(stack):
-                name = (
-                    f"frame_{j:04d}.pgm"
-                    if not args.sweep
-                    else f"nbar_{i:02d}_frame_{j:04d}.pgm"
-                )
-                path = os.path.join(out_dir, name)
-                write_pgm(frame, path)
-                files.append(name)
+            prefix = f"nbar_{i:02d}_" if args.sweep else ""
+            files = [f"{prefix}frame_{j:04d}.pgm" for j in range(args.frames)]
+            paths = [os.path.join(out_dir, name) for name in files]
+            mean, var = _stack_summary(
+                _written(stack, lambda j, frame: write_pgm(frame, paths[j]))
+            )
         else:
             name = "frames.raw" if not args.sweep else f"nbar_{i:02d}.raw"
             path = os.path.join(out_dir, name)
@@ -213,12 +222,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 bit_depth=sensor.bit_depth,
                 frame_count=args.frames,
             )
-            write_raw(stack, header, path)
+            with open(path, "wb") as fh:
+                mean, var = _stack_summary(
+                    _written(stack, lambda j, frame: fh.write(raw_payload(frame, header)))
+                )
             write_sidecar(
                 path, header, extra={"n_bar": n_bar, "seed": args.seed}
             )
             files = [name]
-        mean, var = _stack_summary(stack)
         manifest_entries.append(
             {
                 "n_bar": n_bar,
@@ -409,6 +420,54 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extract_frames(frames, mask, matrix, fh) -> tuple[list, int, int, int]:
+    """Extract the frames' raw bits into fh, reading each frame once.
+
+    Raw bits wait only until n_workers * _CHUNK_BLOCKS whole blocks are
+    buffered.  Each such batch is extracted and written MSB-first.  A
+    batch is a multiple of 8 blocks, so it starts on a byte of the
+    buffer and its output is whole bytes; blocks lie on one grid from
+    the first raw bit, so the file equals one extract() of the whole
+    stream for any worker count.  The last, shorter batch takes the
+    tail, whose partial block is discarded.
+
+    Returns the per-frame mean codes, the bit depth, the blocks
+    extracted and the residual bits discarded.
+    """
+    n_workers = worker_count()
+    # The chunk size is read from the extractor module on each run, so
+    # batches always follow the chunk grid that extract() uses.
+    batch_bytes = n_workers * extractor._CHUNK_BLOCKS * matrix.l // 8
+    means, blocks, pending = [], 0, []
+
+    def extract_batch(stream: BitString) -> ExtractedStream:
+        result = extract(stream, matrix, n_workers=n_workers)
+        for part in result.bits.msb_chunks():
+            fh.write(part)
+        return result
+
+    for frame in frames:
+        if means and frame.bit_depth != bit_depth:
+            raise ValueError(
+                f"frame stack mismatch: a {frame.bit_depth}-bit frame "
+                f"among {bit_depth}-bit frames"
+            )
+        bit_depth = frame.bit_depth
+        pending.append(frame_to_bits(frame, mask))
+        codes = frame.codes if mask is None else frame.codes[mask.flags]
+        means.append(codes.mean())
+        pending_bits = sum(part.n_bits for part in pending)
+        if pending_bits >= 8 * batch_bytes:
+            buffered = concat_streams(pending)
+            cut = pending_bits // (8 * batch_bytes) * batch_bytes
+            for lo in range(0, cut, batch_bytes):
+                batch = buffered.packed[lo : lo + batch_bytes]
+                blocks += extract_batch(BitString(batch, 8 * batch_bytes)).blocks_processed
+            pending = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
+    last = extract_batch(concat_streams(pending))
+    return means, bit_depth, blocks + last.blocks_processed, last.residual_bits_discarded
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
     out_path = args.out
@@ -426,74 +485,68 @@ def cmd_extract(args: argparse.Namespace) -> int:
             raise UsageError(f"--l {args.l} != loaded matrix l={matrix.l}")
         if args.k is not None and args.k != matrix.k:
             raise UsageError(f"--k {args.k} != loaded matrix k={matrix.k}")
-        l, k = matrix.l, matrix.k
     else:
-        matrix = None
         l, k = args.l or DEFAULT_L, args.k or DEFAULT_K
         if not k < l <= MAX_BLOCK_BITS:
             raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={k} l={l}")
-
-    # One frame at a time: keep its mean code and its raw bits, not its codes.
-    means, streams = [], []
-    for frame in _read_frames(args.inputs):
-        if not streams:
-            bit_depth = frame.bit_depth
-        elif frame.bit_depth != bit_depth:
-            raise ValueError(
-                f"frame stack mismatch: a {frame.bit_depth}-bit frame "
-                f"among {bit_depth}-bit frames"
-            )
-        streams.append(frame_to_bits(frame, mask))
-        codes = frame.codes if mask is None else frame.codes[mask.flags]
-        means.append(codes.mean())
-
-    # Security margin gate before matrix work: estimate the absorbed mean
-    # from the data itself, convert to entropy per raw bit, and refuse
-    # extraction that would emit more bits than it gathers.
-    n_bar_est = float(np.mean(means)) / sensor.zeta - sensor.offset
-    if n_bar_est <= 0:
-        raise ValueError(
-            f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
-            "frames carry no shot noise to extract"
-        )
-    s = entropy_report(n_bar_est, bit_depth).s
-
-    try:
-        log2_eps = epsilon_bound(s, l, k)
-    except ValueError as exc:
-        if not args.force:
-            print(
-                f"error: {exc}\n"
-                f"  s = {float(s):.4f} from estimated n_bar = {n_bar_est:.1f} "
-                f"at {bit_depth}-bit depth; s*l = {float(s) * l:.1f} <= k = {k}.\n"
-                "  Lower k, raise l, or pass --force to extract anyway "
-                "(output is NOT certified random).",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        log2_eps = None
-
-    if matrix is None:
         matrix = generate_matrix(args.matrix_seed, k, l)
-    if args.save_matrix:
-        save_matrix(matrix, args.save_matrix)
+    l, k = matrix.l, matrix.k
 
-    raw = concat_streams(streams)
-    del streams
-    result = extract(raw, matrix, n_workers=worker_count())
-    n_bytes, padding = export_stream(result.bits, out_path)
+    # Output goes to a temp file next to --out, which the gates below
+    # either rename to --out or delete: a refused run writes nothing.
+    tmp_path = f"{out_path}.{os.getpid()}.part"
+    try:
+        with open(tmp_path, "wb") as fh:
+            means, bit_depth, blocks, residual = _extract_frames(
+                _read_frames(args.inputs), mask, matrix, fh
+            )
 
+        # Security margin gate: estimate the absorbed mean from the data
+        # itself, convert to entropy per raw bit, and refuse extraction
+        # that would emit more bits than it gathers.
+        n_bar_est = float(np.mean(means)) / sensor.zeta - sensor.offset
+        if n_bar_est <= 0:
+            raise ValueError(
+                f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
+                "frames carry no shot noise to extract"
+            )
+        s = entropy_report(n_bar_est, bit_depth).s
+
+        try:
+            log2_eps = epsilon_bound(s, l, k)
+        except ValueError as exc:
+            if not args.force:
+                print(
+                    f"error: {exc}\n"
+                    f"  s = {float(s):.4f} from estimated n_bar = {n_bar_est:.1f} "
+                    f"at {bit_depth}-bit depth; s*l = {float(s) * l:.1f} <= k = {k}.\n"
+                    "  Lower k, raise l, or pass --force to extract anyway "
+                    "(output is NOT certified random).",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            log2_eps = None
+
+        if args.save_matrix:
+            save_matrix(matrix, args.save_matrix)
+        os.replace(tmp_path, out_path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+
+    raw_bits, output_bits = blocks * l + residual, blocks * k
+    output_bytes = (output_bits + 7) // 8
     summary = {
         "command": "extract",
         "frames": len(means),
-        "raw_bits": raw.n_bits,
+        "raw_bits": raw_bits,
         "l": l,
         "k": k,
-        "blocks_processed": result.blocks_processed,
-        "residual_bits_discarded": result.residual_bits_discarded,
-        "output_bits": result.bits.n_bits,
-        "output_bytes": n_bytes,
-        "padding_bits": padding,
+        "blocks_processed": blocks,
+        "residual_bits_discarded": residual,
+        "output_bits": output_bits,
+        "output_bytes": output_bytes,
+        "padding_bits": 8 * output_bytes - output_bits,
         "estimated_n_bar": n_bar_est,
         "s": float(s),
         "log2_epsilon": None if log2_eps is None else float(log2_eps),
@@ -502,17 +555,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "out": out_path,
     }
     text = [
-        f"{len(means)} frame(s) -> {raw.n_bits} raw bits",
-        f"{result.blocks_processed} blocks of l={l} -> "
-        f"{result.bits.n_bits} output bits (k={k}); "
-        f"{result.residual_bits_discarded} residual bits discarded",
+        f"{len(means)} frame(s) -> {raw_bits} raw bits",
+        f"{blocks} blocks of l={l} -> {output_bits} output bits (k={k}); "
+        f"{residual} residual bits discarded",
         f"estimated n_bar = {n_bar_est:.2f} e-, s = {float(s):.4f}",
         (
             f"log2(epsilon) <= {float(log2_eps):g}"
             if log2_eps is not None
             else "security margin VIOLATED (--force); output not certified"
         ),
-        f"wrote {n_bytes} bytes to {out_path}",
+        f"wrote {output_bytes} bytes to {out_path}",
     ]
     _emit(args, summary, text)
     return EXIT_OK

@@ -18,6 +18,7 @@ the result in the test suite.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -235,6 +236,13 @@ def frame_to_bits(frame: Frame, mask=None) -> BitString:
     bit_depth bits, least significant first (the low bits carry most of
     the shot noise).
 
+    Codes are packed by shifts, a group of g codes at a time: 8/gcd(b, 8)
+    codes of b bits fill a whole number of bytes, and a group is as many
+    of those as fit one 64-bit word, or one of them (72 to 120 bits, two
+    words) for odd b > 7.  Code t of a group goes to bit t*b of the
+    group's little-endian words; a code that straddles two words is
+    split between them.
+
     Args:
         frame: source frame.
         mask: optional PixelMask; usable pixels contribute, flagged
@@ -251,11 +259,26 @@ def frame_to_bits(frame: Frame, mask=None) -> BitString:
                 f"frame {frame.width}x{frame.height}"
             )
         codes = codes[mask.flags]
-    flat = codes.reshape(-1).astype("<u2")
-    b = frame.bit_depth
-    # Expand each 16-bit code LSB-first, keep its low bit_depth bits.
-    bits = np.unpackbits(flat.view(np.uint8), bitorder="little")
-    return BitString.from_bits01(bits.reshape(flat.size, 16)[:, :b])
+    b, flat = frame.bit_depth, codes.reshape(-1)
+    g = 8 // math.gcd(b, 8)
+    g *= max(1, 64 // (g * b))
+    n_groups = (flat.size + g - 1) // g
+    words = np.zeros((n_groups, (g * b + 63) // 64), dtype="<u8")
+    code = np.empty(n_groups, dtype=np.uint64)
+    for t in range(g):
+        # Code t of each group; a last group cut short lacks it, and its
+        # missing codes stay zero bits.
+        src = flat[t::g]
+        c = code[: src.size]
+        c[...] = src
+        w, shift = divmod(t * b, 64)
+        if shift + b > 64:
+            words[: src.size, w + 1] |= c >> (64 - shift)
+        c <<= shift
+        words[: src.size, w] |= c
+    group_bytes = words.view(np.uint8)[:, : g * b // 8]
+    n_bits = flat.size * b
+    return BitString(group_bytes.reshape(-1)[: (n_bits + 7) // 8], n_bits)
 
 
 def concat_streams(streams) -> BitString:

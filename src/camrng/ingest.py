@@ -211,6 +211,12 @@ def read_raw(path: str, header: FrameFileHeader) -> list[Frame]:
     ]
 
 
+def raw_payload(frame: Frame, header: FrameFileHeader) -> bytes:
+    """One frame's samples as stored in a raw dump of `header`'s format."""
+    dtype = np.dtype("<u2") if header.format == "raw16le" else np.dtype("u1")
+    return frame.codes.astype(dtype).tobytes()
+
+
 def write_raw(frames: list[Frame], header: FrameFileHeader, path: str) -> None:
     """Write frames as a headerless raw dump matching `header`."""
     if len(frames) != header.frame_count:
@@ -228,11 +234,10 @@ def write_raw(frames: list[Frame], header: FrameFileHeader, path: str) -> None:
             raise ValueError(
                 f"frame codes exceed declared {header.bit_depth}-bit range"
             )
-    dtype = np.dtype("<u2") if header.format == "raw16le" else np.dtype("u1")
     try:
         with open(path, "wb") as fh:
             for f in frames:
-                fh.write(f.codes.astype(dtype).tobytes())
+                fh.write(raw_payload(f, header))
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
 

@@ -1,14 +1,25 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import camrng.cli
+from camrng import extractor
+from camrng.characterize import PixelMask
 from camrng.cli import main
-from camrng.extractor import DEFAULT_MATRIX_SEED, generate_matrix, load_matrix
-from camrng.ingest import read_pgm, write_pgm
+from camrng.extractor import (
+    DEFAULT_MATRIX_SEED,
+    BinaryMatrix,
+    concat_streams,
+    extract,
+    frame_to_bits,
+    generate_matrix,
+    load_matrix,
+)
+from camrng.ingest import read_pgm, read_raw, read_sidecar, write_pgm
 from camrng.sensor import Frame
 
 
@@ -667,3 +678,156 @@ def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):
         outs.append(out.read_bytes())
     assert len(outs[0]) == 3 * 40 * 30 * 10 // 400 * 100 // 8
     assert outs[0] == outs[1]
+
+
+def test_simulate_writes_each_frame_before_the_next_is_simulated(tmp_path, monkeypatch):
+    order = []
+    tags = {"simulate_frame": "sim", "write_pgm": "write", "raw_payload": "write"}
+    for name, tag in tags.items():
+        real = getattr(camrng.cli, name)
+
+        def logged(*args, _real=real, _tag=tag, **kwargs):
+            order.append(_tag)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(camrng.cli, name, logged)
+    for fmt in ("pgm", "raw16le"):
+        order.clear()
+        assert run(
+            "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
+            "--width", "8", "--height", "8", "--format", fmt, "--out", tmp_path / fmt,
+        ) == 0
+        assert order == ["sim", "write"] * 3
+
+
+# 61x59 pixels of 10 bits: every frame ends off the byte grid, and off
+# the block grid of every l below.
+STACK_W, STACK_H = 61, 59
+
+
+@pytest.fixture(scope="module")
+def stacks(tmp_path_factory):
+    """Frame files and their decoded frames: PGM, PGM under a mask, raw16le."""
+    base = tmp_path_factory.mktemp("stacks")
+    geometry = ("--width", STACK_W, "--height", STACK_H, "--seed", "11")
+    assert run("simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "4",
+               *geometry, "--out", base / "pgm") == 0
+    assert run("simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
+               *geometry, "--format", "raw16le", "--out", base / "raw") == 0
+    pgms = sorted((base / "pgm").glob("*.pgm"))
+    flagged = {"0,0": "hot", "7,30": "hot", "58,60": "dead"}
+    mask_path = base / "mask.json"
+    mask_path.write_text(
+        json.dumps({"width": STACK_W, "height": STACK_H, "flagged": flagged})
+    )
+    raw = base / "raw" / "frames.raw"
+    pgm_frames = [read_pgm(p) for p in pgms]
+    return {
+        "pgm": (pgms, [], pgm_frames, None),
+        "masked": (pgms, ["--mask", mask_path], pgm_frames,
+                   PixelMask.from_json(mask_path.read_text())),
+        "raw16le": ([raw], [], read_raw(raw, read_sidecar(raw)[0]), None),
+    }
+
+
+@pytest.mark.parametrize("inputs", ["pgm", "masked", "raw16le"])
+@pytest.mark.parametrize(
+    "l,k",
+    [(64, 16), (777, 200), (1999, 500), (2000, 500), (2001, 500), (2000, 333), (8192, 600)],
+)
+def test_streamed_extract_equals_whole_stream_oracle(
+    stacks, tmp_path, monkeypatch, capsys, inputs, l, k
+):
+    paths, extra, frames, mask = stacks[inputs]
+    raw = concat_streams(frame_to_bits(f, mask) for f in frames)
+    want = extract(raw, generate_matrix(DEFAULT_MATRIX_SEED, k, l))
+    out = tmp_path / "random.bin"
+    docs = []
+    # Default batches, then 8-block chunks: batches of 8 or 16 blocks
+    # that start and end inside frames.
+    for chunk in (extractor._CHUNK_BLOCKS, 8):
+        monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", chunk)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QRNG_THREADS", threads)
+            assert run("extract", "--preset", "nokia-n9", *paths, *extra,
+                       "--l", l, "--k", k, "--out", out, "--json") == 0
+            docs.append(json.loads(capsys.readouterr().out))
+            assert out.read_bytes() == b"".join(want.bits.msb_chunks())
+    assert all(doc == docs[0] for doc in docs)
+    counts = {key: docs[0][key] for key in (
+        "frames", "raw_bits", "blocks_processed", "residual_bits_discarded",
+        "output_bits", "output_bytes", "padding_bits",
+    )}
+    assert counts == {
+        "frames": len(frames),
+        "raw_bits": raw.n_bits,
+        "blocks_processed": want.blocks_processed,
+        "residual_bits_discarded": want.residual_bits_discarded,
+        "output_bits": want.bits.n_bits,
+        "output_bytes": want.bits.packed.size,
+        "padding_bits": -want.bits.n_bits % 8,
+    }
+    if (l, k) == (2000, 333):
+        assert want.bits.n_bits % 8 != 0
+
+
+def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, monkeypatch):
+    paths, _, frames, _ = stacks["pgm"]
+    l, k, n_workers, chunk = 777, 200, 2, 8
+    # 98 byte positions in tiles of 40: the first tile is kept, two are rebuilt.
+    monkeypatch.setattr(extractor, "_TABLE_BYTES_LIMIT", 40 * 256 * 8 * ((k + 63) // 64))
+    monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", chunk)
+    monkeypatch.setenv("QRNG_THREADS", str(n_workers))
+    calls = {"tables": 0, "extract": 0}
+    real_tables, real_extract = BinaryMatrix._byte_tables, camrng.cli.extract
+
+    def counted_tables(self, lo, hi):
+        calls["tables"] += 1
+        return real_tables(self, lo, hi)
+
+    def counted_extract(*args, **kwargs):
+        calls["extract"] += 1
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(BinaryMatrix, "_byte_tables", counted_tables)
+    monkeypatch.setattr(camrng.cli, "extract", counted_extract)
+    assert run("extract", "--preset", "nokia-n9", *paths, "--l", l, "--k", k,
+               "--out", tmp_path / "o.bin") == 0
+    blocks = len(frames) * STACK_W * STACK_H * 10 // l
+    batch = n_workers * chunk
+    assert blocks % batch != 0  # so the last batch is not empty
+    assert calls["extract"] == math.ceil(blocks / batch)
+    assert calls["tables"] == 1 + 2 * calls["extract"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "case,exit_code",
+    [("margin", 2), ("mixed_depth", 1), ("missing_file", 1), ("below_dark", 1)],
+)
+def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, existing):
+    rng = np.random.default_rng(9)
+    ten = [rng.integers(700, 900, (32, 32)) for _ in range(3)]
+    preset, k = "nokia-n9", 10
+    if case == "margin":
+        paths, k = _write_frames(tmp_path / "in", ten, 10), 190
+    elif case == "mixed_depth":
+        eight = _write_frames(tmp_path / "in8", [rng.integers(100, 200, (32, 32))], 8)
+        paths = _write_frames(tmp_path / "in", ten[:2], 10) + eight
+    elif case == "missing_file":
+        paths = _write_frames(tmp_path / "in", ten, 10) + [tmp_path / "in" / "gone.pgm"]
+    else:  # atik383l's dark level is 331.2 codes
+        preset = "atik383l"
+        paths = _write_frames(tmp_path / "in", [np.full((8, 8), 300)] * 3, 16)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "random.bin"
+    if existing:
+        out.write_bytes(b"an earlier run")
+    rc = run("extract", "--preset", preset, *paths, "--l", "200", "--k", k,
+             "--out", out, "--save-matrix", out_dir / "m.qm")
+    assert rc == exit_code
+    capsys.readouterr()
+    assert sorted(p.name for p in out_dir.iterdir()) == (["random.bin"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"an earlier run"

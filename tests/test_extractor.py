@@ -308,3 +308,26 @@ def test_concat_streams_orders_frames():
     f2 = Frame(width=1, height=1, codes=np.array([[2]], dtype=np.uint16), bit_depth=2)
     merged = concat_streams(frame_to_bits(f) for f in (f1, f2))
     assert as01(merged).tolist() == [1, 0, 0, 1]
+
+
+def unpacked_frame_to_bits(frame: Frame, mask=None) -> BitString:
+    """The per-bit serializer frame_to_bits replaced, kept as its oracle."""
+    codes = frame.codes if mask is None else frame.codes[mask.flags]
+    flat = codes.reshape(-1).astype("<u2")
+    bits = np.unpackbits(flat.view(np.uint8), bitorder="little")
+    return BitString.from_bits01(bits.reshape(flat.size, 16)[:, : frame.bit_depth])
+
+
+@pytest.mark.parametrize("bit_depth", range(1, 17))
+def test_frame_to_bits_equals_unpacked_serializer(bit_depth):
+    rng = np.random.default_rng(bit_depth)
+    top = (1 << bit_depth) - 1
+    # Pixel counts on and off every group size, 1..64 codes per group.
+    for height, width in [(1, 1), (1, 7), (3, 5), (9, 7), (5, 13), (16, 16), (11, 67)]:
+        codes = rng.integers(0, top + 1, size=(height, width))
+        codes.flat[0] = top
+        frame = Frame(width=width, height=height, codes=codes, bit_depth=bit_depth)
+        assert frame_to_bits(frame) == unpacked_frame_to_bits(frame)
+        flags = rng.random((height, width)) < 0.8
+        mask = PixelMask(flags=flags, reasons={})
+        assert frame_to_bits(frame, mask) == unpacked_frame_to_bits(frame, mask)

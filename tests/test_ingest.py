@@ -181,6 +181,16 @@ def test_write_raw_validates_geometry(tmp_path):
         )
 
 
+def test_write_raw_leaves_no_file_for_a_frame_that_does_not_fit(tmp_path):
+    header = FrameFileHeader(
+        format="raw16le", width=2, height=1, bit_depth=4, frame_count=2
+    )
+    path = tmp_path / "x.raw"
+    with pytest.raises(ValueError, match="4-bit range"):
+        write_raw([frame_of([[1, 2]], 4), frame_of([[3, 16]], 5)], header, path)
+    assert not path.exists()
+
+
 def test_sidecar_round_trip(tmp_path):
     path = str(tmp_path / "s.raw")
     header = FrameFileHeader(
