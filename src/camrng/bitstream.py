@@ -7,7 +7,11 @@ at bit position i % 8).  That choice makes a packed stream directly
 viewable as little-endian machine words, which the extractor relies on.
 
 Exported byte streams use the opposite convention, MSB of each byte is
-the earliest bit; see :meth:`BitString.msb_chunks`.
+the earliest bit; see :meth:`BitString.msb_chunks`.  Converting between
+the two mirrors the bit order of every byte.  That runs on 64-bit words,
+by three mask-shift-or swaps (adjacent bits, bit pairs, nibbles) that
+never cross a byte, so bytes never go through a per-byte table lookup
+except the few past the last whole word.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 # Reversal table: _BIT_REVERSE[b] is byte b with its bit order mirrored.
-# Converts between the internal LSB-first packing and MSB-first export
-# without unpacking to one byte per bit.
 _BIT_REVERSE = np.zeros(256, dtype=np.uint8)
 for _b in range(256):
     _r = 0
@@ -29,6 +31,42 @@ del _b, _r, _i
 # Bytes per piece of MSB-first output, so exporting a long stream never
 # holds a second full-size copy of it.
 _MSB_CHUNK_BYTES = 4 << 20
+
+# Words per pass of _reverse_bits: 256 KiB, so a pass and its one
+# temporary stay in cache through all three swaps.
+_REVERSE_WORDS = 1 << 15
+
+# (shift, mask) of each swap: the mask selects the low half of every
+# 2-, 4- and 8-bit group in turn, so no swap moves a bit out of its byte.
+_SWAPS = (
+    (1, np.uint64(0x5555_5555_5555_5555)),
+    (2, np.uint64(0x3333_3333_3333_3333)),
+    (4, np.uint64(0x0F0F_0F0F_0F0F_0F0F)),
+)
+
+
+def _reverse_bits(data: np.ndarray) -> np.ndarray:
+    """A new uint8 array holding each byte of data with its bit order mirrored.
+
+    data may be any contiguous uint8 slice, aligned or not: each pass is
+    copied into the (aligned) result first and swapped there.
+    """
+    out = np.empty(data.size, np.uint8)
+    whole = data.size - data.size % 8
+    words = out[:whole].view(np.uint64)
+    tmp = np.empty(min(_REVERSE_WORDS, words.size), np.uint64)
+    for lo in range(0, words.size, _REVERSE_WORDS):
+        w = words[lo : lo + _REVERSE_WORDS]
+        t = tmp[: w.size]
+        w.view(np.uint8)[:] = data[8 * lo : 8 * (lo + w.size)]
+        for shift, mask in _SWAPS:
+            np.right_shift(w, shift, out=t)
+            t &= mask
+            w &= mask
+            w <<= shift
+            w |= t
+    out[whole:] = _BIT_REVERSE[data[whole:]]
+    return out
 
 
 class BitString:
@@ -51,9 +89,10 @@ class BitString:
                 f"packed length {packed.size} inconsistent with {n_bits} bits"
             )
         tail = n_bits % 8
-        if tail and packed.size:
+        if tail and packed.size and packed[-1] >> tail:
             # Zero the unused high bits of the final byte so equality and
-            # popcounts never see stale data.
+            # popcounts never see stale data; copy first, since the array
+            # may be the caller's.
             packed = packed.copy()
             packed[-1] &= (1 << tail) - 1
         self.packed = packed
@@ -83,7 +122,10 @@ class BitString:
         data = np.frombuffer(data, dtype=np.uint8)
         if n_bits is None:
             n_bits = 8 * data.size
-        return cls(_BIT_REVERSE[data[: (n_bits + 7) // 8]], n_bits)
+        packed = _reverse_bits(data[: (n_bits + 7) // 8])
+        if n_bits % 8:
+            packed[-1:] &= (1 << n_bits % 8) - 1  # a fresh array: clear in place
+        return cls(packed, n_bits)
 
     @classmethod
     def zeros(cls, n_bits: int) -> "BitString":
@@ -116,9 +158,12 @@ class BitString:
     # ------------------------------------------------------------------
 
     def msb_chunks(self):
-        """Yield the MSB-first bytes, last one zero-padded low, 4 MiB at a time."""
+        """Yield the MSB-first bytes, last one zero-padded low, 4 MiB at a time.
+
+        Each piece is a uint8 array, which any binary file's write() takes.
+        """
         for lo in range(0, self.packed.size, _MSB_CHUNK_BYTES):
-            yield _BIT_REVERSE[self.packed[lo : lo + _MSB_CHUNK_BYTES]].tobytes()
+            yield _reverse_bits(self.packed[lo : lo + _MSB_CHUNK_BYTES])
 
     def count_ones(self) -> int:
         # Popcount whole 64-bit words, then the trailing bytes: summing

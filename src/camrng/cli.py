@@ -420,6 +420,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _part_file(path: str):
+    """Yield a temp path next to path; whatever is not renamed onto path is deleted.
+
+    Writing there and calling os.replace(tmp, path) only once the output
+    is complete and accepted leaves an existing path untouched on any
+    refusal or error.
+    """
+    tmp_path = f"{path}.{os.getpid()}.part"
+    try:
+        yield tmp_path
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+
+
 def _extract_frames(frames, mask, matrix, fh) -> tuple[list, int, int, int]:
     """Extract the frames' raw bits into fh, reading each frame once.
 
@@ -493,9 +509,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     l, k = matrix.l, matrix.k
 
     # Output goes to a temp file next to --out, which the gates below
-    # either rename to --out or delete: a refused run writes nothing.
-    tmp_path = f"{out_path}.{os.getpid()}.part"
-    try:
+    # either rename to --out or leave to be deleted: a refused run
+    # writes nothing.
+    with _part_file(out_path) as tmp_path:
         with open(tmp_path, "wb") as fh:
             means, bit_depth, blocks, residual = _extract_frames(
                 _read_frames(args.inputs), mask, matrix, fh
@@ -530,9 +546,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if args.save_matrix:
             save_matrix(matrix, args.save_matrix)
         os.replace(tmp_path, out_path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp_path)
 
     raw_bits, output_bits = blocks * l + residual, blocks * k
     output_bytes = (output_bits + 7) // 8
@@ -571,13 +584,17 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    # --bits N needs only the first ceil(N/8) bytes.  A buffered read
+    # returns short only at end of file, so it also works on a pipe.
+    size = -1 if args.bits is None else (args.bits + 7) // 8
     try:
-        data = np.fromfile(args.input, dtype=np.uint8)
+        with open(args.input, "rb") as fh:
+            data = fh.read(size)
     except OSError as exc:
         raise OSError(f"reading {args.input}: {exc}") from exc
-    if args.bits is not None and args.bits > 8 * data.size:
+    if args.bits is not None and args.bits > 8 * len(data):
         raise UsageError(
-            f"--bits {args.bits} exceeds the {8 * data.size} bits in the file"
+            f"--bits {args.bits} exceeds the {8 * len(data)} bits in the file"
         )
     bits = BitString.from_msb_bytes(data, args.bits)
     del data  # the battery and export read only the packed copy
@@ -586,7 +603,10 @@ def cmd_test(args: argparse.Namespace) -> int:
         bits, alpha=args.alpha, block_size=args.block_size, max_lag=args.max_lag
     )
     if args.export:
-        export_stream(bits, args.export)
+        # Only a complete export replaces the file.
+        with _part_file(args.export) as tmp_path:
+            export_stream(bits, tmp_path)
+            os.replace(tmp_path, args.export)
 
     text = [f"{report.n_bits} bits, alpha = {report.alpha:g}"]
     for r in report.results:

@@ -9,7 +9,8 @@ Every statistic is an integer count taken on the packed stream, never on
 one byte per bit: ones by popcount, ones per block from a per-word
 popcount prefix sum, bit transitions and (1,1) pairs at lag tau by
 popcounts of the stream XORed or ANDed with itself shifted by tau words
-and bits, and the byte histogram by bincount of the packed bytes.
+and bits, and the byte histogram by a 65536-bin bincount of the packed
+bytes taken two at a time, folded to 256 bins.
 
 Every p-value here is two-sided against the fair-coin null.  A stream
 "passes" a test when p >= alpha; with several tests at alpha = 0.01 an
@@ -67,9 +68,13 @@ def _bit_slice(bits: BitString, start: int, stop: int) -> np.ndarray:
 _LOW_MASKS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 # Words per pass of the chunked loops: 256 KiB of stream, so a pass's
-# temporaries stay in cache (in the lag loop, while every lag is applied)
-# and stay small (bincount widens each byte it counts to an intp).
+# temporaries stay in cache (in the lag loop, while every lag is applied).
 _CHUNK_WORDS = 1 << 15
+
+# Byte pairs per pass of the byte histogram: 1 MiB of stream.  bincount
+# widens each pair to an intp, 4 MiB, and fills a fresh 65536-bin result
+# per pass, so fewer passes than the words loops pay off.
+_PAIRS_PER_PASS = 1 << 19
 
 
 def _lag_popcounts(bits: BitString, lags, combine) -> list[int]:
@@ -253,15 +258,30 @@ def serial_correlation(
     )
 
 
+def _byte_counts(data: np.ndarray) -> np.ndarray:
+    """How often each value 0..255 occurs in the uint8 array data.
+
+    Counting the bytes two at a time as uint16 codes halves the elements
+    bincount handles; an odd last byte is counted on its own.
+    """
+    codes = data[: data.size - data.size % 2].view("<u2")
+    pairs = np.zeros(1 << 16, dtype=np.int64)
+    for lo in range(0, codes.size, _PAIRS_PER_PASS):
+        pairs += np.bincount(codes[lo : lo + _PAIRS_PER_PASS], minlength=1 << 16)
+    # A pair's first byte is its low byte, so pairs[hi, lo] sums over its
+    # rows to the first-byte counts and over its columns to the second.
+    pairs = pairs.reshape(256, 256)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if data.size % 2:
+        counts[data[-1]] += 1
+    return counts
+
+
 def _byte_entropy(bits: BitString) -> tuple[float, int]:
     """Entropy in bits/byte of the stream's full MSB-first bytes, and their count."""
     n_bytes = bits.n_bits // 8
-    counts = np.zeros(256, dtype=np.int64)
-    step = 8 * _CHUNK_WORDS
-    for lo in range(0, n_bytes, step):
-        counts += np.bincount(bits.packed[lo : min(lo + step, n_bytes)], minlength=256)
     # MSB-first byte v is stored as packed byte _BIT_REVERSE[v].
-    counts = counts[_BIT_REVERSE]
+    counts = _byte_counts(bits.packed[:n_bytes])[_BIT_REVERSE]
     f = counts[counts > 0] / n_bytes
     return float(-np.sum(f * np.log2(f))), n_bytes
 

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import camrng.cli
-from camrng import extractor
+from camrng import bitstream, extractor
+from camrng.bitstream import BitString
 from camrng.characterize import PixelMask
 from camrng.cli import main
 from camrng.extractor import (
@@ -380,6 +383,59 @@ def test_test_export_round_trip_odd_length(tmp_path):
     exported = tmp_path / "again.bin"
     run("test", src, "--export", exported)
     assert src.read_bytes() == exported.read_bytes()
+
+
+def test_test_bits_reads_only_the_bytes_it_tests(tmp_path, capsys):
+    # The writer offers 4 MiB past the bytes --bits covers, more than a
+    # pipe holds: it must see the reader hang up before taking them.
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    n_bits = 8 * 12_500 - 3
+    payload = np.random.default_rng(10).bytes(12_500) + bytes(4 << 20)
+    outcome = []
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(payload)
+            outcome.append("all taken")
+        except BrokenPipeError:
+            outcome.append("hung up")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    rc = run("test", fifo, "--bits", n_bits, "--json")
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["n_bits"] == n_bits
+    assert outcome == ["hung up"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_test_export_that_fails_midway_writes_nothing(
+    tmp_path, monkeypatch, capsys, existing
+):
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(11).bytes(15_000))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    exported = out_dir / "again.bin"
+    if existing:
+        exported.write_bytes(b"an earlier run")
+    whole_chunks = BitString.msb_chunks
+
+    def fail_after_one_chunk(self):
+        yield next(whole_chunks(self))
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(BitString, "msb_chunks", fail_after_one_chunk)
+    assert run("test", src, "--export", exported) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == (["again.bin"] if existing else [])
+    if existing:
+        assert exported.read_bytes() == b"an earlier run"
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "1", "1.5", "nan"])

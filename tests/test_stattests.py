@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from camrng import stattests
 from camrng.bitstream import BitString
 from camrng.sensor import get_preset, simulate_frame
 from camrng.stattests import (
@@ -411,3 +412,16 @@ def test_battery_fails_a_flagged_lag_whose_p_value_passes():
 def test_battery_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match="alpha"):
         run_battery(BitString.from_bits01(make_stream("fair", 100_000, 23)), alpha)
+
+
+@pytest.mark.parametrize("pairs_per_pass", [None, 3])
+def test_byte_counts_equal_a_plain_bincount(monkeypatch, pairs_per_pass):
+    if pairs_per_pass is not None:
+        monkeypatch.setattr(stattests, "_PAIRS_PER_PASS", pairs_per_pass)
+    whole = np.frombuffer(np.random.default_rng(8).bytes(3000), dtype=np.uint8)
+    for start in (0, 1):
+        for n in (0, 1, 2, 5, 6, 7, 1001, 2998):
+            data = whole[start : start + n]
+            np.testing.assert_array_equal(
+                stattests._byte_counts(data), np.bincount(data, minlength=256)
+            )
