@@ -70,7 +70,11 @@ def _reverse_bits(data: np.ndarray) -> np.ndarray:
 
 
 class BitString:
-    """An immutable-by-convention sequence of bits, stored packed.
+    """An immutable sequence of bits, stored packed.
+
+    Nothing writes to packed after construction, neither this class nor
+    its callers, nor to the array it was built from, which packed may
+    share.  count_ones relies on that: it keeps its first result.
 
     Attributes:
         packed: uint8 array, ceil(n_bits / 8) long, little-endian bit order.
@@ -78,7 +82,7 @@ class BitString:
         n_bits: number of valid bits.
     """
 
-    __slots__ = ("packed", "n_bits")
+    __slots__ = ("packed", "n_bits", "_ones")
 
     def __init__(self, packed: np.ndarray, n_bits: int):
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
@@ -97,6 +101,7 @@ class BitString:
             packed[-1] &= (1 << tail) - 1
         self.packed = packed
         self.n_bits = int(n_bits)
+        self._ones = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -166,13 +171,15 @@ class BitString:
             yield _reverse_bits(self.packed[lo : lo + _MSB_CHUNK_BYTES])
 
     def count_ones(self) -> int:
-        # Popcount whole 64-bit words, then the trailing bytes: summing
-        # one count per word is several times faster than one per byte.
-        whole = self.packed.size - self.packed.size % 8
-        words = self.packed[:whole].view("<u8")
-        return int(np.bitwise_count(words).sum()) + int(
-            np.bitwise_count(self.packed[whole:]).sum()
-        )
+        if self._ones is None:
+            # Popcount whole 64-bit words, then the trailing bytes: summing
+            # one count per word is several times faster than one per byte.
+            whole = self.packed.size - self.packed.size % 8
+            words = self.packed[:whole].view("<u8")
+            self._ones = int(np.bitwise_count(words).sum()) + int(
+                np.bitwise_count(self.packed[whole:]).sum()
+            )
+        return self._ones
 
     # ------------------------------------------------------------------
     # Operators

@@ -323,11 +323,24 @@ class PixelMask:
 
     @classmethod
     def from_json(cls, text: str) -> "PixelMask":
+        """Parse to_json's form; a ValueError names what is missing or wrong."""
         data = json.loads(text)
-        flags = np.ones((data["height"], data["width"]), dtype=bool)
+        try:
+            flags = np.ones((data["height"], data["width"]), dtype=bool)
+            flagged = dict(data["flagged"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                "pixel mask needs integer height and width and a flagged "
+                f"object ({type(exc).__name__}: {exc})"
+            ) from None
         reasons = {}
-        for key, reason in data["flagged"].items():
+        for key, reason in flagged.items():
             y, x = (int(v) for v in key.split(","))
+            if not (0 <= y < flags.shape[0] and 0 <= x < flags.shape[1]):
+                raise ValueError(
+                    f"pixel mask key {key!r} lies outside its "
+                    f"{flags.shape[1]}x{flags.shape[0]} geometry"
+                )
             flags[y, x] = False
             reasons[(y, x)] = reason
         return cls(flags=flags, reasons=reasons)

@@ -18,7 +18,6 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,6 @@ from .extractor import (
     DEFAULT_L,
     DEFAULT_MATRIX_SEED,
     MAX_BLOCK_BITS,
-    ExtractedStream,
     concat_streams,
     extract,
     frame_to_bits,
@@ -60,7 +58,6 @@ from .ingest import (
     write_sidecar,
 )
 from .sensor import (
-    Frame,
     PRESETS,
     SensorConfig,
     get_preset,
@@ -157,12 +154,12 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
     return 1.0 + config.sigma_t**2 / absorbed
 
 
-def _stack_summary(frames: Iterable[Frame]) -> tuple[float, float]:
-    """Mean and sample variance of every code in the stack, correctly rounded.
+def _stack_summary(n_frames: int, s1, s2) -> tuple[float, float]:
+    """Mean and sample variance of a stack's codes, correctly rounded.
 
-    The totals of code_sums' per-pixel sums are exact Python integers.
+    s1, s2 are code_sums' per-pixel sums over n_frames frames, of the
+    pixels that count; their totals are exact Python integers.
     """
-    n_frames, _, s1, s2 = code_sums(frames)
     n = n_frames * s1.size
     t1 = int(s1.sum())
     # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
@@ -209,7 +206,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             prefix = f"nbar_{i:02d}_" if args.sweep else ""
             files = [f"{prefix}frame_{j:04d}.pgm" for j in range(args.frames)]
             paths = [os.path.join(out_dir, name) for name in files]
-            mean, var = _stack_summary(
+            n, _, s1, s2 = code_sums(
                 _written(stack, lambda j, frame: write_pgm(frame, paths[j]))
             )
         else:
@@ -223,13 +220,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 frame_count=args.frames,
             )
             with open(path, "wb") as fh:
-                mean, var = _stack_summary(
+                n, _, s1, s2 = code_sums(
                     _written(stack, lambda j, frame: fh.write(raw_payload(frame, header)))
                 )
             write_sidecar(
                 path, header, extra={"n_bar": n_bar, "seed": args.seed}
             )
             files = [name]
+        mean, var = _stack_summary(n, s1, s2)
         manifest_entries.append(
             {
                 "n_bar": n_bar,
@@ -271,13 +269,22 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     text = []
 
     if args.manifest:
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
         base = os.path.dirname(os.path.abspath(args.manifest))
-        sweep: list[tuple[PixelStats, float]] = []
-        for entry in manifest["stacks"]:
-            paths = tuple(os.path.join(base, name) for name in entry["files"])
-            sweep.append((pixel_stats(_read_frames(paths)), float(entry["n_bar"])))
+        with open(args.manifest, encoding="utf-8") as fh:
+            try:
+                stacks = [
+                    (tuple(os.path.join(base, name) for name in entry["files"]),
+                     float(entry["n_bar"]))
+                    for entry in json.load(fh)["stacks"]
+                ]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{args.manifest}: not a sweep manifest of stacks with "
+                    f"files and n_bar ({type(exc).__name__}: {exc})"
+                ) from None
+        sweep: list[tuple[PixelStats, float]] = [
+            (pixel_stats(_read_frames(paths)), n_bar) for paths, n_bar in stacks
+        ]
         sweep.sort(key=lambda pair: pair[1])
 
         curve = []
@@ -436,8 +443,8 @@ def _part_file(path: str):
             os.remove(tmp_path)
 
 
-def _extract_frames(frames, mask, matrix, fh) -> tuple[list, int, int, int]:
-    """Extract the frames' raw bits into fh, reading each frame once.
+def _extract_frames(frames, mask, matrix, fh) -> tuple[tuple, int, int]:
+    """Extract the frames' raw bits into fh as code_sums reads each frame once.
 
     Raw bits wait only until n_workers * _CHUNK_BLOCKS whole blocks are
     buffered.  Each such batch is extracted and written MSB-first.  A
@@ -447,41 +454,35 @@ def _extract_frames(frames, mask, matrix, fh) -> tuple[list, int, int, int]:
     stream for any worker count.  The last, shorter batch takes the
     tail, whose partial block is discarded.
 
-    Returns the per-frame mean codes, the bit depth, the blocks
-    extracted and the residual bits discarded.
+    Returns the stack's code_sums, the blocks extracted and the residual
+    bits discarded.
     """
     n_workers = worker_count()
     # The chunk size is read from the extractor module on each run, so
     # batches always follow the chunk grid that extract() uses.
     batch_bytes = n_workers * extractor._CHUNK_BLOCKS * matrix.l // 8
-    means, blocks, pending = [], 0, []
+    blocks, pending = [], []
 
-    def extract_batch(stream: BitString) -> ExtractedStream:
+    def extract_batch(stream: BitString) -> int:
         result = extract(stream, matrix, n_workers=n_workers)
-        for part in result.bits.msb_chunks():
-            fh.write(part)
-        return result
+        export_stream(result.bits, fh)
+        blocks.append(result.blocks_processed)
+        return result.residual_bits_discarded
 
-    for frame in frames:
-        if means and frame.bit_depth != bit_depth:
-            raise ValueError(
-                f"frame stack mismatch: a {frame.bit_depth}-bit frame "
-                f"among {bit_depth}-bit frames"
-            )
-        bit_depth = frame.bit_depth
+    def queue(_, frame) -> None:
         pending.append(frame_to_bits(frame, mask))
-        codes = frame.codes if mask is None else frame.codes[mask.flags]
-        means.append(codes.mean())
         pending_bits = sum(part.n_bits for part in pending)
         if pending_bits >= 8 * batch_bytes:
             buffered = concat_streams(pending)
             cut = pending_bits // (8 * batch_bytes) * batch_bytes
             for lo in range(0, cut, batch_bytes):
                 batch = buffered.packed[lo : lo + batch_bytes]
-                blocks += extract_batch(BitString(batch, 8 * batch_bytes)).blocks_processed
-            pending = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
-    last = extract_batch(concat_streams(pending))
-    return means, bit_depth, blocks + last.blocks_processed, last.residual_bits_discarded
+                extract_batch(BitString(batch, 8 * batch_bytes))
+            pending[:] = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
+
+    sums = code_sums(_written(frames, queue))
+    residual = extract_batch(concat_streams(pending))
+    return sums, sum(blocks), residual
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -491,7 +492,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     mask = None
     if args.mask:
         with open(args.mask, encoding="utf-8") as fh:
-            mask = PixelMask.from_json(fh.read())
+            try:
+                mask = PixelMask.from_json(fh.read())
+            except ValueError as exc:
+                raise ValueError(f"{args.mask}: {exc}") from None
         if not mask.flags.any():
             raise ValueError("pixel mask excludes every pixel")
 
@@ -513,20 +517,23 @@ def cmd_extract(args: argparse.Namespace) -> int:
     # writes nothing.
     with _part_file(out_path) as tmp_path:
         with open(tmp_path, "wb") as fh:
-            means, bit_depth, blocks, residual = _extract_frames(
+            (n_frames, first, s1, s2), blocks, residual = _extract_frames(
                 _read_frames(args.inputs), mask, matrix, fh
             )
+        if mask is not None:
+            s1, s2 = s1[mask.flags], s2[mask.flags]
+        mean, variance = _stack_summary(n_frames, s1, s2)
 
         # Security margin gate: estimate the absorbed mean from the data
         # itself, convert to entropy per raw bit, and refuse extraction
         # that would emit more bits than it gathers.
-        n_bar_est = float(np.mean(means)) / sensor.zeta - sensor.offset
+        n_bar_est = mean / sensor.zeta - sensor.offset
         if n_bar_est <= 0:
             raise ValueError(
                 f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
                 "frames carry no shot noise to extract"
             )
-        s = entropy_report(n_bar_est, bit_depth).s
+        s = entropy_report(n_bar_est, first.bit_depth).s
 
         try:
             log2_eps = epsilon_bound(s, l, k)
@@ -535,7 +542,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 print(
                     f"error: {exc}\n"
                     f"  s = {float(s):.4f} from estimated n_bar = {n_bar_est:.1f} "
-                    f"at {bit_depth}-bit depth; s*l = {float(s) * l:.1f} <= k = {k}.\n"
+                    f"at {first.bit_depth}-bit depth; "
+                    f"s*l = {float(s) * l:.1f} <= k = {k}.\n"
                     "  Lower k, raise l, or pass --force to extract anyway "
                     "(output is NOT certified random).",
                     file=sys.stderr,
@@ -551,7 +559,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     output_bytes = (output_bits + 7) // 8
     summary = {
         "command": "extract",
-        "frames": len(means),
+        "frames": n_frames,
         "raw_bits": raw_bits,
         "l": l,
         "k": k,
@@ -560,6 +568,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "output_bits": output_bits,
         "output_bytes": output_bytes,
         "padding_bits": 8 * output_bytes - output_bits,
+        "mean_code": mean,
+        "variance_code": variance,
         "estimated_n_bar": n_bar_est,
         "s": float(s),
         "log2_epsilon": None if log2_eps is None else float(log2_eps),
@@ -568,7 +578,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         "out": out_path,
     }
     text = [
-        f"{len(means)} frame(s) -> {raw_bits} raw bits",
+        f"{n_frames} frame(s) -> {raw_bits} raw bits",
         f"{blocks} blocks of l={l} -> {output_bits} output bits (k={k}); "
         f"{residual} residual bits discarded",
         f"estimated n_bar = {n_bar_est:.2f} e-, s = {float(s):.4f}",

@@ -72,13 +72,19 @@ class FrameFileHeader:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameFileHeader":
-        return cls(
-            format=str(d["format"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-            bit_depth=int(d["bit_depth"]),
-            frame_count=int(d.get("frame_count", 1)),
-        )
+        try:
+            return cls(
+                format=str(d["format"]),
+                width=int(d["width"]),
+                height=int(d["height"]),
+                bit_depth=int(d["bit_depth"]),
+                frame_count=int(d.get("frame_count", 1)),
+            )
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(
+                "frame header needs integer width, height and bit_depth and a "
+                f"format ({type(exc).__name__}: {exc})"
+            ) from None
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +276,12 @@ def read_sidecar(path: str) -> tuple[FrameFileHeader, dict] | None:
     if not os.path.exists(sc):
         return None
     with open(sc, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    header = FrameFileHeader.from_dict(doc["header"])
+        try:
+            doc = json.load(fh)
+            if not isinstance(doc, dict) or "header" not in doc:
+                raise ValueError("sidecar needs a header object")
+            header = FrameFileHeader.from_dict(doc["header"])
+        except ValueError as exc:
+            raise ValueError(f"{sc}: {exc}") from None
     extra = {k: v for k, v in doc.items() if k != "header"}
     return header, extra

@@ -22,6 +22,7 @@ matter how many workers generate it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,9 @@ class SensorConfig:
     bit_depth: int
 
     def __post_init__(self):
+        for name in ("eta", "zeta", "sigma_t", "offset", "full_well"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.zeta <= 0:
@@ -128,14 +132,22 @@ class SensorConfig:
         unknown = [k for k in d if k not in _CONFIG_KEYS]
         if unknown:
             raise ValueError(f"sensor config has unknown keys: {unknown}")
+
+        def number(key: str, cast=float):
+            try:
+                return cast(d[key])
+            except (TypeError, ValueError, OverflowError):
+                message = f"sensor config {key} is not a number: {d[key]!r}"
+                raise ValueError(message) from None
+
         return cls(
             name=str(d["name"]),
-            eta=float(d["eta"]),
-            zeta=float(d["zeta"]),
-            sigma_t=float(d["sigma_t_electrons"]),
-            offset=float(d["offset_electrons"]),
-            full_well=float(d["full_well_electrons"]),
-            bit_depth=int(d["bit_depth"]),
+            eta=number("eta"),
+            zeta=number("zeta"),
+            sigma_t=number("sigma_t_electrons"),
+            offset=number("offset_electrons"),
+            full_well=number("full_well_electrons"),
+            bit_depth=number("bit_depth", int),
         )
 
 
@@ -148,7 +160,10 @@ def load_sensor_config(path: str) -> SensorConfig:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    return SensorConfig.from_dict(data)
+    try:
+        return SensorConfig.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # Canonical presets: a cooled 16-bit astronomy CCD and a 10-bit phone

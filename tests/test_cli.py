@@ -23,7 +23,7 @@ from camrng.extractor import (
     load_matrix,
 )
 from camrng.ingest import read_pgm, read_raw, read_sidecar, write_pgm
-from camrng.sensor import Frame
+from camrng.sensor import PRESETS, Frame
 
 
 def sha(path) -> str:
@@ -98,12 +98,11 @@ def test_simulate_summary_is_exact(tmp_path, capsys, n_frames):
     assert stack["variance_code"] == float(variance)
 
 
-def test_simulate_summary_totals_do_not_wrap(monkeypatch):
+def test_simulate_summary_totals_do_not_wrap():
     # One frame of four pixels whose squared codes add up past 2**63.
     codes = [2**31, 2**31 - 7, 1, 2**30]
     s1 = np.array(codes, dtype=np.int64).reshape(2, 2)
-    monkeypatch.setattr(camrng.cli, "code_sums", lambda frames: (1, None, s1, s1 * s1))
-    mean, variance = camrng.cli._stack_summary([])
+    mean, variance = camrng.cli._stack_summary(1, s1, s1 * s1)
     exact_mean = Fraction(sum(codes), 4)
     assert mean == float(exact_mean)
     assert variance == float(sum((c - exact_mean) ** 2 for c in codes) / 3)
@@ -116,6 +115,39 @@ def test_simulate_rejects_zero_frames(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+def test_simulate_config_file_equals_its_preset(tmp_path):
+    config = tmp_path / "n9.json"
+    config.write_text(json.dumps(PRESETS["nokia-n9"].to_dict()))
+    for sensor in (("--preset", "nokia-n9"), ("--config", config)):
+        assert run("simulate", *sensor, "--nbar", "410", "--frames", "2", "--width", "16",
+                   "--height", "8", "--seed", "5", "--out", tmp_path / sensor[0][2:]) == 0
+    for name in ("frame_0000.pgm", "frame_0001.pgm"):
+        assert sha(tmp_path / "config" / name) == sha(tmp_path / "preset" / name)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("sigma_t_electrons", float("nan"), "sigma_t must be finite"),
+        ("offset_electrons", float("inf"), "offset must be finite"),
+        ("zeta", float("nan"), "zeta must be finite"),
+        ("full_well_electrons", float("nan"), "full_well must be finite"),
+        ("eta", None, "eta is not a number"),
+        ("bit_depth", float("inf"), "bit_depth is not a number"),
+    ],
+)
+def test_simulate_config_with_a_bad_number_is_a_runtime_failure(
+    tmp_path, capsys, key, value, message
+):
+    config = tmp_path / "sensor.json"
+    config.write_text(json.dumps({**PRESETS["nokia-n9"].to_dict(), key: value}))
+    out = tmp_path / "x"
+    assert run("simulate", "--config", config, "--nbar", "410", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ") and message in err
+    assert not out.exists()
 
 
 def test_entropy_json(capsys):
@@ -558,6 +590,25 @@ def test_characterize_sweep_manifest(tmp_path, capsys):
     assert len(doc["fano_points"]) == 3
 
 
+def test_characterize_sweep_skips_a_point_without_a_fano_factor(tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    assert run(
+        "simulate", "--preset", "atik383l", "--sweep", "0,200,600,1800",
+        "--frames", "4", "--width", "16", "--height", "16", "--seed", "2",
+        "--out", sweep_dir,
+    ) == 0
+    capsys.readouterr()
+    assert run(
+        "characterize", "--preset", "atik383l", "--manifest", sweep_dir / "manifest.json",
+        "--out", tmp_path / "c", "--json",
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (skipped,) = doc["skipped_points"]
+    assert skipped["n_bar"] == 0.0
+    assert "Fano undefined" in skipped["reason"]
+    assert [p["n_bar"] for p in doc["fano_points"]] == [200.0, 600.0, 1800.0]
+
+
 def _count_calls(monkeypatch, module, name, calls):
     real = getattr(module, name)
 
@@ -683,6 +734,9 @@ def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
         (("extract", "--preset", "nokia-n9", "f.pgm", "--matrix-seed", "00" * 31,
           "--out", "o.bin"), "32 bytes"),
         (("test", "in.bin", "--bits", "8001"), "exceeds"),
+        (("plan", "--s", "0.5", "--l", "100", "--k", "100"), "need k < l"),
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--l", "100", "--k", "100",
+          "--out", "o.bin"), "need k < l"),
     ],
 )
 def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
@@ -692,6 +746,36 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
     _write_frames(tmp_path, [np.full((4, 4), 800)], 10)[0].rename(tmp_path / "f.pgm")
     assert run(*argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,doc,argv",
+    [
+        ("mask.json", {"width": 4, "height": 4, "flagged": {"99,99": "hot"}},
+         ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", {"width": 4, "height": 4, "flagged": {"-1,0": "hot"}},
+         ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", {"width": 4, "flagged": {}},
+         ("extract", "f.pgm", "--mask", "mask.json")),
+        ("m.json", {"command": "simulate"}, ("characterize", "--manifest", "m.json")),
+        ("m.json", {"stacks": [{"n_bar": 10.0}]}, ("characterize", "--manifest", "m.json")),
+        ("f.raw.json", {"n_bar": 10.0}, ("extract", "f.raw")),
+        ("f.raw.json", {"header": {"format": "raw16le", "height": 4, "bit_depth": 10}},
+         ("extract", "f.raw")),
+    ],
+    ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
+         "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width"],
+)
+def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
+    tmp_path, monkeypatch, capsys, name, doc, argv
+):
+    monkeypatch.chdir(tmp_path)
+    _write_frames(tmp_path, [np.full((4, 4), 800)], 10)[0].rename(tmp_path / "f.pgm")
+    (tmp_path / "f.raw").write_bytes(b"\x00" * 32)
+    (tmp_path / name).write_text(json.dumps(doc))
+    rc = run(argv[0], "--preset", "nokia-n9", *argv[1:], "--out", "out")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
 
 
 def test_extract_rejects_k_that_differs_from_matrix_file(tmp_path, capsys):
@@ -825,6 +909,53 @@ def test_streamed_extract_equals_whole_stream_oracle(
     }
     if (l, k) == (2000, 333):
         assert want.bits.n_bits % 8 != 0
+
+
+@pytest.mark.parametrize("inputs", ["pgm", "masked", "raw16le"])
+def test_extract_reports_the_exact_moments_of_the_usable_codes(stacks, tmp_path, capsys,
+                                                               inputs):
+    paths, extra, frames, mask = stacks[inputs]
+    assert run("extract", "--preset", "nokia-n9", *paths, *extra, "--l", 777, "--k", 200,
+               "--out", tmp_path / "o.bin", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    codes = [int(c) for f in frames
+             for c in (f.codes if mask is None else f.codes[mask.flags]).ravel()]
+    n = len(codes)
+    mean = Fraction(sum(codes), n)
+    assert n == len(frames) * (STACK_W * STACK_H - (0 if mask is None else 3))
+    assert doc["mean_code"] == float(mean)
+    assert doc["variance_code"] == float(sum((c - mean) ** 2 for c in codes) / (n - 1))
+    sensor = PRESETS["nokia-n9"]
+    assert doc["estimated_n_bar"] == doc["mean_code"] / sensor.zeta - sensor.offset
+
+
+def test_extract_sums_the_stack_once_and_exports_each_batch(stacks, tmp_path, monkeypatch):
+    paths, _, frames, _ = stacks["pgm"]
+    monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", 8)
+    monkeypatch.setenv("QRNG_THREADS", "2")
+    calls: dict = {}
+    for name in ("code_sums", "extract", "export_stream"):
+        _count_calls(monkeypatch, camrng.cli, name, calls)
+    assert run("extract", "--preset", "nokia-n9", *paths, "--l", 777, "--k", 200,
+               "--out", tmp_path / "o.bin") == 0
+    assert len(calls["code_sums"]) == 1
+    assert len(calls["extract"]) == math.ceil(len(frames) * STACK_W * STACK_H * 10 // 777 / 16)
+    assert len(calls["export_stream"]) == len(calls["extract"])
+
+
+def test_extract_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    frames = _write_frames(
+        tmp_path / "f",
+        [rng.integers(700, 900, (32, 32)), rng.integers(700, 900, (32, 16))],
+        10,
+    )
+    out = tmp_path / "o.bin"
+    rc = run("extract", "--preset", "nokia-n9", *frames, "--l", 200, "--k", 10,
+             "--out", out)
+    assert rc == 1
+    assert "frame stack mismatch" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from camrng import stattests
+from camrng import bitstream, stattests
 from camrng.bitstream import BitString
 from camrng.sensor import get_preset, simulate_frame
 from camrng.stattests import (
@@ -185,6 +185,29 @@ def test_battery_deterministic_and_serializable():
         "monobit", "block-frequency", "runs", "serial-correlation", "byte-entropy",
     }
     assert all(0.0 <= r.p_value <= 1.0 for r in a.results)
+
+
+def test_battery_popcounts_the_stream_once(monkeypatch):
+    # monobit, runs and serial correlation all read the number of ones;
+    # count_ones keeps its first result, so they share one popcount.
+    rng = np.random.default_rng(16)
+    bits = BitString.from_bits01(rng.integers(0, 2, size=200_003, dtype=np.uint8))
+    popcounted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def bitwise_count(a, *args, **kwargs):
+            popcounted.append(a.nbytes)
+            return np.bitwise_count(a, *args, **kwargs)
+
+    monkeypatch.setattr(bitstream, "np", CountingNumpy())
+    run_battery(bits)
+    assert sum(popcounted) == bits.packed.size
+    assert bits.count_ones() == int(np.unpackbits(bits.packed).sum())
+    assert sum(popcounted) == bits.packed.size  # the cached count, not a second popcount
 
 
 def test_battery_passes_ideal_input():
