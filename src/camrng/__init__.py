@@ -26,7 +26,6 @@ from .entropy import (
     entropy_report,
     epsilon_bound,
     plan_extractor,
-    poisson_entropy_asymptotic,
     poisson_entropy_exact,
 )
 from .extractor import (
@@ -46,7 +45,6 @@ from .ingest import (
     read_sidecar,
     sidecar_path,
     write_pgm,
-    write_raw,
     write_sidecar,
 )
 from .sensor import (
@@ -112,7 +110,6 @@ __all__ = [
     "monobit_test",
     "pixel_stats",
     "plan_extractor",
-    "poisson_entropy_asymptotic",
     "poisson_entropy_exact",
     "read_pgm",
     "read_raw",
@@ -127,6 +124,5 @@ __all__ = [
     "simulate_stack",
     "worker_count",
     "write_pgm",
-    "write_raw",
     "write_sidecar",
 ]

@@ -137,12 +137,10 @@ class FanoPoint:
     n_frames: int
 
 
-def fano_factor(
-    stats: PixelStats, config: SensorConfig, mask: "PixelMask | None" = None
-) -> FanoPoint:
+def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
     """Measure the Fano factor of a constant-illumination stack.
 
-    Per-pixel temporal means and variances are averaged over usable
+    Per-pixel temporal means and variances are averaged over all
     pixels, then F = Var(c) / (zeta * (mean(c) - zeta*offset)).  The
     offset enters in code units (zeta * offset) so that a clamp-free
     Poisson+Gaussian signal gives F = 1 + sigma_t**2 / n_bar and a pure
@@ -151,7 +149,6 @@ def fano_factor(
     Args:
         stats: pixel_stats of >= 2 frames at fixed illumination.
         config: supplies zeta and offset.
-        mask: optional PixelMask restricting which pixels count.
 
     Returns:
         FanoPoint.
@@ -161,19 +158,8 @@ def fano_factor(
             undefined there), or zero temporal variance (degenerate
             stack, e.g. identical frames).
     """
-    if mask is not None:
-        if mask.flags.shape != stats.mean.shape:
-            raise ValueError(
-                f"mask geometry {mask.flags.shape} does not match frames "
-                f"{stats.mean.shape}"
-            )
-        sel = mask.flags
-        if not sel.any():
-            raise ValueError("mask excludes every pixel")
-    else:
-        sel = slice(None)
-    mean_code = float(np.mean(stats.mean[sel]))
-    variance_code = float(np.mean(stats.variance[sel]))
+    mean_code = float(np.mean(stats.mean))
+    variance_code = float(np.mean(stats.variance))
 
     pedestal = config.zeta * config.offset
     if mean_code <= pedestal:

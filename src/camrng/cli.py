@@ -35,7 +35,7 @@ from .characterize import (
     PixelMask,
     PixelStats,
 )
-from .entropy import entropy_report, epsilon_bound, plan_extractor
+from .entropy import _MAX_N_BAR, entropy_report, epsilon_bound, plan_extractor
 from .extractor import (
     DEFAULT_K,
     DEFAULT_L,
@@ -82,10 +82,22 @@ class UsageError(Exception):
     """Invalid invocation; maps to exit code 2."""
 
 
+def _json(doc: dict) -> str:
+    """doc as strict JSON: a NaN or infinity raises ValueError, never `NaN`."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """Write doc to path, serialized before the file is opened."""
+    text = _json(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(args: argparse.Namespace, summary: dict, text_lines: list[str]) -> None:
     """Print the human or machine form of a command summary."""
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(_json(summary))
     else:
         for line in text_lines:
             print(line)
@@ -115,6 +127,8 @@ def _number(cast, bound: str, ok):
 
 _COUNT = _number(int, ">= 1", lambda v: v >= 1)
 _NBAR = _number(float, ">= 0", lambda v: v >= 0)
+# The range over which the Poisson entropy is computed.
+_ENTROPY_NBAR = _number(float, "in [0, 1e6]", lambda v: 0 <= v <= _MAX_N_BAR)
 _BIT_DEPTH = _number(int, "in 1..16", lambda v: 1 <= v <= 16)
 
 
@@ -154,17 +168,18 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
     return 1.0 + config.sigma_t**2 / absorbed
 
 
-def _stack_summary(n_frames: int, s1, s2) -> tuple[float, float]:
+def _stack_summary(n_frames: int, s1, s2) -> tuple[float, float | None]:
     """Mean and sample variance of a stack's codes, correctly rounded.
 
     s1, s2 are code_sums' per-pixel sums over n_frames frames, of the
-    pixels that count; their totals are exact Python integers.
+    pixels that count; their totals are exact Python integers.  The
+    variance is None for fewer than 2 codes.
     """
     n = n_frames * s1.size
     t1 = int(s1.sum())
     # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
     t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
-    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else float("nan")
+    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
     return t1 / n, var
 
 
@@ -240,7 +255,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pf = manifest_entries[-1]["predicted_fano"]
         text.append(
             f"n_bar={n_bar:g}: {args.frames} frame(s) "
-            f"{args.width}x{args.height}, mean={mean:.2f} var={var:.2f} "
+            f"{args.width}x{args.height}, mean={mean:.2f} "
+            f"var={'n/a' if var is None else f'{var:.2f}'} "
             f"predicted_fano={'n/a' if pf is None else f'{pf:.4f}'}"
         )
 
@@ -254,8 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.sweep:
         manifest_path = os.path.join(out_dir, "manifest.json")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
+        _write_json(manifest_path, summary)
         text.append(f"sweep manifest: {manifest_path}")
     _emit(args, summary, text)
     return EXIT_OK
@@ -302,7 +317,10 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         report.update(
             {
                 "fitted_zeta": ptc.fitted_zeta,
-                "fit_residual": ptc.fit_residual,
+                # A point of zero variance leaves the relative residual infinite.
+                "fit_residual": (
+                    ptc.fit_residual if np.isfinite(ptc.fit_residual) else None
+                ),
                 "operating_region": list(region) if region else None,
                 "fano_tolerance": args.tolerance,
                 "fano_points": [
@@ -364,8 +382,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             text.append("pixel mask skipped (needs >= 10 frames)")
 
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(report_path, report)
     text.append(f"report: {report_path}")
     _emit(args, report, text)
     return EXIT_OK
@@ -378,7 +395,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         args,
         summary,
         [
-            f"H = {rep.h_quantum:.6f} bits per sample ({rep.method})",
+            f"H = {rep.h_quantum:.6f} bits per sample",
             f"s = {rep.s:.6f} entropy per raw bit at {rep.bit_depth}-bit depth",
         ],
     )
@@ -698,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "entropy", parents=[common], help="per-sample quantum entropy report"
     )
-    p.add_argument("--nbar", type=_NBAR, required=True)
+    p.add_argument("--nbar", type=_ENTROPY_NBAR, required=True)
     p.add_argument("--bits", type=_BIT_DEPTH, required=True, help="ADC bit depth")
     p.set_defaults(func=cmd_entropy)
 
@@ -709,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", type=_number(float, "in (0, 1]", lambda v: 0 < v <= 1),
         help="entropy per raw bit (0, 1]",
     )
-    p.add_argument("--nbar", type=_NBAR, help="compute s from this intensity...")
+    p.add_argument("--nbar", type=_ENTROPY_NBAR, help="compute s from this intensity...")
     p.add_argument("--bits", type=_BIT_DEPTH, help="...at this bit depth")
     p.add_argument("--l", type=_COUNT, default=DEFAULT_L)
     p.add_argument("--k", type=_COUNT, help="evaluate the bound for this k")

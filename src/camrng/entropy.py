@@ -3,14 +3,12 @@
 A pixel that resolves single photoelectrons measures a Poisson random
 variable with mean n_bar.  Its Shannon entropy
 
-    H = (n_bar/ln 2)(1 - ln n_bar) + (e^-n_bar/ln 2) * sum_m n_bar^m ln(m!)/m!
+    H = -sum_m p(m) log2 p(m),    p(m) = e^-n_bar n_bar^m / m!
 
 quantifies the quantum randomness available per pixel per frame, in
-bits.  For large n_bar the distribution is effectively Gaussian and
-
-    H ~= log2(2 pi e n_bar) / 2
-
-is accurate to well under a millibit beyond a few hundred photons.
+bits.  It is summed directly, with every weight taken relative to the
+most likely count, so no two large terms cancel and one path is
+accurate from subnormal means up to n_bar = 1e6.
 
 The second half of this module turns an entropy estimate into extractor
 dimensions: an (l, k) parity extractor applied to raw blocks carrying
@@ -28,10 +26,6 @@ from numbers import Rational
 
 import numpy as np
 
-# entropy_report switches from the series to the asymptotic form here;
-# at this point the two agree to about 1.2e-4 bits.
-_EXACT_CUTOFF = 1000.0
-
 # poisson_entropy_exact supports means up to this value.
 _MAX_N_BAR = 1.0e6
 
@@ -39,12 +33,17 @@ _LN2 = math.log(2.0)
 
 
 def poisson_entropy_exact(n_bar: float) -> float:
-    """Shannon entropy (bits) of a Poisson(n_bar) variable, by series.
+    """Shannon entropy (bits) of a Poisson(n_bar) variable.
 
-    The probability weights are evaluated in the log domain with a
-    cumulative log-factorial table, so no term over- or underflows, and
-    the series is truncated where the neglected tail mass is below
-    1e-15 on each side.
+    Weights are taken relative to the mode m0 = floor(n_bar):
+    log w(m) = log(p(m)/p(m0)) is a running sum of log(n_bar/j) outward
+    from m0, so every term is small and nothing cancels.  With the
+    off-mode mass rest = sum w(m != m0) and Z = 1 + rest,
+
+        H = (log(Z) - sum w log w / Z) / ln 2.
+
+    The sum covers +-12 sigma, which holds all but ~1e-33 of the mass;
+    weights below e^-800 are dropped, so no 0 * -inf arises.
 
     Args:
         n_bar: mean count, 0 <= n_bar <= 1e6.
@@ -52,40 +51,27 @@ def poisson_entropy_exact(n_bar: float) -> float:
     Returns:
         Entropy in bits; exactly 0.0 for n_bar = 0.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-    if n_bar > _MAX_N_BAR:
-        raise ValueError(f"n_bar={n_bar} exceeds supported range {_MAX_N_BAR:g}")
+    if not 0 <= n_bar <= _MAX_N_BAR:
+        raise ValueError(f"n_bar must be in [0, {_MAX_N_BAR:g}], got {n_bar}")
     if n_bar == 0:
         return 0.0
 
-    # A +-12 sigma window holds all but ~1e-33 of the mass; the +10
-    # floor keeps small means covered.
+    # The +10 floor keeps small means covered.
     half_width = 12.0 * math.sqrt(n_bar) + 10.0
     lo = max(0, int(n_bar - half_width))
     hi = int(math.ceil(n_bar + half_width))
-
-    log_fact = np.concatenate(
-        [[0.0], np.cumsum(np.log(np.arange(1.0, hi + 1.0)))]
+    below = math.floor(n_bar) - lo
+    # step[i] = log(p(j)/p(j-1)) for j = lo+1+i; n_bar/j underflows to 0
+    # for subnormal n_bar, and its -inf weight is dropped below.
+    with np.errstate(divide="ignore"):
+        step = np.log(n_bar / np.arange(lo + 1.0, hi + 1.0))
+    log_w = np.concatenate(
+        [-np.cumsum(step[:below][::-1]), np.cumsum(step[below:])]
     )
-    m = np.arange(lo, hi + 1)
-    lf = log_fact[lo : hi + 1]
-    log_p = -n_bar + m * math.log(n_bar) - lf
-    p = np.exp(log_p)
-
-    series = float(np.dot(p, lf))
-    return (n_bar / _LN2) * (1.0 - math.log(n_bar)) + series / _LN2
-
-
-def poisson_entropy_asymptotic(n_bar: float) -> float:
-    """Gaussian-limit entropy (bits) of a Poisson(n_bar) variable.
-
-    H = ln(2 pi e n_bar) / (2 ln 2).  Only meaningful for large n_bar;
-    it crosses zero at n_bar = 1/(2 pi e) and goes negative below.
-    """
-    if n_bar <= 0:
-        raise ValueError(f"asymptotic entropy needs n_bar > 0, got {n_bar}")
-    return math.log(2.0 * math.pi * math.e * n_bar) / (2.0 * _LN2)
+    log_w = log_w[log_w > -800.0]
+    w = np.exp(log_w)
+    rest = float(w.sum())
+    return (math.log1p(rest) - float(np.dot(w, log_w)) / (1.0 + rest)) / _LN2
 
 
 @dataclass(frozen=True)
@@ -97,14 +83,12 @@ class EntropyReport:
         bit_depth: ADC bits per raw sample.
         h_quantum: Poisson entropy per pixel, bits.
         s: entropy per raw bit, h_quantum / bit_depth.
-        method: "exact-series" or "asymptotic".
     """
 
     n_bar: float
     bit_depth: int
     h_quantum: float
     s: float
-    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -112,39 +96,26 @@ class EntropyReport:
             "bit_depth": self.bit_depth,
             "h_quantum_bits": self.h_quantum,
             "s_bits_per_raw_bit": self.s,
-            "method": self.method,
         }
 
 
 def entropy_report(n_bar: float, bit_depth: int) -> EntropyReport:
     """Quantum entropy of one pixel readout and its per-raw-bit rate.
 
-    Uses the exact series up to n_bar = 1000 and the asymptotic form
-    above, where the two agree to ~1e-4 bits.
+    h_quantum is poisson_entropy_exact(n_bar), the one entropy path.
 
     Args:
-        n_bar: mean absorbed photons per pixel, >= 0.
+        n_bar: mean absorbed photons per pixel, 0 <= n_bar <= 1e6.
         bit_depth: ADC width the raw stream is serialized at, 1..16.
 
     Returns:
         EntropyReport; s < 1 whenever h_quantum < bit_depth.
     """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
     if not 1 <= bit_depth <= 16:
         raise ValueError(f"bit_depth must be in 1..16, got {bit_depth}")
-    if n_bar <= _EXACT_CUTOFF:
-        h = poisson_entropy_exact(n_bar)
-        method = "exact-series"
-    else:
-        h = poisson_entropy_asymptotic(n_bar)
-        method = "asymptotic"
+    h = poisson_entropy_exact(n_bar)
     return EntropyReport(
-        n_bar=n_bar,
-        bit_depth=bit_depth,
-        h_quantum=h,
-        s=h / bit_depth,
-        method=method,
+        n_bar=n_bar, bit_depth=bit_depth, h_quantum=h, s=h / bit_depth
     )
 
 

@@ -223,31 +223,6 @@ def raw_payload(frame: Frame, header: FrameFileHeader) -> bytes:
     return frame.codes.astype(dtype).tobytes()
 
 
-def write_raw(frames: list[Frame], header: FrameFileHeader, path: str) -> None:
-    """Write frames as a headerless raw dump matching `header`."""
-    if len(frames) != header.frame_count:
-        raise ValueError(
-            f"header declares {header.frame_count} frames, got {len(frames)}"
-        )
-    limit = (1 << header.bit_depth) - 1
-    for f in frames:
-        if (f.width, f.height) != (header.width, header.height):
-            raise ValueError(
-                f"frame {f.width}x{f.height} does not match header "
-                f"{header.width}x{header.height}"
-            )
-        if f.codes.size and int(f.codes.max()) > limit:
-            raise ValueError(
-                f"frame codes exceed declared {header.bit_depth}-bit range"
-            )
-    try:
-        with open(path, "wb") as fh:
-            for f in frames:
-                fh.write(raw_payload(f, header))
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # Sidecar metadata
 # ----------------------------------------------------------------------

@@ -95,22 +95,6 @@ def test_fano_factor_requires_signal_above_pedestal():
         fano_factor(pixel_stats(stack), cfg)
 
 
-def test_fano_factor_mask():
-    cfg = SensorConfig(
-        name="m", eta=1.0, zeta=1.0, sigma_t=0.0, offset=0.0,
-        full_well=1000.0, bit_depth=10,
-    )
-    # second pixel is garbage; the mask must exclude it from the average
-    stack = [frame_of([[10, 500]]), frame_of([[14, 0]])]
-    mask = PixelMask(flags=np.array([[True, False]]), reasons={(0, 1): "hot"})
-    point = fano_factor(pixel_stats(stack), cfg, mask=mask)
-    assert point.mean_code == 12.0
-    assert point.variance_code == 8.0
-    all_masked = PixelMask(flags=np.array([[False, False]]), reasons={})
-    with pytest.raises(ValueError, match="mask"):
-        fano_factor(pixel_stats(stack), cfg, mask=all_masked)
-
-
 def test_estimate_zeta_exact_linear_fixture():
     # stacks engineered so variance = 4 * mean exactly => slope 4
     stacks = []

@@ -155,7 +155,55 @@ def test_entropy_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["h_quantum_bits"] == pytest.approx(6.3865, abs=1e-3)
     assert doc["s_bits_per_raw_bit"] == pytest.approx(0.6387, abs=1e-3)
-    assert doc["method"] == "exact-series"
+    assert "method" not in doc
+
+
+def test_entropy_covers_its_whole_range(capsys):
+    assert run("entropy", "--nbar", "1e6", "--bits", "16", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["h_quantum_bits"] == pytest.approx(12.012879749618081, rel=0, abs=1e-12)
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_simulate_json_of_a_single_code_is_strict_json(tmp_path, capsys):
+    argv = ("simulate", "--preset", "nokia-n9", "--nbar", "410", "--width", "1",
+            "--height", "1", "--frames", "1", "--out", tmp_path / "f")
+    assert run(*argv, "--json") == 0
+    (stack,) = _strict_json(capsys.readouterr().out)["stacks"]
+    assert stack["variance_code"] is None
+    assert run(*argv) == 0
+    assert " var=n/a " in capsys.readouterr().out
+
+
+def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(camrng.cli, "_stack_summary", lambda *sums: (1.0, float("nan")))
+    out = tmp_path / "sweep"
+    rc = run("simulate", "--preset", "nokia-n9", "--sweep", "10,20", "--width", "2",
+             "--height", "2", "--out", out, "--json")
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    assert not (out / "manifest.json").exists()
+
+
+def test_characterize_report_with_a_saturated_point_is_strict_json(tmp_path, capsys):
+    # every code of the 600 e- stack sits at the rail: its variance is 0
+    out = tmp_path / "sweep"
+    assert run("simulate", "--preset", "nokia-n9", "--sweep", "10,100,200,400,450,600",
+               "--frames", "3", "--width", "16", "--height", "16", "--out", out) == 0
+    _strict_json((out / "manifest.json").read_text())
+    capsys.readouterr()
+    rc = run("characterize", "--preset", "nokia-n9", "--manifest", out / "manifest.json",
+             "--out", tmp_path / "rep", "--json")
+    assert rc == 0
+    printed = _strict_json(capsys.readouterr().out)
+    assert printed == _strict_json((tmp_path / "rep" / "report.json").read_text())
+    assert printed["fit_residual"] is None
 
 
 def test_plan_evaluates_worked_example(capsys):
@@ -209,6 +257,8 @@ def test_plan_flag_validation(capsys):
                     "--seed", str(2**64))),
         ("--sweep", ("simulate", "--preset", "nokia-n9", "--sweep", "2,nan", "--out", "x")),
         ("--sweep", ("simulate", "--preset", "nokia-n9", "--sweep", "2,abc", "--out", "x")),
+        ("--nbar", ("entropy", "--nbar", "2e6", "--bits", "16")),
+        ("--nbar", ("plan", "--nbar", "2e6", "--bits", "16", "--k", "10")),
     ],
 )
 def test_numeric_flags_outside_their_range_are_usage_errors(capsys, flag, argv):

@@ -11,7 +11,6 @@ from camrng.entropy import (
     entropy_report,
     epsilon_bound,
     plan_extractor,
-    poisson_entropy_asymptotic,
     poisson_entropy_exact,
 )
 
@@ -60,42 +59,52 @@ def test_exact_series_domain():
 
 
 def test_entropy_monotone_in_intensity():
-    grid = np.geomspace(0.01, 1000, 40)
+    grid = np.geomspace(0.01, 1e6, 60)
     values = [poisson_entropy_exact(x) for x in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_asymptotic_formula():
-    # 0.5*log2(2*pi*e*n) recomputed from first principles
-    for n_bar in (10.0, 410.0, 1.5e4):
-        want = 0.5 * math.log2(2.0 * math.pi * math.e * n_bar)
-        assert poisson_entropy_asymptotic(n_bar) == pytest.approx(want, rel=1e-14)
-    # the formula's zero crossing
-    assert poisson_entropy_asymptotic(1.0 / (2.0 * math.pi * math.e)) == (
-        pytest.approx(0.0, abs=1e-12)
-    )
+# -sum p log2 p summed to 50 digits (mpmath) over +-14 sigma
+REFERENCE_H = {
+    0.1: 0.48139414811105231262,
+    1.0: 1.8824894320455294311,
+    10.0: 3.6953334113048321313,
+    410.0: 6.3865420455250202346,
+    1000.0: 7.0298674427363454697,
+    1000.1: 7.0299395859151928704,
+    4000.0: 8.0299576676067907452,
+    1e5: 10.351914620147168259,
+    1e6: 12.012879749618081293,
+}
+
+# below n_bar ~ 1e-8 the entropy itself is far under 1e-12 bits
+REFERENCE_H_TINY = {
+    1e-8: 2.8018119804987862739e-7,
+    1e-300: 9.9802112350709769274e-298,
+}
 
 
-def test_asymptotic_domain():
-    with pytest.raises(ValueError):
-        poisson_entropy_asymptotic(0.0)
-    with pytest.raises(ValueError):
-        poisson_entropy_asymptotic(-5.0)
+@pytest.mark.parametrize("n_bar,h", sorted(REFERENCE_H.items()))
+def test_exact_against_high_precision_reference(n_bar, h):
+    assert poisson_entropy_exact(n_bar) == pytest.approx(h, rel=0, abs=1e-12)
 
 
-def test_exact_approaches_asymptotic():
-    for n_bar in np.linspace(500, 1000, 11):
-        gap = abs(poisson_entropy_exact(n_bar) - poisson_entropy_asymptotic(n_bar))
-        assert gap < 1e-3
+@pytest.mark.parametrize("n_bar,h", sorted(REFERENCE_H_TINY.items()))
+def test_exact_against_high_precision_reference_at_tiny_means(n_bar, h):
+    assert poisson_entropy_exact(n_bar) == pytest.approx(h, rel=1e-12, abs=0)
 
 
-def test_report_method_switch():
-    low = entropy_report(1000.0, 10)
-    high = entropy_report(1000.1, 10)
-    assert low.method == "exact-series"
-    assert high.method == "asymptotic"
-    assert low.h_quantum == poisson_entropy_exact(1000.0)
-    assert high.h_quantum == poisson_entropy_asymptotic(1000.1)
+def test_exact_is_smooth_at_one_ulp():
+    # a masked nokia-n9 estimate of extract; dH/dn_bar is ~1.8e-3 bits
+    # there, so a one-ulp step (5.7e-14) moves the true H by ~1e-16
+    n_bar = 410.00123882936066
+    step = poisson_entropy_exact(np.nextafter(n_bar, np.inf)) - poisson_entropy_exact(n_bar)
+    assert abs(step) < 1e-12
+
+
+def test_exact_at_the_smallest_subnormal_mean():
+    h = poisson_entropy_exact(5e-324)
+    assert math.isfinite(h) and h >= 0.0
 
 
 def test_report_entropy_fraction():
@@ -104,7 +113,7 @@ def test_report_entropy_fraction():
     assert rep.bit_depth == 10
     d = rep.to_dict()
     assert d["n_bar"] == 410.0
-    assert d["method"] == "exact-series"
+    assert d["h_quantum_bits"] == rep.h_quantum
 
 
 def test_report_rejects_bad_bit_depth():
