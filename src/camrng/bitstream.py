@@ -11,7 +11,9 @@ the earliest bit; see :meth:`BitString.msb_chunks`.  Converting between
 the two mirrors the bit order of every byte.  That runs on 64-bit words,
 by three mask-shift-or swaps (adjacent bits, bit pairs, nibbles) that
 never cross a byte, so bytes never go through a per-byte table lookup
-except the few past the last whole word.
+except the few past the last whole word.  The test battery reads
+MSB-first bytes as they are: `camrng test` converts nothing, and a
+BitString handed to the battery is converted once, by msb_chunks.
 """
 
 from __future__ import annotations

@@ -188,7 +188,9 @@ class PhotonTransferCurve:
     Attributes:
         points: (mean_code, variance_code) per swept intensity.
         fitted_zeta: slope of the fit, in codes per electron.
-        fit_residual: relative RMS of variance residuals.
+        fit_residual: relative RMS of variance residuals; inf when a
+            point's variance is 0 (a saturated or constant stack), which
+            has no relative residual.
     """
 
     points: list[tuple[float, float]]
@@ -228,7 +230,10 @@ def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
         raise ValueError("mean codes identical across sweep; slope is undefined")
     slope, intercept = np.polyfit(means, variances, 1)
     predicted = slope * means + intercept
-    fit_residual = float(np.sqrt(np.mean(((predicted - variances) / variances) ** 2)))
+    if np.any(variances == 0):
+        fit_residual = float("inf")
+    else:
+        fit_residual = float(np.sqrt(np.mean(((predicted - variances) / variances) ** 2)))
     if slope <= 0:
         raise ValueError(f"fitted slope {slope:.4g} is not positive; sweep "
                          "is outside the shot-noise-limited region")

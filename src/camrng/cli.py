@@ -610,30 +610,58 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Bytes per read of `camrng test`, which never holds its input whole.
+_READ_BYTES = 1 << 20
+
+
 def cmd_test(args: argparse.Namespace) -> int:
     # --bits N needs only the first ceil(N/8) bytes.  A buffered read
     # returns short only at end of file, so it also works on a pipe.
-    size = -1 if args.bits is None else (args.bits + 7) // 8
-    try:
-        with open(args.input, "rb") as fh:
-            data = fh.read(size)
-    except OSError as exc:
-        raise OSError(f"reading {args.input}: {exc}") from exc
-    if args.bits is not None and args.bits > 8 * len(data):
-        raise UsageError(
-            f"--bits {args.bits} exceeds the {8 * len(data)} bits in the file"
-        )
-    bits = BitString.from_msb_bytes(data, args.bits)
-    del data  # the battery and export read only the packed copy
+    n_bytes = None if args.bits is None else (args.bits + 7) // 8
+    reading, writing = f"reading {args.input}", f"writing {args.export}"
 
-    report = run_battery(
-        bits, alpha=args.alpha, block_size=args.block_size, max_lag=args.max_lag
-    )
-    if args.export:
-        # Only a complete export replaces the file.
-        with _part_file(args.export) as tmp_path:
-            export_stream(bits, tmp_path)
-            os.replace(tmp_path, args.export)
+    def named(what, op, *op_args):
+        """op(*op_args), naming the file in any OSError it raises."""
+        try:
+            return op(*op_args)
+        except OSError as exc:
+            raise OSError(f"{what}: {exc}") from exc
+
+    def chunks(fh, out):
+        """fh's bytes as tested and exported: under --bits, n_bytes, the last masked."""
+        buf = np.empty(_READ_BYTES, np.uint8)
+        read = 0
+        while n_bytes is None or read < n_bytes:
+            size = _READ_BYTES if n_bytes is None else min(_READ_BYTES, n_bytes - read)
+            k = named(reading, fh.readinto, memoryview(buf)[:size])
+            if not k:
+                break
+            read += k
+            chunk = buf[:k]
+            if read == n_bytes and args.bits % 8:
+                chunk[-1] &= 0xFF00 >> args.bits % 8 & 0xFF
+            if out is not None:
+                named(writing, out.write, chunk)
+            yield chunk
+        if n_bytes is not None and read < n_bytes:
+            raise UsageError(
+                f"--bits {args.bits} exceeds the {8 * read} bits in the file"
+            )
+
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(named(reading, open, args.input, "rb"))
+        out = None
+        if args.export:
+            # Only a complete export replaces the file.
+            tmp_path = stack.enter_context(_part_file(args.export))
+            out = stack.enter_context(named(writing, open, tmp_path, "wb"))
+        report = run_battery(
+            chunks(fh, out), alpha=args.alpha, block_size=args.block_size,
+            max_lag=args.max_lag, n_bits=args.bits,
+        )
+        if out is not None:
+            named(writing, out.close)
+            named(writing, os.replace, tmp_path, args.export)
 
     text = [f"{report.n_bits} bits, alpha = {report.alpha:g}"]
     for r in report.results:

@@ -5,12 +5,23 @@ correlation, byte entropy) gates pipeline output without external
 tooling; export_stream produces the MSB-first byte stream that external
 batteries (dieharder, NIST SP 800-22 suites) consume.
 
-Every statistic is an integer count taken on the packed stream, never on
-one byte per bit: ones by popcount, ones per block from a per-word
-popcount prefix sum, bit transitions and (1,1) pairs at lag tau by
-popcounts of the stream XORed or ANDed with itself shifted by tau words
-and bits, and the byte histogram by a 65536-bin bincount of the packed
-bytes taken two at a time, folded to 256 bins.
+Every statistic is scored from integer counts that add up over chunks,
+folded in one pass over the stream's MSB-first bytes: the order of every
+file `camrng test` reads and of every file `--export` writes, so no bit
+is reversed on the way.  Each pass of _CHUNK_WORDS words is byteswapped
+once into native uint64 words, stream bit i at bit 63 - i % 64, and adds
+
+- the ones, by popcount, and the ones per block, carrying the open block;
+- the (1,1) pairs at lags 1..max_lag, by popcounts of the words ANDed
+  with themselves shifted by tau bits, carrying the words the longest
+  lag reaches past the pass;
+- the histogram of byte pairs, by a 65536-bin bincount of the bytes
+  taken two at a time, folded once to the byte histogram at the end;
+
+and the first and last max_lag bits are kept.  Runs follow from the
+lag-1 pairs.  A BitString is scored as the same fold over its
+msb_chunks(); a reader can feed the fold a file or pipe chunk by chunk
+through run_battery.
 
 Every p-value here is two-sided against the fair-coin null.  A stream
 "passes" a test when p >= alpha; with several tests at alpha = 0.01 an
@@ -22,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.special import erfc, gammaincc
 
-from .bitstream import _BIT_REVERSE, BitString
+from .bitstream import BitString
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_BLOCK_SIZE = 128
@@ -49,69 +60,238 @@ class TestOutcome(NamedTuple):
     note: str | None = None
 
 
-def _words(bits: BitString) -> np.ndarray:
-    """The stream as little-endian uint64 words, zero-padded to a whole word."""
-    packed = bits.packed
-    if packed.size % 8:
-        packed = np.concatenate([packed, np.zeros(-packed.size % 8, np.uint8)])
-    return packed.view("<u8")
+# _HIGH_MASKS[r] keeps the high r bits of a word: the first r stream bits.
+_HIGH_MASKS = ~(~np.uint64(0) >> np.arange(64, dtype=np.uint64))
 
-
-def _bit_slice(bits: BitString, start: int, stop: int) -> np.ndarray:
-    """Bits start..stop-1 as a 0/1 array, unpacking only the bytes they span."""
-    lo = start // 8
-    part = np.unpackbits(bits.packed[lo : (stop + 7) // 8], bitorder="little")
-    return part[start - 8 * lo : stop - 8 * lo]
-
-
-# _LOW_MASKS[r] keeps the low r bits of a word.
-_LOW_MASKS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
-
-# Words per pass of the chunked loops: 256 KiB of stream, so a pass's
-# temporaries stay in cache (in the lag loop, while every lag is applied).
+# Words per pass of the fold: 256 KiB of stream, so a pass's temporaries
+# stay in cache while every lag is applied.  A pass's popcounts, at most
+# 64 a word, are summed in 32 bits.
 _CHUNK_WORDS = 1 << 15
 
-# Byte pairs per pass of the byte histogram: 1 MiB of stream.  bincount
-# widens each pair to an intp, 4 MiB, and fills a fresh 65536-bin result
-# per pass, so fewer passes than the words loops pay off.
-_PAIRS_PER_PASS = 1 << 19
+
+def _msb_bits(words: np.ndarray) -> np.ndarray:
+    """The stream bits held in fold words, one uint8 0/1 per bit, in order."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8))
 
 
-def _lag_popcounts(bits: BitString, lags, combine) -> list[int]:
-    """Per lag tau, popcount of combine(x, x shifted down by tau bits).
+class _Counts(NamedTuple):
+    """Everything the battery scores, as folded from one stream."""
 
-    Bit i of the shifted stream is bit i + tau of x, and zero from bit
-    n - tau on, so with np.bitwise_and this counts the (1,1) pairs at
-    distance tau; with np.bitwise_xor it counts the differing pairs plus
-    the ones among the last tau bits.  Any tau >= 1 works, including
-    multiples of 64 and lags longer than a word.
+    n: int  # bits
+    ones: int
+    block_size: int
+    blocks: np.ndarray  # ones per full block
+    pairs: list[int]  # (1,1) pairs at lags 1..max_lag
+    head: np.ndarray  # the first min(n, max_lag) bits, 0/1
+    tail: np.ndarray  # the last min(n, max_lag) bits, 0/1
+    byte_counts: np.ndarray  # histogram of the n // 8 full bytes
+
+
+class _Fold:
+    """Battery counts, accumulated over chunks of an MSB-first byte stream.
+
+    update() takes chunks of any size and alignment, and keeps no
+    reference to one after it returns; finish() returns the _Counts.
+    With n_bits given, the chunks hold exactly ceil(n_bits / 8) bytes and
+    the bits past n_bits in the last one are 0; finish() checks both.
+
+    Chunks are regrouped into passes of _CHUNK_WORDS words.  A pass
+    whose look-ahead has not arrived keeps its last `hold` words: a lag
+    reaches max_lag // 64 + 1 words ahead, and ceil(max_lag / 64) + 1
+    words also hold the last max_lag bits wherever the stream ends.  The
+    stream's last byte always waits in the stage for finish(), so the
+    last pass knows where the stream's last block and full byte end.
     """
-    words = _words(bits)
-    n_words = words.size
-    reach = max(lags) // 64 + 1
-    size = min(_CHUNK_WORDS, n_words)
-    shifted = np.empty(size, np.uint64)
-    spill = np.empty(size, np.uint64)
-    counts = np.empty(size, np.uint8)
-    totals = [0] * len(lags)
-    for lo in range(0, n_words, _CHUNK_WORDS):
-        m = min(_CHUNK_WORDS, n_words - lo)
-        seg = words[lo : lo + m + reach]
-        if seg.size < m + reach:
-            seg = np.concatenate([seg, np.zeros(m + reach - seg.size, np.uint64)])
-        x, sh, sp, cnt = seg[:m], shifted[:m], spill[:m], counts[:m]
-        for idx, tau in enumerate(lags):
-            q, r = divmod(int(tau), 64)
+
+    def __init__(self, block_size: int, max_lag: int, n_bits: int | None = None):
+        self.block_size = block_size
+        self.max_lag = max_lag
+        self.n_bits = n_bits
+        self.hold = -(-max_lag // 64) + 1
+        size = _CHUNK_WORDS
+        # held words, one pass, then zeros for the last words' look-ahead
+        self.words = np.zeros(2 * self.hold + size, np.uint64)
+        self.held = 0
+        self.first_word = 0  # stream index of words[0]
+        self.stage = np.empty(8 * size, np.uint8)
+        self.staged = 0
+        self.n_bytes = 0
+        self.ones = 0
+        self.pairs = [0] * max_lag
+        self.head = np.zeros(self.hold, np.uint64)
+        self.head_filled = 0
+        self.blocks: list[np.ndarray] = []
+        self.open_block = 0  # ones so far in the block the last pass left open
+        self.block_dtype = (
+            np.uint8 if block_size < 1 << 8
+            else np.uint16 if block_size < 1 << 16
+            else np.int64
+        )
+        self.byte_pairs = np.zeros(1 << 16, np.int64)
+        self.odd_byte = None  # a last full byte past the pairs
+        self.shifted = np.empty(self.hold + size, np.uint64)
+        self.spill = np.empty(self.hold + size, np.uint64)
+        self.popcounts = np.empty(self.hold + size, np.uint8)
+
+    def update(self, chunk) -> None:
+        """Fold the next bytes of the stream (bytes, memoryview or uint8 array)."""
+        data = np.frombuffer(chunk, dtype=np.uint8)
+        self.n_bytes += data.size
+        size, pos = self.stage.size, 0
+        while pos < data.size:
+            if self.staged == size:  # more bytes follow, so this is not the last pass
+                self._pass(self.stage)
+                self.staged = 0
+            if not self.staged and data.size - pos > size:
+                self._pass(data[pos : pos + size])
+                pos += size
+                continue
+            take = min(size - self.staged, data.size - pos)
+            self.stage[self.staged : self.staged + take] = data[pos : pos + take]
+            self.staged += take
+            pos += take
+
+    def _pass(self, src: np.ndarray, n_full: int | None = None, end: int | None = None):
+        """Fold whole words of bytes src, of which the first n_full are stream bytes.
+
+        end, given on the last pass only, is the stream's length in bits.
+        """
+        m = src.size // 8
+        w, h = self.words, self.held
+        cur = w[h : h + m]
+        np.copyto(cur, src.view(">u8"))  # stream bit i at bit 63 - i % 64
+        # Counting bytes two at a time halves the elements bincount handles.
+        n_full = src.size if n_full is None else n_full
+        self.byte_pairs += np.bincount(
+            src[: n_full - n_full % 2].view("<u2"), minlength=1 << 16
+        )
+        if n_full % 2:
+            self.odd_byte = src[n_full - 1]
+        if self.head_filled < self.hold:
+            k = min(self.hold - self.head_filled, m)
+            self.head[self.head_filled : self.head_filled + k] = cur[:k]
+            self.head_filled += k
+
+        per_word = np.bitwise_count(cur)
+        ones = int(per_word.sum(dtype=np.uint32))
+        self.ones += ones
+        base = 64 * (self.first_word + h)  # stream index of cur's first bit
+        self._blocks(cur, per_word, ones, 64 * m if end is None else end - base, base)
+
+        total = h + m
+        done = total - self.hold
+        if done > 0:
+            self._pair(done)
+            w[: self.hold] = w[done:total]
+            self.first_word += done
+            self.held = self.hold
+        else:
+            self.held = total
+
+    def _blocks(self, cur, per_word, ones: int, stop: int, base: int) -> None:
+        """Append the ones of each block that ends in bits (0, stop] of pass cur."""
+        bs, m = self.block_size, cur.size
+        edges = np.arange((base // bs + 1) * bs - base, stop + 1, bs)
+        if not edges.size:
+            self.open_block += ones
+            return
+        # Ones from the pass's start to each edge: whole words by a prefix
+        # sum, then the edge word's first bits.
+        cum = np.zeros(m + 1, np.int64)
+        np.cumsum(per_word, dtype=np.int64, out=cum[1:])
+        idx = edges >> 6
+        part = cur[np.minimum(idx, m - 1)] & _HIGH_MASKS[edges & 63]
+        before = cum[idx] + np.bitwise_count(part)
+        counts = np.diff(before, prepend=0).astype(self.block_dtype)
+        rest = ones - int(before[-1])
+        counts[0] += self.open_block
+        self.blocks.append(counts)
+        self.open_block = rest
+
+    def _pair(self, done: int) -> None:
+        """Add the (1,1) pairs that start in words[:done] at every lag."""
+        w = self.words
+        x = w[:done]
+        sh, sp, cnt = self.shifted[:done], self.spill[:done], self.popcounts[:done]
+        for tau in range(1, self.max_lag + 1):
+            q, r = divmod(tau, 64)
             if r:
-                np.right_shift(seg[q : q + m], r, out=sh)
-                np.left_shift(seg[q + 1 : q + 1 + m], 64 - r, out=sp)
+                np.left_shift(w[q : q + done], r, out=sh)
+                np.right_shift(w[q + 1 : q + 1 + done], 64 - r, out=sp)
                 np.bitwise_or(sh, sp, out=sh)
-                combine(x, sh, out=sh)
+                np.bitwise_and(sh, x, out=sh)
             else:
-                combine(x, seg[q : q + m], out=sh)
+                np.bitwise_and(w[q : q + done], x, out=sh)
             np.bitwise_count(sh, out=cnt)
-            totals[idx] += int(cnt.sum())
-    return totals
+            self.pairs[tau - 1] += int(cnt.sum(dtype=np.uint32))
+
+    def finish(self) -> _Counts:
+        n = 8 * self.n_bytes if self.n_bits is None else self.n_bits
+        tail = self.staged
+        if self.n_bytes != -(-n // 8) or n % 8 and self.stage[tail - 1] & 0xFF >> n % 8:
+            raise ValueError(
+                f"{n} bits take {-(-n // 8)} bytes, zero past the last bit; "
+                f"the chunks hold {self.n_bytes} bytes"
+            )
+        padded = tail + -tail % 8
+        self.stage[tail:padded] = 0
+        self._pass(self.stage[:padded], n // 8 - (self.n_bytes - tail), n)
+        # The last max_lag bits lie in the held words; zeros past them
+        # give the held words' look-ahead.
+        w, held, lag = self.words, self.held, self.max_lag
+        start = 64 * self.first_word
+        last = _msb_bits(w[:held])[max(n - lag, 0) - start : n - start]
+        w[held : held + self.hold] = 0
+        self._pair(held)
+        # A pair's first byte is its low byte, so pairs[hi, lo] sums over
+        # its rows to the first-byte counts and over its columns to the
+        # second.
+        byte_pairs = self.byte_pairs.reshape(256, 256)
+        byte_counts = byte_pairs.sum(axis=0) + byte_pairs.sum(axis=1)
+        if self.odd_byte is not None:
+            byte_counts[self.odd_byte] += 1
+        return _Counts(
+            n=n,
+            ones=self.ones,
+            block_size=self.block_size,
+            blocks=np.concatenate(self.blocks or [np.zeros(0, self.block_dtype)]),
+            pairs=self.pairs,
+            head=_msb_bits(self.head)[: min(n, lag)],
+            tail=last,
+            byte_counts=byte_counts,
+        )
+
+
+def _count(
+    bits,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    max_lag: int = 1,
+    n_bits: int | None = None,
+) -> _Counts:
+    """Fold a BitString, or an iterable of MSB-first byte chunks, into _Counts."""
+    if isinstance(bits, BitString):
+        if n_bits is not None:
+            raise ValueError("n_bits applies only to an iterable of byte chunks")
+        bits, n_bits = bits.msb_chunks(), bits.n_bits
+    fold = _Fold(block_size, max_lag, n_bits)
+    for chunk in bits:
+        fold.update(chunk)
+    return fold.finish()
+
+
+def _check_block_size(block_size: int) -> None:
+    if block_size < 8:
+        raise ValueError(f"block_size must be >= 8, got {block_size}")
+
+
+def _check_max_lag(max_lag: int) -> None:
+    if max_lag < 1:
+        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+
+
+def _monobit(c: _Counts) -> TestOutcome:
+    z = (2 * c.ones - c.n) / math.sqrt(c.n)
+    return TestOutcome(statistic=z, p_value=float(erfc(abs(z) / math.sqrt(2))))
 
 
 def monobit_test(bits: BitString) -> TestOutcome:
@@ -123,9 +303,18 @@ def monobit_test(bits: BitString) -> TestOutcome:
     n = bits.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"monobit test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    ones = bits.count_ones()
-    z = (2 * ones - n) / math.sqrt(n)
-    return TestOutcome(statistic=z, p_value=float(erfc(abs(z) / math.sqrt(2))))
+    return _monobit(_count(bits))
+
+
+def _block_frequency(c: _Counts) -> TestOutcome:
+    n_blocks = c.blocks.size
+    # (pi - 1/2)^2 in place: one float per block is the step's largest array
+    pi = c.blocks / c.block_size
+    pi -= 0.5
+    chi2 = 4.0 * c.block_size * float(np.sum(np.square(pi, out=pi)))
+    return TestOutcome(
+        statistic=chi2, p_value=float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+    )
 
 
 def block_frequency_test(
@@ -136,35 +325,34 @@ def block_frequency_test(
     chi2 = 4 * block_size * sum((pi_i - 1/2)^2) over N full blocks;
     p = igamc(N/2, chi2/2).  Needs block_size >= 8 and >= 10 blocks.
     """
-    if block_size < 8:
-        raise ValueError(f"block_size must be >= 8, got {block_size}")
+    _check_block_size(block_size)
     n_blocks = bits.n_bits // block_size
     if n_blocks < 10:
         raise ValueError(
             f"block frequency test needs >= 10 blocks of {block_size}, "
             f"got {n_blocks}"
         )
-    words = _words(bits)
-    pi = np.empty(n_blocks, dtype=np.float64)
-    step = max(1, _CHUNK_WORDS * 64 // block_size)  # blocks per pass
-    for j0 in range(0, n_blocks, step):
-        j1 = min(j0 + step, n_blocks)
-        edges = np.arange(j0, j1 + 1, dtype=np.int64) * block_size
-        first = int(edges[0]) >> 6
-        seg = words[first : (int(edges[-1]) >> 6) + 1]
-        # Ones from word `first` up to bit e: a prefix sum of per-word
-        # popcounts up to word e // 64, plus its low e % 64 bits.
-        ones_before_word = np.zeros(seg.size + 1, dtype=np.int64)
-        ones_before_word[1:] = np.bitwise_count(seg)
-        np.cumsum(ones_before_word, out=ones_before_word)
-        idx = (edges >> 6) - first
-        partial = seg[np.minimum(idx, seg.size - 1)] & _LOW_MASKS[edges & 63]
-        ones_before = ones_before_word[idx] + np.bitwise_count(partial)
-        pi[j0:j1] = np.diff(ones_before) / block_size
-    chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
-    return TestOutcome(
-        statistic=chi2, p_value=float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
-    )
+    return _block_frequency(_count(bits, block_size))
+
+
+def _runs(c: _Counts) -> TestOutcome:
+    n = c.n
+    pi = float(c.ones) / n
+    tau = 2.0 / math.sqrt(n)
+    if abs(pi - 0.5) >= tau:
+        return TestOutcome(
+            statistic=float("nan"),
+            p_value=0.0,
+            note=f"not applicable: |pi - 0.5| = {abs(pi - 0.5):.4g} >= {tau:.4g}",
+        )
+    # Bits i and i+1 differ b_i + b_{i+1} - 2 b_i b_{i+1} times over
+    # i < n-1: every one counts twice, less the first and last bits.
+    runs = 1 + 2 * c.ones - int(c.head[0]) - int(c.tail[-1]) - 2 * c.pairs[0]
+    expected = 2.0 * n * pi * (1.0 - pi)
+    # standard deviation of the run count for i.i.d. bits
+    sigma = 2.0 * math.sqrt(n) * pi * (1.0 - pi)
+    z = (runs - expected) / sigma
+    return TestOutcome(statistic=float(z), p_value=float(erfc(abs(z) / math.sqrt(2))))
 
 
 def runs_test(bits: BitString) -> TestOutcome:
@@ -177,23 +365,7 @@ def runs_test(bits: BitString) -> TestOutcome:
     n = bits.n_bits
     if n < _MIN_MONOBIT_BITS:
         raise ValueError(f"runs test needs >= {_MIN_MONOBIT_BITS} bits, got {n}")
-    pi = float(bits.count_ones()) / n
-    tau = 2.0 / math.sqrt(n)
-    if abs(pi - 0.5) >= tau:
-        return TestOutcome(
-            statistic=float("nan"),
-            p_value=0.0,
-            note=f"not applicable: |pi - 0.5| = {abs(pi - 0.5):.4g} >= {tau:.4g}",
-        )
-    # XOR with the next bit counts every transition, plus bit n-1
-    # itself, which is compared with the zero past the end.
-    last_bit = int(_bit_slice(bits, n - 1, n)[0])
-    runs = 1 + _lag_popcounts(bits, [1], np.bitwise_xor)[0] - last_bit
-    expected = 2.0 * n * pi * (1.0 - pi)
-    # standard deviation of the run count for i.i.d. bits
-    sigma = 2.0 * math.sqrt(n) * pi * (1.0 - pi)
-    z = (runs - expected) / sigma
-    return TestOutcome(statistic=float(z), p_value=float(erfc(abs(z) / math.sqrt(2))))
+    return _runs(_count(bits))
 
 
 @dataclass(frozen=True)
@@ -214,6 +386,32 @@ class SerialCorrelationResult:
         return not self.flagged
 
 
+def _serial(c: _Counts) -> SerialCorrelationResult:
+    n, s = c.n, c.ones
+    mean = s / n
+    denom = s - s * s / n
+    if denom == 0:
+        raise ValueError("constant bit sequence has no defined autocorrelation")
+    max_lag = len(c.pairs)
+    lags = np.arange(1, max_lag + 1)
+    # ones among the first and the last tau bits, at index tau - 1
+    ones_first = np.cumsum(c.head)
+    ones_last = np.cumsum(c.tail[::-1])
+    coefficients = np.empty(max_lag, dtype=np.float64)
+    for idx, tau in enumerate(lags):
+        tau = int(tau)
+        c_tau = c.pairs[idx]
+        s_head = s - int(ones_last[tau - 1])
+        s_tail = s - int(ones_first[tau - 1])
+        cov = c_tau - mean * (s_head + s_tail) + (n - tau) * mean * mean
+        coefficients[idx] = cov / denom
+    threshold = 4.0 / math.sqrt(n)
+    flagged = [int(lag) for lag, r in zip(lags, coefficients) if abs(r) > threshold]
+    return SerialCorrelationResult(
+        lags=lags, coefficients=coefficients, threshold=threshold, flagged=flagged
+    )
+
+
 def serial_correlation(
     bits: BitString, max_lag: int = DEFAULT_MAX_LAG
 ) -> SerialCorrelationResult:
@@ -224,64 +422,20 @@ def serial_correlation(
     with C_tau the count of (1,1) pairs at distance tau.  Requires
     n >= 100 * max_lag.
     """
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    _check_max_lag(max_lag)
     n = bits.n_bits
     if n < 100 * max_lag:
         raise ValueError(
             f"serial correlation at max_lag={max_lag} needs >= {100 * max_lag} "
             f"bits, got {n}"
         )
-    s = bits.count_ones()
-    mean = s / n
-    denom = s - s * s / n
-    if denom == 0:
-        raise ValueError("constant bit sequence has no defined autocorrelation")
-
-    lags = np.arange(1, max_lag + 1)
-    pair_counts = _lag_popcounts(bits, lags, np.bitwise_and)
-    # ones among the first and the last tau bits, at index tau - 1
-    ones_first = np.cumsum(_bit_slice(bits, 0, max_lag))
-    ones_last = np.cumsum(_bit_slice(bits, n - max_lag, n)[::-1])
-    coefficients = np.empty(max_lag, dtype=np.float64)
-    for idx, tau in enumerate(lags):
-        tau = int(tau)
-        c_tau = pair_counts[idx]
-        s_head = s - int(ones_last[tau - 1])
-        s_tail = s - int(ones_first[tau - 1])
-        cov = c_tau - mean * (s_head + s_tail) + (n - tau) * mean * mean
-        coefficients[idx] = cov / denom
-    threshold = 4.0 / math.sqrt(n)
-    flagged = [int(lag) for lag, c in zip(lags, coefficients) if abs(c) > threshold]
-    return SerialCorrelationResult(
-        lags=lags, coefficients=coefficients, threshold=threshold, flagged=flagged
-    )
+    return _serial(_count(bits, max_lag=max_lag))
 
 
-def _byte_counts(data: np.ndarray) -> np.ndarray:
-    """How often each value 0..255 occurs in the uint8 array data.
-
-    Counting the bytes two at a time as uint16 codes halves the elements
-    bincount handles; an odd last byte is counted on its own.
-    """
-    codes = data[: data.size - data.size % 2].view("<u2")
-    pairs = np.zeros(1 << 16, dtype=np.int64)
-    for lo in range(0, codes.size, _PAIRS_PER_PASS):
-        pairs += np.bincount(codes[lo : lo + _PAIRS_PER_PASS], minlength=1 << 16)
-    # A pair's first byte is its low byte, so pairs[hi, lo] sums over its
-    # rows to the first-byte counts and over its columns to the second.
-    pairs = pairs.reshape(256, 256)
-    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
-    if data.size % 2:
-        counts[data[-1]] += 1
-    return counts
-
-
-def _byte_entropy(bits: BitString) -> tuple[float, int]:
+def _byte_entropy(c: _Counts) -> tuple[float, int]:
     """Entropy in bits/byte of the stream's full MSB-first bytes, and their count."""
-    n_bytes = bits.n_bits // 8
-    # MSB-first byte v is stored as packed byte _BIT_REVERSE[v].
-    counts = _byte_counts(bits.packed[:n_bytes])[_BIT_REVERSE]
+    n_bytes = c.n // 8
+    counts = c.byte_counts
     f = counts[counts > 0] / n_bytes
     return float(-np.sum(f * np.log2(f))), n_bytes
 
@@ -297,7 +451,7 @@ def shannon_byte_entropy(bits: BitString) -> float:
         raise ValueError(
             f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {bits.n_bits}"
         )
-    return _byte_entropy(bits)[0]
+    return _byte_entropy(_count(bits))[0]
 
 
 class ExportResult(NamedTuple):
@@ -387,18 +541,18 @@ class TestReport:
         }
 
 
-def _serial_outcome(bits: BitString, max_lag: int) -> tuple[TestOutcome, bool]:
+def _serial_outcome(c: _Counts) -> tuple[TestOutcome, bool]:
     """Serial correlation as one battery outcome, and whether no lag was flagged."""
-    n = bits.n_bits
-    if bits.count_ones() in (0, n):
+    n = c.n
+    if c.ones in (0, n):
         # a constant stream has no defined autocorrelation; score it as
         # a failure with a distinct status rather than crashing
         note = "not applicable: constant sequence"
         return TestOutcome(float("nan"), 0.0, note), False
-    sc = serial_correlation(bits, max_lag)
+    sc = _serial(c)
     z = np.abs(sc.coefficients) * np.sqrt(n - sc.lags)
     p_lags = erfc(z / math.sqrt(2))
-    p_serial = float(min(1.0, max_lag * p_lags.min()))
+    p_serial = float(min(1.0, len(sc.lags) * p_lags.min()))
     worst = int(sc.lags[int(np.argmin(p_lags))])
     statistic = float(sc.coefficients[worst - 1])
     note = f"worst lag {worst}; Bonferroni-corrected"
@@ -406,12 +560,13 @@ def _serial_outcome(bits: BitString, max_lag: int) -> tuple[TestOutcome, bool]:
 
 
 def run_battery(
-    bits: BitString,
+    bits: BitString | Iterable,
     alpha: float = DEFAULT_ALPHA,
     block_size: int = DEFAULT_BLOCK_SIZE,
     max_lag: int = DEFAULT_MAX_LAG,
+    n_bits: int | None = None,
 ) -> TestReport:
-    """Run the full native battery over one bit stream.
+    """Run the full native battery over one bit stream, in one pass.
 
     Serial correlation is folded to a single Bonferroni-corrected
     p-value (min over lags of erfc(|r|sqrt(n)/sqrt(2)), times max_lag),
@@ -422,29 +577,39 @@ def run_battery(
 
     Args:
         bits: the stream, long enough for every subtest
-            (>= max(10*block_size, 100*max_lag, 80000) bits).
+            (>= max(10*block_size, 100*max_lag, 80000) bits): a
+            BitString, or an iterable of MSB-first byte chunks of any
+            sizes (bytes, memoryviews or uint8 arrays), read once.
         alpha: per-test significance level for verdicts, in (0, 1).
+        n_bits: for an iterable, the stream's length in bits when it
+            is not a whole number of bytes (default 8 per byte).  The
+            chunks must then hold exactly ceil(n_bits / 8) bytes, the
+            bits past n_bits zero; a reader of a longer file cuts and
+            masks them, as `camrng test --bits` does.
 
     Returns:
         TestReport; deterministic for identical input.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    n = bits.n_bits
+    _check_block_size(block_size)
+    _check_max_lag(max_lag)
+    c = _count(bits, block_size, max_lag, n_bits)
+    n = c.n
     needed = max(_MIN_MONOBIT_BITS, 10 * block_size, 100 * max_lag, _MIN_ENTROPY_BITS)
     if n < needed:
         raise ValueError(f"battery needs >= {needed} bits, got {n}")
 
-    h, n_bytes = _byte_entropy(bits)
+    h, n_bytes = _byte_entropy(c)
     g = 2.0 * n_bytes * math.log(2.0) * (8.0 - h)
     p_entropy = float(gammaincc(255 / 2.0, g / 2.0))
     entropy = TestOutcome(h, p_entropy, "G-statistic chi-square(255)")
     # (name, outcome, whether nothing beyond the p-value fails it)
     checks = [
-        ("monobit", monobit_test(bits), True),
-        (f"block-frequency[{block_size}]", block_frequency_test(bits, block_size), True),
-        ("runs", runs_test(bits), True),
-        (f"serial-correlation[1..{max_lag}]", *_serial_outcome(bits, max_lag)),
+        ("monobit", _monobit(c), True),
+        (f"block-frequency[{block_size}]", _block_frequency(c), True),
+        ("runs", _runs(c), True),
+        (f"serial-correlation[1..{max_lag}]", *_serial_outcome(c)),
         ("byte-entropy", entropy, True),
     ]
     results = [

@@ -1,5 +1,7 @@
 import csv
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +122,19 @@ def test_estimate_zeta_simulated_round_trip():
     ]
     ptc = estimate_zeta(stacks)
     assert ptc.fitted_zeta == pytest.approx(NOKIA.zeta, rel=0.05)
+
+
+def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
+    # a constant stack has variance 0: no relative residual, and no division
+    stacks = [(pixel_stats([frame_of([[2]]), frame_of([[2]])]), 2.0)]
+    for mean, half_spread in ((8, 4), (18, 6), (32, 8)):
+        stack = [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
+        stacks.append((pixel_stats(stack), float(mean)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ptc = estimate_zeta(stacks)
+    assert ptc.fit_residual == math.inf
+    assert ptc.fitted_zeta > 0
 
 
 def test_estimate_zeta_validation():

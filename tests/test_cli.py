@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -9,8 +10,7 @@ import numpy as np
 import pytest
 
 import camrng.cli
-from camrng import bitstream, extractor
-from camrng.bitstream import BitString
+from camrng import extractor
 from camrng.characterize import PixelMask
 from camrng.cli import main
 from camrng.extractor import (
@@ -505,19 +505,139 @@ def test_test_export_that_fails_midway_writes_nothing(
     exported = out_dir / "again.bin"
     if existing:
         exported.write_bytes(b"an earlier run")
-    whole_chunks = BitString.msb_chunks
 
-    def fail_after_one_chunk(self):
-        yield next(whole_chunks(self))
-        raise OSError("No space left on device")
+    class FullAfterOneChunk:
+        """A file whose disk fills once the first chunk is written."""
 
-    monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 4096)
-    monkeypatch.setattr(BitString, "msb_chunks", fail_after_one_chunk)
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("No space left on device")
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def open_export(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FullAfterOneChunk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(camrng.cli, "_READ_BYTES", 4096)
+    monkeypatch.setattr(camrng.cli, "open", open_export, raising=False)
     assert run("test", src, "--export", exported) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert sorted(p.name for p in out_dir.iterdir()) == (["again.bin"] if existing else [])
     if existing:
         assert exported.read_bytes() == b"an earlier run"
+
+
+def test_test_export_that_fails_on_close_names_the_export(tmp_path, monkeypatch, capsys):
+    # The last buffered bytes reach the disk only when the file closes.
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(12).bytes(15_000))
+    exported = tmp_path / "out" / "again.bin"
+    exported.parent.mkdir()
+
+    class FullOnClose:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+            raise OSError("Disk quota exceeded")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def open_export(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FullOnClose(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(camrng.cli, "open", open_export, raising=False)
+    assert run("test", src, "--export", exported) == 1
+    assert f"writing {exported}: Disk quota exceeded" in capsys.readouterr().err
+    assert list(exported.parent.iterdir()) == []
+
+
+def _fed_fifo(tmp_path, payload: bytes):
+    """A FIFO in tmp_path, and the thread that writes payload into it."""
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return fifo, writer
+
+
+@pytest.mark.parametrize("bits", [None, 8 * 40_000 - 5])
+def test_test_streams_a_fifo_as_it_does_a_file(tmp_path, monkeypatch, capsys, bits):
+    monkeypatch.setattr(camrng.cli, "_READ_BYTES", 3001)  # reads off every grid
+    payload = np.random.default_rng(12).bytes(50_003)
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    flags = ["--json"] + ([] if bits is None else ["--bits", bits])
+    assert run("test", src, "--export", tmp_path / "file.bin", *flags) == 0
+    from_file = capsys.readouterr().out
+    fifo, writer = _fed_fifo(tmp_path, payload)
+    assert run("test", fifo, "--export", tmp_path / "fifo.bin", *flags) == 0
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out == from_file
+    assert (tmp_path / "fifo.bin").read_bytes() == (tmp_path / "file.bin").read_bytes()
+
+
+@pytest.mark.parametrize("n_bits", [8 * 12_000, 8 * 12_000 + 5, 8 * 12_345 + 1])
+def test_test_export_is_the_first_bytes_tested(tmp_path, monkeypatch, n_bits):
+    # the export equals the first ceil(N/8) input bytes, the last masked
+    monkeypatch.setattr(camrng.cli, "_READ_BYTES", 4096)
+    data = np.random.default_rng(13).bytes(15_000)
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    exported = tmp_path / "head.bin"
+    run("test", src, "--bits", n_bits, "--export", exported)
+    want = bytearray(data[: (n_bits + 7) // 8])
+    if n_bits % 8:
+        want[-1] &= 0xFF00 >> n_bits % 8 & 0xFF
+    assert exported.read_bytes() == bytes(want)
+
+
+def test_test_bits_past_the_end_leaves_no_export(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(14).bytes(15_000))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run("test", src, "--bits", 120_001, "--export", out_dir / "x.bin") == 2
+    assert "--bits 120001 exceeds the 120000 bits in the file" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_test_too_short_input_leaves_no_export(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(15).bytes(9_999))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run("test", src, "--export", out_dir / "x.bin") == 1
+    assert "battery needs >= 80000 bits, got 79992" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0", "1", "1.5", "nan"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from camrng import bitstream, stattests
+from camrng import stattests
 from camrng.bitstream import BitString
 from camrng.sensor import get_preset, simulate_frame
 from camrng.stattests import (
@@ -188,8 +188,9 @@ def test_battery_deterministic_and_serializable():
 
 
 def test_battery_popcounts_the_stream_once(monkeypatch):
-    # monobit, runs and serial correlation all read the number of ones;
-    # count_ones keeps its first result, so they share one popcount.
+    # monobit, block frequency, runs and serial correlation all read the
+    # ones of one popcount per word; each lag popcounts its pairs once
+    # more, and each block edge its word's first bits.
     rng = np.random.default_rng(16)
     bits = BitString.from_bits01(rng.integers(0, 2, size=200_003, dtype=np.uint8))
     popcounted = []
@@ -203,11 +204,11 @@ def test_battery_popcounts_the_stream_once(monkeypatch):
             popcounted.append(a.nbytes)
             return np.bitwise_count(a, *args, **kwargs)
 
-    monkeypatch.setattr(bitstream, "np", CountingNumpy())
+    monkeypatch.setattr(stattests, "np", CountingNumpy())
     run_battery(bits)
-    assert sum(popcounted) == bits.packed.size
-    assert bits.count_ones() == int(np.unpackbits(bits.packed).sum())
-    assert sum(popcounted) == bits.packed.size  # the cached count, not a second popcount
+    words = -(-bits.n_bits // 64)
+    edges = bits.n_bits // stattests.DEFAULT_BLOCK_SIZE
+    assert sum(popcounted) == 8 * words * (1 + stattests.DEFAULT_MAX_LAG) + 8 * edges
 
 
 def test_battery_passes_ideal_input():
@@ -437,14 +438,102 @@ def test_battery_rejects_alpha_outside_unit_interval(alpha):
         run_battery(BitString.from_bits01(make_stream("fair", 100_000, 23)), alpha)
 
 
-@pytest.mark.parametrize("pairs_per_pass", [None, 3])
-def test_byte_counts_equal_a_plain_bincount(monkeypatch, pairs_per_pass):
-    if pairs_per_pass is not None:
-        monkeypatch.setattr(stattests, "_PAIRS_PER_PASS", pairs_per_pass)
+@pytest.mark.parametrize("chunk_words", [None, 3])
+def test_byte_counts_equal_a_plain_bincount(monkeypatch, chunk_words):
+    # one pass, or 24-byte passes: pairs from many passes, unaligned
+    # sources, an odd last byte, and a last byte that is not full
+    if chunk_words is not None:
+        monkeypatch.setattr(stattests, "_CHUNK_WORDS", chunk_words)
     whole = np.frombuffer(np.random.default_rng(8).bytes(3000), dtype=np.uint8)
     for start in (0, 1):
         for n in (0, 1, 2, 5, 6, 7, 1001, 2998):
             data = whole[start : start + n]
             np.testing.assert_array_equal(
-                stattests._byte_counts(data), np.bincount(data, minlength=256)
+                stattests._count([data]).byte_counts, np.bincount(data, minlength=256)
             )
+            if n:
+                cut = data.copy()
+                cut[-1] &= 0xF8
+                np.testing.assert_array_equal(
+                    stattests._count([cut], n_bits=8 * n - 3).byte_counts,
+                    np.bincount(data[:-1], minlength=256),
+                )
+
+
+def chunks_of(data: bytes, size: int):
+    return (data[lo : lo + size] for lo in range(0, len(data), size))
+
+
+@st.composite
+def chunked_streams(draw, min_bits, small_only=False):
+    """(MSB-first bytes, bits to test, chunk size): sizes off every grid.
+
+    Chunks of 200,000 to 300,000 bytes, either side of one 256 KiB pass
+    of the fold, come with streams longer than a pass.  The bytes are
+    ceil(n / 8), the bits past the last one zero, as the fold takes them.
+    """
+    sizes = [st.integers(1, 40), st.integers(41, 600)]
+    if not small_only:
+        sizes.append(st.integers(200_000, 300_000))
+    size = draw(st.one_of(*sizes))
+    if size < 200_000:
+        n = draw(st.integers(min_bits, min_bits + 8 * size))
+    else:
+        n = draw(st.integers(2_100_000, 2_400_000))
+    kind = draw(st.sampled_from(KINDS))
+    b = make_stream(kind, n, draw(st.integers(0, 2**32 - 1)))
+    return np.packbits(b).tobytes(), n, size
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_streams(min_bits=80_000), st.data())
+def test_battery_is_the_same_for_any_chunk_size(stream, data):
+    raw, n, size = stream
+    block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
+    max_lag = data.draw(st.sampled_from([1, 16, 63, 64, 65, 128]))
+    kw = dict(block_size=block_size, max_lag=max_lag)
+    whole = run_battery(BitString.from_msb_bytes(raw, n), **kw)
+    chunked = run_battery(chunks_of(raw, size), n_bits=n, **kw)
+    assert chunked.to_dict() == whole.to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 63, 64, 65, 128]), st.sampled_from([1, 2, 3]), st.data())
+def test_fold_is_the_same_when_lags_cross_small_passes(max_lag, pass_words, data):
+    # Passes shorter than the words a lag reaches ahead.  The counts
+    # every statistic is scored from are compared, on streams as short
+    # as serial correlation takes, so that a pass of one word stays fast.
+    raw, n, size = data.draw(chunked_streams(min_bits=100 * max_lag, small_only=True))
+    block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
+    whole = stattests._count(BitString.from_msb_bytes(raw, n), block_size, max_lag)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stattests, "_CHUNK_WORDS", pass_words)
+        chunked = stattests._count(chunks_of(raw, size), block_size, max_lag, n)
+    for field, want in whole._asdict().items():
+        np.testing.assert_array_equal(getattr(chunked, field), want, err_msg=field)
+
+
+@pytest.mark.parametrize("cut", [0, 3])
+def test_fold_ends_a_stream_whose_last_byte_ends_a_whole_pass(monkeypatch, cut):
+    # One chunk of exactly four passes: the last byte must still wait
+    # for finish(), whose pass knows where the last block and byte end.
+    raw = np.full(64, 0xFF, np.uint8)
+    raw[-1] <<= cut
+    n = 8 * raw.size - cut
+    want = stattests._count(BitString.from_msb_bytes(raw, n), 8, 1)
+    monkeypatch.setattr(stattests, "_CHUNK_WORDS", 2)
+    got = stattests._count([raw], 8, 1, n)
+    for field, value in want._asdict().items():
+        np.testing.assert_array_equal(getattr(got, field), value, err_msg=field)
+    assert got.ones == n
+
+
+def test_battery_takes_a_bit_string_or_chunks_but_n_bits_only_with_chunks():
+    bits = BitString.from_bits01(make_stream("fair", 80_000, 3))
+    with pytest.raises(ValueError, match="n_bits"):
+        run_battery(bits, n_bits=80_000)
+    # chunks hold exactly ceil(n_bits / 8) bytes, zero past the last bit
+    for chunk, n in [(b"\x00" * 10_000, 80_008), (b"\x00" * 10_002, 80_008),
+                     (b"\x00" * 10_000 + b"\x01", 80_007)]:
+        with pytest.raises(ValueError, match="zero past the last bit"):
+            run_battery([chunk], n_bits=n)
