@@ -76,7 +76,7 @@ class BitString:
 
     Nothing writes to packed after construction, neither this class nor
     its callers, nor to the array it was built from, which packed may
-    share.  count_ones relies on that: it keeps its first result.
+    share.
 
     Attributes:
         packed: uint8 array, ceil(n_bits / 8) long, little-endian bit order.
@@ -84,7 +84,7 @@ class BitString:
         n_bits: number of valid bits.
     """
 
-    __slots__ = ("packed", "n_bits", "_ones")
+    __slots__ = ("packed", "n_bits")
 
     def __init__(self, packed: np.ndarray, n_bits: int):
         packed = np.ascontiguousarray(packed, dtype=np.uint8)
@@ -103,7 +103,6 @@ class BitString:
             packed[-1] &= (1 << tail) - 1
         self.packed = packed
         self.n_bits = int(n_bits)
-        self._ones = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -171,17 +170,6 @@ class BitString:
         """
         for lo in range(0, self.packed.size, _MSB_CHUNK_BYTES):
             yield _reverse_bits(self.packed[lo : lo + _MSB_CHUNK_BYTES])
-
-    def count_ones(self) -> int:
-        if self._ones is None:
-            # Popcount whole 64-bit words, then the trailing bytes: summing
-            # one count per word is several times faster than one per byte.
-            whole = self.packed.size - self.packed.size % 8
-            words = self.packed[:whole].view("<u8")
-            self._ones = int(np.bitwise_count(words).sum()) + int(
-                np.bitwise_count(self.packed[whole:]).sum()
-            )
-        return self._ones
 
     # ------------------------------------------------------------------
     # Operators

@@ -9,9 +9,9 @@ All statistics are temporal: each pixel is treated as its own repeated
 measurement across the stack, and per-pixel moments are aggregated
 afterwards.  Spatial statistics would fold any fixed-pattern structure
 into the variance.  Each stack is read once, one frame at a time, into
-exact int64 sums (code_sums), so results are identical for any frame
-ordering; the Fano point, the gain fit and the pixel mask all take the
-resulting PixelStats.
+uint32 partial sums added into int64 sums (code_sums); both are exact,
+so results are identical for any frame ordering.  The Fano point, the
+gain fit and the pixel mask all take the resulting PixelStats.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def code_sums(
 ) -> tuple[int, Frame, np.ndarray, np.ndarray]:
     """Exact per-pixel sums of codes and squared codes over a frame stack.
 
-    The frames are read once, one at a time, so any iterable works and
-    only the two int64 sum arrays stay in memory.
+    The frames are read once, one at a time, so any iterable works.
+    Each frame is added into uint32 partial sums, which are added into
+    the int64 sums every `per` frames and at the end; `per` is the most
+    frames of the stack's largest code whose squares fit in a uint32
+    (4104 at 10 bits, 1 at 16), so no partial ever wraps.
 
     Args:
         frames: >= minimum frames of identical geometry and bit depth.
@@ -75,8 +78,13 @@ def code_sums(
     for f in frames:
         if first is None:
             first = f
+            max_code = (1 << f.bit_depth) - 1
+            per = (2**32 - 1) // max_code**2
             s1 = np.zeros(f.codes.shape, dtype=np.int64)
             s2 = np.zeros(f.codes.shape, dtype=np.int64)
+            p1 = np.zeros(f.codes.shape, dtype=np.uint32)
+            p2 = np.zeros(f.codes.shape, dtype=np.uint32)
+            square = np.empty(f.codes.shape, dtype=np.uint32)
         elif (f.width, f.height, f.bit_depth) != (
             first.width,
             first.height,
@@ -87,11 +95,20 @@ def code_sums(
                 f"{f.width}x{f.height}@{f.bit_depth}b vs "
                 f"{first.width}x{first.height}@{first.bit_depth}b"
             )
-        s1 += f.codes
-        s2 += np.square(f.codes, dtype=np.int64)
+        p1 += f.codes
+        np.square(f.codes, out=square, dtype=np.uint32)
+        p2 += square
         n += 1
+        if n % per == 0:
+            s1 += p1
+            s2 += p2
+            p1.fill(0)
+            p2.fill(0)
     if n < minimum:
         raise ValueError(f"need at least {minimum} frames, got {n}")
+    if first is not None and n % per:
+        s1 += p1
+        s2 += p2
     return n, first, s1, s2
 
 
@@ -99,7 +116,7 @@ def pixel_stats(frames: Iterable[Frame]) -> PixelStats:
     """Per-pixel mean and unbiased variance across a frame stack.
 
     Codes are integers, so the first and second moments are accumulated
-    exactly in int64 (see code_sums); the result does not depend on
+    exactly in integers (see code_sums); the result does not depend on
     frame order even in the last float bit.
 
     Args:

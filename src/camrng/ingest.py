@@ -137,13 +137,13 @@ def read_pgm(path: str) -> Frame:
         raise ValueError(f"{path}: PGM maxval {maxval} out of range 1..65535")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     expected = width * height * dtype.itemsize
-    payload = data[offset : offset + expected]
-    if len(payload) != expected:
+    if len(data) - offset < expected:
         raise ValueError(
             f"{path}: truncated payload, expected {expected} bytes, "
-            f"got {len(payload)}"
+            f"got {len(data) - offset}"
         )
-    codes = np.frombuffer(payload, dtype=dtype).astype(np.uint16)
+    codes = np.frombuffer(data, dtype, count=width * height, offset=offset)
+    codes = codes.astype(np.uint16)
     if codes.size and int(codes.max()) > maxval:
         raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
     bit_depth = max(1, math.ceil(math.log2(maxval + 1)))
@@ -159,10 +159,7 @@ def write_pgm(frame: Frame, path: str) -> None:
     """Write a frame as binary PGM with maxval 2**bit_depth - 1."""
     maxval = (1 << frame.bit_depth) - 1
     header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
-    if maxval > 255:
-        payload = frame.codes.astype(">u2").tobytes()
-    else:
-        payload = frame.codes.astype("u1").tobytes()
+    payload = frame.codes.astype(">u2" if maxval > 255 else "u1", order="C")
     try:
         with open(path, "wb") as fh:
             fh.write(header)

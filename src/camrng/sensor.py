@@ -243,14 +243,17 @@ def digitize_electrons(electrons: np.ndarray, config: SensorConfig) -> np.ndarra
 
     The electron total is clipped to [0, full_well] (charge cannot be
     negative; the well is finite), scaled by zeta, rounded to nearest
-    with ties away from zero, and clipped to the ADC code range.
+    with ties away from zero, and clipped to the ADC code range.  The
+    steps run in place on one temporary; electrons is left untouched.
     """
     e = np.clip(electrons, 0.0, config.full_well)
     # Values here are nonnegative, so floor(x + 0.5) rounds to nearest
     # with ties away from zero (np.round would round ties to even).
-    codes = np.floor(config.zeta * e + 0.5)
-    np.clip(codes, 0, config.max_code, out=codes)
-    return codes.astype(np.uint16)
+    e *= config.zeta
+    e += 0.5
+    np.floor(e, out=e)
+    np.clip(e, 0, config.max_code, out=e)
+    return e.astype(np.uint16)
 
 
 def _block_rng(seed: int, frame_id: int, block: int) -> np.random.Generator:
@@ -265,14 +268,29 @@ def _block_rng(seed: int, frame_id: int, block: int) -> np.random.Generator:
 
 
 def _simulate_block(
-    config: SensorConfig, n_bar: float, seed: int, frame_id: int, block: int, size: int
-) -> np.ndarray:
+    config: SensorConfig,
+    n_bar: float,
+    seed: int,
+    frame_id: int,
+    block: int,
+    out: np.ndarray,
+) -> None:
+    """Simulate one pixel block into out, a slice of the frame's codes.
+
+    The normal draw is standard_normal() * sigma_t on the block's stream,
+    bit-identical to normal(0, sigma_t): numpy forms loc + scale * z from
+    the same z, and adding 0.0 or reordering the sums changes no bit.
+    """
     rng = _block_rng(seed, frame_id, block)
-    electrons = rng.poisson(n_bar, size).astype(np.float64)
+    photons = rng.poisson(n_bar, out.size)
     if config.sigma_t > 0:
-        electrons += rng.normal(0.0, config.sigma_t, size)
+        electrons = rng.standard_normal(out.size)
+        electrons *= config.sigma_t
+        electrons += photons
+    else:
+        electrons = photons.astype(np.float64)
     electrons += config.offset
-    return digitize_electrons(electrons, config)
+    out[:] = digitize_electrons(electrons, config)
 
 
 def simulate_frame(
@@ -289,7 +307,8 @@ def simulate_frame(
 
     The frame is a pure function of (config, n_bar, width, height, seed,
     frame_id).  frame_id distinguishes frames of a stack sharing one
-    seed.  n_workers only affects wall-clock time, never the output.
+    seed.  Each pixel block is drawn into its own slice of the frame, so
+    n_workers only affects wall-clock time, never the output.
 
     Args:
         config: sensor operating mode.
@@ -311,20 +330,24 @@ def simulate_frame(
         raise ValueError(f"n_bar must be >= 0, got {n_bar}")
 
     n_blocks = (n_pixels + _PIXEL_BLOCK - 1) // _PIXEL_BLOCK
-    sizes = [
-        min(_PIXEL_BLOCK, n_pixels - b * _PIXEL_BLOCK) for b in range(n_blocks)
-    ]
+    codes = np.empty(n_pixels, dtype=np.uint16)
+
+    def fill(b: int) -> None:
+        lo = b * _PIXEL_BLOCK
+        _simulate_block(
+            config, n_bar, seed, frame_id, b, codes[lo : lo + _PIXEL_BLOCK]
+        )
+
     if n_workers is None:
         n_workers = worker_count()
     with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-        parts = list(
-            pool.map(
-                lambda b: _simulate_block(config, n_bar, seed, frame_id, b, sizes[b]),
-                range(n_blocks),
-            )
-        )
-    codes = np.concatenate(parts).reshape(height, width)
-    return Frame(width=width, height=height, codes=codes, bit_depth=config.bit_depth)
+        list(pool.map(fill, range(n_blocks)))
+    return Frame(
+        width=width,
+        height=height,
+        codes=codes.reshape(height, width),
+        bit_depth=config.bit_depth,
+    )
 
 
 def simulate_stack(

@@ -10,6 +10,7 @@ from camrng.characterize import (
     FanoPoint,
     PixelMask,
     build_pixel_mask,
+    code_sums,
     estimate_zeta,
     fano_curve_to_csv,
     fano_factor,
@@ -66,6 +67,42 @@ def test_pixel_stats_order_invariant_bitwise():
         # integer moment accumulation makes this exact, not approximate
         assert np.array_equal(base.mean, again.mean)
         assert np.array_equal(base.variance, again.variance)
+
+
+def python_sums(stack):
+    """Per-pixel sums of codes and squared codes in Python ints."""
+    cells = [[int(c) for c in f.codes.ravel()] for f in stack]
+    return (
+        [sum(col) for col in zip(*cells)],
+        [sum(c * c for c in col) for col in zip(*cells)],
+    )
+
+
+@pytest.mark.parametrize(
+    "n_frames,bit_depth,code",
+    [
+        (4105, 10, 1023),  # crosses the 4104-frame flush of 10-bit codes
+        (3, 16, 65535),  # 16-bit codes flush every frame
+        (300, 12, None),  # random 12-bit codes, flushed every 256 frames
+    ],
+)
+def test_code_sums_are_exact_across_the_partial_flush(n_frames, bit_depth, code):
+    rng = np.random.default_rng(n_frames)
+    stack = [
+        frame_of(
+            np.full((1, 2), code)
+            if code is not None
+            else rng.integers(0, 1 << bit_depth, size=(3, 4)),
+            bit_depth=bit_depth,
+        )
+        for _ in range(n_frames)
+    ]
+    n, first, s1, s2 = code_sums(iter(stack))
+    want1, want2 = python_sums(stack)
+    assert n == n_frames and first is stack[0]
+    assert s1.dtype == s2.dtype == np.int64
+    assert s1.ravel().tolist() == want1
+    assert s2.ravel().tolist() == want2
 
 
 def test_fano_factor_hand_example():

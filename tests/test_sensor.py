@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -171,6 +172,45 @@ def test_simulate_frame_worker_invariant():
     a = simulate_frame(ATIK, 900.0, 512, 300, seed=11, n_workers=1)
     b = simulate_frame(ATIK, 900.0, 512, 300, seed=11, n_workers=4)
     assert np.array_equal(a.codes, b.codes)
+
+
+# Frozen sha256 of simulate_frame(...).codes.tobytes().  The determinism
+# contract pins every simulated frame, so any change to the draws, their
+# order or the digitizing fails here.
+# Rows: (config, n_bar, width, height, seed, frame_id, digest).
+QUIET = SensorConfig(
+    name="quiet", eta=1.0, zeta=1.9, sigma_t=0.0, offset=-6.0,
+    full_well=500.0, bit_depth=10,
+)
+FROZEN_FRAMES = [
+    # 800x625 ends in a partial block of 41,248 pixels
+    (NOKIA, 410.0, 800, 625, 20260819, 3,
+     "bd835e4d16d9c65933ae7e8c4ca63c5b1f3bd8b8663cad2c1ea9936d1a9cfdfd"),
+    (ATIK, 4000.0, 300, 200, 11, 0,
+     "564484a191f7f88d1ce7c465b3bb18734582ac58b657cd343cc00e60e65f37de"),
+    # sigma_t = 0 draws no normals
+    (QUIET, 50.0, 300, 250, 5, 2,
+     "c41e09b4d7ce3743636042c117c1e00f82d7f4f8aca498cb32457fd50f8afec7"),
+    # n_bar = 0: technical noise only
+    (NOKIA, 0.0, 200, 100, 9, 0,
+     "493b6a3811df50c5e68ca7e5bd9cbda74f2fe63ccd265d7273d741e925821e49"),
+]
+
+
+@pytest.mark.parametrize("n_workers", [1, 4])
+@pytest.mark.parametrize(
+    "config,n_bar,width,height,seed,frame_id,digest",
+    FROZEN_FRAMES,
+    ids=["nokia-partial-block", "atik", "sigma-t-zero", "nbar-zero"],
+)
+def test_simulate_frame_matches_frozen_digest(
+    config, n_bar, width, height, seed, frame_id, digest, n_workers
+):
+    frame = simulate_frame(
+        config, n_bar, width, height, seed, frame_id=frame_id, n_workers=n_workers
+    )
+    assert len(np.unique(frame.codes)) > 1
+    assert hashlib.sha256(frame.codes.tobytes()).hexdigest() == digest
 
 
 def test_simulate_frame_moments():
