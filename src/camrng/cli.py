@@ -9,14 +9,24 @@ Exit codes are a stable scripting contract:
 
 Every command is deterministic given its explicit seeds; the tool draws
 no entropy of its own.  QRNG_THREADS caps internal parallelism.
+
+OpenBLAS runs on one thread unless the caller sets OPENBLAS_NUM_THREADS.
+numpy and scipy each load their own copy, and each copy would otherwise
+start worker threads that spin on the CPU while the process starts, for
+BLAS calls (one short dot product, one line fit) too small to share.
+The setting must precede the first numpy import, which is why the
+package __init__ imports no submodule eagerly.
 """
 
 from __future__ import annotations
 
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -817,6 +827,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        worker_count()  # a bad QRNG_THREADS fails before any output is written
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -348,6 +348,7 @@ def extract(
 
     packed = stream.packed
     acc = np.zeros((n_blocks, (k + 63) // 64), dtype="<u8")
+    n_row_bytes = (k + 7) // 8
     n_chunks = (n_blocks + _CHUNK_BLOCKS - 1) // _CHUNK_BLOCKS
 
     def chunk_rows(c: int) -> slice:
@@ -368,9 +369,25 @@ def extract(
             chunk_acc ^= looked_up
 
     def pack_chunk(c: int) -> np.ndarray:
-        out_bytes = acc[chunk_rows(c)].view(np.uint8)
-        out01 = np.unpackbits(out_bytes, axis=1, bitorder="little")[:, :k]
-        return np.packbits(out01.reshape(-1), bitorder="little")
+        # Row r goes to bit r*k of the chunk's bytes.  Rows r, r+8, ...
+        # start k bytes apart at one bit shift, the grid _block_bytes
+        # reads on, so each such group is ORed in through a reshape.
+        # Every table entry is zero past bit k, so a row's last byte
+        # carries zeros into the next row's bits, never ones.
+        row_bytes = acc[chunk_rows(c)].view(np.uint8)[:, :n_row_bytes]
+        count = row_bytes.shape[0]
+        out = np.zeros(((count + 7) // 8 + 1) * k + 1, dtype=np.uint8)
+        for r in range(min(8, count)):
+            first, shift = divmod(r * k, 8)
+            src = row_bytes[r::8]
+            n_rows = src.shape[0]
+            out[first : first + n_rows * k].reshape(n_rows, k)[:, :n_row_bytes] |= (
+                src << shift
+            )
+            if shift:
+                high = out[first + 1 : first + 1 + n_rows * k].reshape(n_rows, k)
+                high[:, :n_row_bytes] |= src >> (8 - shift)
+        return out[: (count * k + 7) // 8]
 
     if n_workers is None:
         n_workers = worker_count()

@@ -53,12 +53,11 @@ _CONFIG_KEYS = (
 def worker_count() -> int:
     """Worker cap: QRNG_THREADS if set, else hardware parallelism."""
     env = os.environ.get("QRNG_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"QRNG_THREADS must be >= 1, got {env!r}")
-        return n
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"QRNG_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True)

@@ -967,7 +967,19 @@ def test_zero_threads_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QRNG_THREADS", "0")
     rc = run("simulate", "--preset", "nokia-n9", "--nbar", "10", "--out", tmp_path / "x")
     assert rc == 1
-    assert "QRNG_THREADS" in capsys.readouterr().err
+    assert "QRNG_THREADS must be an integer >= 1, got '0'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
+def test_bad_threads_fail_before_any_output(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("QRNG_THREADS", threads)
+    out = tmp_path / "x"
+    rc = run("simulate", "--preset", "nokia-n9", "--nbar", "10", "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"QRNG_THREADS must be an integer >= 1, got {threads!r}" in err
+    assert not out.exists()
 
 
 def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):

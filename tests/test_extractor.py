@@ -113,7 +113,12 @@ def test_hand_worked_extraction():
     assert got.residual_bits_discarded == 0
 
 
-@pytest.mark.parametrize("k,l", [(2, 4), (3, 17), (13, 100), (64, 256)])
+# k = 1, 7, 8 and 9 put output rows at every bit offset of a byte, and
+# on and off the byte grid.
+@pytest.mark.parametrize(
+    "k,l",
+    [(2, 4), (3, 17), (13, 100), (64, 256), (1, 5), (7, 23), (8, 40), (9, 70)],
+)
 def test_extract_matches_matmul_oracle(k, l):
     seed = int(np.random.default_rng(k * 1000 + l).integers(2**62)).to_bytes(32, "big")
     mat = generate_matrix(seed, k, l)
