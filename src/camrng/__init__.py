@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Public names, by the submodule that defines them.
 _NAMES = {
-    "bitstream": "BitString",
+    "bitstream": "BitString export_stream",
     "characterize": (
         "FanoPoint PhotonTransferCurve PixelMask PixelStats build_pixel_mask "
         "estimate_zeta fano_curve_to_csv fano_factor find_operating_region "
@@ -28,8 +28,8 @@ _NAMES = {
         "plan_extractor poisson_entropy_exact"
     ),
     "extractor": (
-        "BinaryMatrix ExtractedStream concat_streams extract frame_to_bits "
-        "generate_matrix load_matrix save_matrix"
+        "BinaryMatrix ExtractedStream concat_streams extract extract_frames "
+        "frame_to_bits generate_matrix load_matrix save_matrix"
     ),
     "ingest": (
         "FrameFileHeader read_pgm read_raw read_sidecar sidecar_path write_pgm "
@@ -41,8 +41,7 @@ _NAMES = {
     ),
     "stattests": (
         "SerialCorrelationResult TestOutcome TestReport block_frequency_test "
-        "export_stream monobit_test run_battery runs_test serial_correlation "
-        "shannon_byte_entropy"
+        "monobit_test run_battery runs_test serial_correlation shannon_byte_entropy"
     ),
 }
 _EXPORTS = {name: module for module, names in _NAMES.items() for name in names.split()}

@@ -14,9 +14,12 @@ never cross a byte, so bytes never go through a per-byte table lookup
 except the few past the last whole word.  The test battery reads
 MSB-first bytes as they are: `camrng test` converts nothing, and a
 BitString handed to the battery is converted once, by msb_chunks.
+export_stream writes those chunks to a file.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,3 +199,43 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString(n_bits={self.n_bits})"
+
+
+class ExportResult(NamedTuple):
+    n_bytes: int
+    padding_bits: int
+
+
+def export_stream(bits: BitString, destination) -> ExportResult:
+    """Write bits as a byte stream, MSB of each byte = earliest bit.
+
+    The final byte is zero-padded on the low side when the bit count is
+    not a multiple of 8; the padding count is returned alongside the
+    byte count.
+
+    Args:
+        bits: the stream to write.
+        destination: path, or a binary file-like object (e.g.
+            sys.stdout.buffer for piping into an external battery).
+
+    Returns:
+        ExportResult(n_bytes, padding_bits).
+    """
+    padding = (-bits.n_bits) % 8
+
+    def _write(fh) -> int:
+        written = 0
+        for part in bits.msb_chunks():
+            fh.write(part)
+            written += len(part)
+        return written
+
+    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
+        try:
+            with open(destination, "wb") as fh:
+                n = _write(fh)
+        except OSError as exc:
+            raise OSError(f"writing {destination}: {exc}") from exc
+    else:
+        n = _write(destination)
+    return ExportResult(n_bytes=n, padding_bits=padding)

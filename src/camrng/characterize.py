@@ -11,7 +11,8 @@ afterwards.  Spatial statistics would fold any fixed-pattern structure
 into the variance.  Each stack is read once, one frame at a time, into
 uint32 partial sums added into int64 sums (code_sums); both are exact,
 so results are identical for any frame ordering.  The Fano point, the
-gain fit and the pixel mask all take the resulting PixelStats.
+gain fit and the pixel mask all take the resulting PixelStats, the first
+two through its stack_point; stack_summary gives a stack's exact moments.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ class PixelStats:
     variance: np.ndarray
     n_frames: int
     bit_depth: int
+
+    @property
+    def stack_point(self) -> tuple[float, float]:
+        """(mean code, mean pixel variance): both moments averaged over pixels."""
+        return float(np.mean(self.mean)), float(np.mean(self.variance))
 
 
 def code_sums(
@@ -112,6 +118,21 @@ def code_sums(
     return n, first, s1, s2
 
 
+def stack_summary(n_frames: int, s1, s2) -> tuple[float, float | None]:
+    """Mean and sample variance of a stack's codes, correctly rounded.
+
+    s1, s2 are code_sums' per-pixel sums over n_frames frames, of the
+    pixels that count; their totals are exact Python integers.  The
+    variance is None for fewer than 2 codes.
+    """
+    n = n_frames * s1.size
+    t1 = int(s1.sum())
+    # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
+    t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
+    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
+    return t1 / n, var
+
+
 def pixel_stats(frames: Iterable[Frame]) -> PixelStats:
     """Per-pixel mean and unbiased variance across a frame stack.
 
@@ -153,6 +174,13 @@ class FanoPoint:
     fano: float
     n_frames: int
 
+    def to_dict(self) -> dict:
+        return {
+            "mean_code": self.mean_code,
+            "variance_code": self.variance_code,
+            "fano": self.fano,
+        }
+
 
 def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
     """Measure the Fano factor of a constant-illumination stack.
@@ -175,9 +203,7 @@ def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
             undefined there), or zero temporal variance (degenerate
             stack, e.g. identical frames).
     """
-    mean_code = float(np.mean(stats.mean))
-    variance_code = float(np.mean(stats.variance))
-
+    mean_code, variance_code = stats.stack_point
     pedestal = config.zeta * config.offset
     if mean_code <= pedestal:
         raise ValueError(
@@ -236,10 +262,7 @@ def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
     if len(set(intensities)) < 2:
         raise ValueError("sweep intensities are all equal; slope is undefined")
 
-    points = [
-        (float(stats.mean.mean()), float(stats.variance.mean()))
-        for stats, _ in sweep
-    ]
+    points = [stats.stack_point for stats, _ in sweep]
 
     means = np.array([p[0] for p in points])
     variances = np.array([p[1] for p in points])

@@ -28,13 +28,11 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import extractor
-from .bitstream import BitString
 from .characterize import (
+    DEFAULT_FANO_TOLERANCE,
     build_pixel_mask,
     code_sums,
     estimate_zeta,
@@ -44,6 +42,7 @@ from .characterize import (
     pixel_stats,
     PixelMask,
     PixelStats,
+    stack_summary,
 )
 from .entropy import _MAX_N_BAR, entropy_report, epsilon_bound, plan_extractor
 from .extractor import (
@@ -51,9 +50,7 @@ from .extractor import (
     DEFAULT_L,
     DEFAULT_MATRIX_SEED,
     MAX_BLOCK_BITS,
-    concat_streams,
-    extract,
-    frame_to_bits,
+    extract_frames,
     generate_matrix,
     load_matrix,
     save_matrix,
@@ -79,7 +76,6 @@ from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_BLOCK_SIZE,
     DEFAULT_MAX_LAG,
-    export_stream,
     run_battery,
 )
 
@@ -178,21 +174,6 @@ def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
     return 1.0 + config.sigma_t**2 / absorbed
 
 
-def _stack_summary(n_frames: int, s1, s2) -> tuple[float, float | None]:
-    """Mean and sample variance of a stack's codes, correctly rounded.
-
-    s1, s2 are code_sums' per-pixel sums over n_frames frames, of the
-    pixels that count; their totals are exact Python integers.  The
-    variance is None for fewer than 2 codes.
-    """
-    n = n_frames * s1.size
-    t1 = int(s1.sum())
-    # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
-    t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
-    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
-    return t1 / n, var
-
-
 def _written(frames, write):
     """Yield each frame after write(index, frame) has stored it."""
     for j, frame in enumerate(frames):
@@ -252,7 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 path, header, extra={"n_bar": n_bar, "seed": args.seed}
             )
             files = [name]
-        mean, var = _stack_summary(n, s1, s2)
+        mean, var = stack_summary(n, s1, s2)
         manifest_entries.append(
             {
                 "n_bar": n_bar,
@@ -333,15 +314,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
                 ),
                 "operating_region": list(region) if region else None,
                 "fano_tolerance": args.tolerance,
-                "fano_points": [
-                    {
-                        "n_bar": nb,
-                        "mean_code": p.mean_code,
-                        "variance_code": p.variance_code,
-                        "fano": p.fano,
-                    }
-                    for nb, p in curve
-                ],
+                "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
                 "skipped_points": skipped,
                 "csv": csv_path,
             }
@@ -358,8 +331,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     else:
         stats = pixel_stats(_read_frames(args.inputs))
         report["n_frames"] = stats.n_frames
-        report["mean_code"] = float(stats.mean.mean())
-        report["mean_pixel_variance"] = float(stats.variance.mean())
+        report["mean_code"], report["mean_pixel_variance"] = stats.stack_point
         text.append(
             f"{stats.n_frames} frame(s), mean code "
             f"{report['mean_code']:.2f}, mean pixel variance "
@@ -368,11 +340,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
         try:
             point = fano_factor(stats, sensor)
-            report["fano"] = {
-                "mean_code": point.mean_code,
-                "variance_code": point.variance_code,
-                "fano": point.fano,
-            }
+            report["fano"] = point.to_dict()
             text.append(f"fano factor = {point.fano:.4f}")
         except ValueError as exc:
             report["fano"] = None
@@ -412,7 +380,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_s(args: argparse.Namespace) -> Fraction | float:
+def _resolve_s(args: argparse.Namespace) -> float:
     if args.s is not None:
         return args.s
     if args.nbar is None or args.bits is None:
@@ -470,51 +438,8 @@ def _part_file(path: str):
             os.remove(tmp_path)
 
 
-def _extract_frames(frames, mask, matrix, fh) -> tuple[tuple, int, int]:
-    """Extract the frames' raw bits into fh as code_sums reads each frame once.
-
-    Raw bits wait only until n_workers * _CHUNK_BLOCKS whole blocks are
-    buffered.  Each such batch is extracted and written MSB-first.  A
-    batch is a multiple of 8 blocks, so it starts on a byte of the
-    buffer and its output is whole bytes; blocks lie on one grid from
-    the first raw bit, so the file equals one extract() of the whole
-    stream for any worker count.  The last, shorter batch takes the
-    tail, whose partial block is discarded.
-
-    Returns the stack's code_sums, the blocks extracted and the residual
-    bits discarded.
-    """
-    n_workers = worker_count()
-    # The chunk size is read from the extractor module on each run, so
-    # batches always follow the chunk grid that extract() uses.
-    batch_bytes = n_workers * extractor._CHUNK_BLOCKS * matrix.l // 8
-    blocks, pending = [], []
-
-    def extract_batch(stream: BitString) -> int:
-        result = extract(stream, matrix, n_workers=n_workers)
-        export_stream(result.bits, fh)
-        blocks.append(result.blocks_processed)
-        return result.residual_bits_discarded
-
-    def queue(_, frame) -> None:
-        pending.append(frame_to_bits(frame, mask))
-        pending_bits = sum(part.n_bits for part in pending)
-        if pending_bits >= 8 * batch_bytes:
-            buffered = concat_streams(pending)
-            cut = pending_bits // (8 * batch_bytes) * batch_bytes
-            for lo in range(0, cut, batch_bytes):
-                batch = buffered.packed[lo : lo + batch_bytes]
-                extract_batch(BitString(batch, 8 * batch_bytes))
-            pending[:] = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
-
-    sums = code_sums(_written(frames, queue))
-    residual = extract_batch(concat_streams(pending))
-    return sums, sum(blocks), residual
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
-    out_path = args.out
 
     mask = None
     if args.mask:
@@ -537,86 +462,36 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not k < l <= MAX_BLOCK_BITS:
             raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={k} l={l}")
         matrix = generate_matrix(args.matrix_seed, k, l)
-    l, k = matrix.l, matrix.k
 
-    # Output goes to a temp file next to --out, which the gates below
-    # either rename to --out or leave to be deleted: a refused run
+    # Output goes to a temp file next to --out, which is renamed to
+    # --out only once the output is certified or forced: a refused run
     # writes nothing.
-    with _part_file(out_path) as tmp_path:
+    with _part_file(args.out) as tmp_path:
         with open(tmp_path, "wb") as fh:
-            (n_frames, first, s1, s2), blocks, residual = _extract_frames(
-                _read_frames(args.inputs), mask, matrix, fh
+            summary, refusal = extract_frames(
+                _read_frames(args.inputs), sensor, matrix, mask, fh
             )
-        if mask is not None:
-            s1, s2 = s1[mask.flags], s2[mask.flags]
-        mean, variance = _stack_summary(n_frames, s1, s2)
-
-        # Security margin gate: estimate the absorbed mean from the data
-        # itself, convert to entropy per raw bit, and refuse extraction
-        # that would emit more bits than it gathers.
-        n_bar_est = mean / sensor.zeta - sensor.offset
-        if n_bar_est <= 0:
-            raise ValueError(
-                f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
-                "frames carry no shot noise to extract"
+        if refusal is not None and not args.force:
+            raise UsageError(
+                f"{refusal}\n  Lower k, raise l, or pass --force to extract "
+                "anyway (output is NOT certified random)."
             )
-        s = entropy_report(n_bar_est, first.bit_depth).s
-
-        try:
-            log2_eps = epsilon_bound(s, l, k)
-        except ValueError as exc:
-            if not args.force:
-                print(
-                    f"error: {exc}\n"
-                    f"  s = {float(s):.4f} from estimated n_bar = {n_bar_est:.1f} "
-                    f"at {first.bit_depth}-bit depth; "
-                    f"s*l = {float(s) * l:.1f} <= k = {k}.\n"
-                    "  Lower k, raise l, or pass --force to extract anyway "
-                    "(output is NOT certified random).",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            log2_eps = None
-
         if args.save_matrix:
             save_matrix(matrix, args.save_matrix)
-        os.replace(tmp_path, out_path)
+        os.replace(tmp_path, args.out)
 
-    raw_bits, output_bits = blocks * l + residual, blocks * k
-    output_bytes = (output_bits + 7) // 8
-    summary = {
-        "command": "extract",
-        "frames": n_frames,
-        "raw_bits": raw_bits,
-        "l": l,
-        "k": k,
-        "blocks_processed": blocks,
-        "residual_bits_discarded": residual,
-        "output_bits": output_bits,
-        "output_bytes": output_bytes,
-        "padding_bits": 8 * output_bytes - output_bits,
-        "mean_code": mean,
-        "variance_code": variance,
-        "estimated_n_bar": n_bar_est,
-        "s": float(s),
-        "log2_epsilon": None if log2_eps is None else float(log2_eps),
-        "forced": bool(args.force and log2_eps is None),
-        "matrix_digest": matrix.digest,
-        "out": out_path,
-    }
+    summary["out"] = args.out
     text = [
-        f"{n_frames} frame(s) -> {raw_bits} raw bits",
-        f"{blocks} blocks of l={l} -> {output_bits} output bits (k={k}); "
-        f"{residual} residual bits discarded",
-        f"estimated n_bar = {n_bar_est:.2f} e-, s = {float(s):.4f}",
-        (
-            f"log2(epsilon) <= {float(log2_eps):g}"
-            if log2_eps is not None
-            else "security margin VIOLATED (--force); output not certified"
-        ),
-        f"wrote {output_bytes} bytes to {out_path}",
+        "{frames} frame(s) -> {raw_bits} raw bits",
+        "{blocks_processed} blocks of l={l} -> {output_bits} output bits (k={k}); "
+        "{residual_bits_discarded} residual bits discarded",
+        "estimated n_bar = {estimated_n_bar:.2f} e-, s = {s:.4f}",
+        "log2(epsilon) <= {log2_epsilon:g}"
+        if summary["log2_epsilon"] is not None
+        else "security margin VIOLATED (--force); output not certified",
+        "wrote {output_bytes} bytes to {out}",
     ]
-    _emit(args, summary, text)
+    _emit(args, summary, [line.format_map(summary) for line in text])
     return EXIT_OK
 
 
@@ -745,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest", metavar="JSON", help="sweep manifest from `simulate --sweep`"
     )
     p.add_argument(
-        "--tolerance", type=_number(float, "> 0", lambda v: v > 0), default=0.15,
-        help="|F-1| bound for the operating region (default 0.15)",
+        "--tolerance", type=_number(float, "> 0", lambda v: v > 0),
+        default=DEFAULT_FANO_TOLERANCE,
+        help=f"|F-1| bound for the operating region (default {DEFAULT_FANO_TOLERANCE})",
     )
     p.set_defaults(func=cmd_characterize)
 

@@ -13,6 +13,8 @@ table lookups XORed together instead of k row scans.  Where the tables
 for every position would be large they are built and applied in tiles
 of byte positions, one tile at a time.  A naive matrix product verifies
 the result in the test suite.
+extract_frames runs all of `camrng extract` in one read of the frames:
+stack sums, extraction in batches, and the security margin gate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitstream import BitString
-from .sensor import Frame, worker_count
+from .bitstream import BitString, export_stream
+from .characterize import PixelMask, code_sums, stack_summary
+from .entropy import entropy_report, epsilon_bound
+from .sensor import Frame, SensorConfig, worker_count
 
 MATRIX_MAGIC = b"QRNGM1"
 MAX_BLOCK_BITS = 1 << 20
@@ -402,3 +406,92 @@ def extract(
     return ExtractedStream(
         bits=out, blocks_processed=n_blocks, residual_bits_discarded=residual
     )
+
+
+def extract_frames(
+    frames, sensor: SensorConfig, matrix: BinaryMatrix, mask: PixelMask | None, out
+) -> tuple[dict, str | None]:
+    """Extract a frame stack into the binary file out, reading each frame once.
+
+    Raw bits wait only until n_workers * _CHUNK_BLOCKS whole blocks are
+    buffered; each such batch is extracted and written MSB-first.  A
+    batch is a multiple of 8 blocks, so it starts on a byte of the buffer
+    and its output is whole bytes; blocks lie on one grid from the first
+    raw bit, so out gets one extract() of the whole stream for any worker
+    count.  The last, shorter batch takes the tail, whose partial block
+    is discarded.  The exact mean of the usable codes then gives s.
+
+    Returns (record, refusal): the `extract --json` record up to "out",
+    log2_epsilon None when s*l <= k, and None or why the margin fails.
+    Raises ValueError for a mixed stack or frames at the dark level.
+    """
+    l, k = matrix.l, matrix.k
+    n_workers = worker_count()
+    # Whole chunks for every worker, on extract()'s chunk grid.
+    batch_bytes = n_workers * _CHUNK_BLOCKS * l // 8
+    blocks, pending = [], []
+
+    def extract_batch(stream: BitString) -> int:
+        result = extract(stream, matrix, n_workers=n_workers)
+        export_stream(result.bits, out)
+        blocks.append(result.blocks_processed)
+        return result.residual_bits_discarded
+
+    def queue(frame: Frame) -> Frame:
+        pending.append(frame_to_bits(frame, mask))
+        pending_bits = sum(part.n_bits for part in pending)
+        if pending_bits >= 8 * batch_bytes:
+            buffered = concat_streams(pending)
+            cut = pending_bits // (8 * batch_bytes) * batch_bytes
+            for lo in range(0, cut, batch_bytes):
+                batch = buffered.packed[lo : lo + batch_bytes]
+                extract_batch(BitString(batch, 8 * batch_bytes))
+            pending[:] = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
+        return frame
+
+    n_frames, first, s1, s2 = code_sums(map(queue, frames))
+    residual = extract_batch(concat_streams(pending))
+    if mask is not None:
+        s1, s2 = s1[mask.flags], s2[mask.flags]
+    mean, variance = stack_summary(n_frames, s1, s2)
+
+    # Estimate the absorbed mean from the data itself, convert it to
+    # entropy per raw bit, and refuse to certify extraction that would
+    # emit more bits than it gathers.
+    n_bar_est = mean / sensor.zeta - sensor.offset
+    if n_bar_est <= 0:
+        raise ValueError(
+            f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
+            "frames carry no shot noise to extract"
+        )
+    s = entropy_report(n_bar_est, first.bit_depth).s
+    try:
+        log2_eps, refusal = float(epsilon_bound(s, l, k)), None
+    except ValueError as exc:
+        log2_eps = None
+        refusal = (
+            f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
+            f"{first.bit_depth}-bit depth; s*l = {s * l:.1f} <= k = {k}."
+        )
+
+    n_blocks = sum(blocks)
+    return {
+        "command": "extract",
+        "frames": n_frames,
+        "raw_bits": n_blocks * l + residual,
+        "l": l,
+        "k": k,
+        "blocks_processed": n_blocks,
+        "residual_bits_discarded": residual,
+        "output_bits": n_blocks * k,
+        "output_bytes": (n_blocks * k + 7) // 8,
+        "padding_bits": -n_blocks * k % 8,
+        "mean_code": mean,
+        "variance_code": variance,
+        "estimated_n_bar": n_bar_est,
+        "s": s,
+        "log2_epsilon": log2_eps,
+        # An uncertified output is kept only when the caller forces it.
+        "forced": log2_eps is None,
+        "matrix_digest": matrix.digest,
+    }, refusal

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ class FrameFileHeader:
             raise ValueError(f"frame_count must be >= 1, got {self.frame_count}")
 
     @property
-    def bytes_per_sample(self) -> int:
-        return 1 if self.format == "raw8" else 2
+    def dtype(self) -> np.dtype:
+        """How one sample is stored: little-endian uint16 or one byte."""
+        return np.dtype("u1" if self.format == "raw8" else "<u2")
 
     def to_dict(self) -> dict:
         return {
@@ -72,13 +74,20 @@ class FrameFileHeader:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameFileHeader":
+        def integer(key: str) -> int:
+            value = d.get(key, 1) if key == "frame_count" else d[key]
+            # int() would read true as 1 and truncate 4.5 to 4.
+            if isinstance(value, bool) or int(value) != value:
+                raise ValueError(f"frame header {key} is not an integer: {value!r}")
+            return int(value)
+
         try:
             return cls(
                 format=str(d["format"]),
-                width=int(d["width"]),
-                height=int(d["height"]),
-                bit_depth=int(d["bit_depth"]),
-                frame_count=int(d.get("frame_count", 1)),
+                width=integer("width"),
+                height=integer("height"),
+                bit_depth=integer("bit_depth"),
+                frame_count=integer("frame_count"),
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(
@@ -173,51 +182,41 @@ def write_pgm(frame: Frame, path: str) -> None:
 # ----------------------------------------------------------------------
 
 
-def read_raw(path: str, header: FrameFileHeader) -> list[Frame]:
-    """Read frames from a headerless raw dump.
+def read_raw(path: str, header: FrameFileHeader) -> Iterator[Frame]:
+    """The frames of a headerless raw dump, in file order, read one at a time.
 
-    Args:
-        path: file of frame_count * width * height samples, little-endian
-            16-bit for raw16le or single bytes for raw8.
-        header: declared geometry and encoding.
-
-    Returns:
-        frame_count Frames in file order.
+    path holds frame_count * width * height samples, little-endian 16-bit
+    for raw16le or single bytes for raw8.  The file's size is checked
+    against header at the call; each frame is read when it is reached,
+    so a long dump is never held whole.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    size = os.path.getsize(path)
     n_samples = header.frame_count * header.width * header.height
-    expected = n_samples * header.bytes_per_sample
-    if len(data) != expected:
+    expected = n_samples * header.dtype.itemsize
+    if size != expected:
         raise ValueError(
-            f"{path}: payload is {len(data)} bytes but header declares "
+            f"{path}: payload is {size} bytes but header declares "
             f"{expected} ({header.frame_count} frames of "
             f"{header.width}x{header.height})"
         )
-    dtype = np.dtype("<u2") if header.format == "raw16le" else np.dtype("u1")
-    codes = np.frombuffer(data, dtype=dtype).astype(np.uint16)
-    limit = (1 << header.bit_depth) - 1
-    if codes.size and int(codes.max()) > limit:
-        raise ValueError(
-            f"{path}: sample {int(codes.max())} exceeds declared "
-            f"{header.bit_depth}-bit range"
-        )
-    codes = codes.reshape(header.frame_count, header.height, header.width)
-    return [
-        Frame(
-            width=header.width,
-            height=header.height,
-            codes=codes[i],
-            bit_depth=header.bit_depth,
-        )
-        for i in range(header.frame_count)
-    ]
+    def frames() -> Iterator[Frame]:
+        with open(path, "rb") as fh:
+            for i in range(header.frame_count):
+                codes = np.empty((header.height, header.width), header.dtype)
+                if fh.readinto(codes) != codes.nbytes:
+                    raise ValueError(f"{path}: file ended inside frame {i}")
+                try:  # Frame checks the codes against the declared bit depth
+                    frame = Frame(header.width, header.height, codes, header.bit_depth)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: frame {i}: {exc}") from None
+                yield frame
+
+    return frames()
 
 
 def raw_payload(frame: Frame, header: FrameFileHeader) -> bytes:
     """One frame's samples as stored in a raw dump of `header`'s format."""
-    dtype = np.dtype("<u2") if header.format == "raw16le" else np.dtype("u1")
-    return frame.codes.astype(dtype).tobytes()
+    return frame.codes.astype(header.dtype).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -133,11 +133,17 @@ class SensorConfig:
             raise ValueError(f"sensor config has unknown keys: {unknown}")
 
         def number(key: str, cast=float):
+            value = d[key]
             try:
-                return cast(d[key])
+                result = cast(value)
             except (TypeError, ValueError, OverflowError):
-                message = f"sensor config {key} is not a number: {d[key]!r}"
+                message = f"sensor config {key} is not a number: {value!r}"
                 raise ValueError(message) from None
+            # cast would read true as 1 and truncate 10.9 to 10.
+            if isinstance(value, bool) or cast is int and result != value:
+                kind = "an integer" if cast is int else "a number"
+                raise ValueError(f"sensor config {key} is not {kind}: {value!r}")
+            return result
 
         return cls(
             name=str(d["name"]),

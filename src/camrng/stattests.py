@@ -2,8 +2,8 @@
 
 A small in-repo battery (monobit, block frequency, runs, serial
 correlation, byte entropy) gates pipeline output without external
-tooling; export_stream produces the MSB-first byte stream that external
-batteries (dieharder, NIST SP 800-22 suites) consume.
+tooling; export_stream (from bitstream) produces the MSB-first byte
+stream that external batteries (dieharder, NIST SP 800-22 suites) consume.
 
 Every statistic is scored from integer counts that add up over chunks,
 folded in one pass over the stream's MSB-first bytes: the order of every
@@ -38,7 +38,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy.special import erfc, gammaincc
 
-from .bitstream import BitString
+# Defined beside BitString, so that the extractor loads no scipy.
+from .bitstream import BitString, ExportResult, export_stream  # noqa: F401
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_BLOCK_SIZE = 128
@@ -452,46 +453,6 @@ def shannon_byte_entropy(bits: BitString) -> float:
             f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {bits.n_bits}"
         )
     return _byte_entropy(_count(bits))[0]
-
-
-class ExportResult(NamedTuple):
-    n_bytes: int
-    padding_bits: int
-
-
-def export_stream(bits: BitString, destination) -> ExportResult:
-    """Write bits as a byte stream, MSB of each byte = earliest bit.
-
-    The final byte is zero-padded on the low side when the bit count is
-    not a multiple of 8; the padding count is returned alongside the
-    byte count.
-
-    Args:
-        bits: the stream to write.
-        destination: path, or a binary file-like object (e.g.
-            sys.stdout.buffer for piping into an external battery).
-
-    Returns:
-        ExportResult(n_bytes, padding_bits).
-    """
-    padding = (-bits.n_bits) % 8
-
-    def _write(fh) -> int:
-        written = 0
-        for part in bits.msb_chunks():
-            fh.write(part)
-            written += len(part)
-        return written
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        try:
-            with open(destination, "wb") as fh:
-                n = _write(fh)
-        except OSError as exc:
-            raise OSError(f"writing {destination}: {exc}") from exc
-    else:
-        n = _write(destination)
-    return ExportResult(n_bytes=n, padding_bits=padding)
 
 
 @dataclass(frozen=True)

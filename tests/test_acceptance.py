@@ -361,7 +361,7 @@ def test_criterion_9_format_round_trips(tmp_path):
         ]
         path = tmp_path / f"rt_{i}.raw"
         path.write_bytes(b"".join(raw_payload(f, header) for f in frames))
-        back = read_raw(path, header)
+        back = list(read_raw(path, header))
         assert len(back) == 5
         for a, b in zip(frames, back):
             assert np.array_equal(a.codes, b.codes)
@@ -380,7 +380,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     fr = tmp_path / "fixture.raw"
     fr.write_bytes(b"\x9a\x01")
     raw_header = FrameFileHeader("raw16le", 1, 1, 10, 1)
-    assert read_raw(fr, raw_header)[0].codes.tolist() == [[410]]
+    assert list(read_raw(fr, raw_header))[0].codes.tolist() == [[410]]
 
     ok = n_round_tripped == 100
     _verdict(

@@ -11,6 +11,7 @@ import numpy as np
 
 import camrng
 import camrng.cli
+import camrng.extractor
 from camrng.ingest import write_pgm
 from camrng.sensor import Frame
 
@@ -37,19 +38,20 @@ def test_one_worker_baselines_can_pass_n_workers():
         assert "n_workers" in inspect.signature(fn).parameters
 
 
-def test_cli_extract_calls_the_traced_extractor_names(tmp_path, monkeypatch):
+def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
     # perfbench's per-layer extractor metrics come from spans around these
-    # names as camrng.cli holds them; a call that bypasses them reads 0.
+    # names, rebound wherever camrng holds them; a call that bypasses them
+    # reads 0.
     names = ("frame_to_bits", "concat_streams", "generate_matrix", "extract")
     calls = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(camrng.cli, name)
+        real = getattr(camrng.extractor, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(camrng.cli, name, counted)
+        rebind(real, counted)
     rng = np.random.default_rng(2)
     paths = []
     for i in range(3):

@@ -11,7 +11,8 @@ import pytest
 
 import camrng.cli
 from camrng import extractor
-from camrng.characterize import PixelMask
+from camrng.bitstream import export_stream
+from camrng.characterize import PixelMask, code_sums, stack_summary
 from camrng.cli import main
 from camrng.extractor import (
     DEFAULT_MATRIX_SEED,
@@ -102,7 +103,7 @@ def test_simulate_summary_totals_do_not_wrap():
     # One frame of four pixels whose squared codes add up past 2**63.
     codes = [2**31, 2**31 - 7, 1, 2**30]
     s1 = np.array(codes, dtype=np.int64).reshape(2, 2)
-    mean, variance = camrng.cli._stack_summary(1, s1, s1 * s1)
+    mean, variance = stack_summary(1, s1, s1 * s1)
     exact_mean = Fraction(sum(codes), 4)
     assert mean == float(exact_mean)
     assert variance == float(sum((c - exact_mean) ** 2 for c in codes) / 3)
@@ -136,6 +137,9 @@ def test_simulate_config_file_equals_its_preset(tmp_path):
         ("full_well_electrons", float("nan"), "full_well must be finite"),
         ("eta", None, "eta is not a number"),
         ("bit_depth", float("inf"), "bit_depth is not a number"),
+        ("bit_depth", 10.9, "bit_depth is not an integer: 10.9"),
+        ("bit_depth", True, "bit_depth is not an integer: True"),
+        ("eta", True, "eta is not a number: True"),
     ],
 )
 def test_simulate_config_with_a_bad_number_is_a_runtime_failure(
@@ -182,7 +186,7 @@ def test_simulate_json_of_a_single_code_is_strict_json(tmp_path, capsys):
 
 
 def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(camrng.cli, "_stack_summary", lambda *sums: (1.0, float("nan")))
+    monkeypatch.setattr(camrng.cli, "stack_summary", lambda *sums: (1.0, float("nan")))
     out = tmp_path / "sweep"
     rc = run("simulate", "--preset", "nokia-n9", "--sweep", "10,20", "--width", "2",
              "--height", "2", "--out", out, "--json")
@@ -932,9 +936,16 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ("f.raw.json", {"n_bar": 10.0}, ("extract", "f.raw")),
         ("f.raw.json", {"header": {"format": "raw16le", "height": 4, "bit_depth": 10}},
          ("extract", "f.raw")),
+        # int() would read both as a 4x4 frame, exactly the file's 32 bytes.
+        ("f.raw.json", {"header": {"format": "raw16le", "width": 4.5, "height": 4,
+                                   "bit_depth": 10}}, ("extract", "f.raw")),
+        ("f.raw.json", {"header": {"format": "raw16le", "width": 4, "height": 4,
+                                   "bit_depth": 10, "frame_count": True}},
+         ("characterize", "f.raw")),
     ],
     ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
-         "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width"],
+         "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
+         "sidecar-width-not-integral", "sidecar-frame-count-bool"],
 )
 def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     tmp_path, monkeypatch, capsys, name, doc, argv
@@ -1048,7 +1059,7 @@ def stacks(tmp_path_factory):
         "pgm": (pgms, [], pgm_frames, None),
         "masked": (pgms, ["--mask", mask_path], pgm_frames,
                    PixelMask.from_json(mask_path.read_text())),
-        "raw16le": ([raw], [], read_raw(raw, read_sidecar(raw)[0]), None),
+        "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw)[0])), None),
     }
 
 
@@ -1111,13 +1122,19 @@ def test_extract_reports_the_exact_moments_of_the_usable_codes(stacks, tmp_path,
     assert doc["estimated_n_bar"] == doc["mean_code"] / sensor.zeta - sensor.offset
 
 
-def test_extract_sums_the_stack_once_and_exports_each_batch(stacks, tmp_path, monkeypatch):
+def test_extract_sums_the_stack_once_and_exports_each_batch(stacks, tmp_path, monkeypatch,
+                                                           rebind):
     paths, _, frames, _ = stacks["pgm"]
     monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", 8)
     monkeypatch.setenv("QRNG_THREADS", "2")
     calls: dict = {}
-    for name in ("code_sums", "extract", "export_stream"):
-        _count_calls(monkeypatch, camrng.cli, name, calls)
+    for real in (code_sums, extract, export_stream):
+
+        def counted(*args, _real=real, **kwargs):
+            calls.setdefault(_real.__name__, []).append(args)
+            return _real(*args, **kwargs)
+
+        rebind(real, counted)
     assert run("extract", "--preset", "nokia-n9", *paths, "--l", 777, "--k", 200,
                "--out", tmp_path / "o.bin") == 0
     assert len(calls["code_sums"]) == 1
@@ -1140,7 +1157,8 @@ def test_extract_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, monkeypatch):
+def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, monkeypatch,
+                                                            rebind):
     paths, _, frames, _ = stacks["pgm"]
     l, k, n_workers, chunk = 777, 200, 2, 8
     # 98 byte positions in tiles of 40: the first tile is kept, two are rebuilt.
@@ -1148,7 +1166,7 @@ def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, mo
     monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", chunk)
     monkeypatch.setenv("QRNG_THREADS", str(n_workers))
     calls = {"tables": 0, "extract": 0}
-    real_tables, real_extract = BinaryMatrix._byte_tables, camrng.cli.extract
+    real_tables, real_extract = BinaryMatrix._byte_tables, extractor.extract
 
     def counted_tables(self, lo, hi):
         calls["tables"] += 1
@@ -1159,7 +1177,7 @@ def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, mo
         return real_extract(*args, **kwargs)
 
     monkeypatch.setattr(BinaryMatrix, "_byte_tables", counted_tables)
-    monkeypatch.setattr(camrng.cli, "extract", counted_extract)
+    rebind(real_extract, counted_extract)
     assert run("extract", "--preset", "nokia-n9", *paths, "--l", l, "--k", k,
                "--out", tmp_path / "o.bin") == 0
     blocks = len(frames) * STACK_W * STACK_H * 10 // l

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,7 +92,7 @@ def test_raw16le_fixture(tmp_path):
     header = FrameFileHeader(
         format="raw16le", width=1, height=1, bit_depth=10, frame_count=1
     )
-    frames = read_raw(path, header)
+    frames = list(read_raw(path, header))
     assert len(frames) == 1
     assert frames[0].codes.tolist() == [[410]]
 
@@ -100,7 +103,7 @@ def test_raw8_fixture(tmp_path):
     header = FrameFileHeader(
         format="raw8", width=2, height=1, bit_depth=8, frame_count=1
     )
-    frames = read_raw(path, header)
+    frames = list(read_raw(path, header))
     assert frames[0].codes.tolist() == [[42, 255]]
 
 
@@ -131,7 +134,43 @@ def test_raw_rejects_out_of_range_sample(tmp_path):
         format="raw16le", width=1, height=1, bit_depth=10, frame_count=1
     )
     with pytest.raises(ValueError, match="range"):
-        read_raw(path, header)
+        list(read_raw(path, header))
+
+
+def test_raw_range_is_checked_per_frame_naming_the_path(tmp_path):
+    path = tmp_path / "f.raw"
+    path.write_bytes(b"\x01\x00\x02\x00\x00\x04")  # 1024 in the last frame
+    header = FrameFileHeader(
+        format="raw16le", width=1, height=1, bit_depth=10, frame_count=3
+    )
+    frames = read_raw(path, header)
+    assert [next(frames).codes.tolist() for _ in range(2)] == [[[1]], [[2]]]
+    message = f"{path}: frame 2: codes [1024, 1024] exceed 10-bit range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        next(frames)
+
+
+@pytest.mark.parametrize("fmt", ["raw16le", "raw8"])
+def test_raw_holds_one_frame_at_a_time(tmp_path, fmt):
+    n_frames, width, height = 16, 256, 128
+    header = FrameFileHeader(
+        format=fmt, width=width, height=height, bit_depth=8, frame_count=n_frames
+    )
+    rng = np.random.default_rng(3)
+    frame = frame_of(rng.integers(0, 256, (height, width)), bit_depth=8)
+    path = tmp_path / "f.raw"
+    path.write_bytes(raw_payload(frame, header) * n_frames)
+    frame_bytes = frame.codes.nbytes  # one decoded uint16 frame
+    tracemalloc.start()
+    try:
+        count = 0
+        for got in read_raw(path, header):
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == n_frames and np.array_equal(got.codes, frame.codes)
+    assert peak < 3 * frame_bytes
 
 
 def test_header_rejects_pgm_format():

@@ -53,11 +53,12 @@ def test_package_import_loads_neither_numpy_nor_scipy():
     assert out == "[]"
 
 
-def test_sensor_import_loads_no_scipy_and_keeps_the_environment():
+@pytest.mark.parametrize("module", ["camrng.sensor", "camrng.extractor"])
+def test_sensor_import_loads_no_scipy_and_keeps_the_environment(module):
     out = run_fresh(
         "import os, sys\n"
         "before = dict(os.environ)\n"
-        "import camrng.sensor\n"
+        f"import {module}\n"
         "print('scipy' in sys.modules, dict(os.environ) == before)"
     )
     assert out == "False True"
