@@ -8,7 +8,8 @@ Exit codes are a stable scripting contract:
     2  usage or validation error (bad flags, violated security margin)
 
 Every command is deterministic given its explicit seeds; the tool draws
-no entropy of its own.  QRNG_THREADS caps internal parallelism.
+no entropy of its own.  QRNG_THREADS caps the threads of simulate;
+extract runs on one thread (see camrng.extractor).
 
 OpenBLAS runs on one thread unless the caller sets OPENBLAS_NUM_THREADS.
 numpy and scipy each load their own copy, and each copy would otherwise
@@ -16,13 +17,34 @@ start worker threads that spin on the CPU while the process starts, for
 BLAS calls (one short dot product, one line fit) too small to share.
 The setting must precede the first numpy import, which is why the
 package __init__ imports no submodule eagerly.
+
+glibc's mmap threshold is fixed at 32 MiB and its trim threshold at
+64 MiB, the ceilings its own dynamic policy climbs towards, so freed
+memory stays in the heap for reuse.  Left dynamic, both stall near
+1-2 MB, and every freed numpy temporary of about a megabyte (frames,
+draws, read buffers, extract batches) goes back to the kernel, to be
+page-faulted in again by the next one.  Where libc has no mallopt
+nothing is set; the library never touches the allocator.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _set_malloc_policy() -> None:
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_set_malloc_policy()
 
 import argparse
 import contextlib

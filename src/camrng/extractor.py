@@ -15,10 +15,15 @@ of byte positions, one tile at a time.  A naive matrix product verifies
 the result in the test suite.
 extract_frames runs all of `camrng extract` in one read of the frames:
 stack sums, extraction in batches, and the security margin gate.
+
+Extraction runs on the calling thread.  Its lookup, a numpy take, holds
+the interpreter lock, so a second thread adds CPU without saving wall
+time; extract keeps a thread pool only for callers that ask for one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import struct
@@ -30,7 +35,7 @@ import numpy as np
 from .bitstream import BitString, export_stream
 from .characterize import PixelMask, code_sums, stack_summary
 from .entropy import entropy_report, epsilon_bound
-from .sensor import Frame, SensorConfig, worker_count
+from .sensor import Frame, SensorConfig
 
 MATRIX_MAGIC = b"QRNGM1"
 MAX_BLOCK_BITS = 1 << 20
@@ -45,9 +50,14 @@ DEFAULT_MATRIX_SEED = bytes.fromhex(
     "3f62e31cc2b8edd197bd4d0e4f5b19c6a8dc41a10779d8a24b92e3e15d26cd08"
 )
 
-# Blocks per extraction chunk.  Chunks are the parallelism unit; the
-# value is fixed so output assembly is identical for any worker count.
+# Blocks per extraction chunk.  A chunk is the unit of work extract
+# hands a worker, and its lookup buffer stays in cache; the value is
+# fixed so output assembly is identical for any worker count.
 _CHUNK_BLOCKS = 4096
+
+# Chunks per batch of extract_frames: the raw bits buffered between
+# extract calls, and the calls over which later table tiles are rebuilt.
+_BATCH_CHUNKS = 2
 
 # Byte-parity lookup tables are built in tiles of at most this many bytes.
 _TABLE_BYTES_LIMIT = 64 << 20
@@ -323,7 +333,7 @@ def extract(
     stream: BitString,
     matrix: BinaryMatrix,
     *,
-    n_workers: int | None = None,
+    n_workers: int = 1,
 ) -> ExtractedStream:
     """Run the matrix extractor over a raw bit stream.
 
@@ -331,13 +341,16 @@ def extract(
     output bits m*k .. m*k+k-1 with bit j = parity(row_j AND block).
     A trailing partial block is discarded (and counted), never padded.
 
-    Chunks of blocks may be processed by multiple workers; the chunk
-    grid is fixed, so output is bit-identical for any worker count.
+    Blocks are processed in chunks of _CHUNK_BLOCKS on the calling
+    thread.  n_workers > 1 hands the chunks to a thread pool instead;
+    the chunk grid is fixed, so output is bit-identical for any worker
+    count, but the lookups hold the interpreter lock, so the extra
+    threads cost CPU and save no wall time.
 
     Args:
         stream: raw bits.
         matrix: extraction matrix.
-        n_workers: parallel workers, default worker_count().
+        n_workers: threads to run the chunks on, default 1 (no pool).
 
     Returns:
         ExtractedStream of blocks_processed * k bits.
@@ -393,12 +406,13 @@ def extract(
                 high[:, :n_row_bytes] |= src >> (8 - shift)
         return out[: (count * k + 7) // 8]
 
-    if n_workers is None:
-        n_workers = worker_count()
-    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+    with (
+        ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext()
+    ) as pool:
+        run = map if pool is None else pool.map
         for lo, tables in matrix._table_tiles():
-            list(pool.map(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
-        parts = list(pool.map(pack_chunk, range(n_chunks)))
+            list(run(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
+        parts = list(run(pack_chunk, range(n_chunks)))
 
     # Every chunk but the last covers _CHUNK_BLOCKS*k bits, a multiple
     # of 8, so packed parts concatenate without bit shifting.
@@ -413,12 +427,12 @@ def extract_frames(
 ) -> tuple[dict, str | None]:
     """Extract a frame stack into the binary file out, reading each frame once.
 
-    Raw bits wait only until n_workers * _CHUNK_BLOCKS whole blocks are
-    buffered; each such batch is extracted and written MSB-first.  A
-    batch is a multiple of 8 blocks, so it starts on a byte of the buffer
-    and its output is whole bytes; blocks lie on one grid from the first
-    raw bit, so out gets one extract() of the whole stream for any worker
-    count.  The last, shorter batch takes the tail, whose partial block
+    Raw bits wait only until _BATCH_CHUNKS * _CHUNK_BLOCKS whole blocks
+    are buffered; each such batch is extracted on this thread and written
+    MSB-first.  A batch is a multiple of 8 blocks, so it starts on a byte
+    of the buffer and its output is whole bytes; blocks lie on one grid
+    from the first raw bit, so out gets one extract() of the whole
+    stream.  The last, shorter batch takes the tail, whose partial block
     is discarded.  The exact mean of the usable codes then gives s.
 
     Returns (record, refusal): the `extract --json` record up to "out",
@@ -426,13 +440,12 @@ def extract_frames(
     Raises ValueError for a mixed stack or frames at the dark level.
     """
     l, k = matrix.l, matrix.k
-    n_workers = worker_count()
-    # Whole chunks for every worker, on extract()'s chunk grid.
-    batch_bytes = n_workers * _CHUNK_BLOCKS * l // 8
+    # Whole chunks, on extract()'s chunk grid.
+    batch_bytes = _BATCH_CHUNKS * _CHUNK_BLOCKS * l // 8
     blocks, pending = [], []
 
     def extract_batch(stream: BitString) -> int:
-        result = extract(stream, matrix, n_workers=n_workers)
+        result = extract(stream, matrix)
         export_stream(result.bits, out)
         blocks.append(result.blocks_processed)
         return result.residual_bits_discarded

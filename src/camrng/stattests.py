@@ -11,7 +11,8 @@ file `camrng test` reads and of every file `--export` writes, so no bit
 is reversed on the way.  Each pass of _CHUNK_WORDS words is byteswapped
 once into native uint64 words, stream bit i at bit 63 - i % 64, and adds
 
-- the ones, by popcount, and the ones per block, carrying the open block;
+- the ones, by popcount, and the squared excess (2c - M)^2 of the ones c
+  in each block of M bits, carrying the open block;
 - the (1,1) pairs at lags 1..max_lag, by popcounts of the words ANDed
   with themselves shifted by tau bits, carrying the words the longest
   lag reaches past the pass;
@@ -81,7 +82,8 @@ class _Counts(NamedTuple):
     n: int  # bits
     ones: int
     block_size: int
-    blocks: np.ndarray  # ones per full block
+    n_blocks: int  # full blocks
+    block_sq: int  # sum over full blocks of (2 * ones - block_size)^2, exact
     pairs: list[int]  # (1,1) pairs at lags 1..max_lag
     head: np.ndarray  # the first min(n, max_lag) bits, 0/1
     tail: np.ndarray  # the last min(n, max_lag) bits, 0/1
@@ -121,12 +123,14 @@ class _Fold:
         self.pairs = [0] * max_lag
         self.head = np.zeros(self.hold, np.uint64)
         self.head_filled = 0
-        self.blocks: list[np.ndarray] = []
+        self.n_blocks = 0
+        self.block_sq = 0
         self.open_block = 0  # ones so far in the block the last pass left open
-        self.block_dtype = (
-            np.uint8 if block_size < 1 << 8
-            else np.uint16 if block_size < 1 << 16
-            else np.int64
+        # A pass ends at most 64 * size / block_size + 1 blocks, each
+        # with |2c - M| <= M, so their squares sum in int64 unless M is
+        # past about 3e9 bits; there, in Python ints.
+        self.sq_dtype = (
+            np.int64 if 64 * size * block_size + block_size**2 < 1 << 63 else object
         )
         self.byte_pairs = np.zeros(1 << 16, np.int64)
         self.odd_byte = None  # a last full byte past the pairs
@@ -190,7 +194,7 @@ class _Fold:
             self.held = total
 
     def _blocks(self, cur, per_word, ones: int, stop: int, base: int) -> None:
-        """Append the ones of each block that ends in bits (0, stop] of pass cur."""
+        """Add (2c - M)^2 for each block that ends in bits (0, stop] of pass cur."""
         bs, m = self.block_size, cur.size
         edges = np.arange((base // bs + 1) * bs - base, stop + 1, bs)
         if not edges.size:
@@ -203,11 +207,12 @@ class _Fold:
         idx = edges >> 6
         part = cur[np.minimum(idx, m - 1)] & _HIGH_MASKS[edges & 63]
         before = cum[idx] + np.bitwise_count(part)
-        counts = np.diff(before, prepend=0).astype(self.block_dtype)
-        rest = ones - int(before[-1])
+        counts = np.diff(before, prepend=0)
         counts[0] += self.open_block
-        self.blocks.append(counts)
-        self.open_block = rest
+        excess = (2 * counts - bs).astype(self.sq_dtype)
+        self.n_blocks += counts.size
+        self.block_sq += int(np.dot(excess, excess))
+        self.open_block = ones - int(before[-1])
 
     def _pair(self, done: int) -> None:
         """Add the (1,1) pairs that start in words[:done] at every lag."""
@@ -255,7 +260,8 @@ class _Fold:
             n=n,
             ones=self.ones,
             block_size=self.block_size,
-            blocks=np.concatenate(self.blocks or [np.zeros(0, self.block_dtype)]),
+            n_blocks=self.n_blocks,
+            block_sq=self.block_sq,
             pairs=self.pairs,
             head=_msb_bits(self.head)[: min(n, lag)],
             tail=last,
@@ -308,13 +314,11 @@ def monobit_test(bits: BitString) -> TestOutcome:
 
 
 def _block_frequency(c: _Counts) -> TestOutcome:
-    n_blocks = c.blocks.size
-    # (pi - 1/2)^2 in place: one float per block is the step's largest array
-    pi = c.blocks / c.block_size
-    pi -= 0.5
-    chi2 = 4.0 * c.block_size * float(np.sum(np.square(pi, out=pi)))
+    # 4 M sum (c/M - 1/2)^2 = sum (2c - M)^2 / M, rounded once from the
+    # exact integer sum
+    chi2 = c.block_sq / c.block_size
     return TestOutcome(
-        statistic=chi2, p_value=float(gammaincc(n_blocks / 2.0, chi2 / 2.0))
+        statistic=chi2, p_value=float(gammaincc(c.n_blocks / 2.0, chi2 / 2.0))
     )
 
 
@@ -323,7 +327,8 @@ def block_frequency_test(
 ) -> TestOutcome:
     """Per-block one-proportion chi-square (standard formulation).
 
-    chi2 = 4 * block_size * sum((pi_i - 1/2)^2) over N full blocks;
+    chi2 = 4 * block_size * sum((pi_i - 1/2)^2) over N full blocks,
+    computed exactly from the block one-counts and rounded once;
     p = igamc(N/2, chi2/2).  Needs block_size >= 8 and >= 10 blocks.
     """
     _check_block_size(block_size)
@@ -381,10 +386,6 @@ class SerialCorrelationResult:
     coefficients: np.ndarray
     threshold: float
     flagged: list[int]
-
-    @property
-    def all_within_threshold(self) -> bool:
-        return not self.flagged
 
 
 def _serial(c: _Counts) -> SerialCorrelationResult:

@@ -1076,8 +1076,8 @@ def test_streamed_extract_equals_whole_stream_oracle(
     want = extract(raw, generate_matrix(DEFAULT_MATRIX_SEED, k, l))
     out = tmp_path / "random.bin"
     docs = []
-    # Default batches, then 8-block chunks: batches of 8 or 16 blocks
-    # that start and end inside frames.
+    # Default batches, then 8-block chunks: batches of 16 blocks that
+    # start and end inside frames.
     for chunk in (extractor._CHUNK_BLOCKS, 8):
         monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", chunk)
         for threads in ("1", "2"):
@@ -1157,14 +1157,19 @@ def test_extract_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [1, 4])
 def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, monkeypatch,
-                                                            rebind):
+                                                            rebind, threads):
+    # Batches are a fixed number of chunks: QRNG_THREADS changes neither
+    # the extract() calls nor a byte of the output.
     paths, _, frames, _ = stacks["pgm"]
-    l, k, n_workers, chunk = 777, 200, 2, 8
+    l, k, chunk = 777, 200, 8
     # 98 byte positions in tiles of 40: the first tile is kept, two are rebuilt.
     monkeypatch.setattr(extractor, "_TABLE_BYTES_LIMIT", 40 * 256 * 8 * ((k + 63) // 64))
     monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", chunk)
-    monkeypatch.setenv("QRNG_THREADS", str(n_workers))
+    monkeypatch.setenv("QRNG_THREADS", str(threads))
+    raw = concat_streams(frame_to_bits(f) for f in frames)
+    want = b"".join(extract(raw, generate_matrix(DEFAULT_MATRIX_SEED, k, l)).bits.msb_chunks())
     calls = {"tables": 0, "extract": 0}
     real_tables, real_extract = BinaryMatrix._byte_tables, extractor.extract
 
@@ -1180,8 +1185,9 @@ def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, mo
     rebind(real_extract, counted_extract)
     assert run("extract", "--preset", "nokia-n9", *paths, "--l", l, "--k", k,
                "--out", tmp_path / "o.bin") == 0
+    assert (tmp_path / "o.bin").read_bytes() == want
     blocks = len(frames) * STACK_W * STACK_H * 10 // l
-    batch = n_workers * chunk
+    batch = 2 * chunk
     assert blocks % batch != 0  # so the last batch is not empty
     assert calls["extract"] == math.ceil(blocks / batch)
     assert calls["tables"] == 1 + 2 * calls["extract"]

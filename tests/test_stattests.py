@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,30 @@ def test_block_frequency_alternating_is_perfect():
 def test_block_frequency_all_ones_fails():
     out = block_frequency_test(BitString.from_bits01(np.ones(10_000, np.uint8)), 128)
     assert out.p_value < 1e-100
+
+
+def test_block_frequency_is_rounded_once_from_exact_counts():
+    # Ones per block of 100 in this stream give sum (2c - M)^2 = 320, so
+    # chi2 = 3.2; summing (pi - 1/2)^2 in floats read 3.200000000000003.
+    b = np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8)
+    out = block_frequency_test(BitString.from_bits01(b), 100)
+    assert out.statistic == float(Fraction(320, 100)) == 3.2
+    assert out.p_value == float(special.gammaincc(5.0, 1.6))
+
+
+def test_block_sums_in_python_ints_equal_int64():
+    # Blocks past about 3e9 bits sum their squares in Python ints; the
+    # same arithmetic on small blocks must give the int64 sum.
+    assert stattests._Fold(1 << 32, 1).sq_dtype is object
+    raw = np.random.default_rng(5).bytes(5000)
+    want = stattests._count([raw], 100, 1)
+    fold = stattests._Fold(100, 1)
+    assert fold.sq_dtype is np.int64
+    fold.sq_dtype = object
+    fold.update(raw)
+    got = fold.finish()
+    assert (got.n_blocks, got.block_sq) == (want.n_blocks, want.block_sq)
+    assert isinstance(got.block_sq, int)
 
 
 def test_block_frequency_validation():
@@ -123,7 +148,7 @@ def test_serial_correlation_iid_mostly_within_threshold():
     trials = 400
     for _ in range(trials):
         bits = BitString.from_bits01(rng.integers(0, 2, size=10_000, dtype=np.uint8))
-        if serial_correlation(bits, max_lag=16).all_within_threshold:
+        if not serial_correlation(bits, max_lag=16).flagged:
             clean += 1
     assert clean >= math.ceil(0.99 * trials)
 
@@ -282,10 +307,17 @@ def oracle_monobit(b):
 
 
 def oracle_block_frequency(b, block_size):
+    # chi2 = 4 M sum (pi - 1/2)^2 in exact rationals, rounded once
     n_blocks = b.size // block_size
     blocks = b[: n_blocks * block_size].reshape(n_blocks, block_size)
-    pi = blocks.mean(axis=1)
-    chi2 = 4.0 * block_size * float(np.sum((pi - 0.5) ** 2))
+    chi2 = float(
+        4 * block_size
+        * sum((Fraction(int(c), block_size) - Fraction(1, 2)) ** 2 for c in blocks.sum(axis=1))
+    )
+    if block_size & (block_size - 1) == 0:
+        # at a power of two the float formula this replaced is exact too
+        pi = blocks.mean(axis=1)
+        assert 4.0 * block_size * float(np.sum((pi - 0.5) ** 2)) == chi2
     return (chi2, float(special.gammaincc(n_blocks / 2.0, chi2 / 2.0)), None)
 
 
