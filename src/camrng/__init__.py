@@ -20,8 +20,8 @@ _NAMES = {
     "bitstream": "BitString export_stream",
     "characterize": (
         "FanoPoint PhotonTransferCurve PixelMask PixelStats build_pixel_mask "
-        "estimate_zeta fano_curve_to_csv fano_factor find_operating_region "
-        "pixel_stats"
+        "characterize_stack characterize_sweep estimate_zeta fano_curve_to_csv "
+        "fano_factor find_operating_region pixel_stats simulate_stacks"
     ),
     "entropy": (
         "EntropyReport ExtractorPlan entropy_report epsilon_bound "
@@ -32,8 +32,8 @@ _NAMES = {
         "frame_to_bits generate_matrix load_matrix save_matrix"
     ),
     "ingest": (
-        "FrameFileHeader read_pgm read_raw read_sidecar sidecar_path write_pgm "
-        "write_sidecar"
+        "FrameFileHeader read_frames read_pgm read_raw read_sidecar sidecar_path "
+        "write_pgm write_sidecar"
     ),
     "sensor": (
         "Frame PRESETS SensorConfig digitize_electrons get_preset "

@@ -122,21 +122,6 @@ class BitString:
         return cls(np.packbits(bits, bitorder="little"), bits.size)
 
     @classmethod
-    def from_msb_bytes(cls, data, n_bits: int | None = None) -> "BitString":
-        """The first n_bits (default all) of an MSB-first byte stream.
-
-        Inverse of :meth:`msb_chunks`; bits past n_bits in the final
-        byte are dropped.
-        """
-        data = np.frombuffer(data, dtype=np.uint8)
-        if n_bits is None:
-            n_bits = 8 * data.size
-        packed = _reverse_bits(data[: (n_bits + 7) // 8])
-        if n_bits % 8:
-            packed[-1:] &= (1 << n_bits % 8) - 1  # a fresh array: clear in place
-        return cls(packed, n_bits)
-
-    @classmethod
     def zeros(cls, n_bits: int) -> "BitString":
         return cls(np.zeros((n_bits + 7) // 8, dtype=np.uint8), n_bits)
 
@@ -187,15 +172,6 @@ class BitString:
         return self.n_bits == other.n_bits and np.array_equal(
             self.packed, other.packed
         )
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        if self.n_bits != other.n_bits:
-            raise ValueError(
-                f"length mismatch: {self.n_bits} vs {other.n_bits} bits"
-            )
-        return BitString(self.packed ^ other.packed, self.n_bits)
 
     def __repr__(self) -> str:
         return f"BitString(n_bits={self.n_bits})"

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensor import Frame, SensorConfig
+from .ingest import read_frames, read_manifest, stack_files, write_manifest, write_stack
+from .sensor import Frame, SensorConfig, predicted_fano, simulate_frame
 
 DEFAULT_FANO_TOLERANCE = 0.15
 
@@ -425,3 +427,111 @@ def fano_curve_to_csv(
             writer.writerow(
                 [nb, point.mean_code, point.variance_code, point.fano]
             )
+
+
+def simulate_stacks(
+    config: SensorConfig, n_bars: list[float], sweep: bool, n_frames: int,
+    width: int, height: int, seed: int, fmt: str, out_dir: str,
+) -> tuple[dict, str | None]:
+    """Run `camrng simulate`: its `--json` record, and a sweep's manifest path or None.
+
+    Frame j of stack i is frame_id i * n_frames + j, written as soon as
+    it is simulated and summed on its way out.
+    """
+    stacks = []
+    for i, n_bar in enumerate(n_bars):
+        files = stack_files(fmt, n_frames, i if sweep else None)
+        frames = (
+            simulate_frame(config, n_bar, width, height, seed, frame_id=i * n_frames + j)
+            for j in range(n_frames)
+        )
+        n, _, s1, s2 = code_sums(
+            write_stack(frames, out_dir, files, {"n_bar": n_bar, "seed": seed})
+        )
+        mean, var = stack_summary(n, s1, s2)
+        stacks.append(
+            {
+                "n_bar": n_bar,
+                "files": files,
+                "mean_code": mean,
+                "variance_code": var,
+                "predicted_fano": predicted_fano(config, n_bar),
+            }
+        )
+    record = {
+        "command": "simulate",
+        "config": config.to_dict(),
+        "seed": seed,
+        "out": out_dir,
+        "format": fmt,
+        "stacks": stacks,
+    }
+    return record, write_manifest(out_dir, record) if sweep else None
+
+
+def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
+    """Run `camrng characterize` on one stack; return its `--json` record.
+
+    From 10 frames on, the pixel mask goes to out_dir/mask.json.
+    """
+    stats = pixel_stats(read_frames(paths))
+    mean, variance = stats.stack_point
+    record = {
+        "command": "characterize",
+        "config": config.to_dict(),
+        "n_frames": stats.n_frames,
+        "mean_code": mean,
+        "mean_pixel_variance": variance,
+    }
+    try:
+        record["fano"] = fano_factor(stats, config).to_dict()
+    except ValueError as exc:
+        record["fano"], record["fano_error"] = None, str(exc)
+    if stats.n_frames >= 10:
+        mask = build_pixel_mask(stats, config)
+        mask_path = os.path.join(out_dir, "mask.json")
+        with open(mask_path, "w", encoding="utf-8") as fh:
+            fh.write(mask.to_json())
+        record["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
+    else:
+        record["mask"], record["mask_error"] = None, "pixel mask needs >= 10 frames"
+    return record
+
+
+def characterize_sweep(
+    manifest: str, config: SensorConfig, tolerance: float, out_dir: str
+) -> dict:
+    """Run `camrng characterize --manifest`; return its `--json` record.
+
+    Each stack is read once; the Fano curve goes to out_dir/fano.csv,
+    without the stacks that have no Fano factor.
+    """
+    sweep = sorted(
+        (
+            (pixel_stats(read_frames(paths)), n_bar)
+            for paths, n_bar in read_manifest(manifest)
+        ),
+        key=lambda pair: pair[1],
+    )
+    curve, skipped = [], []
+    for stats, n_bar in sweep:
+        try:
+            curve.append((n_bar, fano_factor(stats, config)))
+        except ValueError as exc:
+            skipped.append({"n_bar": n_bar, "reason": str(exc)})
+    ptc = estimate_zeta(sweep)
+    region = find_operating_region(curve, tolerance) if curve else None
+    csv_path = os.path.join(out_dir, "fano.csv")
+    fano_curve_to_csv(curve, csv_path)
+    return {
+        "command": "characterize",
+        "config": config.to_dict(),
+        "fitted_zeta": ptc.fitted_zeta,
+        # A point of zero variance leaves the relative residual infinite.
+        "fit_residual": ptc.fit_residual if np.isfinite(ptc.fit_residual) else None,
+        "operating_region": list(region) if region else None,
+        "fano_tolerance": tolerance,
+        "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
+        "skipped_points": skipped,
+        "csv": csv_path,
+    }

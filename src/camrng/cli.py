@@ -55,16 +55,10 @@ import numpy as np
 
 from .characterize import (
     DEFAULT_FANO_TOLERANCE,
-    build_pixel_mask,
-    code_sums,
-    estimate_zeta,
-    fano_curve_to_csv,
-    fano_factor,
-    find_operating_region,
-    pixel_stats,
     PixelMask,
-    PixelStats,
-    stack_summary,
+    characterize_stack,
+    characterize_sweep,
+    simulate_stacks,
 )
 from .entropy import _MAX_N_BAR, entropy_report, epsilon_bound, plan_extractor
 from .extractor import (
@@ -77,23 +71,8 @@ from .extractor import (
     load_matrix,
     save_matrix,
 )
-from .ingest import (
-    FrameFileHeader,
-    raw_payload,
-    read_pgm,
-    read_raw,
-    read_sidecar,
-    write_pgm,
-    write_sidecar,
-)
-from .sensor import (
-    PRESETS,
-    SensorConfig,
-    get_preset,
-    load_sensor_config,
-    simulate_frame,
-    worker_count,
-)
+from .ingest import FramePathError, read_frames
+from .sensor import PRESETS, SensorConfig, get_preset, load_sensor_config, worker_count
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_BLOCK_SIZE,
@@ -113,13 +92,6 @@ class UsageError(Exception):
 def _json(doc: dict) -> str:
     """doc as strict JSON: a NaN or infinity raises ValueError, never `NaN`."""
     return json.dumps(doc, indent=2, allow_nan=False)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    """Write doc to path, serialized before the file is opened."""
-    text = _json(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _emit(args: argparse.Namespace, summary: dict, text_lines: list[str]) -> None:
@@ -172,217 +144,58 @@ def _hex_seed(text: str) -> bytes:
     return raw
 
 
-def _read_frames(paths: tuple[str, ...]):
-    """Yield the input frames: .pgm files directly, .raw via their sidecar."""
-    if not paths:
-        raise UsageError("no input frames given")
-    for path in paths:
-        if path.endswith(".pgm"):
-            yield read_pgm(path)
-        else:
-            pair = read_sidecar(path)
-            if pair is None:
-                raise UsageError(
-                    f"{path}: not a .pgm and no sidecar JSON describes it"
-                )
-            yield from read_raw(path, pair[0])
-
-
-def _predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
-    """Clamp-free shot + technical noise prediction, None at n_bar = 0."""
-    absorbed = config.eta * n_bar
-    if absorbed <= 0:
-        return None
-    return 1.0 + config.sigma_t**2 / absorbed
-
-
-def _written(frames, write):
-    """Yield each frame after write(index, frame) has stored it."""
-    for j, frame in enumerate(frames):
-        write(j, frame)
-        yield frame
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
-    if args.sweep:
-        n_bars = args.sweep
-    elif args.nbar is None:
+    if not args.sweep and args.nbar is None:
         raise UsageError("pass --nbar or --sweep")
-    else:
-        n_bars = [args.nbar]
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
-    manifest_entries = []
+    os.makedirs(args.out, exist_ok=True)
+    summary, manifest = simulate_stacks(
+        sensor, args.sweep or [args.nbar], bool(args.sweep), args.frames,
+        args.width, args.height, args.seed, args.format, args.out,
+    )
     text = []
-    for i, n_bar in enumerate(n_bars):
-        # One pass: each frame is written as soon as it is simulated, and
-        # the stack summary reads the same frames on their way out.
-        stack = (
-            simulate_frame(
-                sensor,
-                n_bar,
-                args.width,
-                args.height,
-                args.seed,
-                frame_id=i * args.frames + j,
-            )
-            for j in range(args.frames)
-        )
-        if args.format == "pgm":
-            prefix = f"nbar_{i:02d}_" if args.sweep else ""
-            files = [f"{prefix}frame_{j:04d}.pgm" for j in range(args.frames)]
-            paths = [os.path.join(out_dir, name) for name in files]
-            n, _, s1, s2 = code_sums(
-                _written(stack, lambda j, frame: write_pgm(frame, paths[j]))
-            )
-        else:
-            name = "frames.raw" if not args.sweep else f"nbar_{i:02d}.raw"
-            path = os.path.join(out_dir, name)
-            header = FrameFileHeader(
-                format="raw16le",
-                width=args.width,
-                height=args.height,
-                bit_depth=sensor.bit_depth,
-                frame_count=args.frames,
-            )
-            with open(path, "wb") as fh:
-                n, _, s1, s2 = code_sums(
-                    _written(stack, lambda j, frame: fh.write(raw_payload(frame, header)))
-                )
-            write_sidecar(
-                path, header, extra={"n_bar": n_bar, "seed": args.seed}
-            )
-            files = [name]
-        mean, var = stack_summary(n, s1, s2)
-        manifest_entries.append(
-            {
-                "n_bar": n_bar,
-                "files": files,
-                "mean_code": mean,
-                "variance_code": var,
-                "predicted_fano": _predicted_fano(sensor, n_bar),
-            }
-        )
-        pf = manifest_entries[-1]["predicted_fano"]
+    for stack in summary["stacks"]:
+        var, pf = stack["variance_code"], stack["predicted_fano"]
         text.append(
-            f"n_bar={n_bar:g}: {args.frames} frame(s) "
-            f"{args.width}x{args.height}, mean={mean:.2f} "
+            f"n_bar={stack['n_bar']:g}: {args.frames} frame(s) "
+            f"{args.width}x{args.height}, mean={stack['mean_code']:.2f} "
             f"var={'n/a' if var is None else f'{var:.2f}'} "
             f"predicted_fano={'n/a' if pf is None else f'{pf:.4f}'}"
         )
-
-    summary = {
-        "command": "simulate",
-        "config": sensor.to_dict(),
-        "seed": args.seed,
-        "out": out_dir,
-        "format": args.format,
-        "stacks": manifest_entries,
-    }
-    if args.sweep:
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        _write_json(manifest_path, summary)
-        text.append(f"sweep manifest: {manifest_path}")
+    if manifest is not None:
+        text.append(f"sweep manifest: {manifest}")
     _emit(args, summary, text)
     return EXIT_OK
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    report: dict = {"command": "characterize", "config": sensor.to_dict()}
-    text = []
-
+    os.makedirs(args.out, exist_ok=True)
     if args.manifest:
-        base = os.path.dirname(os.path.abspath(args.manifest))
-        with open(args.manifest, encoding="utf-8") as fh:
-            try:
-                stacks = [
-                    (tuple(os.path.join(base, name) for name in entry["files"]),
-                     float(entry["n_bar"]))
-                    for entry in json.load(fh)["stacks"]
-                ]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{args.manifest}: not a sweep manifest of stacks with "
-                    f"files and n_bar ({type(exc).__name__}: {exc})"
-                ) from None
-        sweep: list[tuple[PixelStats, float]] = [
-            (pixel_stats(_read_frames(paths)), n_bar) for paths, n_bar in stacks
-        ]
-        sweep.sort(key=lambda pair: pair[1])
-
-        curve = []
-        skipped = []
-        for stats, n_bar in sweep:
-            try:
-                curve.append((n_bar, fano_factor(stats, sensor)))
-            except ValueError as exc:
-                skipped.append({"n_bar": n_bar, "reason": str(exc)})
-        ptc = estimate_zeta(sweep)
-        region = find_operating_region(curve, args.tolerance) if curve else None
-
-        csv_path = os.path.join(out_dir, "fano.csv")
-        fano_curve_to_csv(curve, csv_path)
-        report.update(
-            {
-                "fitted_zeta": ptc.fitted_zeta,
-                # A point of zero variance leaves the relative residual infinite.
-                "fit_residual": (
-                    ptc.fit_residual if np.isfinite(ptc.fit_residual) else None
-                ),
-                "operating_region": list(region) if region else None,
-                "fano_tolerance": args.tolerance,
-                "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
-                "skipped_points": skipped,
-                "csv": csv_path,
-            }
-        )
-        text.append(
-            f"fitted zeta = {ptc.fitted_zeta:.4f} "
-            f"(relative residual {ptc.fit_residual:.3g})"
-        )
-        text.append(
+        report = characterize_sweep(args.manifest, sensor, args.tolerance, args.out)
+        region, residual = report["operating_region"], report["fit_residual"]
+        text = [
+            f"fitted zeta = {report['fitted_zeta']:.4f} (relative residual "
+            f"{'inf' if residual is None else f'{residual:.3g}'})",
             "operating region: "
-            + (f"[{region[0]:g}, {region[1]:g}]" if region else "none found")
-        )
-        text.append(f"fano curve: {csv_path}")
+            + (f"[{region[0]:g}, {region[1]:g}]" if region else "none found"),
+            f"fano curve: {report['csv']}",
+        ]
     else:
-        stats = pixel_stats(_read_frames(args.inputs))
-        report["n_frames"] = stats.n_frames
-        report["mean_code"], report["mean_pixel_variance"] = stats.stack_point
-        text.append(
-            f"{stats.n_frames} frame(s), mean code "
-            f"{report['mean_code']:.2f}, mean pixel variance "
-            f"{report['mean_pixel_variance']:.2f}"
-        )
-
-        try:
-            point = fano_factor(stats, sensor)
-            report["fano"] = point.to_dict()
-            text.append(f"fano factor = {point.fano:.4f}")
-        except ValueError as exc:
-            report["fano"] = None
-            report["fano_error"] = str(exc)
-            text.append(f"fano factor unavailable: {exc}")
-
-        if stats.n_frames >= 10:
-            mask = build_pixel_mask(stats, sensor)
-            mask_path = os.path.join(out_dir, "mask.json")
-            with open(mask_path, "w", encoding="utf-8") as fh:
-                fh.write(mask.to_json())
-            report["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
-            text.append(f"pixel mask: {mask_path} ({mask.n_flagged} flagged)")
-        else:
-            report["mask"] = None
-            report["mask_error"] = "pixel mask needs >= 10 frames"
-            text.append("pixel mask skipped (needs >= 10 frames)")
-
-    report_path = os.path.join(out_dir, "report.json")
-    _write_json(report_path, report)
+        report = characterize_stack(args.inputs, sensor, args.out)
+        fano, mask = report["fano"], report["mask"]
+        text = [
+            f"{report['n_frames']} frame(s), mean code {report['mean_code']:.2f}, "
+            f"mean pixel variance {report['mean_pixel_variance']:.2f}",
+            f"fano factor = {fano['fano']:.4f}" if fano
+            else f"fano factor unavailable: {report['fano_error']}",
+            f"pixel mask: {mask['path']} ({mask['n_flagged']} flagged)" if mask
+            else "pixel mask skipped (needs >= 10 frames)",
+        ]
+    report_path = os.path.join(args.out, "report.json")
+    doc = _json(report)  # a NaN raises here, before the file is opened
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write(doc)
     text.append(f"report: {report_path}")
     _emit(args, report, text)
     return EXIT_OK
@@ -491,7 +304,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with _part_file(args.out) as tmp_path:
         with open(tmp_path, "wb") as fh:
             summary, refusal = extract_frames(
-                _read_frames(args.inputs), sensor, matrix, mask, fh
+                read_frames(args.inputs), sensor, matrix, mask, fh
             )
         if refusal is not None and not args.force:
             raise UsageError(
@@ -727,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         worker_count()  # a bad QRNG_THREADS fails before any output is written
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FramePathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

@@ -482,9 +482,15 @@ def extract_frames(
         log2_eps, refusal = float(epsilon_bound(s, l, k)), None
     except ValueError as exc:
         log2_eps = None
+        why = f"s*l = {s * l:.1f} <= k = {k}"
+        if s > 1:  # then s*l > l > k: the bound refused s itself
+            why = (
+                "the count's Poisson entropy per raw bit exceeds 1, so the code "
+                "cannot carry it"
+            )
         refusal = (
             f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
-            f"{first.bit_depth}-bit depth; s*l = {s * l:.1f} <= k = {k}."
+            f"{first.bit_depth}-bit depth; {why}."
         )
 
     n_blocks = sum(blocks)

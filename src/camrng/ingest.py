@@ -6,6 +6,9 @@ per the de-facto netpbm convention.  Raw dumps are little-endian 16-bit
 ("raw16le") or single-byte ("raw8") pixel arrays with no embedded
 header, so the caller supplies a FrameFileHeader; a JSON sidecar next
 to the file is the usual carrier.
+
+Only this module knows how `simulate` names and writes a stack's files,
+how read_frames reads them back, and the sweep manifest.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,10 @@ import numpy as np
 from .sensor import Frame
 
 _RAW_FORMATS = ("raw16le", "raw8")
+
+
+class FramePathError(Exception):
+    """No frame paths, or one of no known format: a usage error, not bad data."""
 
 
 @dataclass(frozen=True)
@@ -256,3 +263,84 @@ def read_sidecar(path: str) -> tuple[FrameFileHeader, dict] | None:
             raise ValueError(f"{sc}: {exc}") from None
     extra = {k: v for k, v in doc.items() if k != "header"}
     return header, extra
+
+
+# ----------------------------------------------------------------------
+# Stacks and the sweep manifest
+# ----------------------------------------------------------------------
+
+
+def read_frames(paths) -> Iterator[Frame]:
+    """Yield the frames of paths in order: .pgm directly, others via their sidecar."""
+    if not paths:
+        raise FramePathError("no input frames given")
+    for path in paths:
+        if path.endswith(".pgm"):
+            yield read_pgm(path)
+        else:
+            pair = read_sidecar(path)
+            if pair is None:
+                raise FramePathError(
+                    f"{path}: not a .pgm and no sidecar JSON describes it"
+                )
+            yield from read_raw(path, pair[0])
+
+
+def stack_files(fmt: str, n_frames: int, stack: int | None) -> list[str]:
+    """File names of a simulated stack: one PGM per frame, or one raw16le dump.
+
+    stack is a sweep stack's index, which prefixes its names, or None.
+    """
+    if fmt == "pgm":
+        prefix = "" if stack is None else f"nbar_{stack:02d}_"
+        return [f"{prefix}frame_{j:04d}.pgm" for j in range(n_frames)]
+    return ["frames.raw" if stack is None else f"nbar_{stack:02d}.raw"]
+
+
+def write_stack(
+    frames: Iterable[Frame], directory: str, files: list[str], extra: dict
+) -> Iterator[Frame]:
+    """Yield each frame once it is stored in directory under stack_files' names.
+
+    A raw16le dump gets its sidecar, carrying extra, after the last frame.
+    """
+    paths = [os.path.join(directory, name) for name in files]
+    if paths[0].endswith(".pgm"):
+        for path, frame in zip(paths, frames):
+            write_pgm(frame, path)
+            yield frame
+        return
+    with open(paths[0], "wb") as fh:
+        for n, frame in enumerate(frames, 1):
+            header = FrameFileHeader(
+                "raw16le", frame.width, frame.height, frame.bit_depth, n
+            )
+            fh.write(raw_payload(frame, header))
+            yield frame
+    write_sidecar(paths[0], header, extra)
+
+
+def write_manifest(directory: str, record: dict) -> str:
+    """Write record as strict JSON to directory/manifest.json; return its path."""
+    path = os.path.join(directory, "manifest.json")
+    text = json.dumps(record, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+def read_manifest(path: str) -> list[tuple[tuple[str, ...], float]]:
+    """Each stack of a sweep manifest, as (frame paths under its directory, n_bar)."""
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return [
+                (tuple(os.path.join(base, name) for name in entry["files"]),
+                 float(entry["n_bar"]))
+                for entry in json.load(fh)["stacks"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: not a sweep manifest of stacks with files and n_bar "
+                f"({type(exc).__name__}: {exc})"
+            ) from None

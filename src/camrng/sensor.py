@@ -204,6 +204,12 @@ def get_preset(name: str) -> SensorConfig:
         ) from None
 
 
+def predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
+    """Clamp-free shot + technical noise Fano factor, None at n_bar = 0."""
+    absorbed = config.eta * n_bar
+    return 1.0 + config.sigma_t**2 / absorbed if absorbed > 0 else None
+
+
 @dataclass
 class Frame:
     """One captured or simulated image.

@@ -1,6 +1,26 @@
 import sys
 
+import numpy as np
 import pytest
+
+from camrng import bitstream
+from camrng.bitstream import BitString
+
+
+def from_msb_bytes(data, n_bits: int | None = None) -> BitString:
+    """The first n_bits (default all) of an MSB-first byte stream.
+
+    The inverse of BitString.msb_chunks, and the reference the chunked
+    readers of the tests are compared against; bits past n_bits in the
+    final byte are dropped.
+    """
+    data = np.frombuffer(data, dtype=np.uint8)
+    if n_bits is None:
+        n_bits = 8 * data.size
+    packed = bitstream._reverse_bits(data[: (n_bits + 7) // 8])
+    if n_bits % 8:
+        packed[-1:] &= (1 << n_bits % 8) - 1  # a fresh array: clear in place
+    return BitString(packed, n_bits)
 
 
 @pytest.fixture

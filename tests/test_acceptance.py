@@ -228,8 +228,8 @@ def test_criterion_6_packed_vs_naive_oracle():
     y = BitString.from_bits01(rng.integers(0, 2, n_pairs * 256, dtype=np.uint8))
     out_x = extract(x, matrix).bits
     out_y = extract(y, matrix).bits
-    out_xy = extract(x ^ y, matrix).bits
-    linear = out_xy == (out_x ^ out_y)
+    out_xy = extract(BitString(x.packed ^ y.packed, x.n_bits), matrix).bits
+    linear = out_xy == BitString(out_x.packed ^ out_y.packed, out_x.n_bits)
 
     # worker count must never change the output bits
     single = extract(x, matrix, n_workers=1).bits

@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 
 import camrng
+import camrng.characterize
 import camrng.cli
 import camrng.extractor
+import camrng.ingest
+import camrng.sensor
 from camrng.ingest import write_pgm
 from camrng.sensor import Frame
 
@@ -62,3 +65,37 @@ def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
     assert camrng.cli.main(argv) == 0
     assert calls["frame_to_bits"] == 3
     assert all(calls[name] >= 1 for name in names), calls
+
+
+def test_cli_simulate_and_characterize_call_the_traced_frame_names(tmp_path, rebind):
+    # perfbench's sensor, ingest and characterize spans wrap these names
+    # the same way; simulate and characterize must go through them once
+    # per frame written or read, and once per stack summed.
+    reals = (camrng.sensor.simulate_frame, camrng.ingest.write_pgm,
+             camrng.ingest.read_pgm, camrng.characterize.pixel_stats)
+    calls = {}
+    for real in reals:
+
+        def counted(*args, _real=real, **kwargs):
+            calls[_real.__name__] = calls.get(_real.__name__, 0) + 1
+            return _real(*args, **kwargs)
+
+        rebind(real, counted)
+
+    def counts(*argv):
+        calls.clear()
+        assert camrng.cli.main([str(a) for a in argv]) == 0
+        return calls.copy()
+
+    common = ("--preset", "nokia-n9", "--frames", "3", "--width", "8", "--height", "8")
+    sweep = tmp_path / "sweep"
+    assert counts("simulate", *common, "--sweep", "100,200", "--out", sweep) == {
+        "simulate_frame": 6, "write_pgm": 6}
+    assert counts("simulate", *common, "--nbar", "410", "--format", "raw16le",
+                  "--out", tmp_path / "raw") == {"simulate_frame": 3}
+    frames = sorted(sweep.glob("nbar_00_*.pgm"))
+    assert counts("characterize", "--preset", "nokia-n9", *frames,
+                  "--out", tmp_path / "c") == {"read_pgm": 3, "pixel_stats": 1}
+    assert counts("characterize", "--preset", "nokia-n9", "--manifest",
+                  sweep / "manifest.json", "--out", tmp_path / "m") == {
+        "read_pgm": 6, "pixel_stats": 2}

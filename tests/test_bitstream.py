@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from camrng import bitstream
 from camrng.bitstream import BitString
+from conftest import from_msb_bytes
 
 
 def as01(bs: BitString) -> np.ndarray:
@@ -41,14 +42,6 @@ def test_concat_matches_numpy_reference():
     got = BitString.concat([BitString.from_bits01(p) for p in parts])
     want = np.concatenate(parts)
     assert np.array_equal(as01(got), want)
-
-
-def test_xor():
-    a = BitString.from_bits01(np.array([1, 0, 1, 0, 1], dtype=np.uint8))
-    b = BitString.from_bits01(np.array([1, 1, 0, 0, 1], dtype=np.uint8))
-    assert np.array_equal(as01(a ^ b), [0, 1, 1, 0, 0])
-    with pytest.raises(ValueError):
-        a ^ BitString.zeros(4)
 
 
 def test_eq_ignores_tail_garbage():
@@ -108,16 +101,16 @@ def test_msb_export_unpack_identity(bits):
 @given(st.binary(max_size=40), st.data())
 def test_from_msb_bytes_inverts_to_msb_bytes(data, draw):
     n_bits = draw.draw(st.integers(0, 8 * len(data)))
-    bs = BitString.from_msb_bytes(np.frombuffer(data, dtype=np.uint8), n_bits)
+    bs = from_msb_bytes(np.frombuffer(data, dtype=np.uint8), n_bits)
     want = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n_bits]
     assert np.array_equal(as01(bs), want)
     assert msb_bytes(bs) == msb_bytes(BitString.from_bits01(want))
 
 
 def test_from_msb_bytes_defaults_to_all_and_rejects_overlong():
-    assert msb_bytes(BitString.from_msb_bytes(b"\x81\x80")) == b"\x81\x80"
+    assert msb_bytes(from_msb_bytes(b"\x81\x80")) == b"\x81\x80"
     with pytest.raises(ValueError):
-        BitString.from_msb_bytes(b"\x81", 9)
+        from_msb_bytes(b"\x81", 9)
 
 
 def test_msb_chunks_cover_payload_in_order(monkeypatch):
@@ -176,7 +169,7 @@ def test_from_msb_bytes_and_msb_chunks_round_trip_off_the_byte_grid(
 
     monkeypatch.setattr(bitstream, "_reverse_bits", keep_reversed)
     data = np.random.default_rng(n_bits).bytes(1001)
-    bs = BitString.from_msb_bytes(data[1:], n_bits)  # an unaligned source
+    bs = from_msb_bytes(data[1:], n_bits)  # an unaligned source
     assert bs.packed[-1] >> n_bits % 8 == 0
     assert np.shares_memory(bs.packed, reversed_arrays[0])  # its tail cleared in place
     want = np.unpackbits(np.frombuffer(data[1:], dtype=np.uint8))[:n_bits]

@@ -9,10 +9,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import camrng.characterize
 import camrng.cli
 from camrng import extractor
 from camrng.bitstream import export_stream
-from camrng.characterize import PixelMask, code_sums, stack_summary
+from camrng.characterize import (
+    DEFAULT_FANO_TOLERANCE,
+    PixelMask,
+    characterize_stack,
+    characterize_sweep,
+    code_sums,
+    simulate_stacks,
+    stack_summary,
+)
 from camrng.cli import main
 from camrng.extractor import (
     DEFAULT_MATRIX_SEED,
@@ -23,8 +32,8 @@ from camrng.extractor import (
     generate_matrix,
     load_matrix,
 )
-from camrng.ingest import read_pgm, read_raw, read_sidecar, write_pgm
-from camrng.sensor import PRESETS, Frame
+from camrng.ingest import raw_payload, read_pgm, read_raw, read_sidecar, write_pgm
+from camrng.sensor import PRESETS, Frame, simulate_frame
 
 
 def sha(path) -> str:
@@ -185,14 +194,43 @@ def test_simulate_json_of_a_single_code_is_strict_json(tmp_path, capsys):
     assert " var=n/a " in capsys.readouterr().out
 
 
-def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(camrng.cli, "stack_summary", lambda *sums: (1.0, float("nan")))
+def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, rebind, capsys):
+    rebind(stack_summary, lambda *sums: (1.0, float("nan")))
     out = tmp_path / "sweep"
     rc = run("simulate", "--preset", "nokia-n9", "--sweep", "10,20", "--width", "2",
              "--height", "2", "--out", out, "--json")
     assert rc == 1
     assert capsys.readouterr().out == ""
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "raw16le"])
+@pytest.mark.parametrize("sweep", [[], [100.0, 410.0]], ids=["nbar", "sweep"])
+def test_library_records_are_the_cli_json(tmp_path, capsys, fmt, sweep):
+    # Each pipeline's record, serialized as the CLI prints it, is exactly
+    # the CLI's --json stdout; both write the same files to the same paths.
+    def printed(*argv):
+        assert run(*argv, "--json") == 0
+        return capsys.readouterr().out
+
+    sensor, out, rep = PRESETS["nokia-n9"], str(tmp_path / "f"), str(tmp_path / "r")
+    n_bars = sweep or [410.0]
+    flags = ("--sweep", "100,410") if sweep else ("--nbar", "410")
+    cli = printed("simulate", "--preset", "nokia-n9", *flags, "--frames", "10",
+                  "--width", "9", "--height", "7", "--seed", "5", "--format", fmt,
+                  "--out", out)
+    record, manifest = simulate_stacks(sensor, n_bars, bool(sweep), 10, 9, 7, 5, fmt, out)
+    assert cli == json.dumps(record, indent=2, allow_nan=False) + "\n"
+    if sweep:
+        cli = printed("characterize", "--preset", "nokia-n9", "--manifest", manifest,
+                      "--out", rep)
+        record = characterize_sweep(manifest, sensor, DEFAULT_FANO_TOLERANCE, rep)
+    else:
+        files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
+        cli = printed("characterize", "--preset", "nokia-n9", *files, "--out", rep)
+        record = characterize_stack(files, sensor, rep)
+        assert record["mask"] is not None
+    assert cli == json.dumps(record, indent=2, allow_nan=False) + "\n"
 
 
 def test_characterize_report_with_a_saturated_point_is_strict_json(tmp_path, capsys):
@@ -325,7 +363,33 @@ def test_extract_refuses_violated_margin(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "margin" in err and "--force" in err
+    assert "-bit depth; s*l = 1277." in err and "<= k = 1900." in err
+    assert "exceeds 1" not in err
     assert not (tmp_path / "no.bin").exists()
+
+
+def test_extract_refusal_of_an_entropy_rate_above_1_says_why(tmp_path, capsys):
+    # At n_bar 0.6 the Poisson count carries 1.32 bits, more than the
+    # 1-bit code can hold; the margin s*l - k itself would be positive.
+    config = tmp_path / "onebit.json"
+    config.write_text(json.dumps({
+        "name": "onebit", "eta": 1, "zeta": 1, "sigma_t_electrons": 0.5,
+        "offset_electrons": 0, "full_well_electrons": 1, "bit_depth": 1,
+    }))
+    assert run("simulate", "--config", config, "--nbar", "0.6", "--frames", "2",
+               "--width", "64", "--height", "64", "--out", tmp_path / "f") == 0
+    frames = sorted((tmp_path / "f").glob("*.pgm"))
+    argv = ("extract", "--config", config, *frames, "--l", "200", "--k", "10")
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "no.bin") == 2
+    err = capsys.readouterr().err
+    assert "entropy rate s must be in (0, 1], got 1.316" in err
+    assert "s = 1.3164" in err and "<= k" not in err
+    assert "entropy per raw bit exceeds 1, so the code cannot carry it." in err
+    assert not (tmp_path / "no.bin").exists()
+    assert run(*argv, "--out", tmp_path / "forced.bin", "--force", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["forced"] is True and doc["log2_epsilon"] is None
 
 
 def test_extract_force_overrides_margin(tmp_path, capsys):
@@ -796,7 +860,7 @@ def _count_calls(monkeypatch, module, name, calls):
 def test_characterize_reads_each_stack_once(tmp_path, capsys, monkeypatch):
     calls: dict = {}
     for name in ("pixel_stats", "fano_factor", "estimate_zeta"):
-        _count_calls(monkeypatch, camrng.cli, name, calls)
+        _count_calls(monkeypatch, camrng.characterize, name, calls)
 
     frames = _simulate_small(tmp_path, n_frames=10, capsys=capsys)
     assert run("characterize", "--preset", "nokia-n9", *frames, "--out", tmp_path / "c") == 0
@@ -1013,17 +1077,16 @@ def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_simulate_writes_each_frame_before_the_next_is_simulated(tmp_path, monkeypatch):
+def test_simulate_writes_each_frame_before_the_next_is_simulated(tmp_path, rebind):
     order = []
-    tags = {"simulate_frame": "sim", "write_pgm": "write", "raw_payload": "write"}
-    for name, tag in tags.items():
-        real = getattr(camrng.cli, name)
+    tags = {simulate_frame: "sim", write_pgm: "write", raw_payload: "write"}
+    for real, tag in tags.items():
 
         def logged(*args, _real=real, _tag=tag, **kwargs):
             order.append(_tag)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(camrng.cli, name, logged)
+        rebind(real, logged)
     for fmt in ("pgm", "raw16le"):
         order.clear()
         assert run(

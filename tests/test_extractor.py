@@ -207,8 +207,9 @@ def test_linearity():
     for _ in range(25):
         x = BitString.from_bits01(rng.integers(0, 2, 64, dtype=np.uint8))
         y = BitString.from_bits01(rng.integers(0, 2, 64, dtype=np.uint8))
-        ext_xor = extract(x ^ y, mat).bits
-        want = extract(x, mat).bits ^ extract(y, mat).bits
+        ext_xor = extract(BitString(x.packed ^ y.packed, 64), mat).bits
+        out_x, out_y = extract(x, mat).bits, extract(y, mat).bits
+        want = BitString(out_x.packed ^ out_y.packed, out_x.n_bits)
         assert ext_xor == want
 
 

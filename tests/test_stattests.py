@@ -20,6 +20,7 @@ from camrng.stattests import (
     serial_correlation,
     shannon_byte_entropy,
 )
+from conftest import from_msb_bytes
 
 
 def test_monobit_all_zeros_fails():
@@ -524,7 +525,7 @@ def test_battery_is_the_same_for_any_chunk_size(stream, data):
     block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
     max_lag = data.draw(st.sampled_from([1, 16, 63, 64, 65, 128]))
     kw = dict(block_size=block_size, max_lag=max_lag)
-    whole = run_battery(BitString.from_msb_bytes(raw, n), **kw)
+    whole = run_battery(from_msb_bytes(raw, n), **kw)
     chunked = run_battery(chunks_of(raw, size), n_bits=n, **kw)
     assert chunked.to_dict() == whole.to_dict()
 
@@ -537,7 +538,7 @@ def test_fold_is_the_same_when_lags_cross_small_passes(max_lag, pass_words, data
     # as serial correlation takes, so that a pass of one word stays fast.
     raw, n, size = data.draw(chunked_streams(min_bits=100 * max_lag, small_only=True))
     block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
-    whole = stattests._count(BitString.from_msb_bytes(raw, n), block_size, max_lag)
+    whole = stattests._count(from_msb_bytes(raw, n), block_size, max_lag)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stattests, "_CHUNK_WORDS", pass_words)
         chunked = stattests._count(chunks_of(raw, size), block_size, max_lag, n)
@@ -552,7 +553,7 @@ def test_fold_ends_a_stream_whose_last_byte_ends_a_whole_pass(monkeypatch, cut):
     raw = np.full(64, 0xFF, np.uint8)
     raw[-1] <<= cut
     n = 8 * raw.size - cut
-    want = stattests._count(BitString.from_msb_bytes(raw, n), 8, 1)
+    want = stattests._count(from_msb_bytes(raw, n), 8, 1)
     monkeypatch.setattr(stattests, "_CHUNK_WORDS", 2)
     got = stattests._count([raw], 8, 1, n)
     for field, value in want._asdict().items():
