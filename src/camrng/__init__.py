@@ -32,12 +32,12 @@ _NAMES = {
         "frame_to_bits generate_matrix load_matrix save_matrix"
     ),
     "ingest": (
-        "FrameFileHeader read_frames read_pgm read_raw read_sidecar sidecar_path "
-        "write_pgm write_sidecar"
+        "FrameFileHeader load_sensor_config read_frames read_pgm read_raw "
+        "read_sidecar sidecar_path write_pgm write_sidecar"
     ),
     "sensor": (
         "Frame PRESETS SensorConfig digitize_electrons get_preset "
-        "load_sensor_config simulate_frame simulate_stack worker_count"
+        "simulate_frame simulate_stack worker_count"
     ),
     "stattests": (
         "SerialCorrelationResult TestOutcome TestReport block_frequency_test "

@@ -18,15 +18,22 @@ two through its stack_point; stack_summary gives a stack's exact moments.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import read_frames, read_manifest, stack_files, write_manifest, write_stack
-from .sensor import Frame, SensorConfig, predicted_fano, simulate_frame
+from .ingest import (
+    json_number,
+    read_frames,
+    read_manifest,
+    stack_files,
+    write_json,
+    write_manifest,
+    write_stack,
+)
+from .sensor import _MAX_PIXELS, Frame, SensorConfig, predicted_fano, simulate_frame
 
 DEFAULT_FANO_TOLERANCE = 0.15
 
@@ -344,28 +351,29 @@ class PixelMask:
     def n_flagged(self) -> int:
         return int((~self.flags).sum())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "width": self.width,
-                "height": self.height,
-                "flagged": {f"{y},{x}": r for (y, x), r in sorted(self.reasons.items())},
-            },
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "width": self.width,
+            "height": self.height,
+            "flagged": {f"{y},{x}": r for (y, x), r in sorted(self.reasons.items())},
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "PixelMask":
-        """Parse to_json's form; a ValueError names what is missing or wrong."""
-        data = json.loads(text)
-        try:
-            flags = np.ones((data["height"], data["width"]), dtype=bool)
-            flagged = dict(data["flagged"])
-        except (KeyError, TypeError) as exc:
+    def from_dict(cls, doc: dict) -> "PixelMask":
+        """Parse to_dict's form; a ValueError names what is missing or wrong."""
+        height, width = (
+            json_number(doc, key, "pixel mask", integer=True)
+            for key in ("height", "width")
+        )
+        if not (height > 0 and width > 0 and height * width <= _MAX_PIXELS):
             raise ValueError(
-                "pixel mask needs integer height and width and a flagged "
-                f"object ({type(exc).__name__}: {exc})"
-            ) from None
+                f"pixel mask geometry {width}x{height} is not positive or exceeds "
+                f"the {_MAX_PIXELS}-pixel limit"
+            )
+        flagged = doc.get("flagged")
+        if not isinstance(flagged, dict):
+            raise ValueError("pixel mask needs a flagged object")
+        flags = np.ones((height, width), dtype=bool)
         reasons = {}
         for key, reason in flagged.items():
             y, x = (int(v) for v in key.split(","))
@@ -490,8 +498,7 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     if stats.n_frames >= 10:
         mask = build_pixel_mask(stats, config)
         mask_path = os.path.join(out_dir, "mask.json")
-        with open(mask_path, "w", encoding="utf-8") as fh:
-            fh.write(mask.to_json())
+        write_json(mask_path, mask.to_dict())
         record["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
     else:
         record["mask"], record["mask_error"] = None, "pixel mask needs >= 10 frames"

@@ -48,7 +48,6 @@ _set_malloc_policy()
 
 import argparse
 import contextlib
-import json
 import sys
 
 import numpy as np
@@ -71,8 +70,15 @@ from .extractor import (
     load_matrix,
     save_matrix,
 )
-from .ingest import FramePathError, read_frames
-from .sensor import PRESETS, SensorConfig, get_preset, load_sensor_config, worker_count
+from .ingest import (
+    FramePathError,
+    dumps,
+    load_sensor_config,
+    read_frames,
+    read_json,
+    write_json,
+)
+from .sensor import PRESETS, SensorConfig, get_preset, worker_count
 from .stattests import (
     DEFAULT_ALPHA,
     DEFAULT_BLOCK_SIZE,
@@ -89,15 +95,10 @@ class UsageError(Exception):
     """Invalid invocation; maps to exit code 2."""
 
 
-def _json(doc: dict) -> str:
-    """doc as strict JSON: a NaN or infinity raises ValueError, never `NaN`."""
-    return json.dumps(doc, indent=2, allow_nan=False)
-
-
 def _emit(args: argparse.Namespace, summary: dict, text_lines: list[str]) -> None:
     """Print the human or machine form of a command summary."""
     if args.json:
-        print(_json(summary))
+        sys.stdout.write(dumps(summary))
     else:
         for line in text_lines:
             print(line)
@@ -193,9 +194,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             else "pixel mask skipped (needs >= 10 frames)",
         ]
     report_path = os.path.join(args.out, "report.json")
-    doc = _json(report)  # a NaN raises here, before the file is opened
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    write_json(report_path, report)
     text.append(f"report: {report_path}")
     _emit(args, report, text)
     return EXIT_OK
@@ -278,11 +277,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     mask = None
     if args.mask:
-        with open(args.mask, encoding="utf-8") as fh:
-            try:
-                mask = PixelMask.from_json(fh.read())
-            except ValueError as exc:
-                raise ValueError(f"{args.mask}: {exc}") from None
+        mask = read_json(args.mask, PixelMask.from_dict)
         if not mask.flags.any():
             raise ValueError("pixel mask excludes every pixel")
 
@@ -307,10 +302,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                 read_frames(args.inputs), sensor, matrix, mask, fh
             )
         if refusal is not None and not args.force:
-            raise UsageError(
-                f"{refusal}\n  Lower k, raise l, or pass --force to extract "
-                "anyway (output is NOT certified random)."
-            )
+            raise UsageError(refusal)
         if args.save_matrix:
             save_matrix(matrix, args.save_matrix)
         os.replace(tmp_path, args.out)

@@ -436,7 +436,8 @@ def extract_frames(
     is discarded.  The exact mean of the usable codes then gives s.
 
     Returns (record, refusal): the `extract --json` record up to "out",
-    log2_epsilon None when s*l <= k, and None or why the margin fails.
+    log2_epsilon None when s*l <= k, and None or why the margin fails and
+    what to do.
     Raises ValueError for a mixed stack or frames at the dark level.
     """
     l, k = matrix.l, matrix.k
@@ -482,15 +483,17 @@ def extract_frames(
         log2_eps, refusal = float(epsilon_bound(s, l, k)), None
     except ValueError as exc:
         log2_eps = None
-        why = f"s*l = {s * l:.1f} <= k = {k}"
-        if s > 1:  # then s*l > l > k: the bound refused s itself
+        why, advice = f"s*l = {s * l:.1f} <= k = {k}", "Lower k, raise l, or pass"
+        if s > 1:  # then s*l > l > k: the bound refused s itself, whatever k and l
             why = (
                 "the count's Poisson entropy per raw bit exceeds 1, so the code "
                 "cannot carry it"
             )
+            advice = "Pass"
         refusal = (
             f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
-            f"{first.bit_depth}-bit depth; {why}."
+            f"{first.bit_depth}-bit depth; {why}.\n  {advice} --force to extract "
+            "anyway (output is NOT certified random)."
         )
 
     n_blocks = sum(blocks)

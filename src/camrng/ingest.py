@@ -8,7 +8,8 @@ header, so the caller supplies a FrameFileHeader; a JSON sidecar next
 to the file is the usual carrier.
 
 Only this module knows how `simulate` names and writes a stack's files,
-how read_frames reads them back, and the sweep manifest.
+how read_frames reads them back, and the sweep manifest.  It holds the
+package's only JSON code: dumps, write_json, read_json and json_number.
 """
 
 from __future__ import annotations
@@ -16,18 +17,92 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass
+from typing import TypeVar
 
 import numpy as np
 
-from .sensor import Frame
+from .sensor import _CONFIG_KEYS, Frame, SensorConfig
+
+T = TypeVar("T")
 
 _RAW_FORMATS = ("raw16le", "raw8")
 
 
 class FramePathError(Exception):
     """No frame paths, or one of no known format: a usage error, not bad data."""
+
+
+# ----------------------------------------------------------------------
+# JSON
+# ----------------------------------------------------------------------
+
+
+def dumps(doc: dict) -> str:
+    """doc as strict JSON ending in one newline; a NaN or infinity raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write dumps(doc) to path; a doc that cannot be serialized leaves path unopened."""
+    text = dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_json(path: str, parse: Callable[[dict], T]) -> T:
+    """parse(the JSON object in path); every ValueError raised is put on path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        return parse(doc)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def json_number(doc: dict, key: str, what: str, integer: bool = False) -> float | int:
+    """doc[key] as a float, or an int if integer: a JSON number, never a bool or string.
+
+    A ValueError names what and key.  A float may be NaN or infinite;
+    the caller checks its range.
+    """
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{what} has no {key}")
+    value = doc[key]
+    try:
+        if not isinstance(value, (int, float)):
+            raise TypeError(value)
+        result = int(value) if integer else float(value)
+    except (TypeError, ValueError, OverflowError):  # also int(inf), float(10**400)
+        raise ValueError(f"{what} {key} is not a number: {value!r}") from None
+    # int() and float() would read true as 1, and int() truncates 10.9 to 10.
+    if isinstance(value, bool) or integer and result != value:
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{what} {key} is not {kind}: {value!r}")
+    return result
+
+
+def _sensor_config(doc: dict) -> SensorConfig:
+    missing = [k for k in _CONFIG_KEYS if k not in doc]
+    if missing:
+        raise ValueError(f"sensor config missing keys: {missing}")
+    unknown = [k for k in doc if k not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"sensor config has unknown keys: {unknown}")
+    return SensorConfig(str(doc["name"]), *(
+        json_number(doc, key, "sensor config", integer=key == "bit_depth")
+        for key in _CONFIG_KEYS[1:]
+    ))
+
+
+def load_sensor_config(path: str) -> SensorConfig:
+    """Load a SensorConfig from a JSON object of SensorConfig.to_dict's keys."""
+    return read_json(path, _sensor_config)
 
 
 @dataclass(frozen=True)
@@ -71,36 +146,16 @@ class FrameFileHeader:
         return np.dtype("u1" if self.format == "raw8" else "<u2")
 
     def to_dict(self) -> dict:
-        return {
-            "format": self.format,
-            "width": self.width,
-            "height": self.height,
-            "bit_depth": self.bit_depth,
-            "frame_count": self.frame_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrameFileHeader":
-        def integer(key: str) -> int:
-            value = d.get(key, 1) if key == "frame_count" else d[key]
-            # int() would read true as 1 and truncate 4.5 to 4.
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError(f"frame header {key} is not an integer: {value!r}")
-            return int(value)
-
-        try:
-            return cls(
-                format=str(d["format"]),
-                width=integer("width"),
-                height=integer("height"),
-                bit_depth=integer("bit_depth"),
-                frame_count=integer("frame_count"),
-            )
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(
-                "frame header needs integer width, height and bit_depth and a "
-                f"format ({type(exc).__name__}: {exc})"
-            ) from None
+        numbers = {  # frame_count may be left out, for a one-frame dump
+            key: json_number(d, key, "frame header", integer=True)
+            for key in ("width", "height", "bit_depth", "frame_count")
+            if key != "frame_count" or key in d
+        }
+        return cls(format=str(d.get("format")), **numbers)
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +296,7 @@ def write_sidecar(path: str, header: FrameFileHeader, extra: dict | None = None)
     `extra` keys (e.g. sensor name, n_bar estimate, exposure) pass
     through untouched.
     """
-    doc = dict(extra or {})
-    doc["header"] = header.to_dict()
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(sidecar_path(path), {**(extra or {}), "header": header.to_dict()})
 
 
 def read_sidecar(path: str) -> tuple[FrameFileHeader, dict] | None:
@@ -253,16 +304,14 @@ def read_sidecar(path: str) -> tuple[FrameFileHeader, dict] | None:
     sc = sidecar_path(path)
     if not os.path.exists(sc):
         return None
-    with open(sc, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            if not isinstance(doc, dict) or "header" not in doc:
-                raise ValueError("sidecar needs a header object")
-            header = FrameFileHeader.from_dict(doc["header"])
-        except ValueError as exc:
-            raise ValueError(f"{sc}: {exc}") from None
-    extra = {k: v for k, v in doc.items() if k != "header"}
-    return header, extra
+
+    def parse(doc: dict) -> tuple[FrameFileHeader, dict]:
+        if not isinstance(doc.get("header"), dict):
+            raise ValueError("sidecar needs a header object")
+        extra = {k: v for k, v in doc.items() if k != "header"}
+        return FrameFileHeader.from_dict(doc["header"]), extra
+
+    return read_json(sc, parse)
 
 
 # ----------------------------------------------------------------------
@@ -321,26 +370,35 @@ def write_stack(
 
 
 def write_manifest(directory: str, record: dict) -> str:
-    """Write record as strict JSON to directory/manifest.json; return its path."""
+    """Write record to directory/manifest.json; return its path."""
     path = os.path.join(directory, "manifest.json")
-    text = json.dumps(record, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_json(path, record)
     return path
 
 
 def read_manifest(path: str) -> list[tuple[tuple[str, ...], float]]:
-    """Each stack of a sweep manifest, as (frame paths under its directory, n_bar)."""
+    """Each stack of a sweep manifest, as (frame paths under its directory, n_bar).
+
+    n_bar must be finite and >= 0, as `simulate --nbar` requires.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as fh:
+
+    def stacks(doc: dict) -> list[tuple[tuple[str, ...], float]]:
+        result = []
         try:
-            return [
-                (tuple(os.path.join(base, name) for name in entry["files"]),
-                 float(entry["n_bar"]))
-                for entry in json.load(fh)["stacks"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            for entry in doc["stacks"]:
+                files = tuple(os.path.join(base, name) for name in entry["files"])
+                n_bar = json_number(entry, "n_bar", "manifest stack")
+                if not 0 <= n_bar < math.inf:
+                    raise ValueError(
+                        f"manifest stack n_bar must be finite and >= 0, got {n_bar}"
+                    )
+                result.append((files, n_bar))
+        except (KeyError, TypeError) as exc:
             raise ValueError(
-                f"{path}: not a sweep manifest of stacks with files and n_bar "
+                "not a sweep manifest of stacks with files and n_bar "
                 f"({type(exc).__name__}: {exc})"
             ) from None
+        return result
+
+    return read_json(path, stacks)

@@ -21,12 +21,11 @@ matter how many workers generate it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -38,16 +37,9 @@ _PIXEL_BLOCK = 1 << 16
 # Simulated frames larger than this are rejected as likely mistakes.
 _MAX_PIXELS = 1 << 31
 
-# JSON field names for SensorConfig serialization.
-_CONFIG_KEYS = (
-    "name",
-    "eta",
-    "zeta",
-    "sigma_t_electrons",
-    "offset_electrons",
-    "full_well_electrons",
-    "bit_depth",
-)
+# SensorConfig.to_dict's keys, one per field in field order.
+_CONFIG_KEYS = ("name", "eta", "zeta", "sigma_t_electrons", "offset_electrons",
+                "full_well_electrons", "bit_depth")
 
 
 def worker_count() -> int:
@@ -113,62 +105,7 @@ class SensorConfig:
         return (1 << self.bit_depth) - 1
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "eta": self.eta,
-            "zeta": self.zeta,
-            "sigma_t_electrons": self.sigma_t,
-            "offset_electrons": self.offset,
-            "full_well_electrons": self.full_well,
-            "bit_depth": self.bit_depth,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorConfig":
-        missing = [k for k in _CONFIG_KEYS if k not in d]
-        if missing:
-            raise ValueError(f"sensor config missing keys: {missing}")
-        unknown = [k for k in d if k not in _CONFIG_KEYS]
-        if unknown:
-            raise ValueError(f"sensor config has unknown keys: {unknown}")
-
-        def number(key: str, cast=float):
-            value = d[key]
-            try:
-                result = cast(value)
-            except (TypeError, ValueError, OverflowError):
-                message = f"sensor config {key} is not a number: {value!r}"
-                raise ValueError(message) from None
-            # cast would read true as 1 and truncate 10.9 to 10.
-            if isinstance(value, bool) or cast is int and result != value:
-                kind = "an integer" if cast is int else "a number"
-                raise ValueError(f"sensor config {key} is not {kind}: {value!r}")
-            return result
-
-        return cls(
-            name=str(d["name"]),
-            eta=number("eta"),
-            zeta=number("zeta"),
-            sigma_t=number("sigma_t_electrons"),
-            offset=number("offset_electrons"),
-            full_well=number("full_well_electrons"),
-            bit_depth=number("bit_depth", int),
-        )
-
-
-def load_sensor_config(path: str) -> SensorConfig:
-    """Load a SensorConfig from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    try:
-        return SensorConfig.from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return dict(zip(_CONFIG_KEYS, astuple(self)))
 
 
 # Canonical presets: a cooled 16-bit astronomy CCD and a 10-bit phone
@@ -205,9 +142,8 @@ def get_preset(name: str) -> SensorConfig:
 
 
 def predicted_fano(config: SensorConfig, n_bar: float) -> float | None:
-    """Clamp-free shot + technical noise Fano factor, None at n_bar = 0."""
-    absorbed = config.eta * n_bar
-    return 1.0 + config.sigma_t**2 / absorbed if absorbed > 0 else None
+    """Clamp-free shot + technical noise Fano factor at n_bar absorbed photons; None at 0."""
+    return 1.0 + config.sigma_t**2 / n_bar if n_bar > 0 else None
 
 
 @dataclass

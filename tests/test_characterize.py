@@ -17,7 +17,7 @@ from camrng.characterize import (
     find_operating_region,
     pixel_stats,
 )
-from camrng.sensor import Frame, SensorConfig, get_preset, simulate_stack
+from camrng.sensor import Frame, SensorConfig, get_preset, predicted_fano, simulate_stack
 
 NOKIA = get_preset("nokia-n9")
 
@@ -116,6 +116,19 @@ def test_fano_factor_hand_example():
     assert point.mean_code == 12.0
     assert point.variance_code == 8.0
     assert point.fano == pytest.approx(8.0 / (2.0 * (12.0 - 2.0)))
+
+
+def test_predicted_fano_is_what_the_simulator_gives_below_unit_eta():
+    # n_bar counts absorbed photons: the simulator draws Poisson(n_bar)
+    # whatever eta is, so eta must not scale the predicted shot noise.
+    cfg = SensorConfig(
+        name="half", eta=0.5, zeta=1.9, sigma_t=3.3, offset=20.0,
+        full_well=5000.0, bit_depth=12,
+    )
+    predicted = predicted_fano(cfg, 50.0)
+    assert predicted == 1.0 + 3.3**2 / 50.0
+    measured = fano_factor(pixel_stats(simulate_stack(cfg, 50.0, 256, 256, 8, seed=1)), cfg)
+    assert measured.fano == pytest.approx(predicted, abs=0.01)
 
 
 def test_fano_factor_zero_variance_error():
@@ -237,7 +250,7 @@ def test_build_pixel_mask_needs_frames():
 def test_pixel_mask_json_round_trip():
     flags = np.array([[True, False], [True, True]])
     mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
-    again = PixelMask.from_json(mask.to_json())
+    again = PixelMask.from_dict(mask.to_dict())
     assert np.array_equal(again.flags, flags)
     assert again.reasons == {(0, 1): "hot"}
     assert again.n_flagged == 1

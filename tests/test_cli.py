@@ -32,7 +32,16 @@ from camrng.extractor import (
     generate_matrix,
     load_matrix,
 )
-from camrng.ingest import raw_payload, read_pgm, read_raw, read_sidecar, write_pgm
+from camrng.ingest import (
+    dumps,
+    raw_payload,
+    read_json,
+    read_manifest,
+    read_pgm,
+    read_raw,
+    read_sidecar,
+    write_pgm,
+)
 from camrng.sensor import PRESETS, Frame, simulate_frame
 
 
@@ -149,6 +158,7 @@ def test_simulate_config_file_equals_its_preset(tmp_path):
         ("bit_depth", 10.9, "bit_depth is not an integer: 10.9"),
         ("bit_depth", True, "bit_depth is not an integer: True"),
         ("eta", True, "eta is not a number: True"),
+        ("zeta", "1.9", "zeta is not a number: '1.9'"),
     ],
 )
 def test_simulate_config_with_a_bad_number_is_a_runtime_failure(
@@ -246,6 +256,34 @@ def test_characterize_report_with_a_saturated_point_is_strict_json(tmp_path, cap
     printed = _strict_json(capsys.readouterr().out)
     assert printed == _strict_json((tmp_path / "rep" / "report.json").read_text())
     assert printed["fit_residual"] is None
+
+
+def test_every_json_file_simulate_and_characterize_write_reads_back_unchanged(tmp_path):
+    sweep = tmp_path / "sweep"
+    assert run("simulate", "--preset", "nokia-n9", "--sweep", "100,410", "--frames", "10",
+               "--width", "9", "--height", "7", "--format", "raw16le", "--out", sweep) == 0
+    assert run("characterize", "--preset", "nokia-n9", "--manifest", sweep / "manifest.json",
+               "--out", tmp_path / "fano") == 0
+    assert run("characterize", "--preset", "nokia-n9", sweep / "nbar_01.raw",
+               "--out", tmp_path / "stack") == 0
+    docs = {
+        path.relative_to(tmp_path).as_posix(): read_json(path, lambda doc: doc)
+        for path in tmp_path.rglob("*.json")
+    }
+    assert sorted(docs) == [
+        "fano/report.json", "stack/mask.json", "stack/report.json",
+        "sweep/manifest.json", "sweep/nbar_00.raw.json", "sweep/nbar_01.raw.json",
+    ]
+    for name, doc in docs.items():
+        assert dumps(doc) == (tmp_path / name).read_text(), name
+    mask = read_json(tmp_path / "stack" / "mask.json", PixelMask.from_dict)
+    assert mask.to_dict() == docs["stack/mask.json"]
+    header, _ = read_sidecar(sweep / "nbar_01.raw")
+    assert header.to_dict() == docs["sweep/nbar_01.raw.json"]["header"]
+    assert read_manifest(sweep / "manifest.json") == [
+        ((str(sweep / stack["files"][0]),), stack["n_bar"])
+        for stack in docs["sweep/manifest.json"]["stacks"]
+    ]
 
 
 def test_plan_evaluates_worked_example(capsys):
@@ -362,7 +400,7 @@ def test_extract_refuses_violated_margin(tmp_path, capsys):
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert "margin" in err and "--force" in err
+    assert "margin" in err and "Lower k, raise l, or pass --force to extract anyway" in err
     assert "-bit depth; s*l = 1277." in err and "<= k = 1900." in err
     assert "exceeds 1" not in err
     assert not (tmp_path / "no.bin").exists()
@@ -386,6 +424,9 @@ def test_extract_refusal_of_an_entropy_rate_above_1_says_why(tmp_path, capsys):
     assert "entropy rate s must be in (0, 1], got 1.316" in err
     assert "s = 1.3164" in err and "<= k" not in err
     assert "entropy per raw bit exceeds 1, so the code cannot carry it." in err
+    # no k < l can pass, so --force is the only way on
+    assert err.endswith("\n  Pass --force to extract anyway (output is NOT certified random).\n")
+    assert "Lower k" not in err
     assert not (tmp_path / "no.bin").exists()
     assert run(*argv, "--out", tmp_path / "forced.bin", "--force", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1006,10 +1047,23 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ("f.raw.json", {"header": {"format": "raw16le", "width": 4, "height": 4,
                                    "bit_depth": 10, "frame_count": True}},
          ("characterize", "f.raw")),
+        ("f.raw.json", {"header": {"format": "raw16le", "width": 4, "height": 4,
+                                   "bit_depth": 10, "frame_count": float("nan")}},
+         ("extract", "f.raw")),
+        # A mask of 1e16 pixels would not fit in memory.
+        ("mask.json", {"width": 10**8, "height": 10**8, "flagged": {}},
+         ("extract", "f.pgm", "--mask", "mask.json")),
+        *(
+            ("m.json", {"stacks": [{"files": ["f.pgm"], "n_bar": n_bar}]},
+             ("characterize", "--manifest", "m.json"))
+            for n_bar in (True, float("nan"), -5)
+        ),
     ],
     ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
-         "sidecar-width-not-integral", "sidecar-frame-count-bool"],
+         "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
+         "mask-too-large", "manifest-n-bar-bool", "manifest-n-bar-nan",
+         "manifest-n-bar-negative"],
 )
 def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     tmp_path, monkeypatch, capsys, name, doc, argv
@@ -1020,7 +1074,10 @@ def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     (tmp_path / name).write_text(json.dumps(doc))
     rc = run(argv[0], "--preset", "nokia-n9", *argv[1:], "--out", "out")
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and "Traceback" not in err
+    # nothing is written: no fano.csv or report.json, no extract output
+    assert not (tmp_path / "out").is_file() and not list((tmp_path / "out").glob("*"))
 
 
 def test_extract_rejects_k_that_differs_from_matrix_file(tmp_path, capsys):
@@ -1121,7 +1178,7 @@ def stacks(tmp_path_factory):
     return {
         "pgm": (pgms, [], pgm_frames, None),
         "masked": (pgms, ["--mask", mask_path], pgm_frames,
-                   PixelMask.from_json(mask_path.read_text())),
+                   read_json(mask_path, PixelMask.from_dict)),
         "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw)[0])), None),
     }
 

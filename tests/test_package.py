@@ -1,11 +1,12 @@
-"""The package imports lazily, and the CLI pins OpenBLAS to one thread
-and fixes glibc's malloc thresholds.
+"""The package imports lazily, the CLI pins OpenBLAS to one thread and
+fixes glibc's malloc thresholds, and only ingest imports json.
 
 Import-time checks run in a fresh interpreter: once this process has
 imported camrng.cli, its own environment holds OPENBLAS_NUM_THREADS and
 numpy is loaded, so each child gets an explicit environment without it.
 """
 
+import ast
 import importlib
 import os
 import platform
@@ -120,3 +121,17 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         camrng.no_such_name
     assert not hasattr(camrng, "Fraction")
+
+
+def test_only_ingest_imports_json():
+    # ingest holds the package's one JSON reader, writer and field check.
+    importers = []
+    for path in sorted(Path(camrng.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if any(name and name.split(".")[0] == "json" for name in names):
+                importers.append(path.name)
+    assert importers == ["ingest.py"]

@@ -12,10 +12,10 @@ from camrng.sensor import (
     SensorConfig,
     digitize_electrons,
     get_preset,
-    load_sensor_config,
     simulate_frame,
     simulate_stack,
 )
+from camrng.ingest import load_sensor_config
 
 ATIK = get_preset("atik383l")
 NOKIA = get_preset("nokia-n9")
@@ -90,11 +90,13 @@ def test_config_json_keys_and_round_trip(tmp_path):
     assert again == ATIK
 
 
-def test_config_from_dict_rejects_missing_key():
+def test_config_from_dict_rejects_missing_key(tmp_path):
     d = ATIK.to_dict()
     del d["zeta"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
     with pytest.raises(ValueError):
-        SensorConfig.from_dict(d)
+        load_sensor_config(path)
 
 
 def test_digitize_rounding_and_clamps():
