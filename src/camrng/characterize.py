@@ -8,11 +8,10 @@ region, and flag unusable pixels.
 All statistics are temporal: each pixel is treated as its own repeated
 measurement across the stack, and per-pixel moments are aggregated
 afterwards.  Spatial statistics would fold any fixed-pattern structure
-into the variance.  Each stack is read once, one frame at a time, into
-uint32 partial sums added into int64 sums (code_sums); both are exact,
-so results are identical for any frame ordering.  The Fano point, the
-gain fit and the pixel mask all take the resulting PixelStats, the first
-two through its stack_point; stack_summary gives a stack's exact moments.
+into the variance.  Each stack is read once, one frame at a time, by
+PixelStats.add, the one reducer of frame codes: its exact integer sums
+give the per-pixel mean and variance, their stack_point for the Fano
+point and the gain fit, and summary() for a stack's exact moments.
 """
 
 from __future__ import annotations
@@ -44,129 +43,112 @@ _DEAD_VARIANCE_FRACTION = 0.25
 _RAIL_MARGIN_CODES = 1.0
 
 
-@dataclass(frozen=True)
 class PixelStats:
-    """Per-pixel temporal moments of a frame stack.
+    """Per-pixel temporal sums of a frame stack, folded in one frame at a time.
+
+    add() puts each frame into uint32 partial sums of codes and squared
+    codes, which are added into the int64 sums every `per` frames and
+    whenever s1 or s2 is read; `per` is the most frames of the stack's
+    largest code whose squares fit in a uint32 (4104 at 10 bits, 1 at
+    16), so no partial ever wraps.  Both are exact, so every moment is
+    identical for any frame order, and the sums may be read mid-stack.
 
     Attributes:
-        mean: (height, width) per-pixel mean code.
-        variance: (height, width) per-pixel unbiased sample variance.
-        n_frames: stack depth the moments were computed from.
-        bit_depth: ADC width of the contributing frames.
+        n_frames: frames added so far.
+        bit_depth: ADC width of the frames, None before the first.
     """
 
-    mean: np.ndarray
-    variance: np.ndarray
-    n_frames: int
-    bit_depth: int
+    def __init__(self) -> None:
+        self.n_frames, self.bit_depth, self._pending = 0, None, 0
+
+    def add(self, frame: Frame) -> None:
+        """Fold in one frame; ValueError unless it has the first frame's geometry and depth."""
+        codes = frame.codes
+        if self.bit_depth is None:
+            self.bit_depth = frame.bit_depth
+            self._per = (2**32 - 1) // ((1 << frame.bit_depth) - 1) ** 2
+            self._s1, self._s2 = (np.zeros(codes.shape, np.int64) for _ in range(2))
+            self._p1, self._p2, self._square = (
+                np.zeros(codes.shape, np.uint32) for _ in range(3)
+            )
+        elif (codes.shape, frame.bit_depth) != (self._s1.shape, self.bit_depth):
+            height, width = self._s1.shape
+            raise ValueError(
+                f"frame stack mismatch: {frame.width}x{frame.height}@{frame.bit_depth}b"
+                f" vs {width}x{height}@{self.bit_depth}b"
+            )
+        self._p1 += codes
+        np.square(codes, out=self._square, dtype=np.uint32)
+        self._p2 += self._square
+        self.n_frames += 1
+        self._pending += 1
+        if self._pending == self._per:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._s1 += self._p1
+            self._s2 += self._p2
+            self._p1.fill(0)
+            self._p2.fill(0)
+            self._pending = 0
+
+    @property
+    def s1(self) -> np.ndarray:
+        """(height, width) int64 per-pixel sum of codes."""
+        self._flush()
+        return self._s1
+
+    @property
+    def s2(self) -> np.ndarray:
+        """(height, width) int64 per-pixel sum of squared codes."""
+        self._flush()
+        return self._s2
+
+    @property
+    def mean(self) -> np.ndarray:
+        """(height, width) float64 per-pixel mean code."""
+        return self.s1 / self.n_frames
+
+    @property
+    def variance(self) -> np.ndarray:
+        """(height, width) float64 per-pixel unbiased sample variance."""
+        n, s1 = self.n_frames, self.s1
+        # Unbiased: sum((c - mean)^2) = s2 - s1^2/n, divided by n-1.
+        variance = (self.s2 - s1.astype(np.float64) ** 2 / n) / (n - 1)
+        return np.maximum(variance, 0.0, out=variance)
 
     @property
     def stack_point(self) -> tuple[float, float]:
         """(mean code, mean pixel variance): both moments averaged over pixels."""
         return float(np.mean(self.mean)), float(np.mean(self.variance))
 
+    def summary(self, flags: np.ndarray | None = None) -> tuple[float, float | None]:
+        """Mean and sample variance of the stack's codes, correctly rounded.
 
-def code_sums(
-    frames: Iterable[Frame], minimum: int = 1
-) -> tuple[int, Frame, np.ndarray, np.ndarray]:
-    """Exact per-pixel sums of codes and squared codes over a frame stack.
-
-    The frames are read once, one at a time, so any iterable works.
-    Each frame is added into uint32 partial sums, which are added into
-    the int64 sums every `per` frames and at the end; `per` is the most
-    frames of the stack's largest code whose squares fit in a uint32
-    (4104 at 10 bits, 1 at 16), so no partial ever wraps.
-
-    Args:
-        frames: >= minimum frames of identical geometry and bit depth.
-        minimum: fewest frames accepted.
-
-    Returns:
-        (n_frames, first frame, sum of codes, sum of squared codes), the
-        sums as (height, width) int64 arrays.
-
-    Raises:
-        ValueError: fewer than minimum frames, or a frame whose geometry
-            or bit depth differs from the first frame's.
-    """
-    n, first, s1, s2 = 0, None, None, None
-    for f in frames:
-        if first is None:
-            first = f
-            max_code = (1 << f.bit_depth) - 1
-            per = (2**32 - 1) // max_code**2
-            s1 = np.zeros(f.codes.shape, dtype=np.int64)
-            s2 = np.zeros(f.codes.shape, dtype=np.int64)
-            p1 = np.zeros(f.codes.shape, dtype=np.uint32)
-            p2 = np.zeros(f.codes.shape, dtype=np.uint32)
-            square = np.empty(f.codes.shape, dtype=np.uint32)
-        elif (f.width, f.height, f.bit_depth) != (
-            first.width,
-            first.height,
-            first.bit_depth,
-        ):
-            raise ValueError(
-                "frame stack mismatch: "
-                f"{f.width}x{f.height}@{f.bit_depth}b vs "
-                f"{first.width}x{first.height}@{first.bit_depth}b"
-            )
-        p1 += f.codes
-        np.square(f.codes, out=square, dtype=np.uint32)
-        p2 += square
-        n += 1
-        if n % per == 0:
-            s1 += p1
-            s2 += p2
-            p1.fill(0)
-            p2.fill(0)
-    if n < minimum:
-        raise ValueError(f"need at least {minimum} frames, got {n}")
-    if first is not None and n % per:
-        s1 += p1
-        s2 += p2
-    return n, first, s1, s2
-
-
-def stack_summary(n_frames: int, s1, s2) -> tuple[float, float | None]:
-    """Mean and sample variance of a stack's codes, correctly rounded.
-
-    s1, s2 are code_sums' per-pixel sums over n_frames frames, of the
-    pixels that count; their totals are exact Python integers.  The
-    variance is None for fewer than 2 codes.
-    """
-    n = n_frames * s1.size
-    t1 = int(s1.sum())
-    # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
-    t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
-    var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
-    return t1 / n, var
+        flags, a (height, width) bool array such as PixelMask.flags,
+        picks the pixels that count; None counts all.  The totals are
+        exact Python integers.  The variance is None for fewer than 2 codes.
+        """
+        s1, s2 = self.s1, self.s2
+        if flags is not None:
+            s1, s2 = s1[flags], s2[flags]
+        n = self.n_frames * s1.size
+        t1 = int(s1.sum())
+        # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
+        t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
+        var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
+        return t1 / n, var
 
 
 def pixel_stats(frames: Iterable[Frame]) -> PixelStats:
-    """Per-pixel mean and unbiased variance across a frame stack.
-
-    Codes are integers, so the first and second moments are accumulated
-    exactly in integers (see code_sums); the result does not depend on
-    frame order even in the last float bit.
-
-    Args:
-        frames: >= 2 frames of identical geometry and bit depth, in any
-            iterable; each is read once.
-
-    Returns:
-        PixelStats with (height, width) float64 moment arrays.
-    """
-    n, first, s1, s2 = code_sums(frames, minimum=2)
-    mean = s1 / n
-    # Unbiased: sum((c - mean)^2) = s2 - s1^2/n, divided by n-1.
-    variance = (s2 - s1.astype(np.float64) ** 2 / n) / (n - 1)
-    np.maximum(variance, 0.0, out=variance)
-    return PixelStats(
-        mean=mean,
-        variance=variance,
-        n_frames=n,
-        bit_depth=first.bit_depth,
-    )
+    """PixelStats of a stack of >= 2 frames, in any iterable; each is read once."""
+    stats = PixelStats()
+    for frame in frames:
+        stats.add(frame)
+    if stats.n_frames < 2:
+        raise ValueError(f"need at least 2 frames, got {stats.n_frames}")
+    return stats
 
 
 @dataclass(frozen=True)
@@ -406,10 +388,10 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
         raise ValueError(
             f"pixel mask needs >= 10 frames of statistics, got {stats.n_frames}"
         )
-    median_var = float(np.median(stats.variance))
-    dead = stats.variance < _DEAD_VARIANCE_FRACTION * median_var
-    stuck = stats.mean <= _RAIL_MARGIN_CODES
-    hot = stats.mean >= config.max_code - _RAIL_MARGIN_CODES
+    mean, variance = stats.mean, stats.variance
+    dead = variance < _DEAD_VARIANCE_FRACTION * float(np.median(variance))
+    stuck = mean <= _RAIL_MARGIN_CODES
+    hot = mean >= config.max_code - _RAIL_MARGIN_CODES
 
     flags = ~(dead | stuck | hot)
     reasons = {}
@@ -453,10 +435,10 @@ def simulate_stacks(
             simulate_frame(config, n_bar, width, height, seed, frame_id=i * n_frames + j)
             for j in range(n_frames)
         )
-        n, _, s1, s2 = code_sums(
-            write_stack(frames, out_dir, files, {"n_bar": n_bar, "seed": seed})
-        )
-        mean, var = stack_summary(n, s1, s2)
+        stats = PixelStats()
+        for frame in write_stack(frames, out_dir, files, {"n_bar": n_bar, "seed": seed}):
+            stats.add(frame)
+        mean, var = stats.summary()
         stacks.append(
             {
                 "n_bar": n_bar,

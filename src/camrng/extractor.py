@@ -14,7 +14,8 @@ for every position would be large they are built and applied in tiles
 of byte positions, one tile at a time.  A naive matrix product verifies
 the result in the test suite.
 extract_frames runs all of `camrng extract` in one read of the frames:
-stack sums, extraction in batches, and the security margin gate.
+each frame is folded into a PixelStats and extracted in batches, then
+the security margin gate reads the usable codes' exact moments.
 
 Extraction runs on the calling thread.  Its lookup, a numpy take, holds
 the interpreter lock, so a second thread adds CPU without saving wall
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitstream import BitString, export_stream
-from .characterize import PixelMask, code_sums, stack_summary
+from .characterize import PixelMask, PixelStats
 from .entropy import entropy_report, epsilon_bound
 from .sensor import Frame, SensorConfig
 
@@ -438,7 +439,8 @@ def extract_frames(
     Returns (record, refusal): the `extract --json` record up to "out",
     log2_epsilon None when s*l <= k, and None or why the margin fails and
     what to do.
-    Raises ValueError for a mixed stack or frames at the dark level.
+    Raises ValueError for a mixed stack, one too short for a whole block,
+    or frames at the dark level.
     """
     l, k = matrix.l, matrix.k
     # Whole chunks, on extract()'s chunk grid.
@@ -451,7 +453,8 @@ def extract_frames(
         blocks.append(result.blocks_processed)
         return result.residual_bits_discarded
 
-    def queue(frame: Frame) -> Frame:
+    stats = PixelStats()
+    for frame in frames:
         pending.append(frame_to_bits(frame, mask))
         pending_bits = sum(part.n_bits for part in pending)
         if pending_bits >= 8 * batch_bytes:
@@ -461,13 +464,12 @@ def extract_frames(
                 batch = buffered.packed[lo : lo + batch_bytes]
                 extract_batch(BitString(batch, 8 * batch_bytes))
             pending[:] = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
-        return frame
-
-    n_frames, first, s1, s2 = code_sums(map(queue, frames))
+        stats.add(frame)
     residual = extract_batch(concat_streams(pending))
-    if mask is not None:
-        s1, s2 = s1[mask.flags], s2[mask.flags]
-    mean, variance = stack_summary(n_frames, s1, s2)
+    n_blocks = sum(blocks)
+    if n_blocks == 0:
+        raise ValueError(f"the stack's {residual} raw bits hold no whole block of l={l}")
+    mean, variance = stats.summary(None if mask is None else mask.flags)
 
     # Estimate the absorbed mean from the data itself, convert it to
     # entropy per raw bit, and refuse to certify extraction that would
@@ -478,7 +480,7 @@ def extract_frames(
             f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
             "frames carry no shot noise to extract"
         )
-    s = entropy_report(n_bar_est, first.bit_depth).s
+    s = entropy_report(n_bar_est, stats.bit_depth).s
     try:
         log2_eps, refusal = float(epsilon_bound(s, l, k)), None
     except ValueError as exc:
@@ -492,14 +494,13 @@ def extract_frames(
             advice = "Pass"
         refusal = (
             f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
-            f"{first.bit_depth}-bit depth; {why}.\n  {advice} --force to extract "
+            f"{stats.bit_depth}-bit depth; {why}.\n  {advice} --force to extract "
             "anyway (output is NOT certified random)."
         )
 
-    n_blocks = sum(blocks)
     return {
         "command": "extract",
-        "frames": n_frames,
+        "frames": stats.n_frames,
         "raw_bits": n_blocks * l + residual,
         "l": l,
         "k": k,

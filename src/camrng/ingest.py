@@ -9,7 +9,8 @@ to the file is the usual carrier.
 
 Only this module knows how `simulate` names and writes a stack's files,
 how read_frames reads them back, and the sweep manifest.  It holds the
-package's only JSON code: dumps, write_json, read_json and json_number.
+package's only JSON code: dumps, write_json, read_json, json_number and
+json_string.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def read_json(path: str, parse: Callable[[dict], T]) -> T:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def json_string(doc: dict, key: str, what: str) -> str:
+    """doc[key], which must be a JSON string; a ValueError names what and key."""
+    if not isinstance(doc.get(key), str):
+        raise ValueError(f"{what} {key} is not a string: {doc.get(key)!r}")
+    return doc[key]
+
+
 def json_number(doc: dict, key: str, what: str, integer: bool = False) -> float | int:
     """doc[key] as a float, or an int if integer: a JSON number, never a bool or string.
 
@@ -94,7 +102,7 @@ def _sensor_config(doc: dict) -> SensorConfig:
     unknown = [k for k in doc if k not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"sensor config has unknown keys: {unknown}")
-    return SensorConfig(str(doc["name"]), *(
+    return SensorConfig(json_string(doc, "name", "sensor config"), *(
         json_number(doc, key, "sensor config", integer=key == "bit_depth")
         for key in _CONFIG_KEYS[1:]
     ))
@@ -155,7 +163,7 @@ class FrameFileHeader:
             for key in ("width", "height", "bit_depth", "frame_count")
             if key != "frame_count" or key in d
         }
-        return cls(format=str(d.get("format")), **numbers)
+        return cls(format=json_string(d, "format", "frame header"), **numbers)
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +387,8 @@ def write_manifest(directory: str, record: dict) -> str:
 def read_manifest(path: str) -> list[tuple[tuple[str, ...], float]]:
     """Each stack of a sweep manifest, as (frame paths under its directory, n_bar).
 
-    n_bar must be finite and >= 0, as `simulate --nbar` requires.
+    files must be a non-empty list of file names, and n_bar finite and
+    >= 0, as `simulate --nbar` requires.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -387,7 +396,12 @@ def read_manifest(path: str) -> list[tuple[tuple[str, ...], float]]:
         result = []
         try:
             for entry in doc["stacks"]:
-                files = tuple(os.path.join(base, name) for name in entry["files"])
+                names = entry["files"]
+                if not names or not isinstance(names, list) or not all(
+                    isinstance(name, str) for name in names
+                ):
+                    raise ValueError(f"manifest stack files are not a list of names: {names!r}")
+                files = tuple(os.path.join(base, name) for name in names)
                 n_bar = json_number(entry, "n_bar", "manifest stack")
                 if not 0 <= n_bar < math.inf:
                     raise ValueError(

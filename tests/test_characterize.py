@@ -9,8 +9,8 @@ import pytest
 from camrng.characterize import (
     FanoPoint,
     PixelMask,
+    PixelStats,
     build_pixel_mask,
-    code_sums,
     estimate_zeta,
     fano_curve_to_csv,
     fano_factor,
@@ -86,7 +86,7 @@ def python_sums(stack):
         (300, 12, None),  # random 12-bit codes, flushed every 256 frames
     ],
 )
-def test_code_sums_are_exact_across_the_partial_flush(n_frames, bit_depth, code):
+def test_pixel_stats_sums_are_exact_across_the_partial_flush(n_frames, bit_depth, code):
     rng = np.random.default_rng(n_frames)
     stack = [
         frame_of(
@@ -97,12 +97,18 @@ def test_code_sums_are_exact_across_the_partial_flush(n_frames, bit_depth, code)
         )
         for _ in range(n_frames)
     ]
-    n, first, s1, s2 = code_sums(iter(stack))
+    stats = PixelStats()
+    # Read the sums after the first frame, while it sits in a partial sum;
+    # the frames added after the read still cross a flush.
+    stats.add(stack[0])
+    assert (stats.s1.ravel().tolist(), stats.s2.ravel().tolist()) == python_sums(stack[:1])
+    for frame in stack[1:]:
+        stats.add(frame)
     want1, want2 = python_sums(stack)
-    assert n == n_frames and first is stack[0]
-    assert s1.dtype == s2.dtype == np.int64
-    assert s1.ravel().tolist() == want1
-    assert s2.ravel().tolist() == want2
+    assert stats.n_frames == n_frames and stats.bit_depth == bit_depth
+    assert stats.s1.dtype == stats.s2.dtype == np.int64
+    assert stats.s1.ravel().tolist() == want1
+    assert stats.s2.ravel().tolist() == want2
 
 
 def test_fano_factor_hand_example():

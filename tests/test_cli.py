@@ -16,11 +16,10 @@ from camrng.bitstream import export_stream
 from camrng.characterize import (
     DEFAULT_FANO_TOLERANCE,
     PixelMask,
+    PixelStats,
     characterize_stack,
     characterize_sweep,
-    code_sums,
     simulate_stacks,
-    stack_summary,
 )
 from camrng.cli import main
 from camrng.extractor import (
@@ -121,7 +120,11 @@ def test_simulate_summary_totals_do_not_wrap():
     # One frame of four pixels whose squared codes add up past 2**63.
     codes = [2**31, 2**31 - 7, 1, 2**30]
     s1 = np.array(codes, dtype=np.int64).reshape(2, 2)
-    mean, variance = stack_summary(1, s1, s1 * s1)
+    stats = PixelStats()
+    stats.add(Frame(2, 2, np.zeros((2, 2), np.uint16), 16))
+    # No frame holds such codes: write the sums in place.
+    stats.s1[...], stats.s2[...] = s1, s1 * s1
+    mean, variance = stats.summary()
     exact_mean = Fraction(sum(codes), 4)
     assert mean == float(exact_mean)
     assert variance == float(sum((c - exact_mean) ** 2 for c in codes) / 3)
@@ -173,6 +176,29 @@ def test_simulate_config_with_a_bad_number_is_a_runtime_failure(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name,doc,argv,message",
+    [
+        ("sensor.json", {**PRESETS["nokia-n9"].to_dict(), "name": None},
+         ("simulate", "--config", "sensor.json", "--nbar", "410"),
+         "sensor config name is not a string: None"),
+        ("f.raw.json", {"header": {"format": 16, "width": 4, "height": 4, "bit_depth": 10}},
+         ("extract", "--preset", "nokia-n9", "f.raw"),
+         "frame header format is not a string: 16"),
+    ],
+    ids=["config-name", "sidecar-format"],
+)
+def test_a_json_string_field_refuses_any_other_value(
+    tmp_path, monkeypatch, capsys, name, doc, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.raw").write_bytes(b"\x00" * 32)
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert run(*argv, "--out", "out") == 1
+    assert capsys.readouterr().err == f"error: {name}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_entropy_json(capsys):
     assert run("entropy", "--nbar", "410", "--bits", "10", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
@@ -204,8 +230,8 @@ def test_simulate_json_of_a_single_code_is_strict_json(tmp_path, capsys):
     assert " var=n/a " in capsys.readouterr().out
 
 
-def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, rebind, capsys):
-    rebind(stack_summary, lambda *sums: (1.0, float("nan")))
+def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(PixelStats, "summary", lambda *args: (1.0, float("nan")))
     out = tmp_path / "sweep"
     rc = run("simulate", "--preset", "nokia-n9", "--sweep", "10,20", "--width", "2",
              "--height", "2", "--out", out, "--json")
@@ -1058,12 +1084,18 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
              ("characterize", "--manifest", "m.json"))
             for n_bar in (True, float("nan"), -5)
         ),
+        *(
+            ("m.json", {"stacks": [{"files": files, "n_bar": 10.0}]},
+             ("characterize", "--manifest", "m.json"))
+            for files in ("f.pgm", [])
+        ),
     ],
     ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
          "mask-too-large", "manifest-n-bar-bool", "manifest-n-bar-nan",
-         "manifest-n-bar-negative"],
+         "manifest-n-bar-negative", "manifest-files-a-string",
+         "manifest-files-empty"],
 )
 def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     tmp_path, monkeypatch, capsys, name, doc, argv
@@ -1248,16 +1280,20 @@ def test_extract_sums_the_stack_once_and_exports_each_batch(stacks, tmp_path, mo
     monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", 8)
     monkeypatch.setenv("QRNG_THREADS", "2")
     calls: dict = {}
-    for real in (code_sums, extract, export_stream):
 
-        def counted(*args, _real=real, **kwargs):
-            calls.setdefault(_real.__name__, []).append(args)
-            return _real(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            calls.setdefault(real.__name__, []).append(args)
+            return real(*args, **kwargs)
 
-        rebind(real, counted)
+        return counted
+
+    for real in (extract, export_stream):
+        rebind(real, counting(real))
+    monkeypatch.setattr(PixelStats, "add", counting(PixelStats.add))
     assert run("extract", "--preset", "nokia-n9", *paths, "--l", 777, "--k", 200,
                "--out", tmp_path / "o.bin") == 0
-    assert len(calls["code_sums"]) == 1
+    assert len(calls["add"]) == len(frames)
     assert len(calls["extract"]) == math.ceil(len(frames) * STACK_W * STACK_H * 10 // 777 / 16)
     assert len(calls["export_stream"]) == len(calls["extract"])
 
@@ -1275,6 +1311,18 @@ def test_extract_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
     assert rc == 1
     assert "frame stack mismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["plain", "forced"])
+def test_extract_refuses_a_stack_too_short_for_one_block(tmp_path, capsys, force):
+    # One 4x4 frame is 160 raw bits, less than one block of the default l.
+    rng = np.random.default_rng(8)
+    frames = _write_frames(tmp_path / "f", [rng.integers(700, 900, (4, 4))], 10)
+    out = tmp_path / "o.bin"
+    assert run("extract", "--preset", "nokia-n9", *frames, *force, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "160 raw bits hold no whole block" in err
+    assert not out.exists() and list(tmp_path.iterdir()) == [tmp_path / "f"]
 
 
 @pytest.mark.parametrize("threads", [1, 4])
