@@ -10,28 +10,16 @@ Exported byte streams use the opposite convention, MSB of each byte is
 the earliest bit; see :meth:`BitString.msb_chunks`.  Converting between
 the two mirrors the bit order of every byte.  That runs on 64-bit words,
 by three mask-shift-or swaps (adjacent bits, bit pairs, nibbles) that
-never cross a byte, so bytes never go through a per-byte table lookup
-except the few past the last whole word.  The test battery reads
-MSB-first bytes as they are: `camrng test` converts nothing, and a
-BitString handed to the battery is converted once, by msb_chunks.
-export_stream writes those chunks to a file.
+never cross a byte; the last few bytes, less than a word, are
+zero-padded into one more word and swapped with the rest.  The test
+battery reads MSB-first bytes as they are: `camrng test` converts
+nothing, and a BitString handed to the battery is converted once, by
+msb_chunks.  export_stream writes those chunks to an open file.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-
-# Reversal table: _BIT_REVERSE[b] is byte b with its bit order mirrored.
-_BIT_REVERSE = np.zeros(256, dtype=np.uint8)
-for _b in range(256):
-    _r = 0
-    for _i in range(8):
-        if _b & (1 << _i):
-            _r |= 1 << (7 - _i)
-    _BIT_REVERSE[_b] = _r
-del _b, _r, _i
 
 # Bytes per piece of MSB-first output, so exporting a long stream never
 # holds a second full-size copy of it.
@@ -54,24 +42,25 @@ def _reverse_bits(data: np.ndarray) -> np.ndarray:
     """A new uint8 array holding each byte of data with its bit order mirrored.
 
     data may be any contiguous uint8 slice, aligned or not: each pass is
-    copied into the (aligned) result first and swapped there.
+    copied into the (aligned) result first and swapped there.  The result
+    is a view of whole words, the last one zero-padded; the padding is
+    cut off on return.
     """
-    out = np.empty(data.size, np.uint8)
-    whole = data.size - data.size % 8
-    words = out[:whole].view(np.uint64)
+    words = np.empty(-(-data.size // 8), np.uint64)
+    words[-1:] = 0
     tmp = np.empty(min(_REVERSE_WORDS, words.size), np.uint64)
     for lo in range(0, words.size, _REVERSE_WORDS):
         w = words[lo : lo + _REVERSE_WORDS]
         t = tmp[: w.size]
-        w.view(np.uint8)[:] = data[8 * lo : 8 * (lo + w.size)]
+        part = data[8 * lo : 8 * (lo + w.size)]
+        w.view(np.uint8)[: part.size] = part
         for shift, mask in _SWAPS:
             np.right_shift(w, shift, out=t)
             t &= mask
             w &= mask
             w <<= shift
             w |= t
-    out[whole:] = _BIT_REVERSE[data[whole:]]
-    return out
+    return words.view(np.uint8)[: data.size]
 
 
 class BitString:
@@ -177,41 +166,12 @@ class BitString:
         return f"BitString(n_bits={self.n_bits})"
 
 
-class ExportResult(NamedTuple):
-    n_bytes: int
-    padding_bits: int
-
-
-def export_stream(bits: BitString, destination) -> ExportResult:
-    """Write bits as a byte stream, MSB of each byte = earliest bit.
+def export_stream(bits: BitString, fh) -> None:
+    """Write bits to the binary file fh, MSB of each byte = earliest bit.
 
     The final byte is zero-padded on the low side when the bit count is
-    not a multiple of 8; the padding count is returned alongside the
-    byte count.
-
-    Args:
-        bits: the stream to write.
-        destination: path, or a binary file-like object (e.g.
-            sys.stdout.buffer for piping into an external battery).
-
-    Returns:
-        ExportResult(n_bytes, padding_bits).
+    not a multiple of 8.  fh may be any binary file-like object, e.g.
+    sys.stdout.buffer for piping into an external battery.
     """
-    padding = (-bits.n_bits) % 8
-
-    def _write(fh) -> int:
-        written = 0
-        for part in bits.msb_chunks():
-            fh.write(part)
-            written += len(part)
-        return written
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        try:
-            with open(destination, "wb") as fh:
-                n = _write(fh)
-        except OSError as exc:
-            raise OSError(f"writing {destination}: {exc}") from exc
-    else:
-        n = _write(destination)
-    return ExportResult(n_bytes=n, padding_bits=padding)
+    for part in bits.msb_chunks():
+        fh.write(part)

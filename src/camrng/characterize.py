@@ -10,8 +10,9 @@ measurement across the stack, and per-pixel moments are aggregated
 afterwards.  Spatial statistics would fold any fixed-pattern structure
 into the variance.  Each stack is read once, one frame at a time, by
 PixelStats.add, the one reducer of frame codes: its exact integer sums
-give the per-pixel mean and variance, their stack_point for the Fano
-point and the gain fit, and summary() for a stack's exact moments.
+give the per-pixel mean and variance, built once per stack, their
+stack_point for the Fano point and the gain fit, and summary() for a
+stack's exact moments.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +54,8 @@ class PixelStats:
     largest code whose squares fit in a uint32 (4104 at 10 bits, 1 at
     16), so no partial ever wraps.  Both are exact, so every moment is
     identical for any frame order, and the sums may be read mid-stack.
+    mean, variance and stack_point are computed at their first read after
+    an add() and kept until the next; callers must not write to them.
 
     Attributes:
         n_frames: frames added so far.
@@ -84,6 +88,8 @@ class PixelStats:
         self._pending += 1
         if self._pending == self._per:
             self._flush()
+        for moment in ("mean", "variance", "stack_point"):
+            self.__dict__.pop(moment, None)
 
     def _flush(self) -> None:
         if self._pending:
@@ -105,12 +111,12 @@ class PixelStats:
         self._flush()
         return self._s2
 
-    @property
+    @cached_property
     def mean(self) -> np.ndarray:
         """(height, width) float64 per-pixel mean code."""
         return self.s1 / self.n_frames
 
-    @property
+    @cached_property
     def variance(self) -> np.ndarray:
         """(height, width) float64 per-pixel unbiased sample variance."""
         n, s1 = self.n_frames, self.s1
@@ -118,7 +124,7 @@ class PixelStats:
         variance = (self.s2 - s1.astype(np.float64) ** 2 / n) / (n - 1)
         return np.maximum(variance, 0.0, out=variance)
 
-    @property
+    @cached_property
     def stack_point(self) -> tuple[float, float]:
         """(mean code, mean pixel variance): both moments averaged over pixels."""
         return float(np.mean(self.mean)), float(np.mean(self.variance))
@@ -495,11 +501,17 @@ def characterize_sweep(
     Each stack is read once; the Fano curve goes to out_dir/fano.csv,
     without the stacks that have no Fano factor.
     """
+
+    def read_stack(paths) -> PixelStats:
+        # The sweep needs each stack's point alone: keep it, and free the
+        # per-pixel arrays behind it before the next stack is read.
+        stats = pixel_stats(read_frames(paths))
+        _ = stats.stack_point
+        del stats.mean, stats.variance
+        return stats
+
     sweep = sorted(
-        (
-            (pixel_stats(read_frames(paths)), n_bar)
-            for paths, n_bar in read_manifest(manifest)
-        ),
+        ((read_stack(paths), n_bar) for paths, n_bar in read_manifest(manifest)),
         key=lambda pair: pair[1],
     )
     curve, skipped = [], []

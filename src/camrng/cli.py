@@ -127,9 +127,9 @@ def _number(cast, bound: str, ok):
 
 
 _COUNT = _number(int, ">= 1", lambda v: v >= 1)
-_NBAR = _number(float, ">= 0", lambda v: v >= 0)
-# The range over which the Poisson entropy is computed.
-_ENTROPY_NBAR = _number(float, "in [0, 1e6]", lambda v: 0 <= v <= _MAX_N_BAR)
+# Every command's n_bar: the range over which the Poisson entropy is
+# computed, and a bound far below numpy's Poisson limit (about 9.2e18).
+_NBAR = _number(float, "in [0, 1e6]", lambda v: 0 <= v <= _MAX_N_BAR)
 _BIT_DEPTH = _number(int, "in 1..16", lambda v: 1 <= v <= 16)
 
 
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "entropy", parents=[common], help="per-sample quantum entropy report"
     )
-    p.add_argument("--nbar", type=_ENTROPY_NBAR, required=True)
+    p.add_argument("--nbar", type=_NBAR, required=True)
     p.add_argument("--bits", type=_BIT_DEPTH, required=True, help="ADC bit depth")
     p.set_defaults(func=cmd_entropy)
 
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--s", type=_number(float, "in (0, 1]", lambda v: 0 < v <= 1),
         help="entropy per raw bit (0, 1]",
     )
-    p.add_argument("--nbar", type=_ENTROPY_NBAR, help="compute s from this intensity...")
+    p.add_argument("--nbar", type=_NBAR, help="compute s from this intensity...")
     p.add_argument("--bits", type=_BIT_DEPTH, help="...at this bit depth")
     p.add_argument("--l", type=_COUNT, default=DEFAULT_L)
     p.add_argument("--k", type=_COUNT, help="evaluate the bound for this k")

@@ -226,12 +226,7 @@ def read_pgm(path: str) -> Frame:
     if codes.size and int(codes.max()) > maxval:
         raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
     bit_depth = max(1, math.ceil(math.log2(maxval + 1)))
-    return Frame(
-        width=width,
-        height=height,
-        codes=codes.reshape(height, width),
-        bit_depth=bit_depth,
-    )
+    return Frame(codes.reshape(height, width), bit_depth)
 
 
 def write_pgm(frame: Frame, path: str) -> None:
@@ -276,7 +271,7 @@ def read_raw(path: str, header: FrameFileHeader) -> Iterator[Frame]:
                 if fh.readinto(codes) != codes.nbytes:
                     raise ValueError(f"{path}: file ended inside frame {i}")
                 try:  # Frame checks the codes against the declared bit depth
-                    frame = Frame(header.width, header.height, codes, header.bit_depth)
+                    frame = Frame(codes, header.bit_depth)
                 except ValueError as exc:
                     raise ValueError(f"{path}: frame {i}: {exc}") from None
                 yield frame

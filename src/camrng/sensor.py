@@ -151,37 +151,37 @@ class Frame:
     """One captured or simulated image.
 
     Attributes:
-        width, height: geometry in pixels.
-        codes: (height, width) array of ADC output codes, row-major.
+        codes: (height, width) array of ADC output codes, row-major; the
+            frame's width and height are read from its shape.
         bit_depth: ADC width the codes were produced with.
     """
 
-    width: int
-    height: int
     codes: np.ndarray
     bit_depth: int
 
+    @property
+    def width(self) -> int:
+        return self.codes.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.codes.shape[0]
+
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(
-                f"frame dimensions must be positive, got {self.width}x{self.height}"
-            )
         codes = np.asarray(self.codes)
-        if codes.shape != (self.height, self.width):
+        if codes.ndim != 2:
+            raise ValueError(f"codes must be (height, width), got shape {codes.shape}")
+        if not codes.size:
             raise ValueError(
-                f"codes shape {codes.shape} does not match "
-                f"{self.height}x{self.width} geometry"
+                f"frame dimensions must be positive, got {codes.shape[1]}x{codes.shape[0]}"
             )
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
         if not 1 <= self.bit_depth <= 16:
             raise ValueError(f"bit_depth must be in 1..16, got {self.bit_depth}")
-        if codes.size:
-            lo, hi = int(codes.min()), int(codes.max())
-            if lo < 0 or hi > (1 << self.bit_depth) - 1:
-                raise ValueError(
-                    f"codes [{lo}, {hi}] exceed {self.bit_depth}-bit range"
-                )
+        lo, hi = int(codes.min()), int(codes.max())
+        if lo < 0 or hi > (1 << self.bit_depth) - 1:
+            raise ValueError(f"codes [{lo}, {hi}] exceed {self.bit_depth}-bit range")
         self.codes = codes.astype(np.uint16, copy=False)
 
 
@@ -289,12 +289,7 @@ def simulate_frame(
         n_workers = worker_count()
     with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
         list(pool.map(fill, range(n_blocks)))
-    return Frame(
-        width=width,
-        height=height,
-        codes=codes.reshape(height, width),
-        bit_depth=config.bit_depth,
-    )
+    return Frame(codes.reshape(height, width), config.bit_depth)
 
 
 def simulate_stack(

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import erfc, gammaincc
 
 # Defined beside BitString, so that the extractor loads no scipy.
-from .bitstream import BitString, ExportResult, export_stream  # noqa: F401
+from .bitstream import BitString, export_stream  # noqa: F401
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_BLOCK_SIZE = 128

@@ -3,8 +3,12 @@ import sys
 import numpy as np
 import pytest
 
-from camrng import bitstream
 from camrng.bitstream import BitString
+
+
+def reverse_bytes(data) -> np.ndarray:
+    """Each byte of data with its bit order mirrored: the oracle of bitstream._reverse_bits."""
+    return np.packbits(np.unpackbits(np.asarray(data, np.uint8), bitorder="little"))
 
 
 def from_msb_bytes(data, n_bits: int | None = None) -> BitString:
@@ -17,7 +21,7 @@ def from_msb_bytes(data, n_bits: int | None = None) -> BitString:
     data = np.frombuffer(data, dtype=np.uint8)
     if n_bits is None:
         n_bits = 8 * data.size
-    packed = bitstream._reverse_bits(data[: (n_bits + 7) // 8])
+    packed = reverse_bytes(data[: (n_bits + 7) // 8])
     if n_bits % 8:
         packed[-1:] &= (1 << n_bits % 8) - 1  # a fresh array: clear in place
     return BitString(packed, n_bits)

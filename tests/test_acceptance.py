@@ -335,7 +335,7 @@ def test_criterion_9_format_round_trips(tmp_path):
         h = int(rng.integers(1, 41))
         depth = int(rng.integers(1, 17))
         codes = rng.integers(0, 1 << depth, (h, w)).astype(np.uint16)
-        frame = Frame(width=w, height=h, codes=codes, bit_depth=depth)
+        frame = Frame(codes, depth)
         path = tmp_path / f"rt_{i}.pgm"
         write_pgm(frame, path)
         back = read_pgm(path)
@@ -351,12 +351,7 @@ def test_criterion_9_format_round_trips(tmp_path):
         h = int(rng.integers(1, 33))
         header = FrameFileHeader(fmt, w, h, depth, frame_count=5)
         frames = [
-            Frame(
-                width=w,
-                height=h,
-                codes=rng.integers(0, 1 << depth, (h, w)).astype(np.uint16),
-                bit_depth=depth,
-            )
+            Frame(rng.integers(0, 1 << depth, (h, w)).astype(np.uint16), depth)
             for _ in range(5)
         ]
         path = tmp_path / f"rt_{i}.raw"

@@ -59,7 +59,7 @@ def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
     paths = []
     for i in range(3):
         paths.append(str(tmp_path / f"f{i}.pgm"))
-        write_pgm(Frame(32, 32, rng.integers(700, 900, (32, 32)), 10), paths[-1])
+        write_pgm(Frame(rng.integers(700, 900, (32, 32)), 10), paths[-1])
     argv = ["extract", "--preset", "nokia-n9", *paths, "--l", "200", "--k", "20",
             "--out", str(tmp_path / "o.bin")]
     assert camrng.cli.main(argv) == 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from camrng import bitstream
 from camrng.bitstream import BitString
-from conftest import from_msb_bytes
+from conftest import from_msb_bytes, reverse_bytes
 
 
 def as01(bs: BitString) -> np.ndarray:
@@ -131,7 +131,9 @@ def test_count_ones_property(bits):
 
 def test_reverse_bits_equals_table_at_every_length_and_alignment():
     # slices of a bytes buffer starting 0..7 bytes in: uint64 views on
-    # and off the 8-byte grid, and every tail length 0..7
+    # and off the 8-byte grid, and every tail length 0..7, against a
+    # 256-entry byte table built from the unpackbits/packbits oracle
+    table = reverse_bytes(np.arange(256, dtype=np.uint8))
     buf = np.random.default_rng(5).bytes(100)
     whole = np.frombuffer(buf, dtype=np.uint8)
     for start in range(8):
@@ -139,19 +141,22 @@ def test_reverse_bits_equals_table_at_every_length_and_alignment():
             data = whole[start : start + n]
             got = bitstream._reverse_bits(data)
             assert got.dtype == np.uint8
-            assert np.array_equal(got, bitstream._BIT_REVERSE[data])
+            assert np.array_equal(got, table[data])
             assert not np.shares_memory(got, data)
 
 
 def test_reverse_bits_across_pass_boundaries(monkeypatch):
-    monkeypatch.setattr(bitstream, "_REVERSE_WORDS", 3)  # 24 bytes per pass
-    whole = np.frombuffer(np.random.default_rng(6).bytes(200), dtype=np.uint8)
-    for start in (0, 3):
-        for n in (23, 24, 25, 47, 48, 49, 72, 150, 197):
+    # 3 words (24 bytes) per pass: lengths 0..57 cover empty, sub-word,
+    # one pass, two passes and a tail word past them, and the longer ones
+    # several passes; slices start 0..7 bytes in
+    monkeypatch.setattr(bitstream, "_REVERSE_WORDS", 3)
+    whole = np.frombuffer(np.random.default_rng(6).bytes(205), dtype=np.uint8)
+    for start in range(8):
+        for n in (*range(58), 72, 150, 197):
             data = whole[start : start + n]
-            assert np.array_equal(
-                bitstream._reverse_bits(data), bitstream._BIT_REVERSE[data]
-            )
+            got = bitstream._reverse_bits(data)
+            assert np.array_equal(got, reverse_bytes(data))
+            assert not np.shares_memory(got, data)
 
 
 @pytest.mark.parametrize("n_bits", [8 * 997 + 1, 8 * 997 + 5, 8 * 1000 - 1])
@@ -160,18 +165,9 @@ def test_from_msb_bytes_and_msb_chunks_round_trip_off_the_byte_grid(
 ):
     monkeypatch.setattr(bitstream, "_REVERSE_WORDS", 5)
     monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 96)
-    reversed_arrays = []
-    reverse = bitstream._reverse_bits
-
-    def keep_reversed(d):
-        reversed_arrays.append(reverse(d))
-        return reversed_arrays[-1]
-
-    monkeypatch.setattr(bitstream, "_reverse_bits", keep_reversed)
     data = np.random.default_rng(n_bits).bytes(1001)
     bs = from_msb_bytes(data[1:], n_bits)  # an unaligned source
     assert bs.packed[-1] >> n_bits % 8 == 0
-    assert np.shares_memory(bs.packed, reversed_arrays[0])  # its tail cleared in place
     want = np.unpackbits(np.frombuffer(data[1:], dtype=np.uint8))[:n_bits]
     assert np.array_equal(as01(bs), want)
     tail = data[1 + n_bits // 8] & (0xFF00 >> n_bits % 8) & 0xFF

@@ -24,9 +24,7 @@ NOKIA = get_preset("nokia-n9")
 
 def frame_of(values, bit_depth=10) -> Frame:
     codes = np.asarray(values, dtype=np.uint16)
-    return Frame(
-        width=codes.shape[1], height=codes.shape[0], codes=codes, bit_depth=bit_depth
-    )
+    return Frame(codes, bit_depth)
 
 
 def test_pixel_stats_hand_example():
@@ -67,6 +65,15 @@ def test_pixel_stats_order_invariant_bitwise():
         # integer moment accumulation makes this exact, not approximate
         assert np.array_equal(base.mean, again.mean)
         assert np.array_equal(base.variance, again.variance)
+
+
+def test_pixel_stats_moments_follow_each_added_frame():
+    # mean, variance and stack_point are kept between reads, until an add
+    stats = pixel_stats([frame_of([[2, 2]]), frame_of([[4, 4]])])
+    assert stats.mean.tolist() == [[3.0, 3.0]] and stats.stack_point == (3.0, 2.0)
+    stats.add(frame_of([[9, 9]]))
+    assert stats.mean.tolist() == [[5.0, 5.0]] and stats.variance.tolist() == [[13.0, 13.0]]
+    assert stats.stack_point == (5.0, 13.0)
 
 
 def python_sums(stack):

@@ -121,7 +121,7 @@ def test_simulate_summary_totals_do_not_wrap():
     codes = [2**31, 2**31 - 7, 1, 2**30]
     s1 = np.array(codes, dtype=np.int64).reshape(2, 2)
     stats = PixelStats()
-    stats.add(Frame(2, 2, np.zeros((2, 2), np.uint16), 16))
+    stats.add(Frame(np.zeros((2, 2), np.uint16), 16))
     # No frame holds such codes: write the sums in place.
     stats.s1[...], stats.s2[...] = s1, s1 * s1
     mean, variance = stats.summary()
@@ -267,6 +267,22 @@ def test_library_records_are_the_cli_json(tmp_path, capsys, fmt, sweep):
         record = characterize_stack(files, sensor, rep)
         assert record["mask"] is not None
     assert cli == json.dumps(record, indent=2, allow_nan=False) + "\n"
+
+
+def test_characterize_builds_each_stacks_per_pixel_moments_once(tmp_path, monkeypatch):
+    # The variance is the one reader of s2: one read per stack means the
+    # Fano point, the gain fit and the mask share one set of arrays.
+    sensor, out = PRESETS["nokia-n9"], str(tmp_path)
+    record, manifest = simulate_stacks(sensor, [100.0, 410.0], True, 10, 9, 7, 5, "pgm", out)
+    reads, s2 = [], PixelStats.s2
+    counted = property(lambda self: reads.append(self) or s2.fget(self))
+    monkeypatch.setattr(PixelStats, "s2", counted)
+    files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
+    assert characterize_stack(files, sensor, out)["mask"] is not None
+    assert len(reads) == 1
+    reads.clear()
+    assert len(characterize_sweep(manifest, sensor, 0.5, out)["fano_points"]) == 2
+    assert len(reads) == len(set(map(id, reads))) == 2
 
 
 def test_characterize_report_with_a_saturated_point_is_strict_json(tmp_path, capsys):
@@ -559,6 +575,19 @@ def test_simulate_rejects_negative_nbar(tmp_path, capsys):
     rc = run("simulate", "--preset", "nokia-n9", "--nbar", "-1", "--out", tmp_path / "x")
     assert rc == 2
     assert "--nbar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--nbar", "1e20"), ("--nbar", "2e6"), ("--sweep", "410,1e20")]
+)
+def test_simulate_refuses_nbar_above_1e6_before_making_out(tmp_path, capsys, flag, value):
+    # Above 1e6 every frame saturates; above ~9.2e18 numpy cannot draw at all.
+    out = tmp_path / "D"
+    assert run("simulate", "--preset", "nokia-n9", flag, value, "--out", out) == 2
+    assert f"argument {flag}: must be finite and in [0, 1e6]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("simulate", "--preset", "nokia-n9", flag, "1e6", "--width", "4",
+               "--height", "4", "--out", out, "--json") == 0
 
 
 def test_battery_failure_exit_code(tmp_path, capsys):
@@ -977,7 +1006,7 @@ def _write_frames(directory, codes_list, bit_depth):
     paths = []
     for i, codes in enumerate(codes_list):
         codes = np.asarray(codes, dtype=np.uint16)
-        frame = Frame(codes.shape[1], codes.shape[0], codes, bit_depth)
+        frame = Frame(codes, bit_depth)
         paths.append(directory / f"f{i}.pgm")
         write_pgm(frame, paths[-1])
     return paths

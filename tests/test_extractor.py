@@ -283,7 +283,7 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
 
 def test_frame_to_bits_lsb_first():
     codes = np.array([[0b1010011010]], dtype=np.uint16)  # 666
-    frame = Frame(width=1, height=1, codes=codes, bit_depth=10)
+    frame = Frame(codes, bit_depth=10)
     stream = frame_to_bits(frame)
     assert stream.n_bits == 10
     assert as01(stream).tolist() == [0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
@@ -291,7 +291,7 @@ def test_frame_to_bits_lsb_first():
 
 def test_frame_to_bits_row_major_order():
     codes = np.array([[1, 2], [3, 4]], dtype=np.uint16)
-    frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
+    frame = Frame(codes, bit_depth=3)
     got = as01(frame_to_bits(frame)).reshape(4, 3)
     want = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert np.array_equal(got, want)
@@ -299,7 +299,7 @@ def test_frame_to_bits_row_major_order():
 
 def test_frame_to_bits_mask():
     codes = np.array([[1, 7], [5, 2]], dtype=np.uint16)
-    frame = Frame(width=2, height=2, codes=codes, bit_depth=3)
+    frame = Frame(codes, bit_depth=3)
     flags = np.array([[True, False], [True, True]])
     mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
     got = as01(frame_to_bits(frame, mask)).reshape(3, 3)
@@ -310,8 +310,8 @@ def test_frame_to_bits_mask():
 
 
 def test_concat_streams_orders_frames():
-    f1 = Frame(width=1, height=1, codes=np.array([[1]], dtype=np.uint16), bit_depth=2)
-    f2 = Frame(width=1, height=1, codes=np.array([[2]], dtype=np.uint16), bit_depth=2)
+    f1 = Frame(np.array([[1]], dtype=np.uint16), bit_depth=2)
+    f2 = Frame(np.array([[2]], dtype=np.uint16), bit_depth=2)
     merged = concat_streams(frame_to_bits(f) for f in (f1, f2))
     assert as01(merged).tolist() == [1, 0, 0, 1]
 
@@ -332,7 +332,7 @@ def test_frame_to_bits_equals_unpacked_serializer(bit_depth):
     for height, width in [(1, 1), (1, 7), (3, 5), (9, 7), (5, 13), (16, 16), (11, 67)]:
         codes = rng.integers(0, top + 1, size=(height, width))
         codes.flat[0] = top
-        frame = Frame(width=width, height=height, codes=codes, bit_depth=bit_depth)
+        frame = Frame(codes, bit_depth)
         assert frame_to_bits(frame) == unpacked_frame_to_bits(frame)
         flags = rng.random((height, width)) < 0.8
         mask = PixelMask(flags=flags, reasons={})

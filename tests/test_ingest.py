@@ -21,9 +21,7 @@ from camrng.sensor import Frame
 
 def frame_of(values, bit_depth) -> Frame:
     codes = np.asarray(values, dtype=np.uint16)
-    return Frame(
-        width=codes.shape[1], height=codes.shape[0], codes=codes, bit_depth=bit_depth
-    )
+    return Frame(codes, bit_depth)
 
 
 def test_pgm_16bit_fixture(tmp_path):
@@ -234,7 +232,7 @@ def test_read_sidecar_missing_returns_none(tmp_path):
 def test_pgm_round_trip_property(tmp_path_factory, width, height, bit_depth, seed):
     rng = np.random.default_rng(seed)
     codes = rng.integers(0, 1 << bit_depth, size=(height, width), dtype=np.uint16)
-    frame = Frame(width=width, height=height, codes=codes, bit_depth=bit_depth)
+    frame = Frame(codes, bit_depth)
     path = tmp_path_factory.mktemp("pgm") / "f.pgm"
     write_pgm(frame, path)
     again = read_pgm(path)

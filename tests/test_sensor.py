@@ -143,16 +143,14 @@ def test_digitize_monotone(electrons):
 
 def test_frame_validation():
     codes = np.zeros((4, 6), dtype=np.uint16)
-    Frame(width=6, height=4, codes=codes, bit_depth=10)
+    frame = Frame(codes, bit_depth=10)
+    assert (frame.width, frame.height) == (6, 4)  # the geometry is the codes' shape
     # any in-range integer dtype is accepted and normalized to uint16
-    as_i32 = Frame(width=6, height=4, codes=codes.astype(np.int32), bit_depth=10)
+    as_i32 = Frame(codes.astype(np.int32), bit_depth=10)
     assert as_i32.codes.dtype == np.uint16
-    with pytest.raises(ValueError):
-        Frame(width=5, height=4, codes=codes, bit_depth=10)
-    with pytest.raises(ValueError):
-        Frame(width=6, height=4, codes=codes.astype(np.float64), bit_depth=10)
-    with pytest.raises(ValueError):
-        Frame(width=6, height=4, codes=codes + 2000, bit_depth=10)
+    for bad in (codes.ravel(), codes[:, :0], codes.astype(np.float64), codes + 2000):
+        with pytest.raises(ValueError):
+            Frame(bad, bit_depth=10)
 
 
 def test_simulate_frame_deterministic():

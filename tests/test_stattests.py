@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from camrng import stattests
+from camrng import bitstream, stattests
 from camrng.bitstream import BitString
 from camrng.sensor import get_preset, simulate_frame
 from camrng.stattests import (
@@ -176,18 +176,32 @@ def test_byte_entropy_length_gate():
 def test_export_convention_fixture(tmp_path):
     bits = BitString.from_bits01(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8))
     path = tmp_path / "one.bin"
-    result = export_stream(bits, path)
+    with open(path, "wb") as fh:
+        assert export_stream(bits, fh) is None
     assert path.read_bytes() == b"\x81"
-    assert result == (1, 0)
 
 
 def test_export_padding_fixture():
     buf = io.BytesIO()
     bits = BitString.from_bits01(np.array([1, 0, 0, 0, 0, 0, 0, 1, 1], dtype=np.uint8))
-    result = export_stream(bits, buf)
-    assert buf.getvalue() == b"\x81\x80"
-    assert result.n_bytes == 2
-    assert result.padding_bits == 7
+    export_stream(bits, buf)
+    assert buf.getvalue() == b"\x81\x80"  # the 7 padding bits are the low zeros
+
+
+@pytest.mark.parametrize("n_bits", [0, 8, 13, 8 * 250, 8 * 250 + 7])
+def test_export_stream_writes_the_msb_chunks(tmp_path, monkeypatch, n_bits):
+    monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 96)  # several chunks
+    rng = np.random.default_rng(n_bits)
+    bits = BitString.from_bits01(rng.integers(0, 2, n_bits, dtype=np.uint8))
+    want = b"".join(bits.msb_chunks())
+    assert len(want) == (n_bits + 7) // 8
+    buf = io.BytesIO()
+    export_stream(bits, buf)
+    assert buf.getvalue() == want
+    path = tmp_path / "bits.bin"
+    with open(path, "wb") as fh:
+        export_stream(bits, fh)
+    assert path.read_bytes() == want
 
 
 @settings(max_examples=100, deadline=None)
