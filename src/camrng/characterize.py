@@ -11,8 +11,9 @@ afterwards.  Spatial statistics would fold any fixed-pattern structure
 into the variance.  Each stack is read once, one frame at a time, by
 PixelStats.add, the one reducer of frame codes: its exact integer sums
 give the per-pixel mean and variance, built once per stack, their
-stack_point for the Fano point and the gain fit, and summary() for a
-stack's exact moments.
+stack_point, the (mean code, mean pixel variance) that the Fano factor
+and the gain fit take, and summary() for a stack's exact moments.  A
+sweep keeps only each stack's point.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ class FanoPoint:
     mean_code: float
     variance_code: float
     fano: float
-    n_frames: int
 
     def to_dict(self) -> dict:
         return {
@@ -179,7 +179,7 @@ class FanoPoint:
         }
 
 
-def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
+def fano_factor(point: tuple[float, float], config: SensorConfig) -> FanoPoint:
     """Measure the Fano factor of a constant-illumination stack.
 
     Per-pixel temporal means and variances are averaged over all
@@ -189,7 +189,7 @@ def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
     Poisson signal gives exactly 1.
 
     Args:
-        stats: pixel_stats of >= 2 frames at fixed illumination.
+        point: PixelStats.stack_point of >= 2 frames at fixed illumination.
         config: supplies zeta and offset.
 
     Returns:
@@ -200,7 +200,7 @@ def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
             undefined there), or zero temporal variance (degenerate
             stack, e.g. identical frames).
     """
-    mean_code, variance_code = stats.stack_point
+    mean_code, variance_code = point
     pedestal = config.zeta * config.offset
     if mean_code <= pedestal:
         raise ValueError(
@@ -213,12 +213,7 @@ def fano_factor(stats: PixelStats, config: SensorConfig) -> FanoPoint:
             "(identical frames or fully saturated signal)"
         )
     fano = variance_code / (config.zeta * (mean_code - pedestal))
-    return FanoPoint(
-        mean_code=mean_code,
-        variance_code=variance_code,
-        fano=fano,
-        n_frames=stats.n_frames,
-    )
+    return FanoPoint(mean_code=mean_code, variance_code=variance_code, fano=fano)
 
 
 @dataclass(frozen=True)
@@ -226,19 +221,17 @@ class PhotonTransferCurve:
     """Variance-vs-mean line fit across an intensity sweep.
 
     Attributes:
-        points: (mean_code, variance_code) per swept intensity.
         fitted_zeta: slope of the fit, in codes per electron.
         fit_residual: relative RMS of variance residuals; inf when a
             point's variance is 0 (a saturated or constant stack), which
             has no relative residual.
     """
 
-    points: list[tuple[float, float]]
     fitted_zeta: float
     fit_residual: float
 
 
-def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
+def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTransferCurve:
     """Fit the conversion gain from a photon transfer sweep.
 
     In the shot-noise-limited region Var(c) = zeta**2 (n_bar + sigma_t**2)
@@ -247,8 +240,8 @@ def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
     intercept.
 
     Args:
-        sweep: (pixel_stats of a frame stack, intensity) pairs at >= 2
-            distinct intensities, all inside the linear region.
+        sweep: (PixelStats.stack_point of a frame stack, intensity) pairs
+            at >= 2 distinct intensities, all inside the linear region.
 
     Returns:
         PhotonTransferCurve with the least-squares slope as fitted_zeta.
@@ -258,11 +251,7 @@ def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
     intensities = [nb for _, nb in sweep]
     if len(set(intensities)) < 2:
         raise ValueError("sweep intensities are all equal; slope is undefined")
-
-    points = [stats.stack_point for stats, _ in sweep]
-
-    means = np.array([p[0] for p in points])
-    variances = np.array([p[1] for p in points])
+    means, variances = np.array([point for point, _ in sweep]).T
     if np.ptp(means) == 0:
         raise ValueError("mean codes identical across sweep; slope is undefined")
     slope, intercept = np.polyfit(means, variances, 1)
@@ -274,9 +263,7 @@ def estimate_zeta(sweep: list[tuple[PixelStats, float]]) -> PhotonTransferCurve:
     if slope <= 0:
         raise ValueError(f"fitted slope {slope:.4g} is not positive; sweep "
                          "is outside the shot-noise-limited region")
-    return PhotonTransferCurve(
-        points=points, fitted_zeta=float(slope), fit_residual=fit_residual
-    )
+    return PhotonTransferCurve(fitted_zeta=float(slope), fit_residual=fit_residual)
 
 
 def find_operating_region(
@@ -471,7 +458,7 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     From 10 frames on, the pixel mask goes to out_dir/mask.json.
     """
     stats = pixel_stats(read_frames(paths))
-    mean, variance = stats.stack_point
+    mean, variance = point = stats.stack_point
     record = {
         "command": "characterize",
         "config": config.to_dict(),
@@ -480,7 +467,7 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
         "mean_pixel_variance": variance,
     }
     try:
-        record["fano"] = fano_factor(stats, config).to_dict()
+        record["fano"] = fano_factor(point, config).to_dict()
     except ValueError as exc:
         record["fano"], record["fano_error"] = None, str(exc)
     if stats.n_frames >= 10:
@@ -498,26 +485,21 @@ def characterize_sweep(
 ) -> dict:
     """Run `camrng characterize --manifest`; return its `--json` record.
 
-    Each stack is read once; the Fano curve goes to out_dir/fano.csv,
+    Each stack is read once and only its point is kept, so one stack's
+    sums are held at a time; the Fano curve goes to out_dir/fano.csv,
     without the stacks that have no Fano factor.
     """
-
-    def read_stack(paths) -> PixelStats:
-        # The sweep needs each stack's point alone: keep it, and free the
-        # per-pixel arrays behind it before the next stack is read.
-        stats = pixel_stats(read_frames(paths))
-        _ = stats.stack_point
-        del stats.mean, stats.variance
-        return stats
-
     sweep = sorted(
-        ((read_stack(paths), n_bar) for paths, n_bar in read_manifest(manifest)),
+        (
+            (pixel_stats(read_frames(paths)).stack_point, n_bar)
+            for paths, n_bar in read_manifest(manifest)
+        ),
         key=lambda pair: pair[1],
     )
     curve, skipped = [], []
-    for stats, n_bar in sweep:
+    for point, n_bar in sweep:
         try:
-            curve.append((n_bar, fano_factor(stats, config)))
+            curve.append((n_bar, fano_factor(point, config)))
         except ValueError as exc:
             skipped.append({"n_bar": n_bar, "reason": str(exc)})
     ptc = estimate_zeta(sweep)

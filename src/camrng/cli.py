@@ -59,7 +59,14 @@ from .characterize import (
     characterize_sweep,
     simulate_stacks,
 )
-from .entropy import _MAX_N_BAR, entropy_report, epsilon_bound, plan_extractor
+from .entropy import (
+    _MAX_N_BAR,
+    ExtractorPlan,
+    _as_fraction,
+    entropy_report,
+    epsilon_bound,
+    plan_extractor,
+)
 from .extractor import (
     DEFAULT_K,
     DEFAULT_L,
@@ -171,6 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
+    if args.manifest and args.inputs:
+        raise UsageError("pass frame files or --manifest, not both")
     os.makedirs(args.out, exist_ok=True)
     if args.manifest:
         report = characterize_sweep(args.manifest, sensor, args.tolerance, args.out)
@@ -216,11 +225,12 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def _resolve_s(args: argparse.Namespace) -> float:
     if args.s is not None:
+        if args.nbar is not None or args.bits is not None:
+            raise UsageError("pass --s, or --nbar with --bits, not both")
         return args.s
     if args.nbar is None or args.bits is None:
         raise UsageError("pass --s, or --nbar with --bits to compute it")
-    rep = entropy_report(args.nbar, args.bits)
-    return rep.s
+    return entropy_report(args.nbar, args.bits).s
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -230,29 +240,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.k is not None:
         if args.k >= args.l:
             raise UsageError(f"need k < l, got k={args.k} l={args.l}")
-        log2_eps = epsilon_bound(s, args.l, args.k)
-        summary = {
-            "command": "plan",
-            "l": args.l,
-            "k": args.k,
-            "s": float(s),
-            "log2_epsilon": str(log2_eps),
-            "log2_epsilon_float": float(log2_eps),
-            "compression_factor": args.l / args.k,
-        }
+        plan = ExtractorPlan(
+            args.l, args.k, _as_fraction(s), epsilon_bound(s, args.l, args.k)
+        )
         text = [
-            f"log2(epsilon) <= {float(log2_eps):g}  (exactly {log2_eps})",
-            f"compression factor l/k = {args.l / args.k:g}",
+            f"log2(epsilon) <= {float(plan.log2_epsilon):g}  "
+            f"(exactly {plan.log2_epsilon})",
+            f"compression factor l/k = {plan.compression_factor:g}",
         ]
     else:
         plan = plan_extractor(s, args.target, args.l)
-        summary = {"command": "plan", **plan.to_dict()}
         text = [
             f"k = {plan.k} output bits per {plan.l}-bit block",
             f"achieved log2(epsilon) <= {float(plan.log2_epsilon):g}",
             f"compression factor l/k = {plan.compression_factor:g}",
         ]
-    _emit(args, summary, text)
+    _emit(args, {"command": "plan", **plan.to_dict()}, text)
     return EXIT_OK
 
 

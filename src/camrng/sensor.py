@@ -38,7 +38,7 @@ _PIXEL_BLOCK = 1 << 16
 _MAX_PIXELS = 1 << 31
 
 # SensorConfig.to_dict's keys, one per field in field order.
-_CONFIG_KEYS = ("name", "eta", "zeta", "sigma_t_electrons", "offset_electrons",
+_CONFIG_KEYS = ("name", "zeta", "sigma_t_electrons", "offset_electrons",
                 "full_well_electrons", "bit_depth")
 
 
@@ -58,7 +58,6 @@ class SensorConfig:
 
     Attributes:
         name: preset or config label.
-        eta: transmission probability of optics ahead of the pixel, in (0, 1].
         zeta: conversion gain, output codes per electron (> 0).
         sigma_t: technical (readout) noise standard deviation, electrons.
         offset: dark-level offset, electrons; negative values are allowed
@@ -68,7 +67,6 @@ class SensorConfig:
     """
 
     name: str
-    eta: float
     zeta: float
     sigma_t: float
     offset: float
@@ -76,11 +74,9 @@ class SensorConfig:
     bit_depth: int
 
     def __post_init__(self):
-        for name in ("eta", "zeta", "sigma_t", "offset", "full_well"):
+        for name in ("zeta", "sigma_t", "offset", "full_well"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if self.zeta <= 0:
             raise ValueError(f"zeta must be > 0, got {self.zeta}")
         if self.sigma_t < 0:
@@ -109,11 +105,10 @@ class SensorConfig:
 
 
 # Canonical presets: a cooled 16-bit astronomy CCD and a 10-bit phone
-# camera sensor.  Both quote absorbed-photon statistics, so eta = 1.
+# camera sensor.
 PRESETS = {
     "atik383l": SensorConfig(
         name="atik383l",
-        eta=1.0,
         zeta=2.3,
         sigma_t=10.0,
         offset=144.0,
@@ -122,7 +117,6 @@ PRESETS = {
     ),
     "nokia-n9": SensorConfig(
         name="nokia-n9",
-        eta=1.0,
         zeta=1.9,
         sigma_t=3.3,
         offset=-6.0,
@@ -299,8 +293,6 @@ def simulate_stack(
     height: int,
     n_frames: int,
     seed: int,
-    *,
-    n_workers: int | None = None,
 ) -> list[Frame]:
     """Simulate n_frames consecutive frames at one intensity.
 
@@ -310,9 +302,7 @@ def simulate_stack(
     if n_frames <= 0:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     return [
-        simulate_frame(
-            config, n_bar, width, height, seed, frame_id=i, n_workers=n_workers
-        )
+        simulate_frame(config, n_bar, width, height, seed, frame_id=i)
         for i in range(n_frames)
     ]
 

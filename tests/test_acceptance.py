@@ -127,7 +127,7 @@ def test_criterion_4_fano_plateau_sweep():
     for nb in (1, 10, 50, 100, 200, 400, 600):
         frames = simulate_stack(NOKIA, float(nb), 100, 100, 50, seed=12345 + nb)
         try:
-            fano[nb] = fano_factor(pixel_stats(frames), NOKIA).fano
+            fano[nb] = fano_factor(pixel_stats(frames).stack_point, NOKIA).fano
         except ValueError:
             # zero temporal variance: fully saturated stack, F -> 0
             fano[nb] = 0.0
@@ -157,7 +157,9 @@ def test_criterion_5_gain_round_trip():
     ):
         sweep = [
             (
-                pixel_stats(simulate_stack(config, nb, 128, 128, 16, seed=base_seed + i)),
+                pixel_stats(
+                    simulate_stack(config, nb, 128, 128, 16, seed=base_seed + i)
+                ).stack_point,
                 nb,
             )
             for i, nb in enumerate(n_bars)

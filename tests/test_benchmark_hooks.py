@@ -70,9 +70,11 @@ def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
 def test_cli_simulate_and_characterize_call_the_traced_frame_names(tmp_path, rebind):
     # perfbench's sensor, ingest and characterize spans wrap these names
     # the same way; simulate and characterize must go through them once
-    # per frame written or read, and once per stack summed.
+    # per frame written or read, once per stack summed or given its Fano
+    # factor, and once per sweep fitted.
     reals = (camrng.sensor.simulate_frame, camrng.ingest.write_pgm,
-             camrng.ingest.read_pgm, camrng.characterize.pixel_stats)
+             camrng.ingest.read_pgm, camrng.characterize.pixel_stats,
+             camrng.characterize.fano_factor, camrng.characterize.estimate_zeta)
     calls = {}
     for real in reals:
 
@@ -95,7 +97,8 @@ def test_cli_simulate_and_characterize_call_the_traced_frame_names(tmp_path, reb
                   "--out", tmp_path / "raw") == {"simulate_frame": 3}
     frames = sorted(sweep.glob("nbar_00_*.pgm"))
     assert counts("characterize", "--preset", "nokia-n9", *frames,
-                  "--out", tmp_path / "c") == {"read_pgm": 3, "pixel_stats": 1}
+                  "--out", tmp_path / "c") == {
+        "read_pgm": 3, "pixel_stats": 1, "fano_factor": 1}
     assert counts("characterize", "--preset", "nokia-n9", "--manifest",
                   sweep / "manifest.json", "--out", tmp_path / "m") == {
-        "read_pgm": 6, "pixel_stats": 2}
+        "read_pgm": 6, "pixel_stats": 2, "fano_factor": 2, "estimate_zeta": 1}

@@ -1,6 +1,8 @@
 import csv
 import itertools
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,12 +13,15 @@ from camrng.characterize import (
     PixelMask,
     PixelStats,
     build_pixel_mask,
+    characterize_sweep,
     estimate_zeta,
     fano_curve_to_csv,
     fano_factor,
     find_operating_region,
     pixel_stats,
+    simulate_stacks,
 )
+from camrng.ingest import read_frames
 from camrng.sensor import Frame, SensorConfig, get_preset, predicted_fano, simulate_stack
 
 NOKIA = get_preset("nokia-n9")
@@ -120,67 +125,61 @@ def test_pixel_stats_sums_are_exact_across_the_partial_flush(n_frames, bit_depth
 
 def test_fano_factor_hand_example():
     cfg = SensorConfig(
-        name="f", eta=1.0, zeta=2.0, sigma_t=0.0, offset=1.0,
+        name="f", zeta=2.0, sigma_t=0.0, offset=1.0,
         full_well=1000.0, bit_depth=10,
     )
     # one pixel alternating 10/14: mean 12, variance 8, pedestal 2
     stack = [frame_of([[10]]), frame_of([[14]])]
-    point = fano_factor(pixel_stats(stack), cfg)
+    point = fano_factor(pixel_stats(stack).stack_point, cfg)
     assert point.mean_code == 12.0
     assert point.variance_code == 8.0
     assert point.fano == pytest.approx(8.0 / (2.0 * (12.0 - 2.0)))
 
 
-def test_predicted_fano_is_what_the_simulator_gives_below_unit_eta():
-    # n_bar counts absorbed photons: the simulator draws Poisson(n_bar)
-    # whatever eta is, so eta must not scale the predicted shot noise.
+def test_predicted_fano_is_what_the_simulator_gives():
+    # n_bar counts absorbed photons: the simulator draws Poisson(n_bar),
+    # and the measured Fano factor is the clamp-free shot + technical noise.
     cfg = SensorConfig(
-        name="half", eta=0.5, zeta=1.9, sigma_t=3.3, offset=20.0,
+        name="f50", zeta=1.9, sigma_t=3.3, offset=20.0,
         full_well=5000.0, bit_depth=12,
     )
     predicted = predicted_fano(cfg, 50.0)
     assert predicted == 1.0 + 3.3**2 / 50.0
-    measured = fano_factor(pixel_stats(simulate_stack(cfg, 50.0, 256, 256, 8, seed=1)), cfg)
+    stack = simulate_stack(cfg, 50.0, 256, 256, 8, seed=1)
+    measured = fano_factor(pixel_stats(stack).stack_point, cfg)
     assert measured.fano == pytest.approx(predicted, abs=0.01)
 
 
 def test_fano_factor_zero_variance_error():
     stack = [frame_of([[7, 7]]), frame_of([[7, 7]])]
     with pytest.raises(ValueError, match="variance"):
-        fano_factor(pixel_stats(stack), NOKIA)
+        fano_factor(pixel_stats(stack).stack_point, NOKIA)
 
 
 def test_fano_factor_requires_signal_above_pedestal():
     cfg = SensorConfig(
-        name="p", eta=1.0, zeta=2.0, sigma_t=0.0, offset=10.0,
+        name="p", zeta=2.0, sigma_t=0.0, offset=10.0,
         full_well=1000.0, bit_depth=10,
     )
     stack = [frame_of([[19]]), frame_of([[21]])]  # mean 20 == pedestal
     with pytest.raises(ValueError, match="pedestal"):
-        fano_factor(pixel_stats(stack), cfg)
+        fano_factor(pixel_stats(stack).stack_point, cfg)
 
 
 def test_estimate_zeta_exact_linear_fixture():
     # stacks engineered so variance = 4 * mean exactly => slope 4
     stacks = []
     for mean, half_spread in ((8, 4), (18, 6), (32, 8)):
-        stacks.append(
-            (
-                pixel_stats(
-                    [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
-                ),
-                float(mean),
-            )
-        )
+        stack = [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
+        stacks.append((pixel_stats(stack).stack_point, float(mean)))
     ptc = estimate_zeta(stacks)
     assert ptc.fitted_zeta == pytest.approx(4.0, abs=1e-12)
     assert ptc.fit_residual == pytest.approx(0.0, abs=1e-9)
-    assert len(ptc.points) == 3
 
 
 def test_estimate_zeta_simulated_round_trip():
     stacks = [
-        (pixel_stats(simulate_stack(NOKIA, nb, 64, 64, 12, seed=int(nb))), nb)
+        (pixel_stats(simulate_stack(NOKIA, nb, 64, 64, 12, seed=int(nb))).stack_point, nb)
         for nb in (60.0, 120.0, 200.0, 300.0, 400.0)
     ]
     ptc = estimate_zeta(stacks)
@@ -189,10 +188,10 @@ def test_estimate_zeta_simulated_round_trip():
 
 def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
     # a constant stack has variance 0: no relative residual, and no division
-    stacks = [(pixel_stats([frame_of([[2]]), frame_of([[2]])]), 2.0)]
+    stacks = [(pixel_stats([frame_of([[2]]), frame_of([[2]])]).stack_point, 2.0)]
     for mean, half_spread in ((8, 4), (18, 6), (32, 8)):
         stack = [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
-        stacks.append((pixel_stats(stack), float(mean)))
+        stacks.append((pixel_stats(stack).stack_point, float(mean)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ptc = estimate_zeta(stacks)
@@ -201,15 +200,35 @@ def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
 
 
 def test_estimate_zeta_validation():
-    stats = pixel_stats([frame_of([[1]]), frame_of([[3]])])
+    point = pixel_stats([frame_of([[1]]), frame_of([[3]])]).stack_point
     with pytest.raises(ValueError):
-        estimate_zeta([(stats, 5.0)])  # one point cannot fix a slope
+        estimate_zeta([(point, 5.0)])  # one point cannot fix a slope
     with pytest.raises(ValueError):
-        estimate_zeta([(stats, 5.0), (stats, 5.0)])  # duplicate intensity
+        estimate_zeta([(point, 5.0), (point, 5.0)])  # duplicate intensity
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sweep_holds_one_stacks_sums_at_a_time(tmp_path):
+    # The Fano factor and the gain fit take each stack's point alone, so
+    # a sweep of 4 stacks peaks near the peak of reading one of them.
+    out = str(tmp_path)
+    n_bars = [100.0, 200.0, 300.0, 400.0]
+    record, manifest = simulate_stacks(NOKIA, n_bars, True, 3, 200, 200, 7, "pgm", out)
+    files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
+    one = _peak_bytes(lambda: pixel_stats(read_frames(files)).stack_point)
+    assert _peak_bytes(characterize_sweep, manifest, NOKIA, 0.15, out) <= 1.5 * one
 
 
 def point(f):
-    return FanoPoint(mean_code=100.0, variance_code=f * 100.0, fano=f, n_frames=10)
+    return FanoPoint(mean_code=100.0, variance_code=f * 100.0, fano=f)
 
 
 def test_find_operating_region_fixture():
@@ -236,7 +255,7 @@ def test_find_operating_region_none_and_validation():
 
 def test_build_pixel_mask_classifies():
     cfg = SensorConfig(
-        name="mask", eta=1.0, zeta=1.0, sigma_t=1.0, offset=0.0,
+        name="mask", zeta=1.0, sigma_t=1.0, offset=0.0,
         full_well=2000.0, bit_depth=10,
     )
     rng = np.random.default_rng(8)
@@ -272,7 +291,7 @@ def test_pixel_mask_json_round_trip():
 def test_fano_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
     fano_curve_to_csv(
-        [(10.0, FanoPoint(mean_code=25.0, variance_code=50.0, fano=2.0, n_frames=5))],
+        [(10.0, FanoPoint(mean_code=25.0, variance_code=50.0, fano=2.0))],
         path,
     )
     with open(path, newline="") as fh:

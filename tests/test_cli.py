@@ -156,11 +156,9 @@ def test_simulate_config_file_equals_its_preset(tmp_path):
         ("offset_electrons", float("inf"), "offset must be finite"),
         ("zeta", float("nan"), "zeta must be finite"),
         ("full_well_electrons", float("nan"), "full_well must be finite"),
-        ("eta", None, "eta is not a number"),
         ("bit_depth", float("inf"), "bit_depth is not a number"),
         ("bit_depth", 10.9, "bit_depth is not an integer: 10.9"),
         ("bit_depth", True, "bit_depth is not an integer: True"),
-        ("eta", True, "eta is not a number: True"),
         ("zeta", "1.9", "zeta is not a number: '1.9'"),
     ],
 )
@@ -173,6 +171,17 @@ def test_simulate_config_with_a_bad_number_is_a_runtime_failure(
     assert run("simulate", "--config", config, "--nbar", "410", "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: ") and message in err
+    assert not out.exists()
+
+
+def test_a_config_with_eta_is_a_runtime_failure_naming_the_key(tmp_path, capsys):
+    config = tmp_path / "sensor.json"
+    config.write_text(json.dumps({**PRESETS["nokia-n9"].to_dict(), "eta": 1.0}))
+    out = tmp_path / "x"
+    assert run("simulate", "--config", config, "--nbar", "410", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: sensor config has unknown keys: ['eta']\n"
+    )
     assert not out.exists()
 
 
@@ -348,6 +357,31 @@ def test_plan_from_intensity(capsys):
     assert float(doc["log2_epsilon_float"]) <= -100.0
 
 
+@pytest.mark.parametrize(
+    "extra", [("--nbar", "410", "--bits", "10"), ("--nbar", "410"), ("--bits", "10")],
+    ids=["nbar-and-bits", "nbar", "bits"],
+)
+def test_plan_s_with_nbar_or_bits_is_a_usage_error(capsys, extra):
+    assert run("plan", "--s", "0.5", *extra, "--k", "500", "--json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pass --s, or --nbar with --bits, not both\n"
+
+
+def test_plan_records_of_both_modes_have_the_same_keys_and_types(capsys):
+    docs = []
+    for mode in (("--k", "500"), ("--target", "-390")):
+        assert run("plan", "--s", "0.64", "--l", "2000", *mode, "--json") == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    evaluated, planned = docs
+    assert evaluated == planned
+    assert evaluated["s"] == "16/25"
+    assert {k: type(v) for k, v in evaluated.items()} == {
+        "command": str, "l": int, "k": int, "s": str, "log2_epsilon": str,
+        "log2_epsilon_float": float, "compression_factor": float,
+    }
+
+
 def test_plan_flag_validation(capsys):
     assert run("plan", "--s", "0.5", "--l", "100") == 2
     assert run("plan", "--s", "0.5", "--l", "100", "--k", "10", "--target", "-5") == 2
@@ -453,7 +487,7 @@ def test_extract_refusal_of_an_entropy_rate_above_1_says_why(tmp_path, capsys):
     # 1-bit code can hold; the margin s*l - k itself would be positive.
     config = tmp_path / "onebit.json"
     config.write_text(json.dumps({
-        "name": "onebit", "eta": 1, "zeta": 1, "sigma_t_electrons": 0.5,
+        "name": "onebit", "zeta": 1, "sigma_t_electrons": 0.5,
         "offset_electrons": 0, "full_well_electrons": 1, "bit_depth": 1,
     }))
     assert run("simulate", "--config", config, "--nbar", "0.6", "--frames", "2",
@@ -980,6 +1014,19 @@ def test_characterize_reads_each_stack_once(tmp_path, capsys, monkeypatch):
     assert len(calls["fano_factor"]) == 3
     assert len(calls["estimate_zeta"]) == 1
     assert len(calls["estimate_zeta"][0][0]) == 3  # every stack of the manifest
+
+
+def test_characterize_refuses_frames_with_a_manifest_before_making_out(tmp_path, capsys):
+    sweep_dir = tmp_path / "sweep"
+    assert run("simulate", "--preset", "nokia-n9", "--sweep", "100,200", "--frames", "2",
+               "--width", "8", "--height", "8", "--out", sweep_dir) == 0
+    capsys.readouterr()
+    out = tmp_path / "c"
+    assert run("characterize", "--preset", "nokia-n9", "--manifest",
+               sweep_dir / "manifest.json", sweep_dir / "nbar_00_frame_0000.pgm",
+               "--out", out) == 2
+    assert capsys.readouterr().err == "error: pass frame files or --manifest, not both\n"
+    assert not out.exists()
 
 
 def test_characterize_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):

@@ -22,7 +22,6 @@ NOKIA = get_preset("nokia-n9")
 
 
 def test_preset_atik383l_values():
-    assert ATIK.eta == 1.0
     assert ATIK.zeta == 2.3
     assert ATIK.sigma_t == 10.0
     assert ATIK.offset == 144.0
@@ -32,7 +31,6 @@ def test_preset_atik383l_values():
 
 
 def test_preset_nokia_n9_values():
-    assert NOKIA.eta == 1.0
     assert NOKIA.zeta == 1.9
     assert NOKIA.sigma_t == 3.3
     assert NOKIA.offset == -6.0
@@ -50,8 +48,6 @@ def test_unknown_preset():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("eta", 0.0),
-        ("eta", 1.5),
         ("zeta", 0.0),
         ("zeta", -1.0),
         ("sigma_t", -0.1),
@@ -62,7 +58,7 @@ def test_unknown_preset():
 )
 def test_config_validation(field, value):
     kwargs = dict(
-        name="x", eta=1.0, zeta=2.0, sigma_t=1.0, offset=0.0,
+        name="x", zeta=2.0, sigma_t=1.0, offset=0.0,
         full_well=1000.0, bit_depth=12,
     )
     kwargs[field] = value
@@ -73,7 +69,7 @@ def test_config_validation(field, value):
 def test_sub_unity_gain_warns():
     with pytest.warns(UserWarning, match="single electrons"):
         SensorConfig(
-            name="dim", eta=1.0, zeta=0.5, sigma_t=1.0, offset=0.0,
+            name="dim", zeta=0.5, sigma_t=1.0, offset=0.0,
             full_well=1000.0, bit_depth=12,
         )
 
@@ -81,7 +77,7 @@ def test_sub_unity_gain_warns():
 def test_config_json_keys_and_round_trip(tmp_path):
     d = ATIK.to_dict()
     assert set(d) == {
-        "name", "eta", "zeta", "sigma_t_electrons", "offset_electrons",
+        "name", "zeta", "sigma_t_electrons", "offset_electrons",
         "full_well_electrons", "bit_depth",
     }
     path = tmp_path / "cfg.json"
@@ -101,7 +97,7 @@ def test_config_from_dict_rejects_missing_key(tmp_path):
 
 def test_digitize_rounding_and_clamps():
     cfg = SensorConfig(
-        name="g23", eta=1.0, zeta=2.3, sigma_t=0.0, offset=0.0,
+        name="g23", zeta=2.3, sigma_t=0.0, offset=0.0,
         full_well=100.0, bit_depth=8,
     )
     e = np.array([0.0, 1.0, 2.0, -5.0, 100.0, 150.0])
@@ -113,7 +109,7 @@ def test_digitize_rounding_and_clamps():
 
 def test_digitize_half_code_ties_round_up():
     cfg = SensorConfig(
-        name="g05", eta=1.0, zeta=1.0, sigma_t=0.0, offset=0.0,
+        name="g05", zeta=1.0, sigma_t=0.0, offset=0.0,
         full_well=100.0, bit_depth=8,
     )
     codes = digitize_electrons(np.array([0.5, 1.5, 2.5]), cfg)
@@ -122,7 +118,7 @@ def test_digitize_half_code_ties_round_up():
 
 def test_digitize_adc_rail():
     cfg = SensorConfig(
-        name="rail", eta=1.0, zeta=2.0, sigma_t=0.0, offset=0.0,
+        name="rail", zeta=2.0, sigma_t=0.0, offset=0.0,
         full_well=1000.0, bit_depth=8,
     )
     codes = digitize_electrons(np.array([100.0, 1000.0]), cfg)
@@ -133,7 +129,7 @@ def test_digitize_adc_rail():
 @given(st.lists(st.floats(-10, 600, allow_nan=False), min_size=1, max_size=30))
 def test_digitize_monotone(electrons):
     cfg = SensorConfig(
-        name="m", eta=1.0, zeta=1.9, sigma_t=0.0, offset=0.0,
+        name="m", zeta=1.9, sigma_t=0.0, offset=0.0,
         full_well=500.0, bit_depth=10,
     )
     e = np.sort(np.array(electrons))
@@ -179,7 +175,7 @@ def test_simulate_frame_worker_invariant():
 # order or the digitizing fails here.
 # Rows: (config, n_bar, width, height, seed, frame_id, digest).
 QUIET = SensorConfig(
-    name="quiet", eta=1.0, zeta=1.9, sigma_t=0.0, offset=-6.0,
+    name="quiet", zeta=1.9, sigma_t=0.0, offset=-6.0,
     full_well=500.0, bit_depth=10,
 )
 FROZEN_FRAMES = [
