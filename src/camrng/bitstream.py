@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Bytes per piece of MSB-first output, so exporting a long stream never
-# holds a second full-size copy of it.
-_MSB_CHUNK_BYTES = 4 << 20
-
-# Words per pass of _reverse_bits: 256 KiB, so a pass and its one
-# temporary stay in cache through all three swaps.
-_REVERSE_WORDS = 1 << 15
+# Bytes per piece of MSB-first output: 256 KiB, so exporting a long
+# stream never holds a second full-size copy of it, and a piece and its
+# one temporary stay in cache through all three swaps.
+_MSB_CHUNK_BYTES = 1 << 18
 
 # (shift, mask) of each swap: the mask selects the low half of every
 # 2-, 4- and 8-bit group in turn, so no swap moves a bit out of its byte.
@@ -41,25 +38,21 @@ _SWAPS = (
 def _reverse_bits(data: np.ndarray) -> np.ndarray:
     """A new uint8 array holding each byte of data with its bit order mirrored.
 
-    data may be any contiguous uint8 slice, aligned or not: each pass is
-    copied into the (aligned) result first and swapped there.  The result
-    is a view of whole words, the last one zero-padded; the padding is
-    cut off on return.
+    data may be any contiguous uint8 slice, aligned or not: it is copied
+    into the (aligned) result first and swapped there.  The result is a
+    view of whole words, the last one zero-padded; the padding is cut
+    off on return.
     """
     words = np.empty(-(-data.size // 8), np.uint64)
     words[-1:] = 0
-    tmp = np.empty(min(_REVERSE_WORDS, words.size), np.uint64)
-    for lo in range(0, words.size, _REVERSE_WORDS):
-        w = words[lo : lo + _REVERSE_WORDS]
-        t = tmp[: w.size]
-        part = data[8 * lo : 8 * (lo + w.size)]
-        w.view(np.uint8)[: part.size] = part
-        for shift, mask in _SWAPS:
-            np.right_shift(w, shift, out=t)
-            t &= mask
-            w &= mask
-            w <<= shift
-            w |= t
+    words.view(np.uint8)[: data.size] = data
+    tmp = np.empty_like(words)
+    for shift, mask in _SWAPS:
+        np.right_shift(words, shift, out=tmp)
+        tmp &= mask
+        words &= mask
+        words <<= shift
+        words |= tmp
     return words.view(np.uint8)[: data.size]
 
 
@@ -141,7 +134,7 @@ class BitString:
     # ------------------------------------------------------------------
 
     def msb_chunks(self):
-        """Yield the MSB-first bytes, last one zero-padded low, 4 MiB at a time.
+        """Yield the MSB-first bytes, last one zero-padded low, 256 KiB at a time.
 
         Each piece is a uint8 array, which any binary file's write() takes.
         """

@@ -421,6 +421,7 @@ def simulate_stacks(
     Frame j of stack i is frame_id i * n_frames + j, written as soon as
     it is simulated and summed on its way out.
     """
+    os.makedirs(out_dir, exist_ok=True)
     stacks = []
     for i, n_bar in enumerate(n_bars):
         files = stack_files(fmt, n_frames, i if sweep else None)
@@ -455,9 +456,11 @@ def simulate_stacks(
 def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     """Run `camrng characterize` on one stack; return its `--json` record.
 
-    From 10 frames on, the pixel mask goes to out_dir/mask.json.
+    out_dir is created once every frame is read; from 10 frames on, the
+    pixel mask goes to out_dir/mask.json.
     """
     stats = pixel_stats(read_frames(paths))
+    os.makedirs(out_dir, exist_ok=True)
     mean, variance = point = stats.stack_point
     record = {
         "command": "characterize",
@@ -486,8 +489,9 @@ def characterize_sweep(
     """Run `camrng characterize --manifest`; return its `--json` record.
 
     Each stack is read once and only its point is kept, so one stack's
-    sums are held at a time; the Fano curve goes to out_dir/fano.csv,
-    without the stacks that have no Fano factor.
+    sums are held at a time.  out_dir is created once every stack is
+    read; the Fano curve goes to out_dir/fano.csv, without the stacks
+    that have no Fano factor.
     """
     sweep = sorted(
         (
@@ -504,6 +508,7 @@ def characterize_sweep(
             skipped.append({"n_bar": n_bar, "reason": str(exc)})
     ptc = estimate_zeta(sweep)
     region = find_operating_region(curve, tolerance) if curve else None
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "fano.csv")
     fano_curve_to_csv(curve, csv_path)
     return {

@@ -152,11 +152,15 @@ def _hex_seed(text: str) -> bytes:
     return raw
 
 
+def _sweep(text: str) -> list[float]:
+    n_bars = [_NBAR(t) for t in text.split(",") if t.strip()]
+    if not n_bars:
+        raise argparse.ArgumentTypeError("needs at least one n_bar")
+    return n_bars
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
-    if not args.sweep and args.nbar is None:
-        raise UsageError("pass --nbar or --sweep")
-    os.makedirs(args.out, exist_ok=True)
     summary, manifest = simulate_stacks(
         sensor, args.sweep or [args.nbar], bool(args.sweep), args.frames,
         args.width, args.height, args.seed, args.format, args.out,
@@ -180,9 +184,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
     if args.manifest and args.inputs:
         raise UsageError("pass frame files or --manifest, not both")
-    os.makedirs(args.out, exist_ok=True)
     if args.manifest:
-        report = characterize_sweep(args.manifest, sensor, args.tolerance, args.out)
+        tolerance = DEFAULT_FANO_TOLERANCE if args.tolerance is None else args.tolerance
+        report = characterize_sweep(args.manifest, sensor, tolerance, args.out)
         region, residual = report["operating_region"], report["fit_residual"]
         text = [
             f"fitted zeta = {report['fitted_zeta']:.4f} (relative residual "
@@ -192,6 +196,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             f"fano curve: {report['csv']}",
         ]
     else:
+        if args.tolerance is not None:
+            raise UsageError("--tolerance applies only to a --manifest sweep")
         report = characterize_stack(args.inputs, sensor, args.out)
         fano, mask = report["fano"], report["mask"]
         text = [
@@ -419,11 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common], help="simulate sensor frames to files"
     )
     _add_sensor_and_out(p, "output directory")
-    p.add_argument("--nbar", type=_NBAR, help="mean absorbed photons per pixel")
-    p.add_argument(
-        "--sweep", metavar="LIST",
-        type=lambda text: [_NBAR(t) for t in text.split(",") if t.strip()],
-        help="comma-separated intensities (overrides --nbar)",
+    intensity = p.add_mutually_exclusive_group(required=True)
+    intensity.add_argument("--nbar", type=_NBAR, help="mean absorbed photons per pixel")
+    intensity.add_argument(
+        "--sweep", metavar="LIST", type=_sweep, help="comma-separated intensities"
     )
     p.add_argument(
         "--frames", type=_COUNT, default=1, help="frames per intensity (>= 1)"
@@ -451,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tolerance", type=_number(float, "> 0", lambda v: v > 0),
-        default=DEFAULT_FANO_TOLERANCE,
-        help=f"|F-1| bound for the operating region (default {DEFAULT_FANO_TOLERANCE})",
+        help="|F-1| bound for a --manifest sweep's operating region "
+        f"(default {DEFAULT_FANO_TOLERANCE})",
     )
     p.set_defaults(func=cmd_characterize)
 
@@ -490,11 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--l", type=_COUNT, help=f"block bits (default {DEFAULT_L})")
     p.add_argument("--k", type=_COUNT, help=f"output bits (default {DEFAULT_K})")
-    p.add_argument(
+    matrix = p.add_mutually_exclusive_group()
+    matrix.add_argument(
         "--matrix-seed", type=_hex_seed, default=DEFAULT_MATRIX_SEED,
         metavar="HEX64", help="32-byte matrix seed in hex",
     )
-    p.add_argument("--matrix", metavar="FILE", help="load matrix instead of seeding")
+    matrix.add_argument("--matrix", metavar="FILE", help="load matrix instead of seeding")
     p.add_argument("--save-matrix", metavar="FILE", help="persist the matrix used")
     p.add_argument("--mask", metavar="JSON", help="pixel mask to apply")
     p.add_argument(

@@ -366,14 +366,12 @@ def extract(
 
     packed = stream.packed
     acc = np.zeros((n_blocks, (k + 63) // 64), dtype="<u8")
-    n_row_bytes = (k + 7) // 8
-    n_chunks = (n_blocks + _CHUNK_BLOCKS - 1) // _CHUNK_BLOCKS
+    chunks = [
+        slice(lo, min(lo + _CHUNK_BLOCKS, n_blocks))
+        for lo in range(0, n_blocks, _CHUNK_BLOCKS)
+    ]
 
-    def chunk_rows(c: int) -> slice:
-        return slice(c * _CHUNK_BLOCKS, min((c + 1) * _CHUNK_BLOCKS, n_blocks))
-
-    def xor_tile(c: int, lo: int, tables: np.ndarray) -> None:
-        rows = chunk_rows(c)
+    def xor_tile(rows: slice, lo: int, tables: np.ndarray) -> None:
         block_bytes = _block_bytes(
             packed, rows.start, rows.stop - rows.start, l, lo, lo + tables.shape[0]
         )
@@ -386,34 +384,20 @@ def extract(
             np.take(tables[p], block_bytes[:, p], axis=0, out=looked_up, mode="clip")
             chunk_acc ^= looked_up
 
-    def pack_chunk(c: int) -> np.ndarray:
-        # Row r goes to bit r*k of the chunk's bytes.  Rows r, r+8, ...
-        # start k bytes apart at one bit shift, the grid _block_bytes
-        # reads on, so each such group is ORed in through a reshape.
-        # Every table entry is zero past bit k, so a row's last byte
-        # carries zeros into the next row's bits, never ones.
-        row_bytes = acc[chunk_rows(c)].view(np.uint8)[:, :n_row_bytes]
-        count = row_bytes.shape[0]
-        out = np.zeros(((count + 7) // 8 + 1) * k + 1, dtype=np.uint8)
-        for r in range(min(8, count)):
-            first, shift = divmod(r * k, 8)
-            src = row_bytes[r::8]
-            n_rows = src.shape[0]
-            out[first : first + n_rows * k].reshape(n_rows, k)[:, :n_row_bytes] |= (
-                src << shift
-            )
-            if shift:
-                high = out[first + 1 : first + 1 + n_rows * k].reshape(n_rows, k)
-                high[:, :n_row_bytes] |= src >> (8 - shift)
-        return out[: (count * k + 7) // 8]
+    def pack_chunk(rows: slice) -> np.ndarray:
+        # Block m's output bits are the first k bits of its accumulator row.
+        bits = np.unpackbits(
+            acc[rows].view(np.uint8), axis=1, count=k, bitorder="little"
+        )
+        return np.packbits(bits.reshape(-1), bitorder="little")
 
     with (
         ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext()
     ) as pool:
         run = map if pool is None else pool.map
         for lo, tables in matrix._table_tiles():
-            list(run(lambda c: xor_tile(c, lo, tables), range(n_chunks)))
-        parts = list(run(pack_chunk, range(n_chunks)))
+            list(run(lambda rows: xor_tile(rows, lo, tables), chunks))
+        parts = list(run(pack_chunk, chunks))
 
     # Every chunk but the last covers _CHUNK_BLOCKS*k bits, a multiple
     # of 8, so packed parts concatenate without bit shifting.

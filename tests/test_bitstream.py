@@ -146,24 +146,25 @@ def test_reverse_bits_equals_table_at_every_length_and_alignment():
 
 
 def test_reverse_bits_across_pass_boundaries(monkeypatch):
-    # 3 words (24 bytes) per pass: lengths 0..57 cover empty, sub-word,
-    # one pass, two passes and a tail word past them, and the longer ones
-    # several passes; slices start 0..7 bytes in
-    monkeypatch.setattr(bitstream, "_REVERSE_WORDS", 3)
+    # 24 bytes per msb_chunks piece, each reversed in one pass: lengths
+    # 0..57 cover empty, sub-word, one piece, two pieces and a tail word
+    # past them, and the longer ones several pieces; slices start 0..7
+    # bytes in
+    monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 24)
     whole = np.frombuffer(np.random.default_rng(6).bytes(205), dtype=np.uint8)
     for start in range(8):
         for n in (*range(58), 72, 150, 197):
             data = whole[start : start + n]
-            got = bitstream._reverse_bits(data)
-            assert np.array_equal(got, reverse_bytes(data))
-            assert not np.shares_memory(got, data)
+            pieces = list(BitString(data, 8 * n).msb_chunks())
+            assert [p.size for p in pieces[:-1]] == [24] * (len(pieces) - 1)
+            assert b"".join(pieces) == reverse_bytes(data).tobytes()
+            assert not any(np.shares_memory(p, data) for p in pieces)
 
 
 @pytest.mark.parametrize("n_bits", [8 * 997 + 1, 8 * 997 + 5, 8 * 1000 - 1])
 def test_from_msb_bytes_and_msb_chunks_round_trip_off_the_byte_grid(
     monkeypatch, n_bits
 ):
-    monkeypatch.setattr(bitstream, "_REVERSE_WORDS", 5)
     monkeypatch.setattr(bitstream, "_MSB_CHUNK_BYTES", 96)
     data = np.random.default_rng(n_bits).bytes(1001)
     bs = from_msb_bytes(data[1:], n_bits)  # an unaligned source

@@ -89,13 +89,20 @@ def test_simulate_raw_format_with_sidecar(tmp_path):
     assert sidecar["n_bar"] == 500.0
 
 
-def test_simulate_requires_intensity_and_out(tmp_path):
+def test_simulate_requires_intensity_and_out(tmp_path, capsys):
     assert run("simulate", "--preset", "nokia-n9", "--out", tmp_path / "x") == 2
     assert not (tmp_path / "x").exists()
     assert run(
         "simulate", "--preset", "nokia-n9", "--sweep", ",", "--out", tmp_path / "y"
     ) == 2
+    assert "argument --sweep: needs at least one n_bar" in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
+    assert run(
+        "simulate", "--preset", "nokia-n9", "--nbar", "410", "--sweep", "50,100",
+        "--out", tmp_path / "z",
+    ) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
     assert run("simulate", "--preset", "nokia-n9", "--nbar", "10") == 2
 
 
@@ -546,6 +553,22 @@ def test_extract_matrix_save_and_reuse(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extract_matrix_seed_seeds_the_matrix_it_saves(tmp_path):
+    frames = _simulate_small(tmp_path, n_frames=2)
+    seed_hex = "a5" * 16 + "3c" * 16
+    seed = bytes.fromhex(seed_hex)
+    mat_path, out, default = tmp_path / "m.qm", tmp_path / "a.bin", tmp_path / "d.bin"
+    geometry = ("--l", "300", "--k", "60")
+    assert run("extract", "--preset", "nokia-n9", *frames, *geometry,
+               "--matrix-seed", seed_hex, "--save-matrix", mat_path, "--out", out) == 0
+    assert load_matrix(mat_path).seed == seed
+    raw = concat_streams(frame_to_bits(read_pgm(f)) for f in frames)
+    want = extract(raw, generate_matrix(seed, 60, 300)).bits
+    assert out.read_bytes() == b"".join(want.msb_chunks())
+    assert run("extract", "--preset", "nokia-n9", *frames, *geometry, "--out", default) == 0
+    assert default.read_bytes() != out.read_bytes()
+
+
 @pytest.mark.parametrize("flag,value", [("--l", 300), ("--k", 60)])
 def test_extract_matrix_reuse_with_one_matching_dimension(tmp_path, flag, value):
     frames = _simulate_small(tmp_path, n_frames=2)
@@ -956,6 +979,12 @@ def test_characterize_sweep_manifest(tmp_path, capsys):
     assert doc["fitted_zeta"] == pytest.approx(2.3, rel=0.1)
     assert (out / "fano.csv").exists()
     assert len(doc["fano_points"]) == 3
+    assert doc["fano_tolerance"] == DEFAULT_FANO_TOLERANCE == 0.15
+    assert run(
+        "characterize", "--preset", "atik383l", "--manifest", sweep_dir / "manifest.json",
+        "--tolerance", "0.05", "--out", out, "--json",
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["fano_tolerance"] == 0.05
 
 
 def test_characterize_sweep_skips_a_point_without_a_fano_factor(tmp_path, capsys):
@@ -1027,6 +1056,27 @@ def test_characterize_refuses_frames_with_a_manifest_before_making_out(tmp_path,
                "--out", out) == 2
     assert capsys.readouterr().err == "error: pass frame files or --manifest, not both\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,message",
+    [
+        ((), 2, "no input frames given"),
+        (("f0.pgm",), 1, "need at least 2 frames, got 1"),
+        (("f.raw",), 2, "no sidecar JSON describes it"),
+        (("f0.pgm", "f1.pgm", "--tolerance", "0.1"), 2,
+         "--tolerance applies only to a --manifest sweep"),
+    ],
+    ids=["no-frames", "one-frame", "raw-without-sidecar", "tolerance-without-manifest"],
+)
+def test_characterize_refusals_leave_no_out(tmp_path, monkeypatch, capsys, argv, exit_code,
+                                            message):
+    monkeypatch.chdir(tmp_path)
+    _write_frames(tmp_path, [np.full((4, 4), 800), np.full((4, 4), 801)], 10)
+    (tmp_path / "f.raw").write_bytes(b"\x00" * 8)
+    assert run("characterize", "--preset", "nokia-n9", *argv, "--out", "D") == exit_code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "D").exists()
 
 
 def test_characterize_refuses_a_stack_of_mixed_geometry(tmp_path, capsys):
@@ -1118,6 +1168,8 @@ def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
         (("plan", "--s", "0.5", "--l", "100", "--k", "100"), "need k < l"),
         (("extract", "--preset", "nokia-n9", "f.pgm", "--l", "100", "--k", "100",
           "--out", "o.bin"), "need k < l"),
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--matrix", "m.qm",
+          "--matrix-seed", "00" * 32, "--out", "o.bin"), "not allowed with argument"),
     ],
 )
 def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
@@ -1330,6 +1382,29 @@ def test_streamed_extract_equals_whole_stream_oracle(
     }
     if (l, k) == (2000, 333):
         assert want.bits.n_bits % 8 != 0
+
+
+@pytest.mark.parametrize(
+    "l,k,bit_depth,digest",
+    [
+        (2000, 500, 10, "bf1ad4a9bcd3f878763b465ce587c613ddcf54ec8ceabab11ab25a2ddc9b3b49"),
+        (8192, 3331, 16, "26a66d36b3085017687ca1bec9f277d1c6bfc7ffabbe8d599909dc944e0ed0f0"),
+        (777, 200, 10, "145e140e06a1f2b0455c402bf1dcb7b3a2d72f41b5c6619b77a845959d768670"),
+    ],
+)
+def test_extract_output_is_frozen(tmp_path, l, k, bit_depth, digest):
+    # Seeded codes, not simulated frames, so a change to the sensor model
+    # leaves these digests alone.  At (2000, 500) the 8320 blocks fill two
+    # chunks and start a second batch.
+    rng = np.random.default_rng(24)
+    frames = _write_frames(
+        tmp_path, [rng.integers(0, 1 << bit_depth, (520, 640)) for _ in range(5)],
+        bit_depth,
+    )
+    out = tmp_path / "random.bin"
+    assert run("extract", "--preset", "nokia-n9", *frames, "--l", l, "--k", k,
+               "--force", "--out", out, "--json") == 0
+    assert sha(out) == digest
 
 
 @pytest.mark.parametrize("inputs", ["pgm", "masked", "raw16le"])
