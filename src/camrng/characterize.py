@@ -419,9 +419,9 @@ def simulate_stacks(
     """Run `camrng simulate`: its `--json` record, and a sweep's manifest path or None.
 
     Frame j of stack i is frame_id i * n_frames + j, written as soon as
-    it is simulated and summed on its way out.
+    it is simulated and summed on its way out; out_dir is made with the
+    first frame.
     """
-    os.makedirs(out_dir, exist_ok=True)
     stacks = []
     for i, n_bar in enumerate(n_bars):
         files = stack_files(fmt, n_frames, i if sweep else None)

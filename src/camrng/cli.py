@@ -86,12 +86,7 @@ from .ingest import (
     write_json,
 )
 from .sensor import PRESETS, SensorConfig, get_preset, worker_count
-from .stattests import (
-    DEFAULT_ALPHA,
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_MAX_LAG,
-    run_battery,
-)
+from .stattests import DEFAULT_ALPHA, run_battery
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -376,10 +371,7 @@ def cmd_test(args: argparse.Namespace) -> int:
             # Only a complete export replaces the file.
             tmp_path = stack.enter_context(_part_file(args.export))
             out = stack.enter_context(named(writing, open, tmp_path, "wb"))
-        report = run_battery(
-            chunks(fh, out), alpha=args.alpha, block_size=args.block_size,
-            max_lag=args.max_lag, n_bits=args.bits,
-        )
+        report = run_battery(chunks(fh, out), alpha=args.alpha, n_bits=args.bits)
         if out is not None:
             named(writing, out.close)
             named(writing, os.replace, tmp_path, args.export)
@@ -521,11 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=_number(float, "in (0, 1)", lambda v: 0 < v < 1),
         default=DEFAULT_ALPHA,
     )
-    p.add_argument(
-        "--block-size", type=_number(int, ">= 8", lambda v: v >= 8),
-        default=DEFAULT_BLOCK_SIZE,
-    )
-    p.add_argument("--max-lag", type=_COUNT, default=DEFAULT_MAX_LAG)
     p.add_argument("--export", metavar="FILE", help="re-export tested bits as bytes")
     p.set_defaults(func=cmd_test)
 

@@ -424,7 +424,8 @@ def extract_frames(
     log2_epsilon None when s*l <= k, and None or why the margin fails and
     what to do.
     Raises ValueError for a mixed stack, one too short for a whole block,
-    or frames at the dark level.
+    one of another bit depth than the sensor's, or frames at the dark
+    level.
     """
     l, k = matrix.l, matrix.k
     # Whole chunks, on extract()'s chunk grid.
@@ -453,6 +454,10 @@ def extract_frames(
     n_blocks = sum(blocks)
     if n_blocks == 0:
         raise ValueError(f"the stack's {residual} raw bits hold no whole block of l={l}")
+    if stats.bit_depth != sensor.bit_depth:
+        raise ValueError(
+            f"the stack's codes are {stats.bit_depth}-bit, the sensor's {sensor.bit_depth}-bit"
+        )
     mean, variance = stats.summary(None if mask is None else mask.flags)
 
     # Estimate the absorbed mean from the data itself, convert it to

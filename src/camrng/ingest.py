@@ -15,6 +15,7 @@ json_string.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -354,9 +355,14 @@ def write_stack(
 ) -> Iterator[Frame]:
     """Yield each frame once it is stored in directory under stack_files' names.
 
-    A raw16le dump gets its sidecar, carrying extra, after the last frame.
+    directory is made once the first frame exists.  A raw16le dump gets
+    its sidecar, carrying extra, after the last frame.
     """
     paths = [os.path.join(directory, name) for name in files]
+    frames = iter(frames)
+    first = next(frames)
+    os.makedirs(directory, exist_ok=True)
+    frames = itertools.chain([first], frames)
     if paths[0].endswith(".pgm"):
         for path, frame in zip(paths, frames):
             write_pgm(frame, path)

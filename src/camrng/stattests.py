@@ -11,15 +11,16 @@ file `camrng test` reads and of every file `--export` writes, so no bit
 is reversed on the way.  Each pass of _CHUNK_WORDS words is byteswapped
 once into native uint64 words, stream bit i at bit 63 - i % 64, and adds
 
-- the ones, by popcount, and the squared excess (2c - M)^2 of the ones c
-  in each block of M bits, carrying the open block;
-- the (1,1) pairs at lags 1..max_lag, by popcounts of the words ANDed
-  with themselves shifted by tau bits, carrying the words the longest
-  lag reaches past the pass;
+- the ones, by popcount, and the squared excess (2c - 128)^2 of the
+  ones c in each block of two words, pairing the words' popcounts and
+  carrying a block's first word past the pass;
+- the (1,1) pairs at lags 1..MAX_LAG, by popcounts of the words ANDed
+  with themselves shifted by tau bits, carrying the words a lag reaches
+  past the pass;
 - the histogram of byte pairs, by a 65536-bin bincount of the bytes
   taken two at a time, folded once to the byte histogram at the end;
 
-and the first and last max_lag bits are kept.  Runs follow from the
+and the first and last MAX_LAG bits are kept.  Runs follow from the
 lag-1 pairs.  A BitString is scored as the same fold over its
 msb_chunks(); a reader can feed the fold a file or pipe chunk by chunk
 through run_battery.
@@ -43,8 +44,10 @@ from scipy.special import erfc, gammaincc
 from .bitstream import BitString, export_stream  # noqa: F401
 
 DEFAULT_ALPHA = 0.01
-DEFAULT_BLOCK_SIZE = 128
-DEFAULT_MAX_LAG = 16
+# Block frequency's block is two whole fold words, and every serial
+# correlation lag reaches only into the next word.
+BLOCK_SIZE = 128
+MAX_LAG = 16
 
 _MIN_MONOBIT_BITS = 100
 _MIN_ENTROPY_BITS = 80_000
@@ -62,13 +65,13 @@ class TestOutcome(NamedTuple):
     note: str | None = None
 
 
-# _HIGH_MASKS[r] keeps the high r bits of a word: the first r stream bits.
-_HIGH_MASKS = ~(~np.uint64(0) >> np.arange(64, dtype=np.uint64))
-
 # Words per pass of the fold: 256 KiB of stream, so a pass's temporaries
 # stay in cache while every lag is applied.  A pass's popcounts, at most
 # 64 a word, are summed in 32 bits.
 _CHUNK_WORDS = 1 << 15
+# Words a pass keeps back: every lag looks one word ahead, and two words
+# hold the last MAX_LAG bits wherever the stream ends.
+_HOLD = 2
 
 
 def _msb_bits(words: np.ndarray) -> np.ndarray:
@@ -81,12 +84,11 @@ class _Counts(NamedTuple):
 
     n: int  # bits
     ones: int
-    block_size: int
     n_blocks: int  # full blocks
-    block_sq: int  # sum over full blocks of (2 * ones - block_size)^2, exact
-    pairs: list[int]  # (1,1) pairs at lags 1..max_lag
-    head: np.ndarray  # the first min(n, max_lag) bits, 0/1
-    tail: np.ndarray  # the last min(n, max_lag) bits, 0/1
+    block_sq: int  # sum over full blocks of (2 * ones - BLOCK_SIZE)^2, exact
+    pairs: list[int]  # (1,1) pairs at lags 1..MAX_LAG
+    head: np.ndarray  # the first min(n, MAX_LAG) bits, 0/1
+    tail: np.ndarray  # the last min(n, MAX_LAG) bits, 0/1
     byte_counts: np.ndarray  # histogram of the n // 8 full bytes
 
 
@@ -99,44 +101,34 @@ class _Fold:
     the bits past n_bits in the last one are 0; finish() checks both.
 
     Chunks are regrouped into passes of _CHUNK_WORDS words.  A pass
-    whose look-ahead has not arrived keeps its last `hold` words: a lag
-    reaches max_lag // 64 + 1 words ahead, and ceil(max_lag / 64) + 1
-    words also hold the last max_lag bits wherever the stream ends.  The
+    whose look-ahead has not arrived keeps its last _HOLD words.  The
     stream's last byte always waits in the stage for finish(), so the
-    last pass knows where the stream's last block and full byte end.
+    last pass knows where the stream's last whole word and full byte end.
     """
 
-    def __init__(self, block_size: int, max_lag: int, n_bits: int | None = None):
-        self.block_size = block_size
-        self.max_lag = max_lag
+    def __init__(self, n_bits: int | None = None):
         self.n_bits = n_bits
-        self.hold = -(-max_lag // 64) + 1
         size = _CHUNK_WORDS
         # held words, one pass, then zeros for the last words' look-ahead
-        self.words = np.zeros(2 * self.hold + size, np.uint64)
+        self.words = np.zeros(2 * _HOLD + size, np.uint64)
         self.held = 0
         self.first_word = 0  # stream index of words[0]
         self.stage = np.empty(8 * size, np.uint8)
         self.staged = 0
         self.n_bytes = 0
         self.ones = 0
-        self.pairs = [0] * max_lag
-        self.head = np.zeros(self.hold, np.uint64)
-        self.head_filled = 0
+        self.pairs = [0] * MAX_LAG
+        self.head = None  # the stream's first word
         self.n_blocks = 0
         self.block_sq = 0
-        self.open_block = 0  # ones so far in the block the last pass left open
-        # A pass ends at most 64 * size / block_size + 1 blocks, each
-        # with |2c - M| <= M, so their squares sum in int64 unless M is
-        # past about 3e9 bits; there, in Python ints.
-        self.sq_dtype = (
-            np.int64 if 64 * size * block_size + block_size**2 < 1 << 63 else object
-        )
+        # ones per word of a pass, after those of a block's first word
+        # when the last pass ended on it
+        self.word_ones = np.empty(1 + size, np.uint8)
         self.byte_pairs = np.zeros(1 << 16, np.int64)
         self.odd_byte = None  # a last full byte past the pairs
-        self.shifted = np.empty(self.hold + size, np.uint64)
-        self.spill = np.empty(self.hold + size, np.uint64)
-        self.popcounts = np.empty(self.hold + size, np.uint8)
+        self.shifted = np.empty(_HOLD + size, np.uint64)
+        self.spill = np.empty(_HOLD + size, np.uint64)
+        self.popcounts = np.empty(_HOLD + size, np.uint8)
 
     def update(self, chunk) -> None:
         """Fold the next bytes of the stream (bytes, memoryview or uint8 array)."""
@@ -172,62 +164,51 @@ class _Fold:
         )
         if n_full % 2:
             self.odd_byte = src[n_full - 1]
-        if self.head_filled < self.hold:
-            k = min(self.hold - self.head_filled, m)
-            self.head[self.head_filled : self.head_filled + k] = cur[:k]
-            self.head_filled += k
+        if self.head is None:
+            self.head = cur[:1].copy()
 
-        per_word = np.bitwise_count(cur)
-        ones = int(per_word.sum(dtype=np.uint32))
-        self.ones += ones
-        base = 64 * (self.first_word + h)  # stream index of cur's first bit
-        self._blocks(cur, per_word, ones, 64 * m if end is None else end - base, base)
+        base = self.first_word + h  # stream index of cur's first word
+        self._blocks(cur, base, m if end is None else end // 64 - base)
 
         total = h + m
-        done = total - self.hold
+        done = total - _HOLD
         if done > 0:
             self._pair(done)
-            w[: self.hold] = w[done:total]
+            w[:_HOLD] = w[done:total]
             self.first_word += done
-            self.held = self.hold
+            self.held = _HOLD
         else:
             self.held = total
 
-    def _blocks(self, cur, per_word, ones: int, stop: int, base: int) -> None:
-        """Add (2c - M)^2 for each block that ends in bits (0, stop] of pass cur."""
-        bs, m = self.block_size, cur.size
-        edges = np.arange((base // bs + 1) * bs - base, stop + 1, bs)
-        if not edges.size:
-            self.open_block += ones
-            return
-        # Ones from the pass's start to each edge: whole words by a prefix
-        # sum, then the edge word's first bits.
-        cum = np.zeros(m + 1, np.int64)
-        np.cumsum(per_word, dtype=np.int64, out=cum[1:])
-        idx = edges >> 6
-        part = cur[np.minimum(idx, m - 1)] & _HIGH_MASKS[edges & 63]
-        before = cum[idx] + np.bitwise_count(part)
-        counts = np.diff(before, prepend=0)
-        counts[0] += self.open_block
-        excess = (2 * counts - bs).astype(self.sq_dtype)
-        self.n_blocks += counts.size
+    def _blocks(self, cur, base: int, whole: int) -> None:
+        """Count cur's ones, and score each block that ends in its first whole words.
+
+        Block j is stream words 2j and 2j + 1, so a pass that starts at an
+        odd word pairs it with the last pass's last word.
+        """
+        odd = base % 2
+        per_word = self.word_ones[odd : odd + cur.size]
+        np.bitwise_count(cur, out=per_word)
+        self.ones += int(per_word.sum(dtype=np.uint32))
+        paired = self.word_ones[: odd + whole]
+        half = paired.size // 2
+        # a block's ones, at most 128, fit in the uint8 sum
+        excess = 2 * (paired[: 2 * half : 2] + paired[1 : 2 * half : 2]).astype(np.int64)
+        excess -= BLOCK_SIZE
+        self.n_blocks += half
         self.block_sq += int(np.dot(excess, excess))
-        self.open_block = ones - int(before[-1])
+        if paired.size % 2:
+            self.word_ones[0] = paired[-1]
 
     def _pair(self, done: int) -> None:
         """Add the (1,1) pairs that start in words[:done] at every lag."""
-        w = self.words
-        x = w[:done]
+        x, ahead = self.words[:done], self.words[1 : 1 + done]
         sh, sp, cnt = self.shifted[:done], self.spill[:done], self.popcounts[:done]
-        for tau in range(1, self.max_lag + 1):
-            q, r = divmod(tau, 64)
-            if r:
-                np.left_shift(w[q : q + done], r, out=sh)
-                np.right_shift(w[q + 1 : q + 1 + done], 64 - r, out=sp)
-                np.bitwise_or(sh, sp, out=sh)
-                np.bitwise_and(sh, x, out=sh)
-            else:
-                np.bitwise_and(w[q : q + done], x, out=sh)
+        for tau in range(1, MAX_LAG + 1):
+            np.left_shift(x, tau, out=sh)
+            np.right_shift(ahead, 64 - tau, out=sp)
+            np.bitwise_or(sh, sp, out=sh)
+            np.bitwise_and(sh, x, out=sh)
             np.bitwise_count(sh, out=cnt)
             self.pairs[tau - 1] += int(cnt.sum(dtype=np.uint32))
 
@@ -242,12 +223,12 @@ class _Fold:
         padded = tail + -tail % 8
         self.stage[tail:padded] = 0
         self._pass(self.stage[:padded], n // 8 - (self.n_bytes - tail), n)
-        # The last max_lag bits lie in the held words; zeros past them
+        # The last MAX_LAG bits lie in the held words; zeros past them
         # give the held words' look-ahead.
-        w, held, lag = self.words, self.held, self.max_lag
+        w, held = self.words, self.held
         start = 64 * self.first_word
-        last = _msb_bits(w[:held])[max(n - lag, 0) - start : n - start]
-        w[held : held + self.hold] = 0
+        last = _msb_bits(w[:held])[max(n - MAX_LAG, 0) - start : n - start]
+        w[held : held + _HOLD] = 0
         self._pair(held)
         # A pair's first byte is its low byte, so pairs[hi, lo] sums over
         # its rows to the first-byte counts and over its columns to the
@@ -259,41 +240,25 @@ class _Fold:
         return _Counts(
             n=n,
             ones=self.ones,
-            block_size=self.block_size,
             n_blocks=self.n_blocks,
             block_sq=self.block_sq,
             pairs=self.pairs,
-            head=_msb_bits(self.head)[: min(n, lag)],
+            head=_msb_bits(self.head)[: min(n, MAX_LAG)],
             tail=last,
             byte_counts=byte_counts,
         )
 
 
-def _count(
-    bits,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    max_lag: int = 1,
-    n_bits: int | None = None,
-) -> _Counts:
+def _count(bits, n_bits: int | None = None) -> _Counts:
     """Fold a BitString, or an iterable of MSB-first byte chunks, into _Counts."""
     if isinstance(bits, BitString):
         if n_bits is not None:
             raise ValueError("n_bits applies only to an iterable of byte chunks")
         bits, n_bits = bits.msb_chunks(), bits.n_bits
-    fold = _Fold(block_size, max_lag, n_bits)
+    fold = _Fold(n_bits)
     for chunk in bits:
         fold.update(chunk)
     return fold.finish()
-
-
-def _check_block_size(block_size: int) -> None:
-    if block_size < 8:
-        raise ValueError(f"block_size must be >= 8, got {block_size}")
-
-
-def _check_max_lag(max_lag: int) -> None:
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
 
 
 def _monobit(c: _Counts) -> TestOutcome:
@@ -316,29 +281,26 @@ def monobit_test(bits: BitString) -> TestOutcome:
 def _block_frequency(c: _Counts) -> TestOutcome:
     # 4 M sum (c/M - 1/2)^2 = sum (2c - M)^2 / M, rounded once from the
     # exact integer sum
-    chi2 = c.block_sq / c.block_size
+    chi2 = c.block_sq / BLOCK_SIZE
     return TestOutcome(
         statistic=chi2, p_value=float(gammaincc(c.n_blocks / 2.0, chi2 / 2.0))
     )
 
 
-def block_frequency_test(
-    bits: BitString, block_size: int = DEFAULT_BLOCK_SIZE
-) -> TestOutcome:
+def block_frequency_test(bits: BitString) -> TestOutcome:
     """Per-block one-proportion chi-square (standard formulation).
 
-    chi2 = 4 * block_size * sum((pi_i - 1/2)^2) over N full blocks,
+    chi2 = 4 * BLOCK_SIZE * sum((pi_i - 1/2)^2) over N full blocks,
     computed exactly from the block one-counts and rounded once;
-    p = igamc(N/2, chi2/2).  Needs block_size >= 8 and >= 10 blocks.
+    p = igamc(N/2, chi2/2).  Needs >= 10 blocks.
     """
-    _check_block_size(block_size)
-    n_blocks = bits.n_bits // block_size
+    n_blocks = bits.n_bits // BLOCK_SIZE
     if n_blocks < 10:
         raise ValueError(
-            f"block frequency test needs >= 10 blocks of {block_size}, "
+            f"block frequency test needs >= 10 blocks of {BLOCK_SIZE}, "
             f"got {n_blocks}"
         )
-    return _block_frequency(_count(bits, block_size))
+    return _block_frequency(_count(bits))
 
 
 def _runs(c: _Counts) -> TestOutcome:
@@ -376,7 +338,7 @@ def runs_test(bits: BitString) -> TestOutcome:
 
 @dataclass(frozen=True)
 class SerialCorrelationResult:
-    """Autocorrelation of the bit sequence at lags 1..max_lag.
+    """Autocorrelation of the bit sequence at lags 1..MAX_LAG.
 
     flagged lists every lag whose |coefficient| exceeds 4/sqrt(n),
     an ~4-sigma line for i.i.d. input.
@@ -394,12 +356,11 @@ def _serial(c: _Counts) -> SerialCorrelationResult:
     denom = s - s * s / n
     if denom == 0:
         raise ValueError("constant bit sequence has no defined autocorrelation")
-    max_lag = len(c.pairs)
-    lags = np.arange(1, max_lag + 1)
+    lags = np.arange(1, MAX_LAG + 1)
     # ones among the first and the last tau bits, at index tau - 1
     ones_first = np.cumsum(c.head)
     ones_last = np.cumsum(c.tail[::-1])
-    coefficients = np.empty(max_lag, dtype=np.float64)
+    coefficients = np.empty(MAX_LAG, dtype=np.float64)
     for idx, tau in enumerate(lags):
         tau = int(tau)
         c_tau = c.pairs[idx]
@@ -414,24 +375,18 @@ def _serial(c: _Counts) -> SerialCorrelationResult:
     )
 
 
-def serial_correlation(
-    bits: BitString, max_lag: int = DEFAULT_MAX_LAG
-) -> SerialCorrelationResult:
-    """Sample autocorrelation of the 0/1 sequence at lags 1..max_lag.
+def serial_correlation(bits: BitString) -> SerialCorrelationResult:
+    """Sample autocorrelation of the 0/1 sequence at lags 1..MAX_LAG.
 
     Computed from exact integer pair counts:
     r_tau = (C_tau - mean*(S_head + S_tail) + (n-tau)*mean^2) / (S - S^2/n)
     with C_tau the count of (1,1) pairs at distance tau.  Requires
-    n >= 100 * max_lag.
+    n >= 100 * MAX_LAG.
     """
-    _check_max_lag(max_lag)
     n = bits.n_bits
-    if n < 100 * max_lag:
-        raise ValueError(
-            f"serial correlation at max_lag={max_lag} needs >= {100 * max_lag} "
-            f"bits, got {n}"
-        )
-    return _serial(_count(bits, max_lag=max_lag))
+    if n < 100 * MAX_LAG:
+        raise ValueError(f"serial correlation needs >= {100 * MAX_LAG} bits, got {n}")
+    return _serial(_count(bits))
 
 
 def _byte_entropy(c: _Counts) -> tuple[float, int]:
@@ -524,23 +479,20 @@ def _serial_outcome(c: _Counts) -> tuple[TestOutcome, bool]:
 def run_battery(
     bits: BitString | Iterable,
     alpha: float = DEFAULT_ALPHA,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    max_lag: int = DEFAULT_MAX_LAG,
     n_bits: int | None = None,
 ) -> TestReport:
     """Run the full native battery over one bit stream, in one pass.
 
     Serial correlation is folded to a single Bonferroni-corrected
-    p-value (min over lags of erfc(|r|sqrt(n)/sqrt(2)), times max_lag),
+    p-value (min over lags of erfc(|r|sqrt(n)/sqrt(2)), times MAX_LAG),
     which is conservative: ideal input passes at least as often as the
     per-lag tests would.  It also fails when any lag is flagged.  Byte
     entropy is scored by the likelihood-ratio statistic
     G = 2 N ln2 (8 - H) ~ chi-square(255) under the uniform null.
 
     Args:
-        bits: the stream, long enough for every subtest
-            (>= max(10*block_size, 100*max_lag, 80000) bits): a
-            BitString, or an iterable of MSB-first byte chunks of any
+        bits: the stream, long enough for every subtest (>= 80,000
+            bits): a BitString, or an iterable of MSB-first byte chunks of any
             sizes (bytes, memoryviews or uint8 arrays), read once.
         alpha: per-test significance level for verdicts, in (0, 1).
         n_bits: for an iterable, the stream's length in bits when it
@@ -554,13 +506,10 @@ def run_battery(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_block_size(block_size)
-    _check_max_lag(max_lag)
-    c = _count(bits, block_size, max_lag, n_bits)
+    c = _count(bits, n_bits)
     n = c.n
-    needed = max(_MIN_MONOBIT_BITS, 10 * block_size, 100 * max_lag, _MIN_ENTROPY_BITS)
-    if n < needed:
-        raise ValueError(f"battery needs >= {needed} bits, got {n}")
+    if n < _MIN_ENTROPY_BITS:
+        raise ValueError(f"battery needs >= {_MIN_ENTROPY_BITS} bits, got {n}")
 
     h, n_bytes = _byte_entropy(c)
     g = 2.0 * n_bytes * math.log(2.0) * (8.0 - h)
@@ -569,9 +518,9 @@ def run_battery(
     # (name, outcome, whether nothing beyond the p-value fails it)
     checks = [
         ("monobit", _monobit(c), True),
-        (f"block-frequency[{block_size}]", _block_frequency(c), True),
+        (f"block-frequency[{BLOCK_SIZE}]", _block_frequency(c), True),
         ("runs", _runs(c), True),
-        (f"serial-correlation[1..{max_lag}]", *_serial_outcome(c)),
+        (f"serial-correlation[1..{MAX_LAG}]", *_serial_outcome(c)),
         ("byte-entropy", entropy, True),
     ]
     results = [

@@ -647,6 +647,15 @@ def test_simulate_refuses_nbar_above_1e6_before_making_out(tmp_path, capsys, fla
                "--height", "4", "--out", out, "--json") == 0
 
 
+def test_simulate_refused_frame_leaves_no_out(tmp_path, capsys):
+    # The pixel limit is checked before the frame is allocated.
+    out = tmp_path / "D"
+    assert run("simulate", "--preset", "nokia-n9", "--nbar", "10", "--width", "50000",
+               "--height", "50000", "--out", out) == 1
+    assert "frame of 2500000000 pixels exceeds limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_battery_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "zeros.bin"
     bad.write_bytes(b"\x00" * 20_000)
@@ -869,15 +878,20 @@ def test_test_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
     assert "--alpha" in capsys.readouterr().err
 
 
-def test_test_rejects_block_size_below_eight(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag", [("--block-size", "128"), ("--max-lag", "16")], ids=["block-size", "max-lag"]
+)
+def test_test_has_a_fixed_block_size_and_lag_range(tmp_path, capsys, flag):
     src = tmp_path / "in.bin"
     src.write_bytes(np.random.default_rng(4).bytes(15_000))
-    assert run("test", src, "--block-size", "7") == 2
-    assert "--block-size" in capsys.readouterr().err
+    assert run("test", src, *flag) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-# `camrng test --json` on a seeded vector, as printed before the battery
-# moved to packed words; every float must match to the last bit.
+# `camrng test --json` on a seeded vector.  Monobit, runs and byte entropy
+# are as printed before the battery moved to packed words, block frequency
+# and serial correlation as printed when their block size and lag range
+# were options; every float must match to the last bit.
 PINNED_TEST_JSON = {
     "command": "test",
     "alpha": 0.01,
@@ -894,9 +908,9 @@ PINNED_TEST_JSON = {
             "note": None,
         },
         {
-            "name": "block-frequency[100]",
-            "statistic": 3296.8,
-            "p_value": 0.11146720793058863,
+            "name": "block-frequency[128]",
+            "statistic": 2509.5,
+            "p_value": 0.4373302540642298,
             "passed": True,
             "note": None,
         },
@@ -908,11 +922,11 @@ PINNED_TEST_JSON = {
             "note": None,
         },
         {
-            "name": "serial-correlation[1..65]",
-            "statistic": 0.004986833813780169,
-            "p_value": 0.3114848338384646,
+            "name": "serial-correlation[1..16]",
+            "statistic": -0.003563301758472427,
+            "p_value": 0.7013517895853254,
             "passed": True,
-            "note": "worst lag 63; Bonferroni-corrected",
+            "note": "worst lag 9; Bonferroni-corrected",
         },
         {
             "name": "byte-entropy",
@@ -928,10 +942,7 @@ PINNED_TEST_JSON = {
 def test_test_json_pinned(tmp_path, capsys):
     src = tmp_path / "pin.bin"
     src.write_bytes(np.random.default_rng(1405).bytes(40_000))
-    rc = run(
-        "test", src, "--bits", 319_997, "--block-size", 100, "--max-lag", 65, "--json"
-    )
-    assert rc == 0
+    assert run("test", src, "--bits", 319_997, "--json") == 0
     assert capsys.readouterr().out == json.dumps(PINNED_TEST_JSON, indent=2) + "\n"
 
 
@@ -1119,6 +1130,21 @@ def test_extract_refuses_frames_of_mixed_bit_depth(tmp_path, capsys):
     assert rc == 1
     assert "frame stack mismatch" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_extract_refuses_a_stack_of_another_bit_depth_than_the_sensor(tmp_path, capsys):
+    # Uniform 16-bit codes read through the 10-bit nokia-n9 would estimate
+    # n_bar near 17,000 e-, far past its 500 e- full well.
+    rng = np.random.default_rng(25)
+    frames = _write_frames(
+        tmp_path / "f", [rng.integers(0, 1 << 16, (200, 200)) for _ in range(3)], 16
+    )
+    out = tmp_path / "o.bin"
+    assert run("extract", "--preset", "nokia-n9", *frames, "--out", out, "--json") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the stack's codes are 16-bit, the sensor's 10-bit\n"
+    assert not out.exists() and list(tmp_path.iterdir()) == [tmp_path / "f"]
 
 
 def test_extract_refuses_frames_below_the_pedestal(tmp_path, capsys):
@@ -1402,7 +1428,8 @@ def test_extract_output_is_frozen(tmp_path, l, k, bit_depth, digest):
         bit_depth,
     )
     out = tmp_path / "random.bin"
-    assert run("extract", "--preset", "nokia-n9", *frames, "--l", l, "--k", k,
+    preset = {10: "nokia-n9", 16: "atik383l"}[bit_depth]
+    assert run("extract", "--preset", preset, *frames, "--l", l, "--k", k,
                "--force", "--out", out, "--json") == 0
     assert sha(out) == digest
 

@@ -49,46 +49,28 @@ def test_monobit_statistic_sign():
 def test_block_frequency_alternating_is_perfect():
     # every 128-bit block holds exactly 64 ones
     bits = BitString.from_bits01(np.array([0, 1] * 5000, dtype=np.uint8))
-    out = block_frequency_test(bits, 128)
+    out = block_frequency_test(bits)
     assert out.statistic == 0.0
     assert out.p_value == 1.0
 
 
 def test_block_frequency_all_ones_fails():
-    out = block_frequency_test(BitString.from_bits01(np.ones(10_000, np.uint8)), 128)
+    out = block_frequency_test(BitString.from_bits01(np.ones(10_000, np.uint8)))
     assert out.p_value < 1e-100
 
 
 def test_block_frequency_is_rounded_once_from_exact_counts():
-    # Ones per block of 100 in this stream give sum (2c - M)^2 = 320, so
-    # chi2 = 3.2; summing (pi - 1/2)^2 in floats read 3.200000000000003.
-    b = np.random.default_rng(0).integers(0, 2, 1000, dtype=np.uint8)
-    out = block_frequency_test(BitString.from_bits01(b), 100)
-    assert out.statistic == float(Fraction(320, 100)) == 3.2
-    assert out.p_value == float(special.gammaincc(5.0, 1.6))
-
-
-def test_block_sums_in_python_ints_equal_int64():
-    # Blocks past about 3e9 bits sum their squares in Python ints; the
-    # same arithmetic on small blocks must give the int64 sum.
-    assert stattests._Fold(1 << 32, 1).sq_dtype is object
-    raw = np.random.default_rng(5).bytes(5000)
-    want = stattests._count([raw], 100, 1)
-    fold = stattests._Fold(100, 1)
-    assert fold.sq_dtype is np.int64
-    fold.sq_dtype = object
-    fold.update(raw)
-    got = fold.finish()
-    assert (got.n_blocks, got.block_sq) == (want.n_blocks, want.block_sq)
-    assert isinstance(got.block_sq, int)
+    # Ones per block of 128 in this stream give sum (2c - M)^2 = 600 over
+    # 10 blocks, so chi2 = 600 / 128, one division of the exact sum.
+    b = np.random.default_rng(0).integers(0, 2, 1280, dtype=np.uint8)
+    out = block_frequency_test(BitString.from_bits01(b))
+    assert out.statistic == float(Fraction(600, 128)) == 4.6875
+    assert out.p_value == float(special.gammaincc(5.0, 4.6875 / 2))
 
 
 def test_block_frequency_validation():
-    bits = BitString.from_bits01(np.zeros(5000, dtype=np.uint8))
     with pytest.raises(ValueError):
-        block_frequency_test(bits, 7)
-    with pytest.raises(ValueError):
-        block_frequency_test(BitString.from_bits01(np.zeros(100, dtype=np.uint8)), 128)
+        block_frequency_test(BitString.from_bits01(np.zeros(100, dtype=np.uint8)))
 
 
 def test_runs_alternating_fails():
@@ -116,7 +98,7 @@ def test_runs_gate_is_distinct_status():
 def test_serial_correlation_period_two():
     # finite-sample edge terms keep the magnitudes just inside 1
     bits = BitString.from_bits01(np.array([0, 1] * 2000, dtype=np.uint8))
-    got = serial_correlation(bits, max_lag=4)
+    got = serial_correlation(bits)
     assert got.coefficients[0] == pytest.approx(-1.0, abs=1e-3)
     assert got.coefficients[1] == pytest.approx(1.0, abs=1e-3)
     assert 1 in got.flagged and 2 in got.flagged
@@ -125,21 +107,19 @@ def test_serial_correlation_period_two():
 def test_serial_correlation_matches_numpy_reference():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=5000, dtype=np.uint8)
-    got = serial_correlation(BitString.from_bits01(bits), max_lag=8)
+    got = serial_correlation(BitString.from_bits01(bits))
     x = bits.astype(np.float64) - bits.mean()
     denom = float(np.sum(x * x))
-    for idx, tau in enumerate(range(1, 9)):
+    for idx, tau in enumerate(range(1, stattests.MAX_LAG + 1)):
         want = float(np.sum(x[:-tau] * x[tau:])) / denom
         assert got.coefficients[idx] == pytest.approx(want, abs=1e-12)
 
 
 def test_serial_correlation_validation():
-    with pytest.raises(ValueError):  # too short
-        serial_correlation(BitString.from_bits01(np.zeros(100, np.uint8)), max_lag=2)
-    with pytest.raises(ValueError):  # constant
-        serial_correlation(BitString.from_bits01(np.zeros(1000, np.uint8)), max_lag=2)
-    with pytest.raises(ValueError):
-        serial_correlation(BitString.from_bits01(np.ones(1000, np.uint8)), max_lag=0)
+    with pytest.raises(ValueError, match="needs >= 1600 bits"):
+        serial_correlation(BitString.from_bits01(np.zeros(1599, np.uint8)))
+    with pytest.raises(ValueError, match="constant"):
+        serial_correlation(BitString.from_bits01(np.zeros(1600, np.uint8)))
 
 
 def test_serial_correlation_iid_mostly_within_threshold():
@@ -149,7 +129,7 @@ def test_serial_correlation_iid_mostly_within_threshold():
     trials = 400
     for _ in range(trials):
         bits = BitString.from_bits01(rng.integers(0, 2, size=10_000, dtype=np.uint8))
-        if not serial_correlation(bits, max_lag=16).flagged:
+        if not serial_correlation(bits).flagged:
             clean += 1
     assert clean >= math.ceil(0.99 * trials)
 
@@ -230,7 +210,7 @@ def test_battery_deterministic_and_serializable():
 def test_battery_popcounts_the_stream_once(monkeypatch):
     # monobit, block frequency, runs and serial correlation all read the
     # ones of one popcount per word; each lag popcounts its pairs once
-    # more, and each block edge its word's first bits.
+    # more.
     rng = np.random.default_rng(16)
     bits = BitString.from_bits01(rng.integers(0, 2, size=200_003, dtype=np.uint8))
     popcounted = []
@@ -247,8 +227,7 @@ def test_battery_popcounts_the_stream_once(monkeypatch):
     monkeypatch.setattr(stattests, "np", CountingNumpy())
     run_battery(bits)
     words = -(-bits.n_bits // 64)
-    edges = bits.n_bits // stattests.DEFAULT_BLOCK_SIZE
-    assert sum(popcounted) == 8 * words * (1 + stattests.DEFAULT_MAX_LAG) + 8 * edges
+    assert sum(popcounted) == 8 * words * (1 + stattests.MAX_LAG)
 
 
 def test_battery_passes_ideal_input():
@@ -284,7 +263,7 @@ def test_p_value_uniformity_under_null():
     for row in trials:
         bits = BitString.from_bits01(row)
         p_mono.append(monobit_test(bits).p_value)
-        p_block.append(block_frequency_test(bits, 128).p_value)
+        p_block.append(block_frequency_test(bits).p_value)
         out = runs_test(bits)
         if out.note is None:
             p_runs.append(out.p_value)
@@ -321,18 +300,17 @@ def oracle_monobit(b):
     return (z, float(special.erfc(abs(z) / math.sqrt(2))), None)
 
 
-def oracle_block_frequency(b, block_size):
+def oracle_block_frequency(b):
     # chi2 = 4 M sum (pi - 1/2)^2 in exact rationals, rounded once
-    n_blocks = b.size // block_size
-    blocks = b[: n_blocks * block_size].reshape(n_blocks, block_size)
+    m = stattests.BLOCK_SIZE
+    n_blocks = b.size // m
+    blocks = b[: n_blocks * m].reshape(n_blocks, m)
     chi2 = float(
-        4 * block_size
-        * sum((Fraction(int(c), block_size) - Fraction(1, 2)) ** 2 for c in blocks.sum(axis=1))
+        4 * m * sum((Fraction(int(c), m) - Fraction(1, 2)) ** 2 for c in blocks.sum(axis=1))
     )
-    if block_size & (block_size - 1) == 0:
-        # at a power of two the float formula this replaced is exact too
-        pi = blocks.mean(axis=1)
-        assert 4.0 * block_size * float(np.sum((pi - 0.5) ** 2)) == chi2
+    # at a power of two the float formula this replaced is exact too
+    pi = blocks.mean(axis=1)
+    assert 4.0 * m * float(np.sum((pi - 0.5) ** 2)) == chi2
     return (chi2, float(special.gammaincc(n_blocks / 2.0, chi2 / 2.0)), None)
 
 
@@ -350,13 +328,13 @@ def oracle_runs(b):
     return (float(z), float(special.erfc(abs(z) / math.sqrt(2))), None)
 
 
-def oracle_serial_coefficients(b, max_lag):
+def oracle_serial_coefficients(b):
     n = b.size
     s = int(np.count_nonzero(b))
     mean = s / n
     denom = s - s * s / n
-    coefficients = np.empty(max_lag, dtype=np.float64)
-    for idx, tau in enumerate(range(1, max_lag + 1)):
+    coefficients = np.empty(stattests.MAX_LAG, dtype=np.float64)
+    for idx, tau in enumerate(range(1, stattests.MAX_LAG + 1)):
         c_tau = int(np.count_nonzero(b[:-tau] & b[tau:]))
         s_head = s - int(np.count_nonzero(b[n - tau :]))
         s_tail = s - int(np.count_nonzero(b[:tau]))
@@ -414,11 +392,10 @@ def test_monobit_equals_oracle(b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([8, 100, 128, 129]), st.data())
-def test_block_frequency_equals_oracle(block_size, data):
-    b = data.draw(streams(min_bits=10 * block_size))
-    got = block_frequency_test(BitString.from_bits01(b), block_size)
-    assert_outcome(got, oracle_block_frequency(b, block_size))
+@given(streams(min_bits=10 * stattests.BLOCK_SIZE))
+def test_block_frequency_equals_oracle(b):
+    got = block_frequency_test(BitString.from_bits01(b))
+    assert_outcome(got, oracle_block_frequency(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,22 +405,19 @@ def test_runs_equals_oracle(b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([1, 63, 64, 65, 128]), st.data())
-def test_serial_correlation_equals_oracle(max_lag, data):
-    b = data.draw(streams(min_bits=100 * max_lag))
-    n = b.size
+@given(streams(min_bits=100 * stattests.MAX_LAG))
+def test_serial_correlation_equals_oracle(b):
+    n, lags = b.size, range(1, stattests.MAX_LAG + 1)
     if b.min() == b.max():
         with pytest.raises(ValueError, match="constant"):
-            serial_correlation(BitString.from_bits01(b), max_lag)
+            serial_correlation(BitString.from_bits01(b))
         return
-    got = serial_correlation(BitString.from_bits01(b), max_lag)
-    want = oracle_serial_coefficients(b, max_lag)
+    got = serial_correlation(BitString.from_bits01(b))
+    want = oracle_serial_coefficients(b)
     np.testing.assert_array_equal(got.coefficients, want)
-    np.testing.assert_array_equal(got.lags, np.arange(1, max_lag + 1))
+    np.testing.assert_array_equal(got.lags, np.array(lags))
     assert got.threshold == 4.0 / math.sqrt(n)
-    assert got.flagged == [
-        tau for tau in range(1, max_lag + 1) if abs(want[tau - 1]) > got.threshold
-    ]
+    assert got.flagged == [tau for tau in lags if abs(want[tau - 1]) > got.threshold]
 
 
 @settings(max_examples=30, deadline=None)
@@ -453,17 +427,16 @@ def test_byte_entropy_equals_oracle(b):
 
 
 def test_statistics_equal_oracle_at_word_boundaries():
-    # lags and lengths straddling whole words, where the shift carries
+    # lengths straddling whole words, where the shift carries
     rng = np.random.default_rng(21)
     for n in (12_800, 12_801, 12_863, 12_864, 12_865):
         b = rng.integers(0, 2, n, dtype=np.uint8)
         bits = BitString.from_bits01(b)
         np.testing.assert_array_equal(
-            serial_correlation(bits, 128).coefficients,
-            oracle_serial_coefficients(b, 128),
+            serial_correlation(bits).coefficients, oracle_serial_coefficients(b)
         )
         assert_outcome(runs_test(bits), oracle_runs(b))
-        assert_outcome(block_frequency_test(bits, 129), oracle_block_frequency(b, 129))
+        assert_outcome(block_frequency_test(bits), oracle_block_frequency(b))
 
 
 def test_battery_fails_a_flagged_lag_whose_p_value_passes():
@@ -533,29 +506,29 @@ def chunked_streams(draw, min_bits, small_only=False):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chunked_streams(min_bits=80_000), st.data())
-def test_battery_is_the_same_for_any_chunk_size(stream, data):
+@given(chunked_streams(min_bits=80_000))
+def test_battery_is_the_same_for_any_chunk_size(stream):
     raw, n, size = stream
-    block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
-    max_lag = data.draw(st.sampled_from([1, 16, 63, 64, 65, 128]))
-    kw = dict(block_size=block_size, max_lag=max_lag)
-    whole = run_battery(from_msb_bytes(raw, n), **kw)
-    chunked = run_battery(chunks_of(raw, size), n_bits=n, **kw)
+    whole = run_battery(from_msb_bytes(raw, n))
+    chunked = run_battery(chunks_of(raw, size), n_bits=n)
     assert chunked.to_dict() == whole.to_dict()
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1, 63, 64, 65, 128]), st.sampled_from([1, 2, 3]), st.data())
-def test_fold_is_the_same_when_lags_cross_small_passes(max_lag, pass_words, data):
-    # Passes shorter than the words a lag reaches ahead.  The counts
-    # every statistic is scored from are compared, on streams as short
-    # as serial correlation takes, so that a pass of one word stays fast.
-    raw, n, size = data.draw(chunked_streams(min_bits=100 * max_lag, small_only=True))
-    block_size = data.draw(st.sampled_from([8, 100, 128, 129]))
-    whole = stattests._count(from_msb_bytes(raw, n), block_size, max_lag)
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_fold_is_the_same_when_lags_cross_small_passes(pass_words, data):
+    # Passes no longer than the words a pass holds back, and of odd
+    # lengths, so that a block's two words fall in different passes.  The
+    # counts every statistic is scored from are compared, on streams as
+    # short as serial correlation takes, so that a pass of one word stays
+    # fast.
+    raw, n, size = data.draw(
+        chunked_streams(min_bits=100 * stattests.MAX_LAG, small_only=True)
+    )
+    whole = stattests._count(from_msb_bytes(raw, n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stattests, "_CHUNK_WORDS", pass_words)
-        chunked = stattests._count(chunks_of(raw, size), block_size, max_lag, n)
+        chunked = stattests._count(chunks_of(raw, size), n)
     for field, want in whole._asdict().items():
         np.testing.assert_array_equal(getattr(chunked, field), want, err_msg=field)
 
@@ -567,9 +540,9 @@ def test_fold_ends_a_stream_whose_last_byte_ends_a_whole_pass(monkeypatch, cut):
     raw = np.full(64, 0xFF, np.uint8)
     raw[-1] <<= cut
     n = 8 * raw.size - cut
-    want = stattests._count(from_msb_bytes(raw, n), 8, 1)
+    want = stattests._count(from_msb_bytes(raw, n))
     monkeypatch.setattr(stattests, "_CHUNK_WORDS", 2)
-    got = stattests._count([raw], 8, 1, n)
+    got = stattests._count([raw], n)
     for field, value in want._asdict().items():
         np.testing.assert_array_equal(getattr(got, field), value, err_msg=field)
     assert got.ones == n
