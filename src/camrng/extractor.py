@@ -424,8 +424,8 @@ def extract_frames(
     log2_epsilon None when s*l <= k, and None or why the margin fails and
     what to do.
     Raises ValueError for a mixed stack, one too short for a whole block,
-    one of another bit depth than the sensor's, or frames at the dark
-    level.
+    one of another bit depth than the sensor's, frames at the dark level,
+    or a stack with no temporal variance in its usable pixels.
     """
     l, k = matrix.l, matrix.k
     # Whole chunks, on extract()'s chunk grid.
@@ -469,21 +469,31 @@ def extract_frames(
             f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
             "frames carry no shot noise to extract"
         )
+    # A stack with no temporal variance holds no shot noise, whatever its
+    # mean code says; variance divides by n - 1, so count frames first.
+    if stats.n_frames < 2:
+        raise ValueError("a stack of 1 frame has no temporal variance to extract")
+    pixel_variance = stats.variance if mask is None else stats.variance[mask.flags]
+    if not pixel_variance.any():
+        raise ValueError(
+            f"no usable pixel varies across the stack's {stats.n_frames} frames; "
+            "frames carry no shot noise to extract"
+        )
     s = entropy_report(n_bar_est, stats.bit_depth).s
     try:
         log2_eps, refusal = float(epsilon_bound(s, l, k)), None
     except ValueError as exc:
         log2_eps = None
-        why, advice = f"s*l = {s * l:.1f} <= k = {k}", "Lower k, raise l, or pass"
+        why, advice = "", "Lower k, raise l, or pass"
         if s > 1:  # then s*l > l > k: the bound refused s itself, whatever k and l
             why = (
-                "the count's Poisson entropy per raw bit exceeds 1, so the code "
+                "; the count's Poisson entropy per raw bit exceeds 1, so the code "
                 "cannot carry it"
             )
             advice = "Pass"
         refusal = (
             f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
-            f"{stats.bit_depth}-bit depth; {why}.\n  {advice} --force to extract "
+            f"{stats.bit_depth}-bit depth{why}.\n  {advice} --force to extract "
             "anyway (output is NOT certified random)."
         )
 
@@ -500,9 +510,12 @@ def extract_frames(
         "padding_bits": -n_blocks * k % 8,
         "mean_code": mean,
         "variance_code": variance,
+        "mean_pixel_variance": float(np.mean(pixel_variance)),
         "estimated_n_bar": n_bar_est,
         "s": s,
         "log2_epsilon": log2_eps,
+        # the bound on the whole output: the blocks' distances add up
+        "log2_epsilon_total": None if log2_eps is None else log2_eps + math.log2(n_blocks),
         # An uncertified output is kept only when the caller forces it.
         "forced": log2_eps is None,
         "matrix_digest": matrix.digest,

@@ -336,46 +336,26 @@ def runs_test(bits: BitString) -> TestOutcome:
     return _runs(_count(bits))
 
 
-@dataclass(frozen=True)
-class SerialCorrelationResult:
-    """Autocorrelation of the bit sequence at lags 1..MAX_LAG.
-
-    flagged lists every lag whose |coefficient| exceeds 4/sqrt(n),
-    an ~4-sigma line for i.i.d. input.
-    """
-
-    lags: np.ndarray
-    coefficients: np.ndarray
-    threshold: float
-    flagged: list[int]
-
-
-def _serial(c: _Counts) -> SerialCorrelationResult:
+def _serial(c: _Counts) -> np.ndarray:
+    """Autocorrelation coefficients of the 0/1 sequence at lags 1..MAX_LAG."""
     n, s = c.n, c.ones
     mean = s / n
     denom = s - s * s / n
     if denom == 0:
         raise ValueError("constant bit sequence has no defined autocorrelation")
-    lags = np.arange(1, MAX_LAG + 1)
     # ones among the first and the last tau bits, at index tau - 1
     ones_first = np.cumsum(c.head)
     ones_last = np.cumsum(c.tail[::-1])
     coefficients = np.empty(MAX_LAG, dtype=np.float64)
-    for idx, tau in enumerate(lags):
-        tau = int(tau)
-        c_tau = c.pairs[idx]
+    for tau in range(1, MAX_LAG + 1):
         s_head = s - int(ones_last[tau - 1])
         s_tail = s - int(ones_first[tau - 1])
-        cov = c_tau - mean * (s_head + s_tail) + (n - tau) * mean * mean
-        coefficients[idx] = cov / denom
-    threshold = 4.0 / math.sqrt(n)
-    flagged = [int(lag) for lag, r in zip(lags, coefficients) if abs(r) > threshold]
-    return SerialCorrelationResult(
-        lags=lags, coefficients=coefficients, threshold=threshold, flagged=flagged
-    )
+        cov = c.pairs[tau - 1] - mean * (s_head + s_tail) + (n - tau) * mean * mean
+        coefficients[tau - 1] = cov / denom
+    return coefficients
 
 
-def serial_correlation(bits: BitString) -> SerialCorrelationResult:
+def serial_correlation(bits: BitString) -> np.ndarray:
     """Sample autocorrelation of the 0/1 sequence at lags 1..MAX_LAG.
 
     Computed from exact integer pair counts:
@@ -395,20 +375,6 @@ def _byte_entropy(c: _Counts) -> tuple[float, int]:
     counts = c.byte_counts
     f = counts[counts > 0] / n_bytes
     return float(-np.sum(f * np.log2(f))), n_bytes
-
-
-def shannon_byte_entropy(bits: BitString) -> float:
-    """Empirical entropy of the stream grouped into bytes, bits/byte.
-
-    Bytes are formed MSB-first (the export convention); a trailing
-    partial byte is ignored.  Requires >= 80,000 bits.  Note the
-    estimator's negative bias of about 255/(2 N ln 2) bits at N bytes.
-    """
-    if bits.n_bits < _MIN_ENTROPY_BITS:
-        raise ValueError(
-            f"byte entropy needs >= {_MIN_ENTROPY_BITS} bits, got {bits.n_bits}"
-        )
-    return _byte_entropy(_count(bits))[0]
 
 
 @dataclass(frozen=True)
@@ -459,21 +425,25 @@ class TestReport:
 
 
 def _serial_outcome(c: _Counts) -> tuple[TestOutcome, bool]:
-    """Serial correlation as one battery outcome, and whether no lag was flagged."""
+    """Serial correlation as one battery outcome, and whether no lag was flagged.
+
+    A lag is flagged when its |coefficient| exceeds 4/sqrt(n), an
+    ~4-sigma line for i.i.d. input.
+    """
     n = c.n
     if c.ones in (0, n):
         # a constant stream has no defined autocorrelation; score it as
         # a failure with a distinct status rather than crashing
         note = "not applicable: constant sequence"
         return TestOutcome(float("nan"), 0.0, note), False
-    sc = _serial(c)
-    z = np.abs(sc.coefficients) * np.sqrt(n - sc.lags)
-    p_lags = erfc(z / math.sqrt(2))
-    p_serial = float(min(1.0, len(sc.lags) * p_lags.min()))
-    worst = int(sc.lags[int(np.argmin(p_lags))])
-    statistic = float(sc.coefficients[worst - 1])
-    note = f"worst lag {worst}; Bonferroni-corrected"
-    return TestOutcome(statistic, p_serial, note), not sc.flagged
+    r = _serial(c)
+    lags = np.arange(1, MAX_LAG + 1)
+    p_lags = erfc(np.abs(r) * np.sqrt(n - lags) / math.sqrt(2))
+    p_serial = float(min(1.0, MAX_LAG * p_lags.min()))
+    worst = int(np.argmin(p_lags))
+    note = f"worst lag {worst + 1}; Bonferroni-corrected"
+    flagged = np.abs(r) > 4.0 / math.sqrt(n)
+    return TestOutcome(float(r[worst]), p_serial, note), not flagged.any()
 
 
 def run_battery(

@@ -32,7 +32,6 @@ from camrng import (
     read_pgm,
     read_raw,
     run_battery,
-    shannon_byte_entropy,
     simulate_frame,
     simulate_stack,
     write_pgm,
@@ -269,7 +268,7 @@ def test_criterion_7_end_to_end_randomness():
 
     report = run_battery(out.bits)
     min_p = min(r.p_value for r in report.results)
-    byte_h = shannon_byte_entropy(out.bits)
+    byte_h = next(r.statistic for r in report.results if r.name == "byte-entropy")
 
     raw_report = run_battery(raw)
     raw_failed = [r.name for r in raw_report.results if not r.passed]

@@ -484,7 +484,9 @@ def test_extract_refuses_violated_margin(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "margin" in err and "Lower k, raise l, or pass --force to extract anyway" in err
-    assert "-bit depth; s*l = 1277." in err and "<= k = 1900." in err
+    # the bound's own message says why, and nothing repeats it
+    assert "no extractable security margin: s*l = 1277.36 <= k = 1900\n" in err
+    assert err.count("s*l") == 1 and "-bit depth.\n  Lower k" in err
     assert "exceeds 1" not in err
     assert not (tmp_path / "no.bin").exists()
 
@@ -526,7 +528,7 @@ def test_extract_force_overrides_margin(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["forced"] is True
-    assert doc["log2_epsilon"] is None
+    assert doc["log2_epsilon"] is None and doc["log2_epsilon_total"] is None
     assert out.exists()
 
 
@@ -1077,14 +1079,28 @@ def test_characterize_refuses_frames_with_a_manifest_before_making_out(tmp_path,
         (("f.raw",), 2, "no sidecar JSON describes it"),
         (("f0.pgm", "f1.pgm", "--tolerance", "0.1"), 2,
          "--tolerance applies only to a --manifest sweep"),
+        (("f0.pgm", "bad.pgm"), 1, "bad.pgm: malformed PGM header"),
+        (("f0.pgm", "cut.pgm"), 1, "cut.pgm: malformed PGM header (no payload separator)"),
+        (("--manifest", "flat.json"), 1, "mean codes identical across sweep; slope is undefined"),
+        (("--manifest", "falling.json"), 1,
+         "is not positive; sweep is outside the shot-noise-limited region"),
     ],
-    ids=["no-frames", "one-frame", "raw-without-sidecar", "tolerance-without-manifest"],
+    ids=["no-frames", "one-frame", "raw-without-sidecar", "tolerance-without-manifest",
+         "pgm-bad-width", "pgm-no-payload", "sweep-of-equal-means", "sweep-of-falling-variance"],
 )
 def test_characterize_refusals_leave_no_out(tmp_path, monkeypatch, capsys, argv, exit_code,
                                             message):
     monkeypatch.chdir(tmp_path)
     _write_frames(tmp_path, [np.full((4, 4), 800), np.full((4, 4), 801)], 10)
     (tmp_path / "f.raw").write_bytes(b"\x00" * 8)
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n2 x\n255\n..")
+    (tmp_path / "cut.pgm").write_bytes(b"P5\n2 1\n255")
+    # Two stacks of one mean code, as a saturated sweep gives; then a
+    # brighter stack with less variance, as a clamped one gives.
+    for name, second in (("flat", ["f0.pgm", "f1.pgm"]), ("falling", ["f1.pgm", "f1.pgm"])):
+        stacks = [{"files": ["f0.pgm", "f1.pgm"], "n_bar": 100.0},
+                  {"files": second, "n_bar": 200.0}]
+        (tmp_path / f"{name}.json").write_text(json.dumps({"stacks": stacks}))
     assert run("characterize", "--preset", "nokia-n9", *argv, "--out", "D") == exit_code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "D").exists()
@@ -1233,6 +1249,9 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         # A mask of 1e16 pixels would not fit in memory.
         ("mask.json", {"width": 10**8, "height": 10**8, "flagged": {}},
          ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", "{not json", ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", [], ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", {"width": 8, "height": 8}, ("extract", "f.pgm", "--mask", "mask.json")),
         *(
             ("m.json", {"stacks": [{"files": ["f.pgm"], "n_bar": n_bar}]},
              ("characterize", "--manifest", "m.json"))
@@ -1247,7 +1266,8 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
     ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
-         "mask-too-large", "manifest-n-bar-bool", "manifest-n-bar-nan",
+         "mask-too-large", "mask-not-json", "mask-an-array", "mask-no-flagged",
+         "manifest-n-bar-bool", "manifest-n-bar-nan",
          "manifest-n-bar-negative", "manifest-files-a-string",
          "manifest-files-empty"],
 )
@@ -1257,7 +1277,7 @@ def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     monkeypatch.chdir(tmp_path)
     _write_frames(tmp_path, [np.full((4, 4), 800)], 10)[0].rename(tmp_path / "f.pgm")
     (tmp_path / "f.raw").write_bytes(b"\x00" * 32)
-    (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = run(argv[0], "--preset", "nokia-n9", *argv[1:], "--out", "out")
     assert rc == 1
     err = capsys.readouterr().err
@@ -1450,6 +1470,16 @@ def test_extract_reports_the_exact_moments_of_the_usable_codes(stacks, tmp_path,
     assert doc["variance_code"] == float(sum((c - mean) ** 2 for c in codes) / (n - 1))
     sensor = PRESETS["nokia-n9"]
     assert doc["estimated_n_bar"] == doc["mean_code"] / sensor.zeta - sensor.offset
+    # per-pixel temporal variances over the usable pixels, averaged
+    per_pixel = np.var(np.stack([f.codes for f in frames]), axis=0, ddof=1)
+    usable = per_pixel if mask is None else per_pixel[mask.flags]
+    assert doc["mean_pixel_variance"] == pytest.approx(float(np.mean(usable)), rel=1e-12)
+    if mask is None:  # as characterize reports it
+        report = characterize_stack([str(p) for p in paths], sensor, str(tmp_path / "c"))
+        assert doc["mean_pixel_variance"] == report["mean_pixel_variance"]
+    assert doc["log2_epsilon_total"] == (
+        doc["log2_epsilon"] + math.log2(doc["blocks_processed"])
+    )
 
 
 def test_extract_sums_the_stack_once_and_exports_each_batch(stacks, tmp_path, monkeypatch,
@@ -1539,15 +1569,21 @@ def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, mo
     assert calls["tables"] == 1 + 2 * calls["extract"]
 
 
+# Stacks in which no usable pixel's code changes from frame to frame.
+# Under nokia-n9 each one's mean code alone would certify the output.
+NO_VARIANCE = ("constant", "copied", "saturated", "one_frame", "masked")
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize(
     "case,exit_code",
-    [("margin", 2), ("mixed_depth", 1), ("missing_file", 1), ("below_dark", 1)],
+    [("margin", 2), ("mixed_depth", 1), ("missing_file", 1), ("below_dark", 1),
+     *((case, 1) for case in NO_VARIANCE)],
 )
 def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, existing):
     rng = np.random.default_rng(9)
     ten = [rng.integers(700, 900, (32, 32)) for _ in range(3)]
-    preset, k = "nokia-n9", 10
+    preset, k, extra = "nokia-n9", 10, []
     if case == "margin":
         paths, k = _write_frames(tmp_path / "in", ten, 10), 190
     elif case == "mixed_depth":
@@ -1555,18 +1591,39 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
         paths = _write_frames(tmp_path / "in", ten[:2], 10) + eight
     elif case == "missing_file":
         paths = _write_frames(tmp_path / "in", ten, 10) + [tmp_path / "in" / "gone.pgm"]
-    else:  # atik383l's dark level is 331.2 codes
+    elif case == "below_dark":  # atik383l's dark level is 331.2 codes
         preset = "atik383l"
         paths = _write_frames(tmp_path / "in", [np.full((8, 8), 300)] * 3, 16)
+    else:
+        stack = {
+            "constant": [np.full((32, 32), 779)] * 4,
+            "copied": ten[:1] * 16,
+            "saturated": [np.full((32, 32), 950)] * 4,
+            "one_frame": ten[:1],
+            "masked": [np.full((32, 32), 779) for _ in range(4)],
+        }[case]
+        if case == "masked":  # only the flagged first column varies
+            for codes, moving in zip(stack, ten + ten[:1]):
+                codes[:, 0] = moving[:, 0]
+            mask = tmp_path / "mask.json"
+            flagged = {f"{y},0": "hot" for y in range(32)}
+            mask.write_text(json.dumps({"width": 32, "height": 32, "flagged": flagged}))
+            extra = ["--mask", mask]
+        paths = _write_frames(tmp_path / "in", stack, 10)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "random.bin"
     if existing:
         out.write_bytes(b"an earlier run")
-    rc = run("extract", "--preset", preset, *paths, "--l", "200", "--k", k,
+    rc = run("extract", "--preset", preset, *paths, *extra, "--l", "200", "--k", k,
              "--out", out, "--save-matrix", out_dir / "m.qm")
     assert rc == exit_code
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if case == "one_frame":
+        assert err == "error: a stack of 1 frame has no temporal variance to extract\n"
+    elif case in NO_VARIANCE:
+        assert err == (f"error: no usable pixel varies across the stack's {len(paths)} "
+                       "frames; frames carry no shot noise to extract\n")
     assert sorted(p.name for p in out_dir.iterdir()) == (["random.bin"] if existing else [])
     if existing:
         assert out.read_bytes() == b"an earlier run"

@@ -18,7 +18,6 @@ from camrng.stattests import (
     run_battery,
     runs_test,
     serial_correlation,
-    shannon_byte_entropy,
 )
 from conftest import from_msb_bytes
 
@@ -99,9 +98,9 @@ def test_serial_correlation_period_two():
     # finite-sample edge terms keep the magnitudes just inside 1
     bits = BitString.from_bits01(np.array([0, 1] * 2000, dtype=np.uint8))
     got = serial_correlation(bits)
-    assert got.coefficients[0] == pytest.approx(-1.0, abs=1e-3)
-    assert got.coefficients[1] == pytest.approx(1.0, abs=1e-3)
-    assert 1 in got.flagged and 2 in got.flagged
+    assert got[0] == pytest.approx(-1.0, abs=1e-3)
+    assert got[1] == pytest.approx(1.0, abs=1e-3)
+    assert not no_lag_flagged(bits)
 
 
 def test_serial_correlation_matches_numpy_reference():
@@ -112,7 +111,7 @@ def test_serial_correlation_matches_numpy_reference():
     denom = float(np.sum(x * x))
     for idx, tau in enumerate(range(1, stattests.MAX_LAG + 1)):
         want = float(np.sum(x[:-tau] * x[tau:])) / denom
-        assert got.coefficients[idx] == pytest.approx(want, abs=1e-12)
+        assert got[idx] == pytest.approx(want, abs=1e-12)
 
 
 def test_serial_correlation_validation():
@@ -129,28 +128,32 @@ def test_serial_correlation_iid_mostly_within_threshold():
     trials = 400
     for _ in range(trials):
         bits = BitString.from_bits01(rng.integers(0, 2, size=10_000, dtype=np.uint8))
-        if not serial_correlation(bits).flagged:
+        if no_lag_flagged(bits):
             clean += 1
     assert clean >= math.ceil(0.99 * trials)
 
 
+def no_lag_flagged(bits):
+    # the battery's flag rule: no lag's |coefficient| past 4/sqrt(n)
+    return stattests._serial_outcome(stattests._count(bits))[1]
+
+
+def byte_entropy(bits):
+    return next(r.statistic for r in run_battery(bits).results if r.name == "byte-entropy")
+
+
 def test_byte_entropy_zero_for_constant():
     bits = BitString.from_bits01(np.zeros(100_000, dtype=np.uint8))
-    assert shannon_byte_entropy(bits) == 0.0
+    assert byte_entropy(bits) == 0.0
 
 
 def test_byte_entropy_uniform_in_bias_band():
     rng = np.random.default_rng(12)
     n_bytes = 500_000
     bits = np.unpackbits(rng.integers(0, 256, n_bytes, dtype=np.uint8)[:, None], axis=1)
-    h = shannon_byte_entropy(BitString.from_bits01(bits))
+    h = byte_entropy(BitString.from_bits01(bits))
     bias = 255.0 / (2.0 * n_bytes * math.log(2.0))
     assert 8.0 - 6.0 * bias <= h < 8.0
-
-
-def test_byte_entropy_length_gate():
-    with pytest.raises(ValueError):
-        shannon_byte_entropy(BitString.from_bits01(np.zeros(79_999, dtype=np.uint8)))
 
 
 def test_export_convention_fixture(tmp_path):
@@ -407,23 +410,21 @@ def test_runs_equals_oracle(b):
 @settings(max_examples=80, deadline=None)
 @given(streams(min_bits=100 * stattests.MAX_LAG))
 def test_serial_correlation_equals_oracle(b):
-    n, lags = b.size, range(1, stattests.MAX_LAG + 1)
+    counts = stattests._count(BitString.from_bits01(b))
     if b.min() == b.max():
         with pytest.raises(ValueError, match="constant"):
-            serial_correlation(BitString.from_bits01(b))
+            stattests._serial(counts)
         return
-    got = serial_correlation(BitString.from_bits01(b))
     want = oracle_serial_coefficients(b)
-    np.testing.assert_array_equal(got.coefficients, want)
-    np.testing.assert_array_equal(got.lags, np.array(lags))
-    assert got.threshold == 4.0 / math.sqrt(n)
-    assert got.flagged == [tau for tau in lags if abs(want[tau - 1]) > got.threshold]
+    np.testing.assert_array_equal(stattests._serial(counts), want)
+    flagged = np.abs(want) > 4.0 / math.sqrt(b.size)
+    assert stattests._serial_outcome(counts)[1] == (not flagged.any())
 
 
 @settings(max_examples=30, deadline=None)
 @given(streams(min_bits=80_000))
 def test_byte_entropy_equals_oracle(b):
-    assert shannon_byte_entropy(BitString.from_bits01(b)) == oracle_byte_entropy(b)
+    assert byte_entropy(BitString.from_bits01(b)) == oracle_byte_entropy(b)
 
 
 def test_statistics_equal_oracle_at_word_boundaries():
@@ -433,7 +434,7 @@ def test_statistics_equal_oracle_at_word_boundaries():
         b = rng.integers(0, 2, n, dtype=np.uint8)
         bits = BitString.from_bits01(b)
         np.testing.assert_array_equal(
-            serial_correlation(bits).coefficients, oracle_serial_coefficients(b)
+            serial_correlation(bits), oracle_serial_coefficients(b)
         )
         assert_outcome(runs_test(bits), oracle_runs(b))
         assert_outcome(block_frequency_test(bits), oracle_block_frequency(b))
