@@ -41,7 +41,7 @@ DEFAULT_FANO_TOLERANCE = 0.15
 
 # build_pixel_mask thresholds: a pixel is dead below this fraction of
 # the median temporal variance, and stuck/hot within this many codes of
-# an ADC rail.
+# code 0 or the full-well code.
 _DEAD_VARIANCE_FRACTION = 0.25
 _RAIL_MARGIN_CODES = 1.0
 
@@ -367,12 +367,12 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
 
     A pixel is flagged when its temporal variance falls below 0.25x the
     median variance (dead: it does not respond), or its mean sits within
-    one code of an ADC rail (stuck at the bottom, hot at the top, where
+    one code of a clamp (stuck at 0, hot at the full-well code, where
     clamping removes the noise).
 
     Args:
         stats: per-pixel moments from >= 10 uniformly lit frames.
-        config: supplies the ADC range.
+        config: supplies the full-well code.
 
     Returns:
         PixelMask with reasons for every flagged pixel.
@@ -384,7 +384,7 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     mean, variance = stats.mean, stats.variance
     dead = variance < _DEAD_VARIANCE_FRACTION * float(np.median(variance))
     stuck = mean <= _RAIL_MARGIN_CODES
-    hot = mean >= config.max_code - _RAIL_MARGIN_CODES
+    hot = mean >= config.full_well_code - _RAIL_MARGIN_CODES
 
     flags = ~(dead | stuck | hot)
     reasons = {}

@@ -4,14 +4,14 @@ Models the per-pixel measurement chain of a digital image sensor used as
 a quantum randomness source:
 
     light --> Poisson absorption --> + technical noise --> + offset
-          --> well saturation --> gain --> ADC quantization/clipping
+          --> gain --> round half up --> clamp to [0, full-well code]
 
 The absorbed photon number n per pixel is Poisson with mean n_bar (the
 quantum part, variance n_bar).  Readout electronics add a Gaussian term
 t with standard deviation sigma_t electrons plus a fixed dark offset.
-The electron total is clipped to [0, full_well], multiplied by the
-conversion gain zeta (codes per electron), rounded, and clipped to the
-ADC range [0, 2**bit_depth - 1].
+The electron total is scaled by the conversion gain zeta (codes per
+electron), rounded half up, and clamped once to [0, full_well_code],
+the code that every total at or above the well reads.
 
 Simulation is deterministic: all randomness is derived from a uint64
 seed through counter-based streams keyed by (seed, frame id, pixel
@@ -100,6 +100,11 @@ class SensorConfig:
     def max_code(self) -> int:
         return (1 << self.bit_depth) - 1
 
+    @property
+    def full_well_code(self) -> int:
+        """min(max_code, floor(full_well * zeta + 0.5)): what the well reads."""
+        return math.floor(min(self.max_code, self.full_well * self.zeta + 0.5))
+
     def to_dict(self) -> dict:
         return dict(zip(_CONFIG_KEYS, astuple(self)))
 
@@ -180,20 +185,17 @@ class Frame:
 
 
 def digitize_electrons(electrons: np.ndarray, config: SensorConfig) -> np.ndarray:
-    """Apply well saturation, gain, and ADC quantization to electron totals.
+    """Scale electron totals by zeta, round half up, clamp to [0, full_well_code].
 
-    The electron total is clipped to [0, full_well] (charge cannot be
-    negative; the well is finite), scaled by zeta, rounded to nearest
-    with ties away from zero, and clipped to the ADC code range.  The
-    steps run in place on one temporary; electrons is left untouched.
+    Float rounding is monotone, so one clamp of the scaled value gives the
+    codes of clamping to [0, full_well] first and to the ADC range last.
+    The steps run in place on one temporary; electrons is left untouched.
     """
-    e = np.clip(electrons, 0.0, config.full_well)
-    # Values here are nonnegative, so floor(x + 0.5) rounds to nearest
-    # with ties away from zero (np.round would round ties to even).
-    e *= config.zeta
+    e = electrons * config.zeta
+    # After the clamp e >= 0, so the uint16 cast truncates it to floor(e):
+    # the scaled total rounds half up (np.round would round ties to even).
     e += 0.5
-    np.floor(e, out=e)
-    np.clip(e, 0, config.max_code, out=e)
+    np.clip(e, 0, config.full_well_code, out=e)
     return e.astype(np.uint16)
 
 
@@ -220,16 +222,14 @@ def _simulate_block(
 
     The normal draw is standard_normal() * sigma_t on the block's stream,
     bit-identical to normal(0, sigma_t): numpy forms loc + scale * z from
-    the same z, and adding 0.0 or reordering the sums changes no bit.
+    the same z, and adding 0.0 or reordering the sums changes no bit.  At
+    sigma_t = 0 it adds exact zeros, and it is the stream's last draw.
     """
     rng = _block_rng(seed, frame_id, block)
     photons = rng.poisson(n_bar, out.size)
-    if config.sigma_t > 0:
-        electrons = rng.standard_normal(out.size)
-        electrons *= config.sigma_t
-        electrons += photons
-    else:
-        electrons = photons.astype(np.float64)
+    electrons = rng.standard_normal(out.size)
+    electrons *= config.sigma_t
+    electrons += photons
     electrons += config.offset
     out[:] = digitize_electrons(electrons, config)
 

@@ -272,6 +272,13 @@ def test_build_pixel_mask_classifies():
     assert mask.flags.sum() == 16 - 3
     assert mask.n_flagged == 3
 
+    # nokia-n9's well reads 950, below the 10-bit ADC rail: a pixel
+    # pinned there is hot, not dead
+    lit = rng.integers(700, 801, size=(12, 4, 4)).astype(np.uint16)
+    lit[:, 3, 3] = NOKIA.full_well_code
+    mask = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
+    assert mask.reasons == {(3, 3): "hot"}
+
 
 def test_build_pixel_mask_needs_frames():
     stack = [frame_of([[1, 2]]), frame_of([[3, 4]])]

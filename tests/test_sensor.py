@@ -10,6 +10,8 @@ from camrng.sensor import (
     Frame,
     PRESETS,
     SensorConfig,
+    _block_rng,
+    _simulate_block,
     digitize_electrons,
     get_preset,
     simulate_frame,
@@ -28,6 +30,7 @@ def test_preset_atik383l_values():
     assert ATIK.full_well == 2.0e4
     assert ATIK.bit_depth == 16
     assert ATIK.max_code == 65535
+    assert ATIK.full_well_code == 46000
 
 
 def test_preset_nokia_n9_values():
@@ -37,6 +40,7 @@ def test_preset_nokia_n9_values():
     assert NOKIA.full_well == 500.0
     assert NOKIA.bit_depth == 10
     assert NOKIA.max_code == 1023
+    assert NOKIA.full_well_code == 950
 
 
 def test_unknown_preset():
@@ -116,25 +120,83 @@ def test_digitize_half_code_ties_round_up():
     assert codes.tolist() == [1, 2, 3]
 
 
+RAIL = SensorConfig(
+    name="rail", zeta=2.0, sigma_t=0.0, offset=0.0,
+    full_well=1000.0, bit_depth=8,
+)
+ONEBIT = SensorConfig(
+    name="onebit", zeta=1.0, sigma_t=0.5, offset=0.0,
+    full_well=1.0, bit_depth=1,
+)
+# A well of 2.5 codes reads 3: the full-well code rounds half up, not to even.
+WELL_TIE = SensorConfig(
+    name="well-tie", zeta=1.0, sigma_t=0.0, offset=0.0,
+    full_well=2.5, bit_depth=8,
+)
+
+
 def test_digitize_adc_rail():
-    cfg = SensorConfig(
-        name="rail", zeta=2.0, sigma_t=0.0, offset=0.0,
-        full_well=1000.0, bit_depth=8,
-    )
-    codes = digitize_electrons(np.array([100.0, 1000.0]), cfg)
+    codes = digitize_electrons(np.array([100.0, 1000.0]), RAIL)
     assert codes.tolist() == [200, 255]  # 2000 clips at 2^8 - 1
+    assert RAIL.full_well_code == 255
+
+
+def four_step_digitize(electrons, config):
+    """Reference chain: clip to the well, scale, floor(x + 0.5), clip to the ADC."""
+    e = np.clip(electrons, 0.0, config.full_well)
+    e *= config.zeta
+    e += 0.5
+    np.floor(e, out=e)
+    np.clip(e, 0, config.max_code, out=e)
+    return e.astype(np.uint16)
+
+
+def edge_electrons(config):
+    """Negatives, 0, the well and 1e6, and the totals whose scaled value
+    lands on or one ulp beside a half code, near 0 and the full-well code."""
+    ties = np.concatenate([
+        np.arange(-2, 8) + 0.5, config.full_well_code + np.array([-0.5, 0.5])
+    ]) / config.zeta
+    e = np.concatenate([[-1e6, -5.0, -0.5, -0.0, 0.0, config.full_well, 1e6], ties])
+    return np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+
+
+DIGITIZE_CASES = [
+    (cfg, edge_electrons(cfg)) for cfg in (NOKIA, ATIK, RAIL, ONEBIT, WELL_TIE)
+]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-10, 600, allow_nan=False), min_size=1, max_size=30))
+@given(st.lists(
+    st.one_of(st.floats(-10, 600), st.floats(-1e3, 1e6)), min_size=1, max_size=30
+))
 def test_digitize_monotone(electrons):
-    cfg = SensorConfig(
-        name="m", zeta=1.9, sigma_t=0.0, offset=0.0,
-        full_well=500.0, bit_depth=10,
+    # The one-clip chain equals the four-step reference, drawn totals and
+    # fixed edges alike, and every total at or above the well reads its code.
+    for cfg, edges in DIGITIZE_CASES:
+        e = np.sort(np.concatenate([electrons, edges]))
+        codes = digitize_electrons(e, cfg)
+        assert (np.diff(codes.astype(np.int32)) >= 0).all()
+        assert np.array_equal(codes, four_step_digitize(e, cfg))
+        at_well = digitize_electrons(np.array([cfg.full_well, 1e6]), cfg)
+        assert at_well.tolist() == [cfg.full_well_code] * 2
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.6, 40.0, 5000.0])
+def test_sigma_t_zero_blocks_equal_the_photon_path(n_bar):
+    # At zeta 1 and offset -0.5 a code is its photon count, and one ulp
+    # of error in the electron total would move it down a code.
+    exact = SensorConfig(
+        name="exact", zeta=1.0, sigma_t=0.0, offset=-0.5,
+        full_well=1e5, bit_depth=16,
     )
-    e = np.sort(np.array(electrons))
-    codes = digitize_electrons(e, cfg)
-    assert (np.diff(codes.astype(np.int32)) >= 0).all()
+    for cfg in (QUIET, exact):
+        out = np.empty(4096, dtype=np.uint16)
+        _simulate_block(cfg, n_bar, 7, 2, 3, out)
+        photons = _block_rng(7, 2, 3).poisson(n_bar, out.size)
+        want = four_step_digitize(photons.astype(np.float64) + cfg.offset, cfg)
+        assert np.array_equal(out, want)
+    assert np.array_equal(out, photons)
 
 
 def test_frame_validation():
@@ -247,5 +309,5 @@ def test_full_well_saturation_kills_variance():
     # far past the well: every pixel pinned at the digitized well capacity
     frame = simulate_frame(NOKIA, 700.0, 64, 64, seed=9)
     pinned = digitize_electrons(np.array([NOKIA.full_well]), NOKIA)[0]
-    assert pinned == 950
+    assert pinned == NOKIA.full_well_code
     assert frame.codes.min() == frame.codes.max() == pinned
