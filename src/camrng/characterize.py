@@ -39,11 +39,12 @@ from .sensor import _MAX_PIXELS, Frame, SensorConfig, predicted_fano, simulate_f
 
 DEFAULT_FANO_TOLERANCE = 0.15
 
-# build_pixel_mask thresholds: a pixel is dead below this fraction of
-# the median temporal variance, and stuck/hot within this many codes of
-# code 0 or the full-well code.
+# build_pixel_mask thresholds: a pixel is dead at zero temporal variance
+# or below this fraction of the median, and stuck/hot within this many
+# codes of code 0 or the full-well code.
 _DEAD_VARIANCE_FRACTION = 0.25
 _RAIL_MARGIN_CODES = 1.0
+_MASK_REASONS = ("dead", "stuck", "hot")
 
 
 class PixelStats:
@@ -357,6 +358,11 @@ class PixelMask:
                     f"pixel mask key {key!r} lies outside its "
                     f"{flags.shape[1]}x{flags.shape[0]} geometry"
                 )
+            if reason not in _MASK_REASONS:
+                raise ValueError(
+                    f"pixel mask reason {reason!r} at {key!r} is not one of "
+                    f"{', '.join(_MASK_REASONS)}"
+                )
             flags[y, x] = False
             reasons[(y, x)] = reason
         return cls(flags=flags, reasons=reasons)
@@ -365,10 +371,10 @@ class PixelMask:
 def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     """Flag pixels unusable for randomness generation.
 
-    A pixel is flagged when its temporal variance falls below 0.25x the
-    median variance (dead: it does not respond), or its mean sits within
-    one code of a clamp (stuck at 0, hot at the full-well code, where
-    clamping removes the noise).
+    A pixel is flagged when its temporal variance is zero or falls below
+    0.25x the median variance (dead: it does not respond), or its mean
+    sits within one code of a clamp (stuck at 0, hot at the full-well
+    code, where clamping removes the noise).
 
     Args:
         stats: per-pixel moments from >= 10 uniformly lit frames.
@@ -382,7 +388,9 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
             f"pixel mask needs >= 10 frames of statistics, got {stats.n_frames}"
         )
     mean, variance = stats.mean, stats.variance
-    dead = variance < _DEAD_VARIANCE_FRACTION * float(np.median(variance))
+    # the median is 0 when half the pixels or more do not respond
+    median = float(np.median(variance))
+    dead = (variance == 0) | (variance < _DEAD_VARIANCE_FRACTION * median)
     stuck = mean <= _RAIL_MARGIN_CODES
     hot = mean >= config.full_well_code - _RAIL_MARGIN_CODES
 

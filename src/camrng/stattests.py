@@ -9,16 +9,19 @@ Every statistic is scored from integer counts that add up over chunks,
 folded in one pass over the stream's MSB-first bytes: the order of every
 file `camrng test` reads and of every file `--export` writes, so no bit
 is reversed on the way.  Each pass of _CHUNK_WORDS words is byteswapped
-once into native uint64 words, stream bit i at bit 63 - i % 64, and adds
+once into native uint16 windows, two bytes at an even offset with stream
+bit i at bit 15 - i % 16, and adds
 
-- the ones, by popcount, and the squared excess (2c - 128)^2 of the
+- the ones, by popcount of the windows' uint64 view (a word's ones do not
+  depend on its byte order), and the squared excess (2c - 128)^2 of the
   ones c in each block of two words, pairing the words' popcounts and
   carrying a block's first word past the pass;
-- the (1,1) pairs at lags 1..MAX_LAG, by popcounts of the words ANDed
-  with themselves shifted by tau bits, carrying the words a lag reaches
-  past the pass;
-- the histogram of byte pairs, by a 65536-bin bincount of the bytes
-  taken two at a time, folded once to the byte histogram at the end;
+- the histogram of windows, by a 65536-bin bincount, which finish() folds
+  to the byte histogram and dots with _WINDOW_PAIRS for the (1,1) pairs
+  at lags 1..MAX_LAG that lie inside a window;
+- the (1,1) pairs that cross into the next window, by popcounts of the
+  windows ANDed with the next window shifted right by 16 - tau bits,
+  carrying the window a lag reaches past the pass;
 
 and the first and last MAX_LAG bits are kept.  Runs follow from the
 lag-1 pairs.  A BitString is scored as the same fold over its
@@ -45,7 +48,7 @@ from .bitstream import BitString, export_stream  # noqa: F401
 
 DEFAULT_ALPHA = 0.01
 # Block frequency's block is two whole fold words, and every serial
-# correlation lag reaches only into the next word.
+# correlation lag reaches only into the next 16-bit window.
 BLOCK_SIZE = 128
 MAX_LAG = 16
 
@@ -69,14 +72,23 @@ class TestOutcome(NamedTuple):
 # stay in cache while every lag is applied.  A pass's popcounts, at most
 # 64 a word, are summed in 32 bits.
 _CHUNK_WORDS = 1 << 15
-# Words a pass keeps back: every lag looks one word ahead, and two words
-# hold the last MAX_LAG bits wherever the stream ends.
+# Words a pass keeps back: every lag looks one window ahead, and two
+# words hold the last MAX_LAG bits wherever the stream ends.
 _HOLD = 2
 
 
-def _msb_bits(words: np.ndarray) -> np.ndarray:
-    """The stream bits held in fold words, one uint8 0/1 per bit, in order."""
-    return np.unpackbits(words.astype(">u8").view(np.uint8))
+def _window_pairs() -> np.ndarray:
+    """Row tau - 1, column v: the (1,1) pairs at lag tau inside window v."""
+    v = np.arange(1 << 16, dtype=np.uint32)
+    return np.stack([np.bitwise_count(v & v >> tau) for tau in range(1, MAX_LAG + 1)])
+
+
+_WINDOW_PAIRS = _window_pairs()
+
+
+def _msb_bits(windows: np.ndarray) -> np.ndarray:
+    """The stream bits held in fold windows, one uint8 0/1 per bit, in order."""
+    return np.unpackbits(windows.astype(">u2").view(np.uint8))
 
 
 class _Counts(NamedTuple):
@@ -100,17 +112,21 @@ class _Fold:
     With n_bits given, the chunks hold exactly ceil(n_bits / 8) bytes and
     the bits past n_bits in the last one are 0; finish() checks both.
 
-    Chunks are regrouped into passes of _CHUNK_WORDS words.  A pass
-    whose look-ahead has not arrived keeps its last _HOLD words.  The
-    stream's last byte always waits in the stage for finish(), so the
-    last pass knows where the stream's last whole word and full byte end.
+    Chunks are regrouped into passes of _CHUNK_WORDS words, held as
+    16-bit windows viewed four to a word.  A pass whose look-ahead has
+    not arrived keeps its last _HOLD words.  The stream's last byte
+    always waits in the stage for finish(), so the last pass knows where
+    the stream's last whole word and full byte end.  The histogram holds
+    every window of two full bytes; the one window past it, holding an
+    odd last byte or a partial one, is read from the held words.
     """
 
     def __init__(self, n_bits: int | None = None):
         self.n_bits = n_bits
         size = _CHUNK_WORDS
         # held words, one pass, then zeros for the last words' look-ahead
-        self.words = np.zeros(2 * _HOLD + size, np.uint64)
+        self.windows = np.zeros(4 * (2 * _HOLD + size), np.uint16)
+        self.words = self.windows.view(np.uint64)
         self.held = 0
         self.first_word = 0  # stream index of words[0]
         self.stage = np.empty(8 * size, np.uint8)
@@ -118,16 +134,14 @@ class _Fold:
         self.n_bytes = 0
         self.ones = 0
         self.pairs = [0] * MAX_LAG
-        self.head = None  # the stream's first word
+        self.head = None  # the stream's first window
         self.n_blocks = 0
         self.block_sq = 0
         # ones per word of a pass, after those of a block's first word
         # when the last pass ended on it
         self.word_ones = np.empty(1 + size, np.uint8)
-        self.byte_pairs = np.zeros(1 << 16, np.int64)
-        self.odd_byte = None  # a last full byte past the pairs
-        self.shifted = np.empty(_HOLD + size, np.uint64)
-        self.spill = np.empty(_HOLD + size, np.uint64)
+        self.byte_pairs = np.zeros(1 << 16, np.int64)  # windows of two full bytes
+        self.crossing = np.empty(4 * (_HOLD + size), np.uint16)
         self.popcounts = np.empty(_HOLD + size, np.uint8)
 
     def update(self, chunk) -> None:
@@ -155,20 +169,15 @@ class _Fold:
         """
         m = src.size // 8
         w, h = self.words, self.held
-        cur = w[h : h + m]
-        np.copyto(cur, src.view(">u8"))  # stream bit i at bit 63 - i % 64
-        # Counting bytes two at a time halves the elements bincount handles.
+        cur = self.windows[4 * h : 4 * (h + m)]
+        np.copyto(cur, src.view(">u2"))  # stream bit i at bit 15 - i % 16
         n_full = src.size if n_full is None else n_full
-        self.byte_pairs += np.bincount(
-            src[: n_full - n_full % 2].view("<u2"), minlength=1 << 16
-        )
-        if n_full % 2:
-            self.odd_byte = src[n_full - 1]
+        self.byte_pairs += np.bincount(cur[: n_full // 2], minlength=1 << 16)
         if self.head is None:
             self.head = cur[:1].copy()
 
-        base = self.first_word + h  # stream index of cur's first word
-        self._blocks(cur, base, m if end is None else end // 64 - base)
+        base = self.first_word + h  # stream index of the pass's first word
+        self._blocks(w[h : h + m], base, m if end is None else end // 64 - base)
 
         total = h + m
         done = total - _HOLD
@@ -201,15 +210,13 @@ class _Fold:
             self.word_ones[0] = paired[-1]
 
     def _pair(self, done: int) -> None:
-        """Add the (1,1) pairs that start in words[:done] at every lag."""
-        x, ahead = self.words[:done], self.words[1 : 1 + done]
-        sh, sp, cnt = self.shifted[:done], self.spill[:done], self.popcounts[:done]
+        """Add, at every lag, the (1,1) pairs from a window of words[:done] into the next."""
+        x, ahead = self.windows[: 4 * done], self.windows[1 : 1 + 4 * done]
+        cross, cnt = self.crossing[: 4 * done], self.popcounts[:done]
         for tau in range(1, MAX_LAG + 1):
-            np.left_shift(x, tau, out=sh)
-            np.right_shift(ahead, 64 - tau, out=sp)
-            np.bitwise_or(sh, sp, out=sh)
-            np.bitwise_and(sh, x, out=sh)
-            np.bitwise_count(sh, out=cnt)
+            np.right_shift(ahead, 16 - tau, out=cross)
+            np.bitwise_and(cross, x, out=cross)
+            np.bitwise_count(cross.view(np.uint64), out=cnt)
             self.pairs[tau - 1] += int(cnt.sum(dtype=np.uint32))
 
     def finish(self) -> _Counts:
@@ -224,25 +231,30 @@ class _Fold:
         self.stage[tail:padded] = 0
         self._pass(self.stage[:padded], n // 8 - (self.n_bytes - tail), n)
         # The last MAX_LAG bits lie in the held words; zeros past them
-        # give the held words' look-ahead.
-        w, held = self.words, self.held
-        start = 64 * self.first_word
-        last = _msb_bits(w[:held])[max(n - MAX_LAG, 0) - start : n - start]
-        w[held : held + _HOLD] = 0
+        # give the held words' look-ahead, and the window past the
+        # histogram when the stream ends at a window's end.
+        held, start = self.held, 64 * self.first_word
+        last = _msb_bits(self.windows[: 4 * held])[max(n - MAX_LAG, 0) - start : n - start]
+        self.words[held : held + _HOLD] = 0
         self._pair(held)
-        # A pair's first byte is its low byte, so pairs[hi, lo] sums over
-        # its rows to the first-byte counts and over its columns to the
-        # second.
+        past = self.windows[n // 16 - 4 * self.first_word]
+        pairs = [
+            p + int(np.dot(self.byte_pairs, row)) + int(row[past])
+            for p, row in zip(self.pairs, _WINDOW_PAIRS)
+        ]
+        # A window's first byte is its high byte, so windows[first,
+        # second] sums over its columns to the first-byte counts and over
+        # its rows to the second.
         byte_pairs = self.byte_pairs.reshape(256, 256)
         byte_counts = byte_pairs.sum(axis=0) + byte_pairs.sum(axis=1)
-        if self.odd_byte is not None:
-            byte_counts[self.odd_byte] += 1
+        if n % 16 >= 8:
+            byte_counts[past >> 8] += 1
         return _Counts(
             n=n,
             ones=self.ones,
             n_blocks=self.n_blocks,
             block_sq=self.block_sq,
-            pairs=self.pairs,
+            pairs=pairs,
             head=_msb_bits(self.head)[: min(n, MAX_LAG)],
             tail=last,
             byte_counts=byte_counts,

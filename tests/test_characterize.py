@@ -279,6 +279,13 @@ def test_build_pixel_mask_classifies():
     mask = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
     assert mask.reasons == {(3, 3): "hot"}
 
+    # a stack where no pixel responds has median variance 0, and every
+    # pixel is still dead
+    flat = [frame_of(np.full((8, 8), 779)) for _ in range(10)]
+    mask = build_pixel_mask(pixel_stats(flat), NOKIA)
+    assert mask.n_flagged == 64
+    assert set(mask.reasons.values()) == {"dead"}
+
 
 def test_build_pixel_mask_needs_frames():
     stack = [frame_of([[1, 2]]), frame_of([[3, 4]])]

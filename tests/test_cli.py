@@ -1252,6 +1252,8 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ("mask.json", "{not json", ("extract", "f.pgm", "--mask", "mask.json")),
         ("mask.json", [], ("extract", "f.pgm", "--mask", "mask.json")),
         ("mask.json", {"width": 8, "height": 8}, ("extract", "f.pgm", "--mask", "mask.json")),
+        ("mask.json", {"width": 4, "height": 4, "flagged": {"1,1": "ok"}},
+         ("extract", "f.pgm", "--mask", "mask.json")),
         *(
             ("m.json", {"stacks": [{"files": ["f.pgm"], "n_bar": n_bar}]},
              ("characterize", "--manifest", "m.json"))
@@ -1267,6 +1269,7 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
          "mask-too-large", "mask-not-json", "mask-an-array", "mask-no-flagged",
+         "mask-bad-reason",
          "manifest-n-bar-bool", "manifest-n-bar-nan",
          "manifest-n-bar-negative", "manifest-files-a-string",
          "manifest-files-empty"],

@@ -428,9 +428,13 @@ def test_byte_entropy_equals_oracle(b):
 
 
 def test_statistics_equal_oracle_at_word_boundaries():
-    # lengths straddling whole words, where the shift carries
+    # lengths straddling whole words, where the shift carries, and
+    # ending inside, at and just past a byte and a 16-bit window, where
+    # the window past the byte-pair histogram holds an odd or partial
+    # last byte
     rng = np.random.default_rng(21)
-    for n in (12_800, 12_801, 12_863, 12_864, 12_865):
+    for n in (12_800, 12_801, 12_808, 12_815, 12_816, 12_817, 12_824,
+              12_863, 12_864, 12_865):
         b = rng.integers(0, 2, n, dtype=np.uint8)
         bits = BitString.from_bits01(b)
         np.testing.assert_array_equal(
@@ -438,6 +442,14 @@ def test_statistics_equal_oracle_at_word_boundaries():
         )
         assert_outcome(runs_test(bits), oracle_runs(b))
         assert_outcome(block_frequency_test(bits), oracle_block_frequency(b))
+
+
+def test_window_pairs_equal_a_count_of_unpacked_bits():
+    # every 16-bit window, its bits in stream order
+    bits = np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8)).reshape(-1, 16)
+    for tau in range(1, stattests.MAX_LAG + 1):
+        want = (bits[:, : 16 - tau] & bits[:, tau:]).sum(axis=1)
+        np.testing.assert_array_equal(stattests._WINDOW_PAIRS[tau - 1], want)
 
 
 def test_battery_fails_a_flagged_lag_whose_p_value_passes():
