@@ -29,7 +29,7 @@ _NAMES = {
     ),
     "extractor": (
         "BinaryMatrix ExtractedStream concat_streams extract extract_frames "
-        "frame_to_bits generate_matrix load_matrix save_matrix"
+        "frame_to_bits generate_matrix"
     ),
     "ingest": (
         "FrameFileHeader load_sensor_config read_frames read_pgm read_raw "

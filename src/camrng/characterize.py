@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -223,13 +224,13 @@ class PhotonTransferCurve:
 
     Attributes:
         fitted_zeta: slope of the fit, in codes per electron.
-        fit_residual: relative RMS of variance residuals; inf when a
+        fit_residual: relative RMS of variance residuals; None when a
             point's variance is 0 (a saturated or constant stack), which
             has no relative residual.
     """
 
     fitted_zeta: float
-    fit_residual: float
+    fit_residual: float | None
 
 
 def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTransferCurve:
@@ -258,7 +259,7 @@ def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTrans
     slope, intercept = np.polyfit(means, variances, 1)
     predicted = slope * means + intercept
     if np.any(variances == 0):
-        fit_residual = float("inf")
+        fit_residual = None
     else:
         fit_residual = float(np.sqrt(np.mean(((predicted - variances) / variances) ** 2)))
     if slope <= 0:
@@ -352,7 +353,10 @@ class PixelMask:
         flags = np.ones((height, width), dtype=bool)
         reasons = {}
         for key, reason in flagged.items():
-            y, x = (int(v) for v in key.split(","))
+            pixel = re.fullmatch(r"([0-9]+),([0-9]+)", key)
+            if pixel is None:
+                raise ValueError(f"pixel mask key {key!r} is not row,col in decimal digits")
+            y, x = (int(v) for v in pixel.groups())
             if not (0 <= y < flags.shape[0] and 0 <= x < flags.shape[1]):
                 raise ValueError(
                     f"pixel mask key {key!r} lies outside its "
@@ -464,8 +468,8 @@ def simulate_stacks(
 def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     """Run `camrng characterize` on one stack; return its `--json` record.
 
-    out_dir is created once every frame is read; from 10 frames on, the
-    pixel mask goes to out_dir/mask.json.
+    out_dir is created once every frame is read; the pixel mask goes to
+    out_dir/mask.json, or why build_pixel_mask refused it to mask_error.
     """
     stats = pixel_stats(read_frames(paths))
     os.makedirs(out_dir, exist_ok=True)
@@ -481,13 +485,14 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
         record["fano"] = fano_factor(point, config).to_dict()
     except ValueError as exc:
         record["fano"], record["fano_error"] = None, str(exc)
-    if stats.n_frames >= 10:
+    try:
         mask = build_pixel_mask(stats, config)
+    except ValueError as exc:
+        record["mask"], record["mask_error"] = None, str(exc)
+    else:
         mask_path = os.path.join(out_dir, "mask.json")
         write_json(mask_path, mask.to_dict())
         record["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
-    else:
-        record["mask"], record["mask_error"] = None, "pixel mask needs >= 10 frames"
     return record
 
 
@@ -523,8 +528,7 @@ def characterize_sweep(
         "command": "characterize",
         "config": config.to_dict(),
         "fitted_zeta": ptc.fitted_zeta,
-        # A point of zero variance leaves the relative residual infinite.
-        "fit_residual": ptc.fit_residual if np.isfinite(ptc.fit_residual) else None,
+        "fit_residual": ptc.fit_residual,
         "operating_region": list(region) if region else None,
         "fano_tolerance": tolerance,
         "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],

@@ -74,8 +74,6 @@ from .extractor import (
     MAX_BLOCK_BITS,
     extract_frames,
     generate_matrix,
-    load_matrix,
-    save_matrix,
 )
 from .ingest import (
     FramePathError,
@@ -201,7 +199,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             f"fano factor = {fano['fano']:.4f}" if fano
             else f"fano factor unavailable: {report['fano_error']}",
             f"pixel mask: {mask['path']} ({mask['n_flagged']} flagged)" if mask
-            else "pixel mask skipped (needs >= 10 frames)",
+            else report["mask_error"],
         ]
     report_path = os.path.join(args.out, "report.json")
     write_json(report_path, report)
@@ -285,17 +283,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         if not mask.flags.any():
             raise ValueError("pixel mask excludes every pixel")
 
-    if args.matrix:
-        matrix = load_matrix(args.matrix)
-        if args.l is not None and args.l != matrix.l:
-            raise UsageError(f"--l {args.l} != loaded matrix l={matrix.l}")
-        if args.k is not None and args.k != matrix.k:
-            raise UsageError(f"--k {args.k} != loaded matrix k={matrix.k}")
-    else:
-        l, k = args.l or DEFAULT_L, args.k or DEFAULT_K
-        if not k < l <= MAX_BLOCK_BITS:
-            raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={k} l={l}")
-        matrix = generate_matrix(args.matrix_seed, k, l)
+    if not args.k < args.l <= MAX_BLOCK_BITS:
+        raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={args.k} l={args.l}")
+    matrix = generate_matrix(args.matrix_seed, args.k, args.l)
 
     # Output goes to a temp file next to --out, which is renamed to
     # --out only once the output is certified or forced: a refused run
@@ -307,8 +297,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
             )
         if refusal is not None and not args.force:
             raise UsageError(refusal)
-        if args.save_matrix:
-            save_matrix(matrix, args.save_matrix)
         os.replace(tmp_path, args.out)
 
     summary["out"] = args.out
@@ -413,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "simulate", parents=[common], help="simulate sensor frames to files"
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # Flags are read only in full: no prefix stands for a longer flag.
+        return sub.add_parser(name, parents=[common], help=summary, allow_abbrev=False)
+
+    p = command("simulate", "simulate sensor frames to files")
     _add_sensor_and_out(p, "output directory")
     intensity = p.add_mutually_exclusive_group(required=True)
     intensity.add_argument("--nbar", type=_NBAR, help="mean absorbed photons per pixel")
@@ -435,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "characterize", parents=[common], help="gain, Fano, mask from frames"
-    )
+    p = command("characterize", "gain, Fano, mask from frames")
     _add_sensor_and_out(p, "report directory")
     p.add_argument(
         "inputs", nargs="*", metavar="FRAME",
@@ -453,16 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser(
-        "entropy", parents=[common], help="per-sample quantum entropy report"
-    )
+    p = command("entropy", "per-sample quantum entropy report")
     p.add_argument("--nbar", type=_NBAR, required=True)
     p.add_argument("--bits", type=_BIT_DEPTH, required=True, help="ADC bit depth")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser(
-        "plan", parents=[common], help="extractor sizing from the security bound"
-    )
+    p = command("plan", "extractor sizing from the security bound")
     p.add_argument(
         "--s", type=_number(float, "in (0, 1]", lambda v: 0 < v <= 1),
         help="entropy per raw bit (0, 1]",
@@ -477,23 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser(
-        "extract", parents=[common], help="frames -> extractor -> byte stream"
-    )
+    p = command("extract", "frames -> extractor -> byte stream")
     _add_sensor_and_out(p, "output byte stream file")
     p.add_argument(
         "inputs", nargs="*", metavar="FRAME",
         help=".pgm files or .raw files with sidecars",
     )
-    p.add_argument("--l", type=_COUNT, help=f"block bits (default {DEFAULT_L})")
-    p.add_argument("--k", type=_COUNT, help=f"output bits (default {DEFAULT_K})")
-    matrix = p.add_mutually_exclusive_group()
-    matrix.add_argument(
+    p.add_argument(
+        "--l", type=_COUNT, default=DEFAULT_L, help=f"block bits (default {DEFAULT_L})"
+    )
+    p.add_argument(
+        "--k", type=_COUNT, default=DEFAULT_K, help=f"output bits (default {DEFAULT_K})"
+    )
+    p.add_argument(
         "--matrix-seed", type=_hex_seed, default=DEFAULT_MATRIX_SEED,
         metavar="HEX64", help="32-byte matrix seed in hex",
     )
-    matrix.add_argument("--matrix", metavar="FILE", help="load matrix instead of seeding")
-    p.add_argument("--save-matrix", metavar="FILE", help="persist the matrix used")
     p.add_argument("--mask", metavar="JSON", help="pixel mask to apply")
     p.add_argument(
         "--force", action="store_true",
@@ -501,9 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser(
-        "test", parents=[common], help="native battery over a byte stream file"
-    )
+    p = command("test", "native battery over a byte stream file")
     p.add_argument("input", metavar="FILE", help="byte stream (MSB-first bits)")
     p.add_argument(
         "--bits", type=_COUNT, default=None,

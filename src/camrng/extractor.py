@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ from .characterize import PixelMask, PixelStats
 from .entropy import entropy_report, epsilon_bound
 from .sensor import Frame, SensorConfig
 
-MATRIX_MAGIC = b"QRNGM1"
 MAX_BLOCK_BITS = 1 << 20
 
 # Default dimensions: 2000 raw bits in, 500 extracted bits out.
@@ -99,10 +97,6 @@ class BinaryMatrix:
     seed: bytes
     digest: str
     _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def _payload_bytes(self) -> bytes:
-        # Canonical serialization: rows in order, words little-endian.
-        return self.rows.astype("<u8").tobytes()
 
     def _byte_tables(self, lo: int, hi: int) -> np.ndarray:
         """Parity tables for input byte positions lo .. hi-1.
@@ -184,49 +178,6 @@ def generate_matrix(seed: bytes, k: int, l: int) -> BinaryMatrix:
     rows = row_bytes.view("<u8").astype(np.uint64)
 
     digest = hashlib.sha256(rows.astype("<u8").tobytes()).hexdigest()
-    return BinaryMatrix(k=k, l=l, rows=rows, seed=seed, digest=digest)
-
-
-def save_matrix(matrix: BinaryMatrix, path: str) -> None:
-    """Write a matrix file: magic, k, l, seed, digest, packed rows.
-
-    Layout: 6-byte magic "QRNGM1", u32 k, u32 l (little-endian), 32-byte
-    seed, 32-byte SHA-256 of the payload, then k rows of ceil(l/64)
-    little-endian uint64 words each.
-    """
-    payload = matrix._payload_bytes()
-    header = (
-        MATRIX_MAGIC
-        + struct.pack("<II", matrix.k, matrix.l)
-        + matrix.seed
-        + bytes.fromhex(matrix.digest)
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def load_matrix(path: str) -> BinaryMatrix:
-    """Read a matrix file written by save_matrix, verifying its digest."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    hdr_len = len(MATRIX_MAGIC) + 8 + 32 + 32
-    if len(data) < hdr_len or not data.startswith(MATRIX_MAGIC):
-        raise ValueError(f"{path}: not a matrix file (bad magic or truncated)")
-    k, l = struct.unpack_from("<II", data, len(MATRIX_MAGIC))
-    seed = data[len(MATRIX_MAGIC) + 8 : len(MATRIX_MAGIC) + 40]
-    digest = data[len(MATRIX_MAGIC) + 40 : hdr_len].hex()
-    payload = data[hdr_len:]
-    w = (l + 63) // 64
-    if not 0 < k < l <= MAX_BLOCK_BITS:
-        raise ValueError(f"{path}: invalid dimensions k={k}, l={l}")
-    if len(payload) != k * w * 8:
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, expected {k * w * 8}"
-        )
-    if hashlib.sha256(payload).hexdigest() != digest:
-        raise ValueError(f"{path}: payload digest mismatch (corrupt file)")
-    rows = np.frombuffer(payload, dtype="<u8").reshape(k, w).astype(np.uint64)
     return BinaryMatrix(k=k, l=l, rows=rows, seed=seed, digest=digest)
 
 
@@ -519,4 +470,5 @@ def extract_frames(
         # An uncertified output is kept only when the caller forces it.
         "forced": log2_eps is None,
         "matrix_digest": matrix.digest,
+        "matrix_seed": matrix.seed.hex(),
     }, refusal

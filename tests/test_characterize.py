@@ -1,7 +1,7 @@
 import csv
 import itertools
-import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -195,7 +195,7 @@ def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ptc = estimate_zeta(stacks)
-    assert ptc.fit_residual == math.inf
+    assert ptc.fit_residual is None
     assert ptc.fitted_zeta > 0
 
 
@@ -300,6 +300,19 @@ def test_pixel_mask_json_round_trip():
     assert np.array_equal(again.flags, flags)
     assert again.reasons == {(0, 1): "hot"}
     assert again.n_flagged == 1
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["0_1,0", " 1,1", "+1,0", "1,1 ", "1", "1,0,1", "-0,1", ""],
+    ids=["underscore", "leading-space", "plus", "trailing-space", "one-part",
+         "three-parts", "minus", "empty"],
+)
+def test_pixel_mask_from_dict_refuses_keys_to_dict_never_writes(key):
+    doc = {"width": 2, "height": 2, "flagged": {key: "hot"}}
+    message = re.escape(f"pixel mask key {key!r} is not row,col")
+    with pytest.raises(ValueError, match=message):
+        PixelMask.from_dict(doc)
 
 
 def test_fano_curve_csv(tmp_path):

@@ -1,10 +1,14 @@
+import argparse
 import contextlib
 import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from camrng.characterize import (
     characterize_sweep,
     simulate_stacks,
 )
-from camrng.cli import main
+from camrng.cli import build_parser, main
 from camrng.extractor import (
     DEFAULT_MATRIX_SEED,
     BinaryMatrix,
@@ -29,7 +33,6 @@ from camrng.extractor import (
     extract,
     frame_to_bits,
     generate_matrix,
-    load_matrix,
 )
 from camrng.ingest import (
     dumps,
@@ -532,59 +535,21 @@ def test_extract_force_overrides_margin(tmp_path, capsys):
     assert out.exists()
 
 
-def test_extract_matrix_save_and_reuse(tmp_path, capsys):
-    frames = _simulate_small(tmp_path, n_frames=2)
-    mat_path = tmp_path / "m.qm"
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    assert run(
-        "extract", "--preset", "nokia-n9", *frames, "--l", "300", "--k", "60",
-        "--out", a, "--save-matrix", mat_path,
-    ) == 0
-    assert load_matrix(mat_path).l == 300
-    assert run(
-        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
-        "--out", b,
-    ) == 0
-    assert sha(a) == sha(b)
-    # declared geometry must match a loaded matrix
-    rc = run(
-        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
-        "--l", "301", "--out", tmp_path / "c.bin",
-    )
-    assert rc == 2
-    capsys.readouterr()
-
-
-def test_extract_matrix_seed_seeds_the_matrix_it_saves(tmp_path):
-    frames = _simulate_small(tmp_path, n_frames=2)
+def test_extract_record_names_the_matrix_seed_that_rebuilds_its_matrix(tmp_path, capsys):
+    frames = _simulate_small(tmp_path, n_frames=2, capsys=capsys)
     seed_hex = "a5" * 16 + "3c" * 16
-    seed = bytes.fromhex(seed_hex)
-    mat_path, out, default = tmp_path / "m.qm", tmp_path / "a.bin", tmp_path / "d.bin"
+    out, default = tmp_path / "a.bin", tmp_path / "d.bin"
     geometry = ("--l", "300", "--k", "60")
     assert run("extract", "--preset", "nokia-n9", *frames, *geometry,
-               "--matrix-seed", seed_hex, "--save-matrix", mat_path, "--out", out) == 0
-    assert load_matrix(mat_path).seed == seed
+               "--matrix-seed", seed_hex, "--out", out, "--json") == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["matrix_seed"] == seed_hex
+    matrix = generate_matrix(bytes.fromhex(record["matrix_seed"]), 60, 300)
+    assert matrix.digest == record["matrix_digest"]
     raw = concat_streams(frame_to_bits(read_pgm(f)) for f in frames)
-    want = extract(raw, generate_matrix(seed, 60, 300)).bits
-    assert out.read_bytes() == b"".join(want.msb_chunks())
+    assert out.read_bytes() == b"".join(extract(raw, matrix).bits.msb_chunks())
     assert run("extract", "--preset", "nokia-n9", *frames, *geometry, "--out", default) == 0
     assert default.read_bytes() != out.read_bytes()
-
-
-@pytest.mark.parametrize("flag,value", [("--l", 300), ("--k", 60)])
-def test_extract_matrix_reuse_with_one_matching_dimension(tmp_path, flag, value):
-    frames = _simulate_small(tmp_path, n_frames=2)
-    mat_path = tmp_path / "m.qm"
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    assert run(
-        "extract", "--preset", "nokia-n9", *frames, "--l", "300", "--k", "60",
-        "--out", a, "--save-matrix", mat_path,
-    ) == 0
-    assert run(
-        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
-        flag, value, "--out", b,
-    ) == 0
-    assert sha(a) == sha(b)
 
 
 def test_extract_masked_matches_matmul_oracle(tmp_path, capsys):
@@ -960,6 +925,18 @@ def test_characterize_stack_report(tmp_path, capsys):
     assert (out / "mask.json").exists()
 
 
+def test_characterize_stack_of_3_frames_says_why_it_has_no_mask(tmp_path, capsys):
+    frames = _simulate_small(tmp_path, n_frames=3, capsys=capsys)
+    why = "pixel mask needs >= 10 frames of statistics, got 3"
+    out = tmp_path / "char"
+    assert run("characterize", "--preset", "nokia-n9", *frames, "--out", out, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mask"] is None and doc["mask_error"] == why
+    assert not (out / "mask.json").exists()
+    assert run("characterize", "--preset", "nokia-n9", *frames, "--out", out) == 0
+    assert why in capsys.readouterr().out.splitlines()
+
+
 def test_characterize_identical_frames_reports_cleanly(tmp_path, capsys):
     frames = _simulate_small(tmp_path, n_frames=2, capsys=capsys)
     dup = tmp_path / "dup.pgm"
@@ -1211,7 +1188,9 @@ def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
         (("extract", "--preset", "nokia-n9", "f.pgm", "--l", "100", "--k", "100",
           "--out", "o.bin"), "need k < l"),
         (("extract", "--preset", "nokia-n9", "f.pgm", "--matrix", "m.qm",
-          "--matrix-seed", "00" * 32, "--out", "o.bin"), "not allowed with argument"),
+          "--out", "o.bin"), "unrecognized arguments: --matrix"),
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--save-matrix", "m.qm",
+          "--out", "o.bin"), "unrecognized arguments: --save-matrix"),
     ],
 )
 def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
@@ -1254,6 +1233,12 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ("mask.json", {"width": 8, "height": 8}, ("extract", "f.pgm", "--mask", "mask.json")),
         ("mask.json", {"width": 4, "height": 4, "flagged": {"1,1": "ok"}},
          ("extract", "f.pgm", "--mask", "mask.json")),
+        # int() reads the first three as pixels (1, 0), (3, 3) and (1, 2).
+        *(
+            ("mask.json", {"width": 4, "height": 4, "flagged": {key: "hot"}},
+             ("extract", "f.pgm", "--mask", "mask.json"))
+            for key in ("0_1,0", " 3,3", "+1,2", "3", "1,2,3")
+        ),
         *(
             ("m.json", {"stacks": [{"files": ["f.pgm"], "n_bar": n_bar}]},
              ("characterize", "--manifest", "m.json"))
@@ -1269,7 +1254,8 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
          "mask-too-large", "mask-not-json", "mask-an-array", "mask-no-flagged",
-         "mask-bad-reason",
+         "mask-bad-reason", "mask-key-underscore", "mask-key-space", "mask-key-plus",
+         "mask-key-one-part", "mask-key-three-parts",
          "manifest-n-bar-bool", "manifest-n-bar-nan",
          "manifest-n-bar-negative", "manifest-files-a-string",
          "manifest-files-empty"],
@@ -1287,21 +1273,6 @@ def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     assert err.startswith(f"error: {name}: ") and "Traceback" not in err
     # nothing is written: no fano.csv or report.json, no extract output
     assert not (tmp_path / "out").is_file() and not list((tmp_path / "out").glob("*"))
-
-
-def test_extract_rejects_k_that_differs_from_matrix_file(tmp_path, capsys):
-    frames = _simulate_small(tmp_path, n_frames=2)
-    mat_path = tmp_path / "m.qm"
-    assert run(
-        "extract", "--preset", "nokia-n9", *frames, "--l", "300", "--k", "60",
-        "--out", tmp_path / "a.bin", "--save-matrix", mat_path,
-    ) == 0
-    rc = run(
-        "extract", "--preset", "nokia-n9", *frames, "--matrix", mat_path,
-        "--k", "61", "--out", tmp_path / "b.bin",
-    )
-    assert rc == 2
-    assert "--k 61" in capsys.readouterr().err
 
 
 def test_zero_threads_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
@@ -1619,7 +1590,7 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
     if existing:
         out.write_bytes(b"an earlier run")
     rc = run("extract", "--preset", preset, *paths, *extra, "--l", "200", "--k", k,
-             "--out", out, "--save-matrix", out_dir / "m.qm")
+             "--out", out)
     assert rc == exit_code
     err = capsys.readouterr().err
     if case == "one_frame":
@@ -1630,3 +1601,30 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
     assert sorted(p.name for p in out_dir.iterdir()) == (["random.bin"] if existing else [])
     if existing:
         assert out.read_bytes() == b"an earlier run"
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_flags_are_the_parsers():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option for sub in subparsers.choices.values()
+        for action in sub._actions for option in action.option_strings
+    }
+    # pip's and pytest's flags, in the install and test commands
+    options |= {"--no-build-isolation", "--continue-on-collection-errors"}
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+    assert flags and flags <= options, sorted(flags - options)
+
+
+def test_readme_camrng_commands_parse():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("camrng ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -14,8 +14,6 @@ from camrng.extractor import (
     extract,
     frame_to_bits,
     generate_matrix,
-    load_matrix,
-    save_matrix,
 )
 from camrng.sensor import Frame
 from camrng.characterize import PixelMask
@@ -240,45 +238,6 @@ def test_extract_empty_stream():
     assert got.blocks_processed == 0
     assert got.bits.n_bits == 0
     assert got.residual_bits_discarded == 9
-
-
-def test_save_load_round_trip(tmp_path):
-    mat = generate_matrix(b"\x0d" * 32, k=19, l=131)
-    path = tmp_path / "m.qm"
-    save_matrix(mat, path)
-    again = load_matrix(path)
-    assert again.k == 19 and again.l == 131
-    assert again.digest == mat.digest
-    assert np.array_equal(again.rows, mat.rows)
-    assert again.seed == mat.seed
-
-
-def test_load_detects_corruption(tmp_path):
-    mat = generate_matrix(b"\x0e" * 32, k=5, l=40)
-    path = tmp_path / "m.qm"
-    save_matrix(mat, path)
-    blob = bytearray(path.read_bytes())
-    blob[-1] ^= 0x01  # flip one payload bit
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="digest"):
-        load_matrix(path)
-
-
-def test_load_rejects_bad_magic_and_truncation(tmp_path):
-    mat = generate_matrix(b"\x0f" * 32, k=5, l=40)
-    path = tmp_path / "m.qm"
-    save_matrix(mat, path)
-    blob = path.read_bytes()
-
-    bad = tmp_path / "bad.qm"
-    bad.write_bytes(b"XXXXXX" + blob[6:])
-    with pytest.raises(ValueError):
-        load_matrix(bad)
-
-    short = tmp_path / "short.qm"
-    short.write_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        load_matrix(short)
 
 
 def test_frame_to_bits_lsb_first():
