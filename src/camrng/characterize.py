@@ -22,7 +22,7 @@ import csv
 import os
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,7 +42,8 @@ DEFAULT_FANO_TOLERANCE = 0.15
 
 # build_pixel_mask thresholds: a pixel is dead at zero temporal variance
 # or below this fraction of the median, and stuck/hot within this many
-# codes of code 0 or the full-well code.
+# codes of code 0 or the full-well code.  PixelMask.state codes a
+# flagged pixel's reason as its index here plus 1.
 _DEAD_VARIANCE_FRACTION = 0.25
 _RAIL_MARGIN_CODES = 1.0
 _MASK_REASONS = ("dead", "stuck", "hot")
@@ -305,34 +306,42 @@ def find_operating_region(
 
 @dataclass
 class PixelMask:
-    """Per-pixel usability flags with reasons for exclusions.
+    """Per-pixel usability, one state code per pixel.
 
     Attributes:
-        flags: (height, width) bool array, True = usable.
-        reasons: {(row, col): "dead" | "stuck" | "hot"} for every
-            flagged (unusable) pixel.
+        state: (height, width) uint8 array; 0 = usable, and code i + 1
+            flags a pixel for reason _MASK_REASONS[i] (dead, stuck, hot).
     """
 
-    flags: np.ndarray
-    reasons: dict = field(default_factory=dict)
+    state: np.ndarray
+
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """(height, width) bool array, True = usable."""
+        return self.state == 0
 
     @property
     def width(self) -> int:
-        return self.flags.shape[1]
+        return self.state.shape[1]
 
     @property
     def height(self) -> int:
-        return self.flags.shape[0]
+        return self.state.shape[0]
 
     @property
     def n_flagged(self) -> int:
-        return int((~self.flags).sum())
+        return int(np.count_nonzero(self.state))
 
     def to_dict(self) -> dict:
+        ys, xs = np.nonzero(self.state)  # row-major order
+        codes = self.state[ys, xs]
         return {
             "width": self.width,
             "height": self.height,
-            "flagged": {f"{y},{x}": r for (y, x), r in sorted(self.reasons.items())},
+            "flagged": {
+                f"{y},{x}": _MASK_REASONS[c - 1]
+                for y, x, c in zip(ys.tolist(), xs.tolist(), codes.tolist())
+            },
         }
 
     @classmethod
@@ -350,26 +359,23 @@ class PixelMask:
         flagged = doc.get("flagged")
         if not isinstance(flagged, dict):
             raise ValueError("pixel mask needs a flagged object")
-        flags = np.ones((height, width), dtype=bool)
-        reasons = {}
+        state = np.zeros((height, width), dtype=np.uint8)
         for key, reason in flagged.items():
             pixel = re.fullmatch(r"([0-9]+),([0-9]+)", key)
             if pixel is None:
                 raise ValueError(f"pixel mask key {key!r} is not row,col in decimal digits")
             y, x = (int(v) for v in pixel.groups())
-            if not (0 <= y < flags.shape[0] and 0 <= x < flags.shape[1]):
+            if not (y < height and x < width):
                 raise ValueError(
-                    f"pixel mask key {key!r} lies outside its "
-                    f"{flags.shape[1]}x{flags.shape[0]} geometry"
+                    f"pixel mask key {key!r} lies outside its {width}x{height} geometry"
                 )
             if reason not in _MASK_REASONS:
                 raise ValueError(
                     f"pixel mask reason {reason!r} at {key!r} is not one of "
                     f"{', '.join(_MASK_REASONS)}"
                 )
-            flags[y, x] = False
-            reasons[(y, x)] = reason
-        return cls(flags=flags, reasons=reasons)
+            state[y, x] = _MASK_REASONS.index(reason) + 1
+        return cls(state=state)
 
 
 def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
@@ -378,14 +384,15 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     A pixel is flagged when its temporal variance is zero or falls below
     0.25x the median variance (dead: it does not respond), or its mean
     sits within one code of a clamp (stuck at 0, hot at the full-well
-    code, where clamping removes the noise).
+    code, where clamping removes the noise).  A pixel that meets more
+    than one condition takes the first of hot, stuck, dead.
 
     Args:
         stats: per-pixel moments from >= 10 uniformly lit frames.
         config: supplies the full-well code.
 
     Returns:
-        PixelMask with reasons for every flagged pixel.
+        PixelMask whose state gives the reason for every flagged pixel.
     """
     if stats.n_frames < 10:
         raise ValueError(
@@ -397,18 +404,8 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     dead = (variance == 0) | (variance < _DEAD_VARIANCE_FRACTION * median)
     stuck = mean <= _RAIL_MARGIN_CODES
     hot = mean >= config.full_well_code - _RAIL_MARGIN_CODES
-
-    flags = ~(dead | stuck | hot)
-    reasons = {}
-    for y, x in np.argwhere(~flags):
-        y, x = int(y), int(x)
-        if hot[y, x]:
-            reasons[(y, x)] = "hot"
-        elif stuck[y, x]:
-            reasons[(y, x)] = "stuck"
-        else:
-            reasons[(y, x)] = "dead"
-    return PixelMask(flags=flags, reasons=reasons)
+    state = np.select([hot, stuck, dead], [3, 2, 1], 0).astype(np.uint8)
+    return PixelMask(state=state)
 
 
 def fano_curve_to_csv(

@@ -43,9 +43,11 @@ _CONFIG_KEYS = ("name", "zeta", "sigma_t_electrons", "offset_electrons",
 
 
 def worker_count() -> int:
-    """Worker cap: QRNG_THREADS if set, else hardware parallelism."""
+    """Worker cap: QRNG_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("QRNG_THREADS", "").strip()
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"QRNG_THREADS must be an integer >= 1, got {env!r}")

@@ -96,7 +96,6 @@ class _Counts(NamedTuple):
 
     n: int  # bits
     ones: int
-    n_blocks: int  # full blocks
     block_sq: int  # sum over full blocks of (2 * ones - BLOCK_SIZE)^2, exact
     pairs: list[int]  # (1,1) pairs at lags 1..MAX_LAG
     head: np.ndarray  # the first min(n, MAX_LAG) bits, 0/1
@@ -135,7 +134,6 @@ class _Fold:
         self.ones = 0
         self.pairs = [0] * MAX_LAG
         self.head = None  # the stream's first window
-        self.n_blocks = 0
         self.block_sq = 0
         # ones per word of a pass, after those of a block's first word
         # when the last pass ended on it
@@ -204,7 +202,6 @@ class _Fold:
         # a block's ones, at most 128, fit in the uint8 sum
         excess = 2 * (paired[: 2 * half : 2] + paired[1 : 2 * half : 2]).astype(np.int64)
         excess -= BLOCK_SIZE
-        self.n_blocks += half
         self.block_sq += int(np.dot(excess, excess))
         if paired.size % 2:
             self.word_ones[0] = paired[-1]
@@ -252,7 +249,6 @@ class _Fold:
         return _Counts(
             n=n,
             ones=self.ones,
-            n_blocks=self.n_blocks,
             block_sq=self.block_sq,
             pairs=pairs,
             head=_msb_bits(self.head)[: min(n, MAX_LAG)],
@@ -295,7 +291,7 @@ def _block_frequency(c: _Counts) -> TestOutcome:
     # exact integer sum
     chi2 = c.block_sq / BLOCK_SIZE
     return TestOutcome(
-        statistic=chi2, p_value=float(gammaincc(c.n_blocks / 2.0, chi2 / 2.0))
+        statistic=chi2, p_value=float(gammaincc(c.n // BLOCK_SIZE / 2.0, chi2 / 2.0))
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import os
 import re
@@ -21,7 +22,7 @@ from camrng.characterize import (
     pixel_stats,
     simulate_stacks,
 )
-from camrng.ingest import read_frames
+from camrng.ingest import read_frames, write_json
 from camrng.sensor import Frame, SensorConfig, get_preset, predicted_fano, simulate_stack
 
 NOKIA = get_preset("nokia-n9")
@@ -265,9 +266,8 @@ def test_build_pixel_mask_classifies():
     base[:, 2, 2] = 100        # constant mid-range -> dead (zero variance)
     stack = [frame_of(base[i], bit_depth=10) for i in range(12)]
     mask = build_pixel_mask(pixel_stats(stack), cfg)
-    assert mask.reasons[(0, 0)] == "stuck"
-    assert mask.reasons[(1, 1)] == "hot"
-    assert mask.reasons[(2, 2)] == "dead"
+    assert mask.to_dict()["flagged"] == {"0,0": "stuck", "1,1": "hot", "2,2": "dead"}
+    assert mask.state[0, 0] == 2 and mask.state[1, 1] == 3 and mask.state[2, 2] == 1
     assert not mask.flags[0, 0] and not mask.flags[1, 1] and not mask.flags[2, 2]
     assert mask.flags.sum() == 16 - 3
     assert mask.n_flagged == 3
@@ -277,14 +277,14 @@ def test_build_pixel_mask_classifies():
     lit = rng.integers(700, 801, size=(12, 4, 4)).astype(np.uint16)
     lit[:, 3, 3] = NOKIA.full_well_code
     mask = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
-    assert mask.reasons == {(3, 3): "hot"}
+    assert mask.to_dict()["flagged"] == {"3,3": "hot"}
 
     # a stack where no pixel responds has median variance 0, and every
     # pixel is still dead
     flat = [frame_of(np.full((8, 8), 779)) for _ in range(10)]
     mask = build_pixel_mask(pixel_stats(flat), NOKIA)
     assert mask.n_flagged == 64
-    assert set(mask.reasons.values()) == {"dead"}
+    assert (mask.state == 1).all()
 
 
 def test_build_pixel_mask_needs_frames():
@@ -294,12 +294,91 @@ def test_build_pixel_mask_needs_frames():
 
 
 def test_pixel_mask_json_round_trip():
-    flags = np.array([[True, False], [True, True]])
-    mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
+    state = np.array([[0, 3], [0, 0]], dtype=np.uint8)
+    mask = PixelMask(state=state)
+    assert mask.to_dict()["flagged"] == {"0,1": "hot"}
     again = PixelMask.from_dict(mask.to_dict())
-    assert np.array_equal(again.flags, flags)
-    assert again.reasons == {(0, 1): "hot"}
+    assert np.array_equal(again.state, state)
+    assert np.array_equal(again.flags, [[True, False], [True, True]])
     assert again.n_flagged == 1
+
+
+def looped_pixel_mask(stats: PixelStats, config: SensorConfig) -> dict:
+    """The per-pixel classifier build_pixel_mask replaced, kept as its oracle.
+
+    Returns mask.json's flagged object, in the order it was written.
+    """
+    mean, variance = stats.mean, stats.variance
+    median = float(np.median(variance))
+    dead = (variance == 0) | (variance < 0.25 * median)
+    stuck = mean <= 1.0
+    hot = mean >= config.full_well_code - 1.0
+    reasons = {}
+    for y, x in np.argwhere(dead | stuck | hot):
+        y, x = int(y), int(x)
+        if hot[y, x]:
+            reasons[(y, x)] = "hot"
+        elif stuck[y, x]:
+            reasons[(y, x)] = "stuck"
+        else:
+            reasons[(y, x)] = "dead"
+    return {f"{y},{x}": r for (y, x), r in sorted(reasons.items())}
+
+
+def overlapping_stack(seed: int, height: int = 24, width: int = 31) -> list[Frame]:
+    """12 nokia-n9 frames whose pixels meet none, one or several mask conditions.
+
+    Each pixel is drawn from: noisy mid-range (usable), constant at 0
+    (stuck and dead), constant at the full-well code (hot and dead),
+    noisy next to 0 or the full-well code (stuck or hot, noise kept),
+    constant mid-range (dead), and nearly constant (dead by the median
+    fraction).
+    """
+    rng = np.random.default_rng(seed)
+    well = NOKIA.full_well_code
+    kind = rng.integers(0, 7, size=(height, width))
+    noisy = rng.integers(300, 601, size=(12, height, width))
+    near_zero = rng.integers(0, 3, size=(12, height, width))
+    near_well = well - rng.integers(0, 3, size=(12, height, width))
+    quiet = 500 + (rng.random((12, height, width)) < 0.05)
+    codes = np.select(
+        [kind == 1, kind == 2, kind == 3, kind == 4, kind == 5, kind == 6],
+        [0, well, near_zero, near_well, 450, quiet],
+        noisy,
+    )
+    return [frame_of(c) for c in codes]
+
+
+def constant_stack(code: int) -> list[Frame]:
+    """10 frames of one code: every pixel dead, and stuck or hot on a clamp."""
+    return [frame_of(np.full((5, 7), code)) for _ in range(10)]
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [*(overlapping_stack(seed) for seed in range(6)),
+     constant_stack(0), constant_stack(NOKIA.full_well_code), constant_stack(1023)],
+    ids=[*(f"overlapping-{seed}" for seed in range(6)),
+         "constant-zero", "constant-well", "constant-adc-rail"],
+)
+def test_build_pixel_mask_equals_the_per_pixel_loop(stack):
+    stats = pixel_stats(stack)
+    mask = build_pixel_mask(stats, NOKIA)
+    want = looped_pixel_mask(stats, NOKIA)
+    assert list(mask.to_dict()["flagged"].items()) == list(want.items())
+    assert mask.n_flagged == len(want)
+    again = PixelMask.from_dict(mask.to_dict())
+    assert np.array_equal(again.state, mask.state)
+    assert np.array_equal(again.flags, mask.flags)
+
+
+def test_mask_json_of_an_overlapping_stack_matches_frozen_digest(tmp_path):
+    doc = build_pixel_mask(pixel_stats(overlapping_stack(0)), NOKIA).to_dict()
+    assert set(doc["flagged"].values()) == {"dead", "stuck", "hot"}
+    path = tmp_path / "mask.json"
+    write_json(str(path), doc)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7859aaa59cdc56aa0d5aa4dbaddee88067ef17a5ccd7fb32370e513b710a6c14"
 
 
 @pytest.mark.parametrize(

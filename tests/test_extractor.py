@@ -259,13 +259,12 @@ def test_frame_to_bits_row_major_order():
 def test_frame_to_bits_mask():
     codes = np.array([[1, 7], [5, 2]], dtype=np.uint16)
     frame = Frame(codes, bit_depth=3)
-    flags = np.array([[True, False], [True, True]])
-    mask = PixelMask(flags=flags, reasons={(0, 1): "hot"})
+    mask = PixelMask(state=np.array([[0, 3], [0, 0]], dtype=np.uint8))
     got = as01(frame_to_bits(frame, mask)).reshape(3, 3)
     want = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # codes 1, 5, 2
     assert np.array_equal(got, want)
     with pytest.raises(ValueError):
-        frame_to_bits(frame, PixelMask(flags=np.ones((3, 3), bool), reasons={}))
+        frame_to_bits(frame, PixelMask(state=np.zeros((3, 3), np.uint8)))
 
 
 def test_concat_streams_orders_frames():
@@ -294,5 +293,5 @@ def test_frame_to_bits_equals_unpacked_serializer(bit_depth):
         frame = Frame(codes, bit_depth)
         assert frame_to_bits(frame) == unpacked_frame_to_bits(frame)
         flags = rng.random((height, width)) < 0.8
-        mask = PixelMask(flags=flags, reasons={})
+        mask = PixelMask(state=(~flags).astype(np.uint8))
         assert frame_to_bits(frame, mask) == unpacked_frame_to_bits(frame, mask)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from camrng.sensor import (
     get_preset,
     simulate_frame,
     simulate_stack,
+    worker_count,
 )
 from camrng.ingest import load_sensor_config
 
@@ -230,6 +232,15 @@ def test_simulate_frame_worker_invariant():
     a = simulate_frame(ATIK, 900.0, 512, 300, seed=11, n_workers=1)
     b = simulate_frame(ATIK, 900.0, 512, 300, seed=11, n_workers=4)
     assert np.array_equal(a.codes, b.codes)
+
+
+def test_worker_count_defaults_to_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("QRNG_THREADS", raising=False)
+    default = simulate_frame(NOKIA, 410.0, 400, 300, seed=4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    pinned = simulate_frame(NOKIA, 410.0, 400, 300, seed=4)
+    assert pinned.codes.tobytes() == default.codes.tobytes()
 
 
 # Frozen sha256 of simulate_frame(...).codes.tobytes().  The determinism
