@@ -20,8 +20,8 @@ _NAMES = {
     "bitstream": "BitString export_stream",
     "characterize": (
         "FanoPoint PhotonTransferCurve PixelMask PixelStats build_pixel_mask "
-        "characterize_stack characterize_sweep estimate_zeta fano_curve_to_csv "
-        "fano_factor find_operating_region pixel_stats simulate_stacks"
+        "characterize_stack characterize_sweep estimate_zeta fano_factor "
+        "find_operating_region pixel_stats simulate_stacks"
     ),
     "entropy": (
         "EntropyReport ExtractorPlan entropy_report epsilon_bound "

@@ -18,9 +18,7 @@ sweep keeps only each stack's point.
 
 from __future__ import annotations
 
-import csv
 import os
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,25 +26,22 @@ from functools import cached_property
 import numpy as np
 
 from .ingest import (
-    json_number,
     read_frames,
     read_manifest,
     stack_files,
-    write_json,
     write_manifest,
+    write_pgm,
     write_stack,
 )
-from .sensor import _MAX_PIXELS, Frame, SensorConfig, predicted_fano, simulate_frame
+from .sensor import Frame, SensorConfig, predicted_fano, simulate_frame
 
 DEFAULT_FANO_TOLERANCE = 0.15
 
 # build_pixel_mask thresholds: a pixel is dead at zero temporal variance
 # or below this fraction of the median, and stuck/hot within this many
-# codes of code 0 or the full-well code.  PixelMask.state codes a
-# flagged pixel's reason as its index here plus 1.
+# codes of code 0 or the full-well code.
 _DEAD_VARIANCE_FRACTION = 0.25
 _RAIL_MARGIN_CODES = 1.0
-_MASK_REASONS = ("dead", "stuck", "hot")
 
 
 class PixelStats:
@@ -308,9 +303,11 @@ def find_operating_region(
 class PixelMask:
     """Per-pixel usability, one state code per pixel.
 
+    The state is a frame of bit depth 2, written and read as a PGM.
+
     Attributes:
-        state: (height, width) uint8 array; 0 = usable, and code i + 1
-            flags a pixel for reason _MASK_REASONS[i] (dead, stuck, hot).
+        state: (height, width) uint8 array; 0 = usable, and a flagged
+            pixel's reason is 1 dead, 2 stuck or 3 hot.
     """
 
     state: np.ndarray
@@ -331,51 +328,6 @@ class PixelMask:
     @property
     def n_flagged(self) -> int:
         return int(np.count_nonzero(self.state))
-
-    def to_dict(self) -> dict:
-        ys, xs = np.nonzero(self.state)  # row-major order
-        codes = self.state[ys, xs]
-        return {
-            "width": self.width,
-            "height": self.height,
-            "flagged": {
-                f"{y},{x}": _MASK_REASONS[c - 1]
-                for y, x, c in zip(ys.tolist(), xs.tolist(), codes.tolist())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PixelMask":
-        """Parse to_dict's form; a ValueError names what is missing or wrong."""
-        height, width = (
-            json_number(doc, key, "pixel mask", integer=True)
-            for key in ("height", "width")
-        )
-        if not (height > 0 and width > 0 and height * width <= _MAX_PIXELS):
-            raise ValueError(
-                f"pixel mask geometry {width}x{height} is not positive or exceeds "
-                f"the {_MAX_PIXELS}-pixel limit"
-            )
-        flagged = doc.get("flagged")
-        if not isinstance(flagged, dict):
-            raise ValueError("pixel mask needs a flagged object")
-        state = np.zeros((height, width), dtype=np.uint8)
-        for key, reason in flagged.items():
-            pixel = re.fullmatch(r"([0-9]+),([0-9]+)", key)
-            if pixel is None:
-                raise ValueError(f"pixel mask key {key!r} is not row,col in decimal digits")
-            y, x = (int(v) for v in pixel.groups())
-            if not (y < height and x < width):
-                raise ValueError(
-                    f"pixel mask key {key!r} lies outside its {width}x{height} geometry"
-                )
-            if reason not in _MASK_REASONS:
-                raise ValueError(
-                    f"pixel mask reason {reason!r} at {key!r} is not one of "
-                    f"{', '.join(_MASK_REASONS)}"
-                )
-            state[y, x] = _MASK_REASONS.index(reason) + 1
-        return cls(state=state)
 
 
 def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
@@ -406,19 +358,6 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     hot = mean >= config.full_well_code - _RAIL_MARGIN_CODES
     state = np.select([hot, stuck, dead], [3, 2, 1], 0).astype(np.uint8)
     return PixelMask(state=state)
-
-
-def fano_curve_to_csv(
-    fano_curve: list[tuple[float, FanoPoint]], path: str
-) -> None:
-    """Write a Fano sweep as CSV (n_bar, mean_code, variance_code, fano)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_bar", "mean_code", "variance_code", "fano"])
-        for nb, point in fano_curve:
-            writer.writerow(
-                [nb, point.mean_code, point.variance_code, point.fano]
-            )
 
 
 def simulate_stacks(
@@ -465,8 +404,8 @@ def simulate_stacks(
 def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     """Run `camrng characterize` on one stack; return its `--json` record.
 
-    out_dir is created once every frame is read; the pixel mask goes to
-    out_dir/mask.json, or why build_pixel_mask refused it to mask_error.
+    out_dir is created once every frame is read; the pixel mask's state
+    goes to out_dir/mask.pgm, or why build_pixel_mask refused it to mask_error.
     """
     stats = pixel_stats(read_frames(paths))
     os.makedirs(out_dir, exist_ok=True)
@@ -487,8 +426,8 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     except ValueError as exc:
         record["mask"], record["mask_error"] = None, str(exc)
     else:
-        mask_path = os.path.join(out_dir, "mask.json")
-        write_json(mask_path, mask.to_dict())
+        mask_path = os.path.join(out_dir, "mask.pgm")
+        write_pgm(Frame(mask.state, 2), mask_path)
         record["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
     return record
 
@@ -500,8 +439,7 @@ def characterize_sweep(
 
     Each stack is read once and only its point is kept, so one stack's
     sums are held at a time.  out_dir is created once every stack is
-    read; the Fano curve goes to out_dir/fano.csv, without the stacks
-    that have no Fano factor.
+    read; fano_points holds the stacks that have a Fano factor.
     """
     sweep = sorted(
         (
@@ -519,8 +457,6 @@ def characterize_sweep(
     ptc = estimate_zeta(sweep)
     region = find_operating_region(curve, tolerance) if curve else None
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "fano.csv")
-    fano_curve_to_csv(curve, csv_path)
     return {
         "command": "characterize",
         "config": config.to_dict(),
@@ -530,5 +466,4 @@ def characterize_sweep(
         "fano_tolerance": tolerance,
         "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
         "skipped_points": skipped,
-        "csv": csv_path,
     }

@@ -80,7 +80,7 @@ from .ingest import (
     dumps,
     load_sensor_config,
     read_frames,
-    read_json,
+    read_pgm,
     write_json,
 )
 from .sensor import PRESETS, SensorConfig, get_preset, worker_count
@@ -186,7 +186,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             f"{'inf' if residual is None else f'{residual:.3g}'})",
             "operating region: "
             + (f"[{region[0]:g}, {region[1]:g}]" if region else "none found"),
-            f"fano curve: {report['csv']}",
         ]
     else:
         if args.tolerance is not None:
@@ -279,7 +278,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     mask = None
     if args.mask:
-        mask = read_json(args.mask, PixelMask.from_dict)
+        frame = read_pgm(args.mask)
+        if frame.bit_depth != 2:
+            raise ValueError(f"{args.mask}: a pixel mask is 2-bit, not {frame.bit_depth}-bit")
+        mask = PixelMask(frame.codes.astype(np.uint8))
         if not mask.flags.any():
             raise ValueError("pixel mask excludes every pixel")
 
@@ -477,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--matrix-seed", type=_hex_seed, default=DEFAULT_MATRIX_SEED,
         metavar="HEX64", help="32-byte matrix seed in hex",
     )
-    p.add_argument("--mask", metavar="JSON", help="pixel mask to apply")
+    p.add_argument("--mask", metavar="PGM", help="pixel mask from `characterize`")
     p.add_argument(
         "--force", action="store_true",
         help="extract even when s*l <= k (output NOT certified random)",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -122,14 +122,16 @@ def entropy_report(n_bar: float, bit_depth: int) -> EntropyReport:
 def _as_fraction(x) -> Fraction:
     """Coerce an entropy rate to an exact rational.
 
-    Floats are interpreted through their shortest decimal representation
-    (repr), so a value written as 0.64 means exactly 64/100 rather than
-    the nearest binary double.  Strings, Decimals, and Rationals convert
+    Other reals, numpy float scalars included, are read as the float
+    they round to, through its shortest decimal representation (repr),
+    so a value written as 0.64 means exactly 64/100 rather than the
+    nearest binary double.  Strings, Decimals, and Rationals convert
     exactly as given.
     """
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, Real):
+        x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"entropy rate must be finite, got {x}")
         return Fraction(repr(x))

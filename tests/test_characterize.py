@@ -1,8 +1,6 @@
-import csv
 import hashlib
 import itertools
 import os
-import re
 import tracemalloc
 import warnings
 
@@ -16,13 +14,12 @@ from camrng.characterize import (
     build_pixel_mask,
     characterize_sweep,
     estimate_zeta,
-    fano_curve_to_csv,
     fano_factor,
     find_operating_region,
     pixel_stats,
     simulate_stacks,
 )
-from camrng.ingest import read_frames, write_json
+from camrng.ingest import read_frames, read_pgm, write_pgm
 from camrng.sensor import Frame, SensorConfig, get_preset, predicted_fano, simulate_stack
 
 NOKIA = get_preset("nokia-n9")
@@ -266,8 +263,9 @@ def test_build_pixel_mask_classifies():
     base[:, 2, 2] = 100        # constant mid-range -> dead (zero variance)
     stack = [frame_of(base[i], bit_depth=10) for i in range(12)]
     mask = build_pixel_mask(pixel_stats(stack), cfg)
-    assert mask.to_dict()["flagged"] == {"0,0": "stuck", "1,1": "hot", "2,2": "dead"}
-    assert mask.state[0, 0] == 2 and mask.state[1, 1] == 3 and mask.state[2, 2] == 1
+    want = np.zeros((4, 4), dtype=np.uint8)
+    want[0, 0], want[1, 1], want[2, 2] = 2, 3, 1  # stuck, hot, dead
+    assert np.array_equal(mask.state, want)
     assert not mask.flags[0, 0] and not mask.flags[1, 1] and not mask.flags[2, 2]
     assert mask.flags.sum() == 16 - 3
     assert mask.n_flagged == 3
@@ -277,7 +275,7 @@ def test_build_pixel_mask_classifies():
     lit = rng.integers(700, 801, size=(12, 4, 4)).astype(np.uint16)
     lit[:, 3, 3] = NOKIA.full_well_code
     mask = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
-    assert mask.to_dict()["flagged"] == {"3,3": "hot"}
+    assert mask.state[3, 3] == 3 and mask.n_flagged == 1
 
     # a stack where no pixel responds has median variance 0, and every
     # pixel is still dead
@@ -293,36 +291,25 @@ def test_build_pixel_mask_needs_frames():
         build_pixel_mask(pixel_stats(stack), NOKIA)
 
 
-def test_pixel_mask_json_round_trip():
-    state = np.array([[0, 3], [0, 0]], dtype=np.uint8)
-    mask = PixelMask(state=state)
-    assert mask.to_dict()["flagged"] == {"0,1": "hot"}
-    again = PixelMask.from_dict(mask.to_dict())
-    assert np.array_equal(again.state, state)
-    assert np.array_equal(again.flags, [[True, False], [True, True]])
-    assert again.n_flagged == 1
-
-
-def looped_pixel_mask(stats: PixelStats, config: SensorConfig) -> dict:
+def looped_pixel_mask(stats: PixelStats, config: SensorConfig) -> np.ndarray:
     """The per-pixel classifier build_pixel_mask replaced, kept as its oracle.
 
-    Returns mask.json's flagged object, in the order it was written.
+    Returns the state array: 0 usable, 1 dead, 2 stuck, 3 hot.
     """
     mean, variance = stats.mean, stats.variance
     median = float(np.median(variance))
     dead = (variance == 0) | (variance < 0.25 * median)
     stuck = mean <= 1.0
     hot = mean >= config.full_well_code - 1.0
-    reasons = {}
+    state = np.zeros(mean.shape, dtype=np.uint8)
     for y, x in np.argwhere(dead | stuck | hot):
-        y, x = int(y), int(x)
         if hot[y, x]:
-            reasons[(y, x)] = "hot"
+            state[y, x] = 3
         elif stuck[y, x]:
-            reasons[(y, x)] = "stuck"
+            state[y, x] = 2
         else:
-            reasons[(y, x)] = "dead"
-    return {f"{y},{x}": r for (y, x), r in sorted(reasons.items())}
+            state[y, x] = 1
+    return state
 
 
 def overlapping_stack(seed: int, height: int = 24, width: int = 31) -> list[Frame]:
@@ -361,46 +348,26 @@ def constant_stack(code: int) -> list[Frame]:
     ids=[*(f"overlapping-{seed}" for seed in range(6)),
          "constant-zero", "constant-well", "constant-adc-rail"],
 )
-def test_build_pixel_mask_equals_the_per_pixel_loop(stack):
+def test_build_pixel_mask_equals_the_per_pixel_loop(stack, tmp_path):
     stats = pixel_stats(stack)
     mask = build_pixel_mask(stats, NOKIA)
     want = looped_pixel_mask(stats, NOKIA)
-    assert list(mask.to_dict()["flagged"].items()) == list(want.items())
-    assert mask.n_flagged == len(want)
-    again = PixelMask.from_dict(mask.to_dict())
-    assert np.array_equal(again.state, mask.state)
-    assert np.array_equal(again.flags, mask.flags)
+    assert mask.state.dtype == np.uint8
+    assert np.array_equal(mask.state, want)
+    assert mask.n_flagged == np.count_nonzero(want)
+    # characterize writes the state as a 2-bit PGM, and extract reads it back
+    path = tmp_path / "mask.pgm"
+    write_pgm(Frame(mask.state, 2), path)
+    again = read_pgm(path)
+    assert again.bit_depth == 2
+    assert np.array_equal(again.codes, mask.state)
+    assert np.array_equal(PixelMask(again.codes).flags, mask.flags)
 
 
-def test_mask_json_of_an_overlapping_stack_matches_frozen_digest(tmp_path):
-    doc = build_pixel_mask(pixel_stats(overlapping_stack(0)), NOKIA).to_dict()
-    assert set(doc["flagged"].values()) == {"dead", "stuck", "hot"}
-    path = tmp_path / "mask.json"
-    write_json(str(path), doc)
+def test_mask_pgm_of_an_overlapping_stack_matches_frozen_digest(tmp_path):
+    state = build_pixel_mask(pixel_stats(overlapping_stack(0)), NOKIA).state
+    assert set(np.unique(state)) == {0, 1, 2, 3}
+    path = tmp_path / "mask.pgm"
+    write_pgm(Frame(state, 2), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7859aaa59cdc56aa0d5aa4dbaddee88067ef17a5ccd7fb32370e513b710a6c14"
-
-
-@pytest.mark.parametrize(
-    "key",
-    ["0_1,0", " 1,1", "+1,0", "1,1 ", "1", "1,0,1", "-0,1", ""],
-    ids=["underscore", "leading-space", "plus", "trailing-space", "one-part",
-         "three-parts", "minus", "empty"],
-)
-def test_pixel_mask_from_dict_refuses_keys_to_dict_never_writes(key):
-    doc = {"width": 2, "height": 2, "flagged": {key: "hot"}}
-    message = re.escape(f"pixel mask key {key!r} is not row,col")
-    with pytest.raises(ValueError, match=message):
-        PixelMask.from_dict(doc)
-
-
-def test_fano_curve_csv(tmp_path):
-    path = tmp_path / "curve.csv"
-    fano_curve_to_csv(
-        [(10.0, FanoPoint(mean_code=25.0, variance_code=50.0, fano=2.0))],
-        path,
-    )
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["n_bar", "mean_code", "variance_code", "fano"]
-    assert rows[1] == ["10.0", "25.0", "50.0", "2.0"]
+    assert digest == "5068c716c636565a01277b17cabc1681eeec78f4b1ab23bad0f940e98de1f281"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -21,8 +22,10 @@ from camrng.characterize import (
     DEFAULT_FANO_TOLERANCE,
     PixelMask,
     PixelStats,
+    build_pixel_mask,
     characterize_stack,
     characterize_sweep,
+    pixel_stats,
     simulate_stacks,
 )
 from camrng.cli import build_parser, main
@@ -37,6 +40,7 @@ from camrng.extractor import (
 from camrng.ingest import (
     dumps,
     raw_payload,
+    read_frames,
     read_json,
     read_manifest,
     read_pgm,
@@ -332,13 +336,16 @@ def test_every_json_file_simulate_and_characterize_write_reads_back_unchanged(tm
         for path in tmp_path.rglob("*.json")
     }
     assert sorted(docs) == [
-        "fano/report.json", "stack/mask.json", "stack/report.json",
+        "fano/report.json", "stack/report.json",
         "sweep/manifest.json", "sweep/nbar_00.raw.json", "sweep/nbar_01.raw.json",
     ]
     for name, doc in docs.items():
         assert dumps(doc) == (tmp_path / name).read_text(), name
-    mask = read_json(tmp_path / "stack" / "mask.json", PixelMask.from_dict)
-    assert mask.to_dict() == docs["stack/mask.json"]
+    # the mask is a 2-bit PGM of build_pixel_mask's state
+    mask = read_pgm(tmp_path / "stack" / "mask.pgm")
+    stats = pixel_stats(read_frames([str(sweep / "nbar_01.raw")]))
+    assert mask.bit_depth == 2
+    assert np.array_equal(mask.codes, build_pixel_mask(stats, PRESETS["nokia-n9"]).state)
     header, _ = read_sidecar(sweep / "nbar_01.raw")
     assert header.to_dict() == docs["sweep/nbar_01.raw.json"]["header"]
     assert read_manifest(sweep / "manifest.json") == [
@@ -555,9 +562,10 @@ def test_extract_record_names_the_matrix_seed_that_rebuilds_its_matrix(tmp_path,
 def test_extract_masked_matches_matmul_oracle(tmp_path, capsys):
     # 4093 usable pixels of 10 bits: each frame ends off the byte grid
     frames = _simulate_small(tmp_path, n_frames=3, capsys=capsys)
-    mask_path = tmp_path / "mask.json"
-    flagged = {"0,0": "hot", "5,7": "hot", "63,63": "dead"}
-    mask_path.write_text(json.dumps({"width": 64, "height": 64, "flagged": flagged}))
+    state = np.zeros((64, 64), dtype=np.uint8)
+    state[0, 0] = state[5, 7] = 3
+    state[63, 63] = 1
+    mask_path = _write_mask(tmp_path / "mask.pgm", state)
     out = tmp_path / "masked.bin"
     l, k = 200, 50
     assert run(
@@ -922,7 +930,8 @@ def test_characterize_stack_report(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fano"]["fano"] == pytest.approx(1.03, abs=0.15)
     assert (out / "report.json").exists()
-    assert (out / "mask.json").exists()
+    assert doc["mask"]["path"] == str(out / "mask.pgm")
+    assert read_pgm(out / "mask.pgm").bit_depth == 2
 
 
 def test_characterize_stack_of_3_frames_says_why_it_has_no_mask(tmp_path, capsys):
@@ -932,7 +941,7 @@ def test_characterize_stack_of_3_frames_says_why_it_has_no_mask(tmp_path, capsys
     assert run("characterize", "--preset", "nokia-n9", *frames, "--out", out, "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mask"] is None and doc["mask_error"] == why
-    assert not (out / "mask.json").exists()
+    assert not (out / "mask.pgm").exists()
     assert run("characterize", "--preset", "nokia-n9", *frames, "--out", out) == 0
     assert why in capsys.readouterr().out.splitlines()
 
@@ -967,7 +976,7 @@ def test_characterize_sweep_manifest(tmp_path, capsys):
     ) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fitted_zeta"] == pytest.approx(2.3, rel=0.1)
-    assert (out / "fano.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]  # no fano.csv
     assert len(doc["fano_points"]) == 3
     assert doc["fano_tolerance"] == DEFAULT_FANO_TOLERANCE == 0.15
     assert run(
@@ -1113,6 +1122,12 @@ def _write_frames(directory, codes_list, bit_depth):
     return paths
 
 
+def _write_mask(path, state):
+    """A pixel mask as characterize writes it: state as a 2-bit PGM; returns path."""
+    write_pgm(Frame(np.asarray(state, dtype=np.uint8), 2), path)
+    return path
+
+
 def test_extract_refuses_frames_of_mixed_bit_depth(tmp_path, capsys):
     rng = np.random.default_rng(5)
     ten = _write_frames(tmp_path / "a", [rng.integers(700, 900, (32, 32))], 10)
@@ -1151,16 +1166,13 @@ def test_extract_refuses_frames_below_the_pedestal(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flagged,message",
     [
-        ({f"{y},{x}": "hot" for y in range(4) for x in range(4)}, "excludes every pixel"),
+        (np.full((4, 4), 3), "excludes every pixel"),
         (None, "geometry"),
     ],
 )
 def test_extract_refuses_unusable_mask(tmp_path, capsys, flagged, message):
     frames = _write_frames(tmp_path / "f", [np.full((4, 4), 800)] * 2, 10)
-    mask = tmp_path / "mask.json"
-    size = 4 if flagged is not None else 5
-    doc = {"width": size, "height": size, "flagged": flagged or {}}
-    mask.write_text(json.dumps(doc))
+    mask = _write_mask(tmp_path / "mask.pgm", np.zeros((5, 5)) if flagged is None else flagged)
     rc = run("extract", "--preset", "nokia-n9", *frames, "--mask", mask,
              "--l", "20", "--k", "2", "--out", tmp_path / "o.bin")
     assert rc == 1
@@ -1205,12 +1217,6 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
 @pytest.mark.parametrize(
     "name,doc,argv",
     [
-        ("mask.json", {"width": 4, "height": 4, "flagged": {"99,99": "hot"}},
-         ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", {"width": 4, "height": 4, "flagged": {"-1,0": "hot"}},
-         ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", {"width": 4, "flagged": {}},
-         ("extract", "f.pgm", "--mask", "mask.json")),
         ("m.json", {"command": "simulate"}, ("characterize", "--manifest", "m.json")),
         ("m.json", {"stacks": [{"n_bar": 10.0}]}, ("characterize", "--manifest", "m.json")),
         ("f.raw.json", {"n_bar": 10.0}, ("extract", "f.raw")),
@@ -1225,20 +1231,6 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ("f.raw.json", {"header": {"format": "raw16le", "width": 4, "height": 4,
                                    "bit_depth": 10, "frame_count": float("nan")}},
          ("extract", "f.raw")),
-        # A mask of 1e16 pixels would not fit in memory.
-        ("mask.json", {"width": 10**8, "height": 10**8, "flagged": {}},
-         ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", "{not json", ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", [], ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", {"width": 8, "height": 8}, ("extract", "f.pgm", "--mask", "mask.json")),
-        ("mask.json", {"width": 4, "height": 4, "flagged": {"1,1": "ok"}},
-         ("extract", "f.pgm", "--mask", "mask.json")),
-        # int() reads the first three as pixels (1, 0), (3, 3) and (1, 2).
-        *(
-            ("mask.json", {"width": 4, "height": 4, "flagged": {key: "hot"}},
-             ("extract", "f.pgm", "--mask", "mask.json"))
-            for key in ("0_1,0", " 3,3", "+1,2", "3", "1,2,3")
-        ),
         *(
             ("m.json", {"stacks": [{"files": ["f.pgm"], "n_bar": n_bar}]},
              ("characterize", "--manifest", "m.json"))
@@ -1250,12 +1242,9 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
             for files in ("f.pgm", [])
         ),
     ],
-    ids=["mask-key-past-edge", "mask-key-negative", "mask-no-height", "manifest-no-stacks",
+    ids=["manifest-no-stacks",
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
-         "mask-too-large", "mask-not-json", "mask-an-array", "mask-no-flagged",
-         "mask-bad-reason", "mask-key-underscore", "mask-key-space", "mask-key-plus",
-         "mask-key-one-part", "mask-key-three-parts",
          "manifest-n-bar-bool", "manifest-n-bar-nan",
          "manifest-n-bar-negative", "manifest-files-a-string",
          "manifest-files-empty"],
@@ -1271,8 +1260,33 @@ def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}: ") and "Traceback" not in err
-    # nothing is written: no fano.csv or report.json, no extract output
+    # nothing is written: no report.json, no extract output
     assert not (tmp_path / "out").is_file() and not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (b'{"width": 4, "height": 4, "flagged": {}}', "not a binary PGM"),
+        (b"P5\n4 4\n1023\n" + b"\0" * 32, "a pixel mask is 2-bit, not 10-bit"),
+        (b"P5\n4 4\n3\n" + b"\0" * 15, "truncated payload, expected 16 bytes, got 15"),
+        # 1e16 pixels: refused from the header, before any allocation
+        (b"P5\n100000000 100000000\n3\n" + b"\0" * 16, "truncated payload"),
+    ],
+    ids=["not-a-pgm", "ten-bit", "truncated", "huge-header"],
+)
+def test_malformed_masks_are_runtime_failures_naming_the_file(
+    tmp_path, monkeypatch, capsys, payload, message
+):
+    monkeypatch.chdir(tmp_path)
+    _write_frames(tmp_path, [np.full((4, 4), 800)] * 2, 10)
+    (tmp_path / "mask.pgm").write_bytes(payload)
+    rc = run("extract", "--preset", "nokia-n9", "f0.pgm", "f1.pgm", "--mask", "mask.pgm",
+             "--l", "20", "--k", "2", "--out", "o.bin")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mask.pgm: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f0.pgm", "f1.pgm", "mask.pgm"]
 
 
 def test_zero_threads_is_a_runtime_failure(tmp_path, monkeypatch, capsys):
@@ -1348,17 +1362,15 @@ def stacks(tmp_path_factory):
     assert run("simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
                *geometry, "--format", "raw16le", "--out", base / "raw") == 0
     pgms = sorted((base / "pgm").glob("*.pgm"))
-    flagged = {"0,0": "hot", "7,30": "hot", "58,60": "dead"}
-    mask_path = base / "mask.json"
-    mask_path.write_text(
-        json.dumps({"width": STACK_W, "height": STACK_H, "flagged": flagged})
-    )
+    state = np.zeros((STACK_H, STACK_W), dtype=np.uint8)
+    state[0, 0] = state[7, 30] = 3
+    state[58, 60] = 1
+    mask_path = _write_mask(base / "mask.pgm", state)
     raw = base / "raw" / "frames.raw"
     pgm_frames = [read_pgm(p) for p in pgms]
     return {
         "pgm": (pgms, [], pgm_frames, None),
-        "masked": (pgms, ["--mask", mask_path], pgm_frames,
-                   read_json(mask_path, PixelMask.from_dict)),
+        "masked": (pgms, ["--mask", mask_path], pgm_frames, PixelMask(state)),
         "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw)[0])), None),
     }
 
@@ -1546,13 +1558,62 @@ def test_streamed_extract_builds_later_tiles_once_per_batch(stacks, tmp_path, mo
 # Stacks in which no usable pixel's code changes from frame to frame.
 # Under nokia-n9 each one's mean code alone would certify the output.
 NO_VARIANCE = ("constant", "copied", "saturated", "one_frame", "masked")
+# Stacks whose pooled mean code still certifies them, though some pixels
+# hold no shot noise (ROADMAP item 3) or the codes are not independent
+# (item 4), by the open item that will refuse each.
+ADVERSARIAL = {
+    "dark_half": 3, "every_4th_column": 3, "row_smoothing": 4, "crosstalk": 4,
+    "demosaic": 4, "repeated_frame": 4, "lagging_frames": 4,
+}
+
+
+@functools.cache
+def _simulated_codes(n_bar: float) -> np.ndarray:
+    """(16, 64, 64) int64 codes of 16 nokia-n9 frames at n_bar."""
+    frames = [simulate_frame(PRESETS["nokia-n9"], n_bar, 64, 64, 31, frame_id=j)
+              for j in range(16)]
+    codes = np.stack([frame.codes for frame in frames]).astype(np.int64)
+    codes.flags.writeable = False  # shared by every case: each alters a copy
+    return codes
+
+
+def adversarial_stack(case: str) -> np.ndarray:
+    """16 frames of 64x64 nokia-n9 codes, simulated, then altered as case says."""
+    lit, dark = _simulated_codes(450.0), _simulated_codes(0.0)
+    codes = _simulated_codes(410.0).copy()
+    if case == "dark_half":
+        codes = np.concatenate([dark[:, :, :32], lit[:, :, 32:]], axis=2)
+    elif case == "every_4th_column":
+        codes = dark.copy()
+        codes[:, :, ::4] = lit[:, :, ::4]
+    elif case == "row_smoothing":  # (1,2,1)/4 along each row
+        c = np.pad(codes, ((0, 0), (0, 0), (1, 1)), mode="edge")
+        codes = (c[:, :, :-2] + 2 * c[:, :, 1:-1] + c[:, :, 2:] + 2) // 4
+    elif case == "crosstalk":  # 3% of each code added to its right neighbour
+        codes[:, :, 1:] += np.rint(0.03 * codes[:, :, :-1]).astype(np.int64)
+    elif case == "demosaic":  # each code the mean of the 2x2 cell it heads
+        c = np.pad(codes, ((0, 0), (0, 1), (0, 1)), mode="edge")
+        codes = (c[:, :-1, :-1] + c[:, 1:, :-1] + c[:, :-1, 1:] + c[:, 1:, 1:] + 2) // 4
+    elif case == "repeated_frame":
+        codes[8] = codes[7]
+    elif case == "lagging_frames":  # 5% of the previous frame mixed in
+        codes[1:] = np.rint(0.95 * codes[1:] + 0.05 * codes[:-1]).astype(np.int64)
+    elif case == "vignetted":  # n_bar 410 at the centre to 205 in the corners, in rings
+        y, x = np.mgrid[:64, :64] - 31.5
+        ring = np.minimum(((x * x + y * y) / (2 * 31.5**2) * 6).astype(int), 5)
+        levels = [_simulated_codes(n_bar) for n_bar in np.linspace(410, 205, 6)]
+        codes = np.choose(ring, levels)
+    return codes
 
 
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize(
     "case,exit_code",
     [("margin", 2), ("mixed_depth", 1), ("missing_file", 1), ("below_dark", 1),
-     *((case, 1) for case in NO_VARIANCE)],
+     *((case, 1) for case in NO_VARIANCE),
+     *(pytest.param(case, 1, marks=pytest.mark.xfail(strict=True,
+                                                     reason=f"ROADMAP item {item}"))
+       for case, item in ADVERSARIAL.items())],
 )
 def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, existing):
     rng = np.random.default_rng(9)
@@ -1568,6 +1629,8 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
     elif case == "below_dark":  # atik383l's dark level is 331.2 codes
         preset = "atik383l"
         paths = _write_frames(tmp_path / "in", [np.full((8, 8), 300)] * 3, 16)
+    elif case in ADVERSARIAL:
+        paths = _write_frames(tmp_path / "in", adversarial_stack(case), 10)
     else:
         stack = {
             "constant": [np.full((32, 32), 779)] * 4,
@@ -1579,10 +1642,9 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
         if case == "masked":  # only the flagged first column varies
             for codes, moving in zip(stack, ten + ten[:1]):
                 codes[:, 0] = moving[:, 0]
-            mask = tmp_path / "mask.json"
-            flagged = {f"{y},0": "hot" for y in range(32)}
-            mask.write_text(json.dumps({"width": 32, "height": 32, "flagged": flagged}))
-            extra = ["--mask", mask]
+            state = np.zeros((32, 32), dtype=np.uint8)
+            state[:, 0] = 3
+            extra = ["--mask", _write_mask(tmp_path / "mask.pgm", state)]
         paths = _write_frames(tmp_path / "in", stack, 10)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -1601,6 +1663,15 @@ def test_refused_extract_writes_nothing(tmp_path, capsys, case, exit_code, exist
     assert sorted(p.name for p in out_dir.iterdir()) == (["random.bin"] if existing else [])
     if existing:
         assert out.read_bytes() == b"an earlier run"
+
+
+def test_a_vignetted_stack_is_certified(tmp_path):
+    # The control of the adversarial stacks: lens shading is not a defect.
+    paths = _write_frames(tmp_path / "in", adversarial_stack("vignetted"), 10)
+    out = tmp_path / "random.bin"
+    assert run("extract", "--preset", "nokia-n9", *paths, "--l", "200", "--k", "10",
+               "--out", out) == 0
+    assert out.stat().st_size == 16 * 64 * 64 * 10 // 200 * 10 // 8
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

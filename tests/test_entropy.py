@@ -126,6 +126,10 @@ def test_epsilon_bound_worked_example():
     got = epsilon_bound(0.64, 2000, 500)
     assert isinstance(got, Fraction)
     assert got == Fraction(-390)
+    # numpy scalars, as an H_min computed from arrays gives, read as their float
+    for x in (np.float64(0.64), np.float32(0.64)):
+        assert epsilon_bound(x, 2000, 500) == epsilon_bound(float(x), 2000, 500)
+        assert plan_extractor(x, -100, 2000) == plan_extractor(float(x), -100, 2000)
 
 
 def test_epsilon_bound_is_exact_arithmetic():

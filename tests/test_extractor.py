@@ -17,6 +17,7 @@ from camrng.extractor import (
 )
 from camrng.sensor import Frame
 from camrng.characterize import PixelMask
+from camrng.entropy import epsilon_bound
 
 
 def matrix_bits01(matrix: BinaryMatrix) -> np.ndarray:
@@ -295,3 +296,80 @@ def test_frame_to_bits_equals_unpacked_serializer(bit_depth):
         flags = rng.random((height, width)) < 0.8
         mask = PixelMask(state=(~flags).astype(np.uint8))
         assert frame_to_bits(frame, mask) == unpacked_frame_to_bits(frame, mask)
+
+
+# The exact leftover-hash oracle: at (l, k) = (16, 8), every one of the
+# 2^16 input blocks is hashed, so the output distribution of a source
+# whose min-entropy is known is exact, not sampled.  Input x is the
+# block whose bit i is bit i of x.
+_ALL_BLOCKS = np.arange(1 << 16, dtype="<u2")
+_LHL_SEEDS = range(24)
+
+
+@pytest.fixture(scope="module")
+def hashed_blocks() -> list[np.ndarray]:
+    """Per matrix seed, the 8-bit output of every 16-bit input, by input."""
+    raw = BitString(_ALL_BLOCKS.view(np.uint8), 16 << 16)
+    blocks01 = (_ALL_BLOCKS[:, None] >> np.arange(16)) & 1
+    outputs = []
+    for seed in _LHL_SEEDS:
+        matrix = generate_matrix(seed.to_bytes(32, "big"), 8, 16)
+        hashed = extract(raw, matrix).bits.packed
+        # one output byte per block, its bit j the parity of row j
+        parities = oracle_extract(matrix_bits01(matrix), blocks01)
+        assert np.array_equal(hashed, (parities << np.arange(8)[:, None]).sum(axis=0))
+        outputs.append(hashed)
+    return outputs
+
+
+def distance_from_uniform(hashed: np.ndarray, source: np.ndarray) -> float:
+    """Exact statistical distance of the hash of source (a pmf over inputs) from uniform."""
+    output = np.bincount(hashed, weights=source, minlength=256)
+    return 0.5 * float(np.abs(output - 2.0**-8).sum())
+
+
+def flat_source(h: int) -> np.ndarray:
+    """Uniform over the 2^h inputs below 2^h: H_min = h."""
+    source = np.zeros(1 << 16)
+    source[: 1 << h] = 2.0**-h
+    return source
+
+
+def atom_source(a: int) -> np.ndarray:
+    """Uniform except input 0, which has mass 2^-a: H_min = a."""
+    source = np.full(1 << 16, (1 - 2.0**-a) / ((1 << 16) - 1))
+    source[0] = 2.0**-a
+    return source
+
+
+@pytest.mark.parametrize("h", [9, 10, 12, 14, 16])
+def test_leftover_hash_bound_holds_on_average_over_matrices(hashed_blocks, h):
+    # The leftover hash lemma bounds the mean over matrices: one matrix
+    # whose h used columns do not span GF(2)^8 is at distance >= 1/2.
+    bound = 2.0 ** float(epsilon_bound(h / 16, 16, 8))
+    distances = [distance_from_uniform(y, flat_source(h)) for y in hashed_blocks]
+    assert np.mean(distances) <= bound
+    if h == 12:
+        assert max(distances) == 0.5 > bound
+
+
+@pytest.mark.parametrize("source", [*(flat_source(h) for h in (2, 4, 6, 8)),
+                                    *(atom_source(a) for a in (2, 4, 6))],
+                         ids=["flat-2", "flat-4", "flat-6", "flat-8",
+                              "atom-2", "atom-4", "atom-6"])
+def test_epsilon_bound_refuses_min_entropy_at_most_k(source):
+    h_min = -np.log2(source.max())
+    with pytest.raises(ValueError, match="no extractable security margin"):
+        epsilon_bound(h_min / 16, 16, 8)
+
+
+def test_a_shannon_rated_bound_is_false_for_a_heavy_atom(hashed_blocks):
+    # A linear hash sends the 2^-2 atom to one output, so the distance is
+    # at least 2^-2 - 2^-8 under every matrix.  The source's Shannon
+    # entropy, 12.81 bits, would certify a distance of at most 0.1887.
+    source = atom_source(2)
+    shannon = float(-(source * np.log2(source)).sum())
+    shannon_bound = 2.0 ** float(epsilon_bound(shannon / 16, 16, 8))
+    assert shannon_bound == pytest.approx(0.1887, abs=1e-4)
+    for hashed in hashed_blocks:
+        assert distance_from_uniform(hashed, source) >= 2.0**-2 - 2.0**-8 > shannon_bound
