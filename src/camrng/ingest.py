@@ -172,13 +172,13 @@ class FrameFileHeader:
 # ----------------------------------------------------------------------
 
 
-def _read_pgm_tokens(data: bytes, path: str) -> tuple[list[int], int]:
+def _read_pgm_tokens(data: bytes) -> tuple[list[int], int]:
     """Parse the PGM header: magic, then 3 integers, honoring # comments.
 
     Returns (values, payload_offset).
     """
     if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
+        raise ValueError("not a binary PGM (missing P5 magic)")
     pos = 2
     values: list[int] = []
     while len(values) < 3:
@@ -196,11 +196,11 @@ def _read_pgm_tokens(data: bytes, path: str) -> tuple[list[int], int]:
         while pos < len(data) and data[pos : pos + 1].isdigit():
             pos += 1
         if start == pos:
-            raise ValueError(f"{path}: malformed PGM header")
+            raise ValueError("malformed PGM header")
         values.append(int(data[start:pos]))
     # Exactly one whitespace byte separates maxval from the payload.
     if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise ValueError(f"{path}: malformed PGM header (no payload separator)")
+        raise ValueError("malformed PGM header (no payload separator)")
     return values, pos + 1
 
 
@@ -208,26 +208,29 @@ def read_pgm(path: str) -> Frame:
     """Read one frame from a binary (P5) PGM file.
 
     Samples above maxval 255 are two bytes big-endian.  The frame's
-    bit_depth is ceil(log2(maxval + 1)).
+    bit_depth is ceil(log2(maxval + 1)).  Every ValueError raised is put
+    on path.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    (width, height, maxval), offset = _read_pgm_tokens(data, path)
-    if maxval <= 0 or maxval > 65535:
-        raise ValueError(f"{path}: PGM maxval {maxval} out of range 1..65535")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    expected = width * height * dtype.itemsize
-    if len(data) - offset < expected:
-        raise ValueError(
-            f"{path}: truncated payload, expected {expected} bytes, "
-            f"got {len(data) - offset}"
-        )
-    codes = np.frombuffer(data, dtype, count=width * height, offset=offset)
-    codes = codes.astype(np.uint16)
-    if codes.size and int(codes.max()) > maxval:
-        raise ValueError(f"{path}: sample exceeds declared maxval {maxval}")
-    bit_depth = max(1, math.ceil(math.log2(maxval + 1)))
-    return Frame(codes.reshape(height, width), bit_depth)
+    try:
+        (width, height, maxval), offset = _read_pgm_tokens(data)
+        if maxval <= 0 or maxval > 65535:
+            raise ValueError(f"PGM maxval {maxval} out of range 1..65535")
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        expected = width * height * dtype.itemsize
+        if len(data) - offset < expected:
+            raise ValueError(
+                f"truncated payload, expected {expected} bytes, got {len(data) - offset}"
+            )
+        codes = np.frombuffer(data, dtype, count=width * height, offset=offset)
+        codes = codes.astype(np.uint16)
+        if codes.size and int(codes.max()) > maxval:
+            raise ValueError(f"sample exceeds declared maxval {maxval}")
+        bit_depth = max(1, math.ceil(math.log2(maxval + 1)))
+        return Frame(codes.reshape(height, width), bit_depth)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_pgm(frame: Frame, path: str) -> None:

@@ -14,8 +14,7 @@ bit i at bit 15 - i % 16, and adds
 
 - the ones, by popcount of the windows' uint64 view (a word's ones do not
   depend on its byte order), and the squared excess (2c - 128)^2 of the
-  ones c in each block of two words, pairing the words' popcounts and
-  carrying a block's first word past the pass;
+  ones c in each block of two words, pairing the words' popcounts;
 - the histogram of windows, by a 65536-bin bincount, which finish() folds
   to the byte histogram and dots with _WINDOW_PAIRS for the (1,1) pairs
   at lags 1..MAX_LAG that lie inside a window;
@@ -75,6 +74,9 @@ _CHUNK_WORDS = 1 << 15
 # Words a pass keeps back: every lag looks one window ahead, and two
 # words hold the last MAX_LAG bits wherever the stream ends.
 _HOLD = 2
+# The fold's contract: every pass but the last is an even number of
+# words, and the held words are one whole block, so every pass starts on
+# a block and no 128-bit block spans two passes.
 
 
 def _window_pairs() -> np.ndarray:
@@ -113,11 +115,13 @@ class _Fold:
 
     Chunks are regrouped into passes of _CHUNK_WORDS words, held as
     16-bit windows viewed four to a word.  A pass whose look-ahead has
-    not arrived keeps its last _HOLD words.  The stream's last byte
-    always waits in the stage for finish(), so the last pass knows where
-    the stream's last whole word and full byte end.  The histogram holds
-    every window of two full bytes; the one window past it, holding an
-    odd last byte or a partial one, is read from the held words.
+    not arrived keeps its last _HOLD words.  Every pass but the last is
+    an even number of words, so each starts on a block and holds its
+    blocks whole.  The stream's last byte always waits in the stage for
+    finish(), so the last pass knows where the stream's last whole word
+    and full byte end.  The histogram holds every window of two full
+    bytes; the one window past it, holding an odd last byte or a partial
+    one, is read from the held words.
     """
 
     def __init__(self, n_bits: int | None = None):
@@ -135,9 +139,7 @@ class _Fold:
         self.pairs = [0] * MAX_LAG
         self.head = None  # the stream's first window
         self.block_sq = 0
-        # ones per word of a pass, after those of a block's first word
-        # when the last pass ended on it
-        self.word_ones = np.empty(1 + size, np.uint8)
+        self.word_ones = np.empty(size, np.uint8)  # ones per word of a pass
         self.byte_pairs = np.zeros(1 << 16, np.int64)  # windows of two full bytes
         self.crossing = np.empty(4 * (_HOLD + size), np.uint16)
         self.popcounts = np.empty(_HOLD + size, np.uint8)
@@ -175,7 +177,7 @@ class _Fold:
             self.head = cur[:1].copy()
 
         base = self.first_word + h  # stream index of the pass's first word
-        self._blocks(w[h : h + m], base, m if end is None else end // 64 - base)
+        self._blocks(w[h : h + m], m if end is None else end // 64 - base)
 
         total = h + m
         done = total - _HOLD
@@ -187,24 +189,16 @@ class _Fold:
         else:
             self.held = total
 
-    def _blocks(self, cur, base: int, whole: int) -> None:
-        """Count cur's ones, and score each block that ends in its first whole words.
-
-        Block j is stream words 2j and 2j + 1, so a pass that starts at an
-        odd word pairs it with the last pass's last word.
-        """
-        odd = base % 2
-        per_word = self.word_ones[odd : odd + cur.size]
+    def _blocks(self, cur, whole: int) -> None:
+        """Count cur's ones, and score each block of two words in its first whole words."""
+        per_word = self.word_ones[: cur.size]
         np.bitwise_count(cur, out=per_word)
         self.ones += int(per_word.sum(dtype=np.uint32))
-        paired = self.word_ones[: odd + whole]
-        half = paired.size // 2
+        end = whole - whole % 2
         # a block's ones, at most 128, fit in the uint8 sum
-        excess = 2 * (paired[: 2 * half : 2] + paired[1 : 2 * half : 2]).astype(np.int64)
+        excess = 2 * (per_word[:end:2] + per_word[1:end:2]).astype(np.int64)
         excess -= BLOCK_SIZE
         self.block_sq += int(np.dot(excess, excess))
-        if paired.size % 2:
-            self.word_ones[0] = paired[-1]
 
     def _pair(self, done: int) -> None:
         """Add, at every lag, the (1,1) pairs from a window of words[:done] into the next."""

@@ -153,6 +153,9 @@ def test_epsilon_bound_domain():
         epsilon_bound(0.5, 0, 10)
     with pytest.raises(ValueError):
         epsilon_bound(0.5, 1000, 0)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            epsilon_bound(s, 1000, 10)
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,6 +196,14 @@ def test_plan_round_trips_through_bound():
 def test_plan_rejects_nonnegative_target():
     with pytest.raises(ValueError):
         plan_extractor(0.64, 0, 2000)
+
+
+def test_plan_domain():
+    for s in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+            plan_extractor(s, -10, 1000)
+    with pytest.raises(ValueError, match="block length l must be >= 1, got 0"):
+        plan_extractor(0.5, -10, 0)
 
 
 def test_plan_infeasible():

@@ -58,13 +58,15 @@ def test_pgm_header_comments_and_whitespace(tmp_path):
         (b"P5\n1 1\n70000\n\x00\x00", "maxval"),
         (b"P5\n2 1\n255\n\x01", "truncated"),
         (b"P5\n1 1\n100\n\x65", "exceeds"),  # sample 101 > maxval 100
+        (b"P5\n0 4\n3\n", "frame dimensions must be positive, got 0x4"),  # Frame refuses
     ],
 )
 def test_pgm_rejects_malformed(tmp_path, blob, msg):
     path = tmp_path / "bad.pgm"
     path.write_bytes(blob)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(ValueError, match=msg) as info:
         read_pgm(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_pgm_write_golden_bytes(tmp_path):
@@ -72,6 +74,9 @@ def test_pgm_write_golden_bytes(tmp_path):
     path = tmp_path / "g.pgm"
     write_pgm(frame, path)
     assert path.read_bytes() == b"P5\n2 1\n1023\n\x01\x99\x00\x2a"
+    gone = tmp_path / "gone" / "g.pgm"
+    with pytest.raises(OSError, match=f"^writing {re.escape(str(gone))}: "):
+        write_pgm(frame, gone)
 
 
 def test_pgm_round_trip(tmp_path):
