@@ -35,7 +35,8 @@ from .ingest import (
 )
 from .sensor import Frame, SensorConfig, predicted_fano, simulate_frame
 
-DEFAULT_FANO_TOLERANCE = 0.15
+# find_operating_region's band around F = 1.
+_FANO_TOLERANCE = 0.15
 
 # build_pixel_mask thresholds: a pixel is dead at zero temporal variance
 # or below this fraction of the median, and stuck/hot within this many
@@ -266,20 +267,16 @@ def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTrans
 
 def find_operating_region(
     fano_curve: list[tuple[float, FanoPoint]],
-    tolerance: float = DEFAULT_FANO_TOLERANCE,
 ) -> tuple[float, float] | None:
-    """Widest contiguous intensity interval with |F - 1| <= tolerance.
+    """Widest contiguous intensity interval with |F - 1| <= _FANO_TOLERANCE.
 
     Args:
         fano_curve: (n_bar, FanoPoint) pairs sorted by rising n_bar.
-        tolerance: acceptance band around F = 1, > 0.
 
     Returns:
         (n_min, n_max) of the widest qualifying run, or None when no
         point qualifies.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     n_bars = [nb for nb, _ in fano_curve]
     if any(b < a for a, b in zip(n_bars, n_bars[1:])):
         raise ValueError("fano_curve must be sorted by rising intensity")
@@ -288,7 +285,7 @@ def find_operating_region(
     best_width = -1.0
     run_start: int | None = None
     for i, (nb, point) in enumerate(fano_curve + [(None, None)]):
-        ok = point is not None and abs(point.fano - 1.0) <= tolerance
+        ok = point is not None and abs(point.fano - 1.0) <= _FANO_TOLERANCE
         if ok and run_start is None:
             run_start = i
         elif not ok and run_start is not None:
@@ -432,9 +429,7 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
     return record
 
 
-def characterize_sweep(
-    manifest: str, config: SensorConfig, tolerance: float, out_dir: str
-) -> dict:
+def characterize_sweep(manifest: str, config: SensorConfig, out_dir: str) -> dict:
     """Run `camrng characterize --manifest`; return its `--json` record.
 
     Each stack is read once and only its point is kept, so one stack's
@@ -455,7 +450,7 @@ def characterize_sweep(
         except ValueError as exc:
             skipped.append({"n_bar": n_bar, "reason": str(exc)})
     ptc = estimate_zeta(sweep)
-    region = find_operating_region(curve, tolerance) if curve else None
+    region = find_operating_region(curve) if curve else None
     os.makedirs(out_dir, exist_ok=True)
     return {
         "command": "characterize",
@@ -463,7 +458,7 @@ def characterize_sweep(
         "fitted_zeta": ptc.fitted_zeta,
         "fit_residual": ptc.fit_residual,
         "operating_region": list(region) if region else None,
-        "fano_tolerance": tolerance,
+        "fano_tolerance": _FANO_TOLERANCE,
         "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
         "skipped_points": skipped,
     }

@@ -53,7 +53,6 @@ import sys
 import numpy as np
 
 from .characterize import (
-    DEFAULT_FANO_TOLERANCE,
     PixelMask,
     characterize_stack,
     characterize_sweep,
@@ -178,8 +177,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if args.manifest and args.inputs:
         raise UsageError("pass frame files or --manifest, not both")
     if args.manifest:
-        tolerance = DEFAULT_FANO_TOLERANCE if args.tolerance is None else args.tolerance
-        report = characterize_sweep(args.manifest, sensor, tolerance, args.out)
+        report = characterize_sweep(args.manifest, sensor, args.out)
         region, residual = report["operating_region"], report["fit_residual"]
         text = [
             f"fitted zeta = {report['fitted_zeta']:.4f} (relative residual "
@@ -188,8 +186,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             + (f"[{region[0]:g}, {region[1]:g}]" if region else "none found"),
         ]
     else:
-        if args.tolerance is not None:
-            raise UsageError("--tolerance applies only to a --manifest sweep")
         report = characterize_stack(args.inputs, sensor, args.out)
         fano, mask = report["fano"], report["mask"]
         text = [
@@ -435,11 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--manifest", metavar="JSON", help="sweep manifest from `simulate --sweep`"
-    )
-    p.add_argument(
-        "--tolerance", type=_number(float, "> 0", lambda v: v > 0),
-        help="|F-1| bound for a --manifest sweep's operating region "
-        f"(default {DEFAULT_FANO_TOLERANCE})",
     )
     p.set_defaults(func=cmd_characterize)
 

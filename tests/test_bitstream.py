@@ -34,6 +34,8 @@ def test_zeros():
 def test_rejects_non_binary():
     with pytest.raises(ValueError):
         BitString.from_bits01(np.array([0, 1, 2], dtype=np.uint8))
+    with pytest.raises(ValueError, match="n_bits must be nonnegative, got -1"):
+        BitString(np.zeros(1, np.uint8), -1)
 
 
 def test_concat_matches_numpy_reference():
@@ -52,6 +54,8 @@ def test_eq_ignores_tail_garbage():
          BitString.from_bits01(np.array([0, 1], dtype=np.uint8))]
     )
     assert a == b
+    # any other type is unequal, never an error
+    assert a != [1, 0, 1] and not a == "101"
 
 
 def test_msb_bytes_packing_convention():

@@ -222,7 +222,7 @@ def test_a_sweep_holds_one_stacks_sums_at_a_time(tmp_path):
     record, manifest = simulate_stacks(NOKIA, n_bars, True, 3, 200, 200, 7, "pgm", out)
     files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
     one = _peak_bytes(lambda: pixel_stats(read_frames(files)).stack_point)
-    assert _peak_bytes(characterize_sweep, manifest, NOKIA, 0.15, out) <= 1.5 * one
+    assert _peak_bytes(characterize_sweep, manifest, NOKIA, out) <= 1.5 * one
 
 
 def point(f):
@@ -232,7 +232,7 @@ def point(f):
 def test_find_operating_region_fixture():
     curve = [(1.0, point(5.0)), (10.0, point(1.05)), (50.0, point(1.02)),
              (200.0, point(0.5))]
-    assert find_operating_region(curve, tolerance=0.15) == (10.0, 50.0)
+    assert find_operating_region(curve) == (10.0, 50.0)
 
 
 def test_find_operating_region_picks_widest_run():
@@ -240,15 +240,13 @@ def test_find_operating_region_picks_widest_run():
         (1.0, point(1.0)), (2.0, point(3.0)),
         (10.0, point(1.1)), (100.0, point(0.9)), (1000.0, point(1.0)),
     ]
-    assert find_operating_region(curve, tolerance=0.15) == (10.0, 1000.0)
+    assert find_operating_region(curve) == (10.0, 1000.0)
 
 
 def test_find_operating_region_none_and_validation():
     assert find_operating_region([(1.0, point(9.0))]) is None
     with pytest.raises(ValueError):
         find_operating_region([(2.0, point(1.0)), (1.0, point(1.0))])
-    with pytest.raises(ValueError):
-        find_operating_region([(1.0, point(1.0))], tolerance=0.0)
 
 
 def test_build_pixel_mask_classifies():

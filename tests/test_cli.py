@@ -19,7 +19,6 @@ import camrng.cli
 from camrng import extractor
 from camrng.bitstream import export_stream
 from camrng.characterize import (
-    DEFAULT_FANO_TOLERANCE,
     PixelMask,
     PixelStats,
     build_pixel_mask,
@@ -283,7 +282,7 @@ def test_library_records_are_the_cli_json(tmp_path, capsys, fmt, sweep):
     if sweep:
         cli = printed("characterize", "--preset", "nokia-n9", "--manifest", manifest,
                       "--out", rep)
-        record = characterize_sweep(manifest, sensor, DEFAULT_FANO_TOLERANCE, rep)
+        record = characterize_sweep(manifest, sensor, rep)
     else:
         files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
         cli = printed("characterize", "--preset", "nokia-n9", *files, "--out", rep)
@@ -304,7 +303,7 @@ def test_characterize_builds_each_stacks_per_pixel_moments_once(tmp_path, monkey
     assert characterize_stack(files, sensor, out)["mask"] is not None
     assert len(reads) == 1
     reads.clear()
-    assert len(characterize_sweep(manifest, sensor, 0.5, out)["fano_points"]) == 2
+    assert len(characterize_sweep(manifest, sensor, out)["fano_points"]) == 2
     assert len(reads) == len(set(map(id, reads))) == 2
 
 
@@ -422,10 +421,9 @@ def test_plan_flag_validation(capsys):
         ("--target", ("plan", "--s", "0.5", "--target", "5")),
         ("--target", ("plan", "--s", "0.5", "--target=-inf")),
         ("--l", ("plan", "--s", "0.5", "--l", "1e3", "--k", "10")),
-        ("--tolerance", ("characterize", "--preset", "nokia-n9", "--manifest", "m.json",
-                         "--out", "x", "--tolerance", "nan")),
-        ("--tolerance", ("characterize", "--preset", "nokia-n9", "--manifest", "m.json",
-                         "--out", "x", "--tolerance", "0")),
+        ("--k", ("plan", "--s", "0.5", "--k", "0")),
+        ("--width", ("simulate", "--preset", "nokia-n9", "--nbar", "1", "--out", "x",
+                     "--width", "0")),
         ("--seed", ("simulate", "--preset", "nokia-n9", "--nbar", "1", "--out", "x",
                     "--seed", str(2**64))),
         ("--sweep", ("simulate", "--preset", "nokia-n9", "--sweep", "2,nan", "--out", "x")),
@@ -978,12 +976,7 @@ def test_characterize_sweep_manifest(tmp_path, capsys):
     assert doc["fitted_zeta"] == pytest.approx(2.3, rel=0.1)
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]  # no fano.csv
     assert len(doc["fano_points"]) == 3
-    assert doc["fano_tolerance"] == DEFAULT_FANO_TOLERANCE == 0.15
-    assert run(
-        "characterize", "--preset", "atik383l", "--manifest", sweep_dir / "manifest.json",
-        "--tolerance", "0.05", "--out", out, "--json",
-    ) == 0
-    assert json.loads(capsys.readouterr().out)["fano_tolerance"] == 0.05
+    assert doc["fano_tolerance"] == 0.15
 
 
 def test_characterize_sweep_skips_a_point_without_a_fano_factor(tmp_path, capsys):
@@ -1063,16 +1056,14 @@ def test_characterize_refuses_frames_with_a_manifest_before_making_out(tmp_path,
         ((), 2, "no input frames given"),
         (("f0.pgm",), 1, "need at least 2 frames, got 1"),
         (("f.raw",), 2, "no sidecar JSON describes it"),
-        (("f0.pgm", "f1.pgm", "--tolerance", "0.1"), 2,
-         "--tolerance applies only to a --manifest sweep"),
         (("f0.pgm", "bad.pgm"), 1, "bad.pgm: malformed PGM header"),
         (("f0.pgm", "cut.pgm"), 1, "cut.pgm: malformed PGM header (no payload separator)"),
         (("--manifest", "flat.json"), 1, "mean codes identical across sweep; slope is undefined"),
         (("--manifest", "falling.json"), 1,
          "is not positive; sweep is outside the shot-noise-limited region"),
     ],
-    ids=["no-frames", "one-frame", "raw-without-sidecar", "tolerance-without-manifest",
-         "pgm-bad-width", "pgm-no-payload", "sweep-of-equal-means", "sweep-of-falling-variance"],
+    ids=["no-frames", "one-frame", "raw-without-sidecar", "pgm-bad-width", "pgm-no-payload",
+         "sweep-of-equal-means", "sweep-of-falling-variance"],
 )
 def test_characterize_refusals_leave_no_out(tmp_path, monkeypatch, capsys, argv, exit_code,
                                             message):
@@ -1203,6 +1194,8 @@ def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
           "--out", "o.bin"), "unrecognized arguments: --matrix"),
         (("extract", "--preset", "nokia-n9", "f.pgm", "--save-matrix", "m.qm",
           "--out", "o.bin"), "unrecognized arguments: --save-matrix"),
+        (("characterize", "--preset", "atik383l", "--manifest", "m.json",
+          "--tolerance", "0.1", "--out", "D"), "unrecognized arguments: --tolerance"),
     ],
 )
 def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
@@ -1212,6 +1205,7 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
     _write_frames(tmp_path, [np.full((4, 4), 800)], 10)[0].rename(tmp_path / "f.pgm")
     assert run(*argv) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.bin").exists() and not (tmp_path / "D").exists()
 
 
 @pytest.mark.parametrize(
@@ -1699,10 +1693,12 @@ def test_readme_flags_are_the_parsers():
         option for sub in subparsers.choices.values()
         for action in sub._actions for option in action.option_strings
     }
-    # pip's and pytest's flags, in the install and test commands
-    options |= {"--no-build-isolation", "--continue-on-collection-errors"}
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
-    assert flags and flags <= options, sorted(flags - options)
+    # pip's and pytest's flags, in the install and test commands
+    tools = {"--no-build-isolation", "--continue-on-collection-errors"}
+    assert flags and flags <= options | tools, sorted(flags - options - tools)
+    documented = options - {"-h", "--help"}
+    assert documented <= flags, sorted(documented - flags)
 
 
 def test_readme_camrng_commands_parse():

@@ -128,6 +128,13 @@ def test_raw_length_mismatch(tmp_path):
     )
     with pytest.raises(ValueError, match="bytes"):
         read_raw(path, header)
+    # a dump cut after its size was checked fails when the cut frame is reached
+    path.write_bytes(b"\x00" * 4)
+    frames = read_raw(path, header)
+    path.write_bytes(b"\x00")
+    message = re.escape(f"{path}: file ended inside frame 0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(frames)
 
 
 def test_raw_rejects_out_of_range_sample(tmp_path):

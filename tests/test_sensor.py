@@ -211,6 +211,9 @@ def test_frame_validation():
     for bad in (codes.ravel(), codes[:, :0], codes.astype(np.float64), codes + 2000):
         with pytest.raises(ValueError):
             Frame(bad, bit_depth=10)
+    for depth in (0, 17):
+        with pytest.raises(ValueError, match=f"bit_depth must be in 1..16, got {depth}"):
+            Frame(codes, depth)
 
 
 def test_simulate_frame_deterministic():
@@ -314,6 +317,8 @@ def test_simulate_stack_frame_ids():
     ]
     for got, want in zip(stack, singles):
         assert np.array_equal(got.codes, want.codes)
+    with pytest.raises(ValueError, match="n_frames must be >= 1, got 0"):
+        simulate_stack(NOKIA, 100.0, 32, 32, 0, seed=5)
 
 
 def test_full_well_saturation_kills_variance():
