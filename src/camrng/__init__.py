@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 _NAMES = {
     "bitstream": "BitString export_stream",
     "characterize": (
-        "FanoPoint PhotonTransferCurve PixelMask PixelStats build_pixel_mask "
-        "characterize_stack characterize_sweep estimate_zeta fano_factor "
-        "find_operating_region pixel_stats simulate_stacks"
+        "PixelStats build_pixel_mask characterize_stack characterize_sweep "
+        "estimate_zeta fano_factor find_operating_region pixel_stats "
+        "simulate_stacks"
     ),
     "entropy": (
         "EntropyReport ExtractorPlan entropy_report epsilon_bound "

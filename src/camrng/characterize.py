@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,16 +128,17 @@ class PixelStats:
         """(mean code, mean pixel variance): both moments averaged over pixels."""
         return float(np.mean(self.mean)), float(np.mean(self.variance))
 
-    def summary(self, flags: np.ndarray | None = None) -> tuple[float, float | None]:
+    def summary(self, usable: np.ndarray | None = None) -> tuple[float, float | None]:
         """Mean and sample variance of the stack's codes, correctly rounded.
 
-        flags, a (height, width) bool array such as PixelMask.flags,
-        picks the pixels that count; None counts all.  The totals are
-        exact Python integers.  The variance is None for fewer than 2 codes.
+        usable, a (height, width) bool array such as a pixel mask's
+        state == 0, picks the pixels that count; None counts all.  The
+        totals are exact Python integers.  The variance is None for
+        fewer than 2 codes.
         """
         s1, s2 = self.s1, self.s2
-        if flags is not None:
-            s1, s2 = s1[flags], s2[flags]
+        if usable is not None:
+            s1, s2 = s1[usable], s2[usable]
         n = self.n_frames * s1.size
         t1 = int(s1.sum())
         # Summed over pixels, s2 can pass 2**63: add its 32-bit halves apart.
@@ -157,42 +157,23 @@ def pixel_stats(frames: Iterable[Frame]) -> PixelStats:
     return stats
 
 
-@dataclass(frozen=True)
-class FanoPoint:
-    """Fano factor measurement at one illumination level.
-
-    fano = variance_code / (zeta * (mean_code - zeta*offset)), i.e. the
-    measured code variance over the code variance a pure Poisson signal
-    of the same offset-corrected mean would have.
-    """
-
-    mean_code: float
-    variance_code: float
-    fano: float
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_code": self.mean_code,
-            "variance_code": self.variance_code,
-            "fano": self.fano,
-        }
-
-
-def fano_factor(point: tuple[float, float], config: SensorConfig) -> FanoPoint:
+def fano_factor(point: tuple[float, float], config: SensorConfig) -> float:
     """Measure the Fano factor of a constant-illumination stack.
 
     Per-pixel temporal means and variances are averaged over all
-    pixels, then F = Var(c) / (zeta * (mean(c) - zeta*offset)).  The
-    offset enters in code units (zeta * offset) so that a clamp-free
-    Poisson+Gaussian signal gives F = 1 + sigma_t**2 / n_bar and a pure
-    Poisson signal gives exactly 1.
+    pixels, then F = Var(c) / (zeta * (mean(c) - zeta*offset)): the
+    measured code variance over the code variance a pure Poisson signal
+    of the same offset-corrected mean would have.  The offset enters in
+    code units (zeta * offset) so that a clamp-free Poisson+Gaussian
+    signal gives F = 1 + sigma_t**2 / n_bar and a pure Poisson signal
+    gives exactly 1.
 
     Args:
         point: PixelStats.stack_point of >= 2 frames at fixed illumination.
         config: supplies zeta and offset.
 
     Returns:
-        FanoPoint.
+        F.
 
     Raises:
         ValueError: mean code at or below the offset pedestal (F is
@@ -211,26 +192,12 @@ def fano_factor(point: tuple[float, float], config: SensorConfig) -> FanoPoint:
             "Fano undefined: zero temporal variance across the stack "
             "(identical frames or fully saturated signal)"
         )
-    fano = variance_code / (config.zeta * (mean_code - pedestal))
-    return FanoPoint(mean_code=mean_code, variance_code=variance_code, fano=fano)
+    return variance_code / (config.zeta * (mean_code - pedestal))
 
 
-@dataclass(frozen=True)
-class PhotonTransferCurve:
-    """Variance-vs-mean line fit across an intensity sweep.
-
-    Attributes:
-        fitted_zeta: slope of the fit, in codes per electron.
-        fit_residual: relative RMS of variance residuals; None when a
-            point's variance is 0 (a saturated or constant stack), which
-            has no relative residual.
-    """
-
-    fitted_zeta: float
-    fit_residual: float | None
-
-
-def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTransferCurve:
+def estimate_zeta(
+    sweep: list[tuple[tuple[float, float], float]],
+) -> tuple[float, float | None]:
     """Fit the conversion gain from a photon transfer sweep.
 
     In the shot-noise-limited region Var(c) = zeta**2 (n_bar + sigma_t**2)
@@ -243,7 +210,10 @@ def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTrans
             at >= 2 distinct intensities, all inside the linear region.
 
     Returns:
-        PhotonTransferCurve with the least-squares slope as fitted_zeta.
+        (fitted_zeta, fit_residual): the least-squares slope, in codes
+        per electron, and the relative RMS of the variance residuals;
+        fit_residual is None when a point's variance is 0 (a saturated
+        or constant stack), which has no relative residual.
     """
     if len(sweep) < 2:
         raise ValueError(f"need >= 2 sweep points, got {len(sweep)}")
@@ -262,16 +232,16 @@ def estimate_zeta(sweep: list[tuple[tuple[float, float], float]]) -> PhotonTrans
     if slope <= 0:
         raise ValueError(f"fitted slope {slope:.4g} is not positive; sweep "
                          "is outside the shot-noise-limited region")
-    return PhotonTransferCurve(fitted_zeta=float(slope), fit_residual=fit_residual)
+    return float(slope), fit_residual
 
 
 def find_operating_region(
-    fano_curve: list[tuple[float, FanoPoint]],
+    fano_curve: list[tuple[float, float]],
 ) -> tuple[float, float] | None:
     """Widest contiguous intensity interval with |F - 1| <= _FANO_TOLERANCE.
 
     Args:
-        fano_curve: (n_bar, FanoPoint) pairs sorted by rising n_bar.
+        fano_curve: (n_bar, F) pairs sorted by rising n_bar.
 
     Returns:
         (n_min, n_max) of the widest qualifying run, or None when no
@@ -284,8 +254,8 @@ def find_operating_region(
     best: tuple[float, float] | None = None
     best_width = -1.0
     run_start: int | None = None
-    for i, (nb, point) in enumerate(fano_curve + [(None, None)]):
-        ok = point is not None and abs(point.fano - 1.0) <= _FANO_TOLERANCE
+    for i, (nb, fano) in enumerate(fano_curve + [(None, None)]):
+        ok = fano is not None and abs(fano - 1.0) <= _FANO_TOLERANCE
         if ok and run_start is None:
             run_start = i
         elif not ok and run_start is not None:
@@ -296,38 +266,7 @@ def find_operating_region(
     return best
 
 
-@dataclass
-class PixelMask:
-    """Per-pixel usability, one state code per pixel.
-
-    The state is a frame of bit depth 2, written and read as a PGM.
-
-    Attributes:
-        state: (height, width) uint8 array; 0 = usable, and a flagged
-            pixel's reason is 1 dead, 2 stuck or 3 hot.
-    """
-
-    state: np.ndarray
-
-    @cached_property
-    def flags(self) -> np.ndarray:
-        """(height, width) bool array, True = usable."""
-        return self.state == 0
-
-    @property
-    def width(self) -> int:
-        return self.state.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.state.shape[0]
-
-    @property
-    def n_flagged(self) -> int:
-        return int(np.count_nonzero(self.state))
-
-
-def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
+def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> np.ndarray:
     """Flag pixels unusable for randomness generation.
 
     A pixel is flagged when its temporal variance is zero or falls below
@@ -341,7 +280,9 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
         config: supplies the full-well code.
 
     Returns:
-        PixelMask whose state gives the reason for every flagged pixel.
+        The mask's state, a (height, width) uint8 array written as a
+        2-bit PGM: 0 usable, and a flagged pixel's reason, 1 dead,
+        2 stuck or 3 hot.
     """
     if stats.n_frames < 10:
         raise ValueError(
@@ -353,8 +294,7 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> PixelMask:
     dead = (variance == 0) | (variance < _DEAD_VARIANCE_FRACTION * median)
     stuck = mean <= _RAIL_MARGIN_CODES
     hot = mean >= config.full_well_code - _RAIL_MARGIN_CODES
-    state = np.select([hot, stuck, dead], [3, 2, 1], 0).astype(np.uint8)
-    return PixelMask(state=state)
+    return np.select([hot, stuck, dead], [3, 2, 1], 0).astype(np.uint8)
 
 
 def simulate_stacks(
@@ -415,17 +355,19 @@ def characterize_stack(paths, config: SensorConfig, out_dir: str) -> dict:
         "mean_pixel_variance": variance,
     }
     try:
-        record["fano"] = fano_factor(point, config).to_dict()
+        fano = fano_factor(point, config)
     except ValueError as exc:
         record["fano"], record["fano_error"] = None, str(exc)
+    else:
+        record["fano"] = {"mean_code": mean, "variance_code": variance, "fano": fano}
     try:
-        mask = build_pixel_mask(stats, config)
+        state = build_pixel_mask(stats, config)
     except ValueError as exc:
         record["mask"], record["mask_error"] = None, str(exc)
     else:
         mask_path = os.path.join(out_dir, "mask.pgm")
-        write_pgm(Frame(mask.state, 2), mask_path)
-        record["mask"] = {"path": mask_path, "n_flagged": mask.n_flagged}
+        write_pgm(Frame(state, 2), mask_path)
+        record["mask"] = {"path": mask_path, "n_flagged": int(np.count_nonzero(state))}
     return record
 
 
@@ -443,22 +385,28 @@ def characterize_sweep(manifest: str, config: SensorConfig, out_dir: str) -> dic
         ),
         key=lambda pair: pair[1],
     )
-    curve, skipped = [], []
+    points, skipped = [], []
     for point, n_bar in sweep:
         try:
-            curve.append((n_bar, fano_factor(point, config)))
+            fano = fano_factor(point, config)
         except ValueError as exc:
             skipped.append({"n_bar": n_bar, "reason": str(exc)})
-    ptc = estimate_zeta(sweep)
+        else:
+            mean, variance = point
+            points.append(
+                {"n_bar": n_bar, "mean_code": mean, "variance_code": variance, "fano": fano}
+            )
+    fitted_zeta, fit_residual = estimate_zeta(sweep)
+    curve = [(p["n_bar"], p["fano"]) for p in points]
     region = find_operating_region(curve) if curve else None
     os.makedirs(out_dir, exist_ok=True)
     return {
         "command": "characterize",
         "config": config.to_dict(),
-        "fitted_zeta": ptc.fitted_zeta,
-        "fit_residual": ptc.fit_residual,
+        "fitted_zeta": fitted_zeta,
+        "fit_residual": fit_residual,
         "operating_region": list(region) if region else None,
         "fano_tolerance": _FANO_TOLERANCE,
-        "fano_points": [{"n_bar": nb, **p.to_dict()} for nb, p in curve],
+        "fano_points": points,
         "skipped_points": skipped,
     }

@@ -52,12 +52,7 @@ import sys
 
 import numpy as np
 
-from .characterize import (
-    PixelMask,
-    characterize_stack,
-    characterize_sweep,
-    simulate_stacks,
-)
+from .characterize import characterize_stack, characterize_sweep, simulate_stacks
 from .entropy import (
     _MAX_N_BAR,
     ExtractorPlan,
@@ -272,13 +267,13 @@ def _part_file(path: str):
 def cmd_extract(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
 
-    mask = None
+    usable = None
     if args.mask:
         frame = read_pgm(args.mask)
         if frame.bit_depth != 2:
             raise ValueError(f"{args.mask}: a pixel mask is 2-bit, not {frame.bit_depth}-bit")
-        mask = PixelMask(frame.codes.astype(np.uint8))
-        if not mask.flags.any():
+        usable = frame.codes == 0
+        if not usable.any():
             raise ValueError("pixel mask excludes every pixel")
 
     if not args.k < args.l <= MAX_BLOCK_BITS:
@@ -291,7 +286,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with _part_file(args.out) as tmp_path:
         with open(tmp_path, "wb") as fh:
             summary, refusal = extract_frames(
-                read_frames(args.inputs), sensor, matrix, mask, fh
+                read_frames(args.inputs), sensor, matrix, usable, fh
             )
         if refusal is not None and not args.force:
             raise UsageError(refusal)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitstream import BitString, export_stream
-from .characterize import PixelMask, PixelStats
+from .characterize import PixelStats
 from .entropy import entropy_report, epsilon_bound
 from .sensor import Frame, SensorConfig
 
@@ -195,7 +195,7 @@ class ExtractedStream:
     residual_bits_discarded: int
 
 
-def frame_to_bits(frame: Frame, mask=None) -> BitString:
+def frame_to_bits(frame: Frame, usable: np.ndarray | None = None) -> BitString:
     """Serialize a frame's codes to a raw bit stream.
 
     Unmasked pixels are visited in row-major order; each contributes
@@ -211,20 +211,22 @@ def frame_to_bits(frame: Frame, mask=None) -> BitString:
 
     Args:
         frame: source frame.
-        mask: optional PixelMask; usable pixels contribute, flagged
-            pixels are skipped.  None means all pixels contribute.
+        usable: optional (height, width) bool array; True pixels
+            contribute, the rest are skipped.  None means all pixels
+            contribute.
 
     Returns:
         BitString of n_unmasked * bit_depth bits.
     """
     codes = frame.codes
-    if mask is not None:
-        if (mask.width, mask.height) != (frame.width, frame.height):
+    if usable is not None:
+        if usable.shape != codes.shape:
+            height, width = usable.shape
             raise ValueError(
-                f"mask geometry {mask.width}x{mask.height} does not match "
+                f"mask geometry {width}x{height} does not match "
                 f"frame {frame.width}x{frame.height}"
             )
-        codes = codes[mask.flags]
+        codes = codes[usable]
     b, flat = frame.bit_depth, codes.reshape(-1)
     g = 8 // math.gcd(b, 8)
     g *= max(1, 64 // (g * b))
@@ -359,7 +361,7 @@ def extract(
 
 
 def extract_frames(
-    frames, sensor: SensorConfig, matrix: BinaryMatrix, mask: PixelMask | None, out
+    frames, sensor: SensorConfig, matrix: BinaryMatrix, usable: np.ndarray | None, out
 ) -> tuple[dict, str | None]:
     """Extract a frame stack into the binary file out, reading each frame once.
 
@@ -374,9 +376,10 @@ def extract_frames(
     Returns (record, refusal): the `extract --json` record up to "out",
     log2_epsilon None when s*l <= k, and None or why the margin fails and
     what to do.
-    Raises ValueError for a mixed stack, one too short for a whole block,
-    one of another bit depth than the sensor's, frames at the dark level,
-    or a stack with no temporal variance in its usable pixels.
+    Raises ValueError for a stack whose first frame has another bit depth
+    than the sensor's, before any extraction; then for a mixed stack, one
+    too short for a whole block, frames at the dark level, or a stack with
+    no temporal variance in its usable pixels.
     """
     l, k = matrix.l, matrix.k
     # Whole chunks, on extract()'s chunk grid.
@@ -391,7 +394,12 @@ def extract_frames(
 
     stats = PixelStats()
     for frame in frames:
-        pending.append(frame_to_bits(frame, mask))
+        # Later frames of another depth fail stats.add as a mixed stack.
+        if not stats.n_frames and frame.bit_depth != sensor.bit_depth:
+            raise ValueError(
+                f"the stack's codes are {frame.bit_depth}-bit, the sensor's {sensor.bit_depth}-bit"
+            )
+        pending.append(frame_to_bits(frame, usable))
         pending_bits = sum(part.n_bits for part in pending)
         if pending_bits >= 8 * batch_bytes:
             buffered = concat_streams(pending)
@@ -405,11 +413,7 @@ def extract_frames(
     n_blocks = sum(blocks)
     if n_blocks == 0:
         raise ValueError(f"the stack's {residual} raw bits hold no whole block of l={l}")
-    if stats.bit_depth != sensor.bit_depth:
-        raise ValueError(
-            f"the stack's codes are {stats.bit_depth}-bit, the sensor's {sensor.bit_depth}-bit"
-        )
-    mean, variance = stats.summary(None if mask is None else mask.flags)
+    mean, variance = stats.summary(usable)
 
     # Estimate the absorbed mean from the data itself, convert it to
     # entropy per raw bit, and refuse to certify extraction that would
@@ -424,7 +428,7 @@ def extract_frames(
     # mean code says; variance divides by n - 1, so count frames first.
     if stats.n_frames < 2:
         raise ValueError("a stack of 1 frame has no temporal variance to extract")
-    pixel_variance = stats.variance if mask is None else stats.variance[mask.flags]
+    pixel_variance = stats.variance if usable is None else stats.variance[usable]
     if not pixel_variance.any():
         raise ValueError(
             f"no usable pixel varies across the stack's {stats.n_frames} frames; "

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from camrng.characterize import (
-    FanoPoint,
-    PixelMask,
     PixelStats,
     build_pixel_mask,
     characterize_sweep,
@@ -128,10 +126,9 @@ def test_fano_factor_hand_example():
     )
     # one pixel alternating 10/14: mean 12, variance 8, pedestal 2
     stack = [frame_of([[10]]), frame_of([[14]])]
-    point = fano_factor(pixel_stats(stack).stack_point, cfg)
-    assert point.mean_code == 12.0
-    assert point.variance_code == 8.0
-    assert point.fano == pytest.approx(8.0 / (2.0 * (12.0 - 2.0)))
+    point = pixel_stats(stack).stack_point
+    assert point == (12.0, 8.0)  # mean code, variance code
+    assert fano_factor(point, cfg) == pytest.approx(8.0 / (2.0 * (12.0 - 2.0)))
 
 
 def test_predicted_fano_is_what_the_simulator_gives():
@@ -145,7 +142,7 @@ def test_predicted_fano_is_what_the_simulator_gives():
     assert predicted == 1.0 + 3.3**2 / 50.0
     stack = simulate_stack(cfg, 50.0, 256, 256, 8, seed=1)
     measured = fano_factor(pixel_stats(stack).stack_point, cfg)
-    assert measured.fano == pytest.approx(predicted, abs=0.01)
+    assert measured == pytest.approx(predicted, abs=0.01)
 
 
 def test_fano_factor_zero_variance_error():
@@ -170,9 +167,9 @@ def test_estimate_zeta_exact_linear_fixture():
     for mean, half_spread in ((8, 4), (18, 6), (32, 8)):
         stack = [frame_of([[mean - half_spread]]), frame_of([[mean + half_spread]])]
         stacks.append((pixel_stats(stack).stack_point, float(mean)))
-    ptc = estimate_zeta(stacks)
-    assert ptc.fitted_zeta == pytest.approx(4.0, abs=1e-12)
-    assert ptc.fit_residual == pytest.approx(0.0, abs=1e-9)
+    fitted_zeta, fit_residual = estimate_zeta(stacks)
+    assert fitted_zeta == pytest.approx(4.0, abs=1e-12)
+    assert fit_residual == pytest.approx(0.0, abs=1e-9)
 
 
 def test_estimate_zeta_simulated_round_trip():
@@ -180,8 +177,8 @@ def test_estimate_zeta_simulated_round_trip():
         (pixel_stats(simulate_stack(NOKIA, nb, 64, 64, 12, seed=int(nb))).stack_point, nb)
         for nb in (60.0, 120.0, 200.0, 300.0, 400.0)
     ]
-    ptc = estimate_zeta(stacks)
-    assert ptc.fitted_zeta == pytest.approx(NOKIA.zeta, rel=0.05)
+    fitted_zeta, _ = estimate_zeta(stacks)
+    assert fitted_zeta == pytest.approx(NOKIA.zeta, rel=0.05)
 
 
 def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
@@ -192,9 +189,9 @@ def test_estimate_zeta_with_a_zero_variance_point_is_infinite_without_warning():
         stacks.append((pixel_stats(stack).stack_point, float(mean)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ptc = estimate_zeta(stacks)
-    assert ptc.fit_residual is None
-    assert ptc.fitted_zeta > 0
+        fitted_zeta, fit_residual = estimate_zeta(stacks)
+    assert fit_residual is None
+    assert fitted_zeta > 0
 
 
 def test_estimate_zeta_validation():
@@ -225,28 +222,20 @@ def test_a_sweep_holds_one_stacks_sums_at_a_time(tmp_path):
     assert _peak_bytes(characterize_sweep, manifest, NOKIA, out) <= 1.5 * one
 
 
-def point(f):
-    return FanoPoint(mean_code=100.0, variance_code=f * 100.0, fano=f)
-
-
 def test_find_operating_region_fixture():
-    curve = [(1.0, point(5.0)), (10.0, point(1.05)), (50.0, point(1.02)),
-             (200.0, point(0.5))]
+    curve = [(1.0, 5.0), (10.0, 1.05), (50.0, 1.02), (200.0, 0.5)]
     assert find_operating_region(curve) == (10.0, 50.0)
 
 
 def test_find_operating_region_picks_widest_run():
-    curve = [
-        (1.0, point(1.0)), (2.0, point(3.0)),
-        (10.0, point(1.1)), (100.0, point(0.9)), (1000.0, point(1.0)),
-    ]
+    curve = [(1.0, 1.0), (2.0, 3.0), (10.0, 1.1), (100.0, 0.9), (1000.0, 1.0)]
     assert find_operating_region(curve) == (10.0, 1000.0)
 
 
 def test_find_operating_region_none_and_validation():
-    assert find_operating_region([(1.0, point(9.0))]) is None
+    assert find_operating_region([(1.0, 9.0)]) is None
     with pytest.raises(ValueError):
-        find_operating_region([(2.0, point(1.0)), (1.0, point(1.0))])
+        find_operating_region([(2.0, 1.0), (1.0, 1.0)])
 
 
 def test_build_pixel_mask_classifies():
@@ -260,27 +249,28 @@ def test_build_pixel_mask_classifies():
     base[:, 1, 1] = 1023       # pinned at the ADC rail -> hot
     base[:, 2, 2] = 100        # constant mid-range -> dead (zero variance)
     stack = [frame_of(base[i], bit_depth=10) for i in range(12)]
-    mask = build_pixel_mask(pixel_stats(stack), cfg)
+    state = build_pixel_mask(pixel_stats(stack), cfg)
     want = np.zeros((4, 4), dtype=np.uint8)
     want[0, 0], want[1, 1], want[2, 2] = 2, 3, 1  # stuck, hot, dead
-    assert np.array_equal(mask.state, want)
-    assert not mask.flags[0, 0] and not mask.flags[1, 1] and not mask.flags[2, 2]
-    assert mask.flags.sum() == 16 - 3
-    assert mask.n_flagged == 3
+    assert np.array_equal(state, want)
+    usable = state == 0
+    assert not usable[0, 0] and not usable[1, 1] and not usable[2, 2]
+    assert usable.sum() == 16 - 3
+    assert np.count_nonzero(state) == 3
 
     # nokia-n9's well reads 950, below the 10-bit ADC rail: a pixel
     # pinned there is hot, not dead
     lit = rng.integers(700, 801, size=(12, 4, 4)).astype(np.uint16)
     lit[:, 3, 3] = NOKIA.full_well_code
-    mask = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
-    assert mask.state[3, 3] == 3 and mask.n_flagged == 1
+    state = build_pixel_mask(pixel_stats([frame_of(f) for f in lit]), NOKIA)
+    assert state[3, 3] == 3 and np.count_nonzero(state) == 1
 
     # a stack where no pixel responds has median variance 0, and every
     # pixel is still dead
     flat = [frame_of(np.full((8, 8), 779)) for _ in range(10)]
-    mask = build_pixel_mask(pixel_stats(flat), NOKIA)
-    assert mask.n_flagged == 64
-    assert (mask.state == 1).all()
+    state = build_pixel_mask(pixel_stats(flat), NOKIA)
+    assert np.count_nonzero(state) == 64
+    assert (state == 1).all()
 
 
 def test_build_pixel_mask_needs_frames():
@@ -348,22 +338,22 @@ def constant_stack(code: int) -> list[Frame]:
 )
 def test_build_pixel_mask_equals_the_per_pixel_loop(stack, tmp_path):
     stats = pixel_stats(stack)
-    mask = build_pixel_mask(stats, NOKIA)
+    state = build_pixel_mask(stats, NOKIA)
     want = looped_pixel_mask(stats, NOKIA)
-    assert mask.state.dtype == np.uint8
-    assert np.array_equal(mask.state, want)
-    assert mask.n_flagged == np.count_nonzero(want)
+    assert state.dtype == np.uint8
+    assert np.array_equal(state, want)
+    assert np.count_nonzero(state) == np.count_nonzero(want)
     # characterize writes the state as a 2-bit PGM, and extract reads it back
     path = tmp_path / "mask.pgm"
-    write_pgm(Frame(mask.state, 2), path)
+    write_pgm(Frame(state, 2), path)
     again = read_pgm(path)
     assert again.bit_depth == 2
-    assert np.array_equal(again.codes, mask.state)
-    assert np.array_equal(PixelMask(again.codes).flags, mask.flags)
+    assert np.array_equal(again.codes, state)
+    assert np.array_equal(again.codes == 0, state == 0)
 
 
 def test_mask_pgm_of_an_overlapping_stack_matches_frozen_digest(tmp_path):
-    state = build_pixel_mask(pixel_stats(overlapping_stack(0)), NOKIA).state
+    state = build_pixel_mask(pixel_stats(overlapping_stack(0)), NOKIA)
     assert set(np.unique(state)) == {0, 1, 2, 3}
     path = tmp_path / "mask.pgm"
     write_pgm(Frame(state, 2), path)

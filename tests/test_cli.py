@@ -19,7 +19,6 @@ import camrng.cli
 from camrng import extractor
 from camrng.bitstream import export_stream
 from camrng.characterize import (
-    PixelMask,
     PixelStats,
     build_pixel_mask,
     characterize_stack,
@@ -344,7 +343,7 @@ def test_every_json_file_simulate_and_characterize_write_reads_back_unchanged(tm
     mask = read_pgm(tmp_path / "stack" / "mask.pgm")
     stats = pixel_stats(read_frames([str(sweep / "nbar_01.raw")]))
     assert mask.bit_depth == 2
-    assert np.array_equal(mask.codes, build_pixel_mask(stats, PRESETS["nokia-n9"]).state)
+    assert np.array_equal(mask.codes, build_pixel_mask(stats, PRESETS["nokia-n9"]))
     header, _ = read_sidecar(sweep / "nbar_01.raw")
     assert header.to_dict() == docs["sweep/nbar_01.raw.json"]["header"]
     assert read_manifest(sweep / "manifest.json") == [
@@ -1131,19 +1130,31 @@ def test_extract_refuses_frames_of_mixed_bit_depth(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_extract_refuses_a_stack_of_another_bit_depth_than_the_sensor(tmp_path, capsys):
+def _sixteen_bit_stack(path) -> list:
     # Uniform 16-bit codes read through the 10-bit nokia-n9 would estimate
     # n_bar near 17,000 e-, far past its 500 e- full well.
     rng = np.random.default_rng(25)
-    frames = _write_frames(
-        tmp_path / "f", [rng.integers(0, 1 << 16, (200, 200)) for _ in range(3)], 16
-    )
+    return _write_frames(path, [rng.integers(0, 1 << 16, (200, 200)) for _ in range(3)], 16)
+
+
+def test_extract_refuses_a_stack_of_another_bit_depth_than_the_sensor(tmp_path, capsys):
+    frames = _sixteen_bit_stack(tmp_path / "f")
     out = tmp_path / "o.bin"
     assert run("extract", "--preset", "nokia-n9", *frames, "--out", out, "--json") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the stack's codes are 16-bit, the sensor's 10-bit\n"
     assert not out.exists() and list(tmp_path.iterdir()) == [tmp_path / "f"]
+
+
+def test_extract_refuses_another_bit_depth_before_extracting(tmp_path, capsys, monkeypatch):
+    # The first frame's depth is checked before its bits are buffered.
+    calls: dict = {}
+    _count_calls(monkeypatch, extractor, "extract", calls)
+    frames = _sixteen_bit_stack(tmp_path / "f")
+    assert run("extract", "--preset", "nokia-n9", *frames, "--out", tmp_path / "o.bin") == 1
+    assert "the stack's codes are 16-bit" in capsys.readouterr().err
+    assert "extract" not in calls
 
 
 def test_extract_refuses_frames_below_the_pedestal(tmp_path, capsys):
@@ -1367,7 +1378,7 @@ def stacks(tmp_path_factory):
     pgm_frames = [read_pgm(p) for p in pgms]
     return {
         "pgm": (pgms, [], pgm_frames, None),
-        "masked": (pgms, ["--mask", mask_path], pgm_frames, PixelMask(state)),
+        "masked": (pgms, ["--mask", mask_path], pgm_frames, state == 0),
         "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw)[0])), None),
     }
 
@@ -1380,8 +1391,8 @@ def stacks(tmp_path_factory):
 def test_streamed_extract_equals_whole_stream_oracle(
     stacks, tmp_path, monkeypatch, capsys, inputs, l, k
 ):
-    paths, extra, frames, mask = stacks[inputs]
-    raw = concat_streams(frame_to_bits(f, mask) for f in frames)
+    paths, extra, frames, usable = stacks[inputs]
+    raw = concat_streams(frame_to_bits(f, usable) for f in frames)
     want = extract(raw, generate_matrix(DEFAULT_MATRIX_SEED, k, l))
     out = tmp_path / "random.bin"
     docs = []
@@ -1440,24 +1451,25 @@ def test_extract_output_is_frozen(tmp_path, l, k, bit_depth, digest):
 @pytest.mark.parametrize("inputs", ["pgm", "masked", "raw16le"])
 def test_extract_reports_the_exact_moments_of_the_usable_codes(stacks, tmp_path, capsys,
                                                                inputs):
-    paths, extra, frames, mask = stacks[inputs]
+    paths, extra, frames, usable = stacks[inputs]
     assert run("extract", "--preset", "nokia-n9", *paths, *extra, "--l", 777, "--k", 200,
                "--out", tmp_path / "o.bin", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     codes = [int(c) for f in frames
-             for c in (f.codes if mask is None else f.codes[mask.flags]).ravel()]
+             for c in (f.codes if usable is None else f.codes[usable]).ravel()]
     n = len(codes)
     mean = Fraction(sum(codes), n)
-    assert n == len(frames) * (STACK_W * STACK_H - (0 if mask is None else 3))
+    assert n == len(frames) * (STACK_W * STACK_H - (0 if usable is None else 3))
     assert doc["mean_code"] == float(mean)
     assert doc["variance_code"] == float(sum((c - mean) ** 2 for c in codes) / (n - 1))
     sensor = PRESETS["nokia-n9"]
     assert doc["estimated_n_bar"] == doc["mean_code"] / sensor.zeta - sensor.offset
     # per-pixel temporal variances over the usable pixels, averaged
     per_pixel = np.var(np.stack([f.codes for f in frames]), axis=0, ddof=1)
-    usable = per_pixel if mask is None else per_pixel[mask.flags]
-    assert doc["mean_pixel_variance"] == pytest.approx(float(np.mean(usable)), rel=1e-12)
-    if mask is None:  # as characterize reports it
+    if usable is not None:
+        per_pixel = per_pixel[usable]
+    assert doc["mean_pixel_variance"] == pytest.approx(float(np.mean(per_pixel)), rel=1e-12)
+    if usable is None:  # as characterize reports it
         report = characterize_stack([str(p) for p in paths], sensor, str(tmp_path / "c"))
         assert doc["mean_pixel_variance"] == report["mean_pixel_variance"]
     assert doc["log2_epsilon_total"] == (

@@ -16,7 +16,6 @@ from camrng.extractor import (
     generate_matrix,
 )
 from camrng.sensor import Frame
-from camrng.characterize import PixelMask
 from camrng.entropy import epsilon_bound
 
 
@@ -260,12 +259,12 @@ def test_frame_to_bits_row_major_order():
 def test_frame_to_bits_mask():
     codes = np.array([[1, 7], [5, 2]], dtype=np.uint16)
     frame = Frame(codes, bit_depth=3)
-    mask = PixelMask(state=np.array([[0, 3], [0, 0]], dtype=np.uint8))
-    got = as01(frame_to_bits(frame, mask)).reshape(3, 3)
+    usable = np.array([[True, False], [True, True]])
+    got = as01(frame_to_bits(frame, usable)).reshape(3, 3)
     want = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # codes 1, 5, 2
     assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        frame_to_bits(frame, PixelMask(state=np.zeros((3, 3), np.uint8)))
+    with pytest.raises(ValueError, match="^mask geometry 3x3 does not match frame 2x2$"):
+        frame_to_bits(frame, np.ones((3, 3), bool))
 
 
 def test_concat_streams_orders_frames():
@@ -275,9 +274,9 @@ def test_concat_streams_orders_frames():
     assert as01(merged).tolist() == [1, 0, 0, 1]
 
 
-def unpacked_frame_to_bits(frame: Frame, mask=None) -> BitString:
+def unpacked_frame_to_bits(frame: Frame, usable=None) -> BitString:
     """The per-bit serializer frame_to_bits replaced, kept as its oracle."""
-    codes = frame.codes if mask is None else frame.codes[mask.flags]
+    codes = frame.codes if usable is None else frame.codes[usable]
     flat = codes.reshape(-1).astype("<u2")
     bits = np.unpackbits(flat.view(np.uint8), bitorder="little")
     return BitString.from_bits01(bits.reshape(flat.size, 16)[:, : frame.bit_depth])
@@ -293,9 +292,8 @@ def test_frame_to_bits_equals_unpacked_serializer(bit_depth):
         codes.flat[0] = top
         frame = Frame(codes, bit_depth)
         assert frame_to_bits(frame) == unpacked_frame_to_bits(frame)
-        flags = rng.random((height, width)) < 0.8
-        mask = PixelMask(state=(~flags).astype(np.uint8))
-        assert frame_to_bits(frame, mask) == unpacked_frame_to_bits(frame, mask)
+        usable = rng.random((height, width)) < 0.8
+        assert frame_to_bits(frame, usable) == unpacked_frame_to_bits(frame, usable)
 
 
 # The exact leftover-hash oracle: at (l, k) = (16, 8), every one of the

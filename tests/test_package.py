@@ -118,8 +118,9 @@ def test_every_public_name_is_its_submodules_object():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        camrng.no_such_name
+    for name in ("no_such_name", "PixelMask", "FanoPoint", "PhotonTransferCurve"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(camrng, name)
     assert not hasattr(camrng, "Fraction")
 
 
