@@ -33,7 +33,7 @@ _NAMES = {
     ),
     "ingest": (
         "FrameFileHeader load_sensor_config read_frames read_pgm read_raw "
-        "read_sidecar sidecar_path write_pgm write_sidecar"
+        "read_sidecar sidecar_path write_pgm"
     ),
     "sensor": (
         "Frame PRESETS SensorConfig digitize_electrons get_preset "

@@ -299,23 +299,25 @@ def build_pixel_mask(stats: PixelStats, config: SensorConfig) -> np.ndarray:
 
 def simulate_stacks(
     config: SensorConfig, n_bars: list[float], sweep: bool, n_frames: int,
-    width: int, height: int, seed: int, fmt: str, out_dir: str,
+    width: int, height: int, seed: int, out_dir: str,
 ) -> tuple[dict, str | None]:
     """Run `camrng simulate`: its `--json` record, and a sweep's manifest path or None.
 
-    Frame j of stack i is frame_id i * n_frames + j, written as soon as
-    it is simulated and summed on its way out; out_dir is made with the
-    first frame.
+    Frame j of stack i is frame_id i * n_frames + j, written as a PGM as
+    soon as it is simulated and summed on its way out; out_dir is made
+    with the first frame.
     """
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
     stacks = []
     for i, n_bar in enumerate(n_bars):
-        files = stack_files(fmt, n_frames, i if sweep else None)
+        files = stack_files(n_frames, i if sweep else None)
         frames = (
             simulate_frame(config, n_bar, width, height, seed, frame_id=i * n_frames + j)
             for j in range(n_frames)
         )
         stats = PixelStats()
-        for frame in write_stack(frames, out_dir, files, {"n_bar": n_bar, "seed": seed}):
+        for frame in write_stack(frames, out_dir, files):
             stats.add(frame)
         mean, var = stats.summary()
         stacks.append(
@@ -332,7 +334,6 @@ def simulate_stacks(
         "config": config.to_dict(),
         "seed": seed,
         "out": out_dir,
-        "format": fmt,
         "stacks": stacks,
     }
     return record, write_manifest(out_dir, record) if sweep else None

@@ -150,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sensor = _sensor(args)
     summary, manifest = simulate_stacks(
         sensor, args.sweep or [args.nbar], bool(args.sweep), args.frames,
-        args.width, args.height, args.seed, args.format, args.out,
+        args.width, args.height, args.seed, args.out,
     )
     text = []
     for stack in summary["stacks"]:
@@ -265,6 +265,8 @@ def _part_file(path: str):
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if not args.k < args.l <= MAX_BLOCK_BITS:
+        raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={args.k} l={args.l}")
     sensor = _sensor(args)
 
     usable = None
@@ -275,9 +277,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
         usable = frame.codes == 0
         if not usable.any():
             raise ValueError("pixel mask excludes every pixel")
-
-    if not args.k < args.l <= MAX_BLOCK_BITS:
-        raise UsageError(f"need k < l <= {MAX_BLOCK_BITS}, got k={args.k} l={args.l}")
     matrix = generate_matrix(args.matrix_seed, args.k, args.l)
 
     # Output goes to a temp file next to --out, which is renamed to
@@ -410,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--width", type=_COUNT, default=256)
     p.add_argument("--height", type=_COUNT, default=256)
-    p.add_argument("--format", choices=("pgm", "raw16le"), default="pgm")
     p.add_argument(
         "--seed",
         type=_number(lambda t: int(t, 0), "in [0, 2**64)", lambda v: 0 <= v < 2**64),

@@ -7,20 +7,19 @@ per the de-facto netpbm convention.  Raw dumps are little-endian 16-bit
 header, so the caller supplies a FrameFileHeader; a JSON sidecar next
 to the file is the usual carrier.
 
-Only this module knows how `simulate` names and writes a stack's files,
-how read_frames reads them back, and the sweep manifest.  It holds the
-package's only JSON code: dumps, write_json, read_json, json_number and
-json_string.
+Only this module knows how `simulate` names and writes a stack's PGM
+files, how read_frames reads them back, and the sweep manifest.  It
+holds the package's only JSON code: dumps, write_json, read_json,
+json_number and json_string.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
@@ -154,11 +153,11 @@ class FrameFileHeader:
         """How one sample is stored: little-endian uint16 or one byte."""
         return np.dtype("u1" if self.format == "raw8" else "<u2")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "FrameFileHeader":
+        unknown = [k for k in d if k not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"frame header has unknown keys: {unknown}")
         numbers = {  # frame_count may be left out, for a one-frame dump
             key: json_number(d, key, "frame header", integer=True)
             for key in ("width", "height", "bit_depth", "frame_count")
@@ -283,11 +282,6 @@ def read_raw(path: str, header: FrameFileHeader) -> Iterator[Frame]:
     return frames()
 
 
-def raw_payload(frame: Frame, header: FrameFileHeader) -> bytes:
-    """One frame's samples as stored in a raw dump of `header`'s format."""
-    return frame.codes.astype(header.dtype).tobytes()
-
-
 # ----------------------------------------------------------------------
 # Sidecar metadata
 # ----------------------------------------------------------------------
@@ -297,26 +291,20 @@ def sidecar_path(path: str) -> str:
     return os.fspath(path) + ".json"
 
 
-def write_sidecar(path: str, header: FrameFileHeader, extra: dict | None = None) -> None:
-    """Write the JSON sidecar describing a raw dump.
+def read_sidecar(path: str) -> FrameFileHeader | None:
+    """The header in a raw dump's sidecar, or None if it has none.
 
-    `extra` keys (e.g. sensor name, n_bar estimate, exposure) pass
-    through untouched.
+    The sidecar is a JSON object whose "header" object holds the
+    FrameFileHeader's fields; its other keys are ignored.
     """
-    write_json(sidecar_path(path), {**(extra or {}), "header": header.to_dict()})
-
-
-def read_sidecar(path: str) -> tuple[FrameFileHeader, dict] | None:
-    """Load the sidecar for a raw dump, or None if absent."""
     sc = sidecar_path(path)
     if not os.path.exists(sc):
         return None
 
-    def parse(doc: dict) -> tuple[FrameFileHeader, dict]:
+    def parse(doc: dict) -> FrameFileHeader:
         if not isinstance(doc.get("header"), dict):
             raise ValueError("sidecar needs a header object")
-        extra = {k: v for k, v in doc.items() if k != "header"}
-        return FrameFileHeader.from_dict(doc["header"]), extra
+        return FrameFileHeader.from_dict(doc["header"])
 
     return read_json(sc, parse)
 
@@ -334,51 +322,33 @@ def read_frames(paths) -> Iterator[Frame]:
         if path.endswith(".pgm"):
             yield read_pgm(path)
         else:
-            pair = read_sidecar(path)
-            if pair is None:
+            header = read_sidecar(path)
+            if header is None:
                 raise FramePathError(
                     f"{path}: not a .pgm and no sidecar JSON describes it"
                 )
-            yield from read_raw(path, pair[0])
+            yield from read_raw(path, header)
 
 
-def stack_files(fmt: str, n_frames: int, stack: int | None) -> list[str]:
-    """File names of a simulated stack: one PGM per frame, or one raw16le dump.
+def stack_files(n_frames: int, stack: int | None) -> list[str]:
+    """File names of a simulated stack, one PGM per frame.
 
     stack is a sweep stack's index, which prefixes its names, or None.
     """
-    if fmt == "pgm":
-        prefix = "" if stack is None else f"nbar_{stack:02d}_"
-        return [f"{prefix}frame_{j:04d}.pgm" for j in range(n_frames)]
-    return ["frames.raw" if stack is None else f"nbar_{stack:02d}.raw"]
+    prefix = "" if stack is None else f"nbar_{stack:02d}_"
+    return [f"{prefix}frame_{j:04d}.pgm" for j in range(n_frames)]
 
 
-def write_stack(
-    frames: Iterable[Frame], directory: str, files: list[str], extra: dict
-) -> Iterator[Frame]:
+def write_stack(frames: Iterable[Frame], directory: str, files: list[str]) -> Iterator[Frame]:
     """Yield each frame once it is stored in directory under stack_files' names.
 
-    directory is made once the first frame exists.  A raw16le dump gets
-    its sidecar, carrying extra, after the last frame.
+    directory is made once the first frame exists.
     """
-    paths = [os.path.join(directory, name) for name in files]
-    frames = iter(frames)
-    first = next(frames)
-    os.makedirs(directory, exist_ok=True)
-    frames = itertools.chain([first], frames)
-    if paths[0].endswith(".pgm"):
-        for path, frame in zip(paths, frames):
-            write_pgm(frame, path)
-            yield frame
-        return
-    with open(paths[0], "wb") as fh:
-        for n, frame in enumerate(frames, 1):
-            header = FrameFileHeader(
-                "raw16le", frame.width, frame.height, frame.bit_depth, n
-            )
-            fh.write(raw_payload(frame, header))
-            yield frame
-    write_sidecar(paths[0], header, extra)
+    for i, (name, frame) in enumerate(zip(files, frames)):
+        if i == 0:
+            os.makedirs(directory, exist_ok=True)
+        write_pgm(frame, os.path.join(directory, name))
+        yield frame
 
 
 def write_manifest(directory: str, record: dict) -> str:

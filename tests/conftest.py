@@ -1,9 +1,11 @@
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
 from camrng.bitstream import BitString
+from camrng.ingest import FrameFileHeader, sidecar_path, write_json
 
 
 def reverse_bytes(data) -> np.ndarray:
@@ -25,6 +27,23 @@ def from_msb_bytes(data, n_bits: int | None = None) -> BitString:
     if n_bits % 8:
         packed[-1:] &= (1 << n_bits % 8) - 1  # a fresh array: clear in place
     return BitString(packed, n_bits)
+
+
+def write_raw_dump(path, frames, fmt: str) -> FrameFileHeader:
+    """Write frames to path as one raw dump of fmt, "raw16le" or "raw8", with its sidecar.
+
+    The dump holds each frame's codes in turn, stored as the header's
+    dtype says, and the JSON sidecar holds the header alone; it is
+    returned.  camrng reads such dumps but never writes them.
+    """
+    frames = list(frames)
+    first = frames[0]
+    header = FrameFileHeader(fmt, first.width, first.height, first.bit_depth, len(frames))
+    with open(path, "wb") as fh:
+        for frame in frames:
+            fh.write(frame.codes.astype(header.dtype).tobytes())
+    write_json(sidecar_path(path), {"header": dataclasses.asdict(header)})
+    return header
 
 
 @pytest.fixture

@@ -36,8 +36,8 @@ from camrng import (
     simulate_stack,
     write_pgm,
 )
-from camrng.ingest import raw_payload
 from camrng.sensor import Frame
+from conftest import write_raw_dump
 
 NOKIA = get_preset("nokia-n9")
 ATIK = get_preset("atik383l")
@@ -350,13 +350,13 @@ def test_criterion_9_format_round_trips(tmp_path):
         depth = int(rng.integers(1, 9 if fmt == "raw8" else 17))
         w = int(rng.integers(1, 33))
         h = int(rng.integers(1, 33))
-        header = FrameFileHeader(fmt, w, h, depth, frame_count=5)
         frames = [
             Frame(rng.integers(0, 1 << depth, (h, w)).astype(np.uint16), depth)
             for _ in range(5)
         ]
         path = tmp_path / f"rt_{i}.raw"
-        path.write_bytes(b"".join(raw_payload(f, header) for f in frames))
+        header = write_raw_dump(path, frames, fmt)
+        assert header == FrameFileHeader(fmt, w, h, depth, frame_count=5)
         back = list(read_raw(path, header))
         assert len(back) == 5
         for a, b in zip(frames, back):

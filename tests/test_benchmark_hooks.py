@@ -93,8 +93,6 @@ def test_cli_simulate_and_characterize_call_the_traced_frame_names(tmp_path, reb
     sweep = tmp_path / "sweep"
     assert counts("simulate", *common, "--sweep", "100,200", "--out", sweep) == {
         "simulate_frame": 6, "write_pgm": 6}
-    assert counts("simulate", *common, "--nbar", "410", "--format", "raw16le",
-                  "--out", tmp_path / "raw") == {"simulate_frame": 3}
     frames = sorted(sweep.glob("nbar_00_*.pgm"))
     assert counts("characterize", "--preset", "nokia-n9", *frames,
                   "--out", tmp_path / "c") == {

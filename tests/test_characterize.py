@@ -216,7 +216,7 @@ def test_a_sweep_holds_one_stacks_sums_at_a_time(tmp_path):
     # a sweep of 4 stacks peaks near the peak of reading one of them.
     out = str(tmp_path)
     n_bars = [100.0, 200.0, 300.0, 400.0]
-    record, manifest = simulate_stacks(NOKIA, n_bars, True, 3, 200, 200, 7, "pgm", out)
+    record, manifest = simulate_stacks(NOKIA, n_bars, True, 3, 200, 200, 7, out)
     files = [os.path.join(out, name) for name in record["stacks"][0]["files"]]
     one = _peak_bytes(lambda: pixel_stats(read_frames(files)).stack_point)
     assert _peak_bytes(characterize_sweep, manifest, NOKIA, out) <= 1.5 * one

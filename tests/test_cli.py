@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -37,7 +38,6 @@ from camrng.extractor import (
 )
 from camrng.ingest import (
     dumps,
-    raw_payload,
     read_frames,
     read_json,
     read_manifest,
@@ -47,6 +47,7 @@ from camrng.ingest import (
     write_pgm,
 )
 from camrng.sensor import PRESETS, Frame, simulate_frame
+from conftest import write_raw_dump
 
 
 def sha(path) -> str:
@@ -78,20 +79,6 @@ def test_simulate_deterministic(tmp_path):
         ) == 0
     for name in ("frame_0000.pgm", "frame_0001.pgm"):
         assert sha(a / name) == sha(b / name)
-
-
-def test_simulate_raw_format_with_sidecar(tmp_path):
-    out = tmp_path / "raw"
-    rc = run(
-        "simulate", "--preset", "atik383l", "--nbar", "500", "--frames", "4",
-        "--width", "8", "--height", "8", "--seed", "1", "--out", out,
-        "--format", "raw16le",
-    )
-    assert rc == 0
-    assert (out / "frames.raw").exists()
-    sidecar = json.loads((out / "frames.raw.json").read_text())
-    assert sidecar["header"]["frame_count"] == 4
-    assert sidecar["n_bar"] == 500.0
 
 
 def test_simulate_requires_intensity_and_out(tmp_path, capsys):
@@ -261,9 +248,8 @@ def test_a_non_finite_value_fails_before_any_json_is_written(tmp_path, monkeypat
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("fmt", ["pgm", "raw16le"])
 @pytest.mark.parametrize("sweep", [[], [100.0, 410.0]], ids=["nbar", "sweep"])
-def test_library_records_are_the_cli_json(tmp_path, capsys, fmt, sweep):
+def test_library_records_are_the_cli_json(tmp_path, capsys, sweep):
     # Each pipeline's record, serialized as the CLI prints it, is exactly
     # the CLI's --json stdout; both write the same files to the same paths.
     def printed(*argv):
@@ -274,10 +260,15 @@ def test_library_records_are_the_cli_json(tmp_path, capsys, fmt, sweep):
     n_bars = sweep or [410.0]
     flags = ("--sweep", "100,410") if sweep else ("--nbar", "410")
     cli = printed("simulate", "--preset", "nokia-n9", *flags, "--frames", "10",
-                  "--width", "9", "--height", "7", "--seed", "5", "--format", fmt,
-                  "--out", out)
-    record, manifest = simulate_stacks(sensor, n_bars, bool(sweep), 10, 9, 7, 5, fmt, out)
+                  "--width", "9", "--height", "7", "--seed", "5", "--out", out)
+    record, manifest = simulate_stacks(sensor, n_bars, bool(sweep), 10, 9, 7, 5, out)
     assert cli == json.dumps(record, indent=2, allow_nan=False) + "\n"
+    # no frames is a usage error to the CLI and a ValueError to the library
+    none = tmp_path / "none"
+    assert run("simulate", "--preset", "nokia-n9", *flags, "--frames", "0", "--out", none) == 2
+    with pytest.raises(ValueError, match="n_frames must be >= 1, got 0"):
+        simulate_stacks(sensor, n_bars, bool(sweep), 0, 9, 7, 5, str(none))
+    assert not none.exists()
     if sweep:
         cli = printed("characterize", "--preset", "nokia-n9", "--manifest", manifest,
                       "--out", rep)
@@ -294,7 +285,7 @@ def test_characterize_builds_each_stacks_per_pixel_moments_once(tmp_path, monkey
     # The variance is the one reader of s2: one read per stack means the
     # Fano point, the gain fit and the mask share one set of arrays.
     sensor, out = PRESETS["nokia-n9"], str(tmp_path)
-    record, manifest = simulate_stacks(sensor, [100.0, 410.0], True, 10, 9, 7, 5, "pgm", out)
+    record, manifest = simulate_stacks(sensor, [100.0, 410.0], True, 10, 9, 7, 5, out)
     reads, s2 = [], PixelStats.s2
     counted = property(lambda self: reads.append(self) or s2.fget(self))
     monkeypatch.setattr(PixelStats, "s2", counted)
@@ -324,30 +315,32 @@ def test_characterize_report_with_a_saturated_point_is_strict_json(tmp_path, cap
 def test_every_json_file_simulate_and_characterize_write_reads_back_unchanged(tmp_path):
     sweep = tmp_path / "sweep"
     assert run("simulate", "--preset", "nokia-n9", "--sweep", "100,410", "--frames", "10",
-               "--width", "9", "--height", "7", "--format", "raw16le", "--out", sweep) == 0
+               "--width", "9", "--height", "7", "--out", sweep) == 0
+    # the 410 e- stack again, as a camera's raw dump
+    raw = sweep / "nbar_01.raw"
+    write_raw_dump(raw, (read_pgm(p) for p in sorted(sweep.glob("nbar_01_*.pgm"))), "raw16le")
     assert run("characterize", "--preset", "nokia-n9", "--manifest", sweep / "manifest.json",
                "--out", tmp_path / "fano") == 0
-    assert run("characterize", "--preset", "nokia-n9", sweep / "nbar_01.raw",
-               "--out", tmp_path / "stack") == 0
+    assert run("characterize", "--preset", "nokia-n9", raw, "--out", tmp_path / "stack") == 0
     docs = {
         path.relative_to(tmp_path).as_posix(): read_json(path, lambda doc: doc)
         for path in tmp_path.rglob("*.json")
     }
     assert sorted(docs) == [
         "fano/report.json", "stack/report.json",
-        "sweep/manifest.json", "sweep/nbar_00.raw.json", "sweep/nbar_01.raw.json",
+        "sweep/manifest.json", "sweep/nbar_01.raw.json",
     ]
     for name, doc in docs.items():
         assert dumps(doc) == (tmp_path / name).read_text(), name
     # the mask is a 2-bit PGM of build_pixel_mask's state
     mask = read_pgm(tmp_path / "stack" / "mask.pgm")
-    stats = pixel_stats(read_frames([str(sweep / "nbar_01.raw")]))
+    stats = pixel_stats(read_frames([str(raw)]))
     assert mask.bit_depth == 2
     assert np.array_equal(mask.codes, build_pixel_mask(stats, PRESETS["nokia-n9"]))
-    header, _ = read_sidecar(sweep / "nbar_01.raw")
-    assert header.to_dict() == docs["sweep/nbar_01.raw.json"]["header"]
+    header = read_sidecar(raw)
+    assert dataclasses.asdict(header) == docs["sweep/nbar_01.raw.json"]["header"]
     assert read_manifest(sweep / "manifest.json") == [
-        ((str(sweep / stack["files"][0]),), stack["n_bar"])
+        (tuple(str(sweep / name) for name in stack["files"]), stack["n_bar"])
         for stack in docs["sweep/manifest.json"]["stacks"]
     ]
 
@@ -1207,6 +1200,11 @@ def test_missing_input_file_is_a_runtime_failure(tmp_path, capsys):
           "--out", "o.bin"), "unrecognized arguments: --save-matrix"),
         (("characterize", "--preset", "atik383l", "--manifest", "m.json",
           "--tolerance", "0.1", "--out", "D"), "unrecognized arguments: --tolerance"),
+        # the flags are checked before the mask is opened
+        (("extract", "--preset", "nokia-n9", "f.pgm", "--mask", "missing.pgm",
+          "--l", "2000", "--k", "3000", "--out", "o.bin"), "need k < l"),
+        (("simulate", "--preset", "nokia-n9", "--nbar", "410", "--format", "raw16le",
+          "--out", "D"), "unrecognized arguments: --format raw16le"),
     ],
 )
 def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
@@ -1248,13 +1246,17 @@ def test_refusals_with_usage_exit(tmp_path, monkeypatch, capsys, argv, message):
         ),
         ("m.json", '{"stacks": [', ("characterize", "--manifest", "m.json")),
         ("f.raw.json", [1, 2], ("extract", "f.raw")),
+        # a misspelt key would leave frame_count at its default of 1
+        ("f.raw.json", {"header": {"format": "raw16le", "width": 4, "height": 4,
+                                   "bit_depth": 10, "frame_cout": 3}}, ("extract", "f.raw")),
     ],
     ids=["manifest-no-stacks",
          "manifest-entry-no-files", "sidecar-no-header", "sidecar-header-no-width",
          "sidecar-width-not-integral", "sidecar-frame-count-bool", "sidecar-frame-count-nan",
          "manifest-n-bar-bool", "manifest-n-bar-nan",
          "manifest-n-bar-negative", "manifest-files-a-string",
-         "manifest-files-empty", "manifest-not-json", "sidecar-an-array"],
+         "manifest-files-empty", "manifest-not-json", "sidecar-an-array",
+         "sidecar-header-unknown-key"],
 )
 def test_malformed_json_inputs_are_runtime_failures_naming_the_file(
     tmp_path, monkeypatch, capsys, name, doc, argv
@@ -1317,15 +1319,16 @@ def test_bad_threads_fail_before_any_output(tmp_path, monkeypatch, capsys, threa
 
 
 def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):
+    frames = tmp_path / "pgm"
+    assert run(
+        "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
+        "--width", "40", "--height", "30", "--seed", "8", "--out", frames,
+    ) == 0
+    pgms = sorted(frames.glob("*.pgm"))
+    raw = tmp_path / "frames.raw"
+    write_raw_dump(raw, map(read_pgm, pgms), "raw16le")
     outs = []
-    for fmt in ("pgm", "raw16le"):
-        frames = tmp_path / fmt
-        assert run(
-            "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
-            "--width", "40", "--height", "30", "--seed", "8", "--out", frames,
-            "--format", fmt,
-        ) == 0
-        inputs = sorted(frames.glob("*.pgm")) or [frames / "frames.raw"]
+    for fmt, inputs in (("pgm", pgms), ("raw16le", [raw])):
         out = tmp_path / f"{fmt}.bin"
         assert run(
             "extract", "--preset", "nokia-n9", *inputs, "--l", "400", "--k", "100",
@@ -1338,7 +1341,7 @@ def test_extract_raw_dump_equals_extract_of_same_frames_as_pgm(tmp_path):
 
 def test_simulate_writes_each_frame_before_the_next_is_simulated(tmp_path, rebind):
     order = []
-    tags = {simulate_frame: "sim", write_pgm: "write", raw_payload: "write"}
+    tags = {simulate_frame: "sim", write_pgm: "write"}
     for real, tag in tags.items():
 
         def logged(*args, _real=real, _tag=tag, **kwargs):
@@ -1346,13 +1349,11 @@ def test_simulate_writes_each_frame_before_the_next_is_simulated(tmp_path, rebin
             return _real(*args, **kwargs)
 
         rebind(real, logged)
-    for fmt in ("pgm", "raw16le"):
-        order.clear()
-        assert run(
-            "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
-            "--width", "8", "--height", "8", "--format", fmt, "--out", tmp_path / fmt,
-        ) == 0
-        assert order == ["sim", "write"] * 3
+    assert run(
+        "simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
+        "--width", "8", "--height", "8", "--out", tmp_path / "pgm",
+    ) == 0
+    assert order == ["sim", "write"] * 3
 
 
 # 61x59 pixels of 10 bits: every frame ends off the byte grid, and off
@@ -1364,22 +1365,22 @@ STACK_W, STACK_H = 61, 59
 def stacks(tmp_path_factory):
     """Frame files and their decoded frames: PGM, PGM under a mask, raw16le."""
     base = tmp_path_factory.mktemp("stacks")
-    geometry = ("--width", STACK_W, "--height", STACK_H, "--seed", "11")
     assert run("simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "4",
-               *geometry, "--out", base / "pgm") == 0
-    assert run("simulate", "--preset", "nokia-n9", "--nbar", "410", "--frames", "3",
-               *geometry, "--format", "raw16le", "--out", base / "raw") == 0
+               "--width", STACK_W, "--height", STACK_H, "--seed", "11",
+               "--out", base / "pgm") == 0
+    raw = base / "frames.raw"
+    write_raw_dump(raw, (simulate_frame(PRESETS["nokia-n9"], 410.0, STACK_W, STACK_H, 11,
+                                        frame_id=j) for j in range(3)), "raw16le")
     pgms = sorted((base / "pgm").glob("*.pgm"))
     state = np.zeros((STACK_H, STACK_W), dtype=np.uint8)
     state[0, 0] = state[7, 30] = 3
     state[58, 60] = 1
     mask_path = _write_mask(base / "mask.pgm", state)
-    raw = base / "raw" / "frames.raw"
     pgm_frames = [read_pgm(p) for p in pgms]
     return {
         "pgm": (pgms, [], pgm_frames, None),
         "masked": (pgms, ["--mask", mask_path], pgm_frames, state == 0),
-        "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw)[0])), None),
+        "raw16le": ([raw], [], list(read_raw(raw, read_sidecar(raw))), None),
     }
 
 

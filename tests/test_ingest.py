@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from camrng.ingest import (
     FrameFileHeader,
-    raw_payload,
     read_pgm,
     read_raw,
     read_sidecar,
     sidecar_path,
+    write_json,
     write_pgm,
-    write_sidecar,
 )
 from camrng.sensor import Frame
+from conftest import write_raw_dump
 
 
 def frame_of(values, bit_depth) -> Frame:
@@ -163,13 +163,11 @@ def test_raw_range_is_checked_per_frame_naming_the_path(tmp_path):
 @pytest.mark.parametrize("fmt", ["raw16le", "raw8"])
 def test_raw_holds_one_frame_at_a_time(tmp_path, fmt):
     n_frames, width, height = 16, 256, 128
-    header = FrameFileHeader(
-        format=fmt, width=width, height=height, bit_depth=8, frame_count=n_frames
-    )
     rng = np.random.default_rng(3)
     frame = frame_of(rng.integers(0, 256, (height, width)), bit_depth=8)
     path = tmp_path / "f.raw"
-    path.write_bytes(raw_payload(frame, header) * n_frames)
+    header = write_raw_dump(path, [frame] * n_frames, fmt)
+    assert path.stat().st_size == n_frames * width * height * header.dtype.itemsize
     frame_bytes = frame.codes.nbytes  # one decoded uint16 frame
     tracemalloc.start()
     try:
@@ -204,15 +202,15 @@ def test_header_validation():
 
 
 def test_write_raw_round_trip(tmp_path):
-    header = FrameFileHeader(
-        format="raw16le", width=3, height=2, bit_depth=12, frame_count=2
-    )
     rng = np.random.default_rng(4)
     stack = [
         frame_of(rng.integers(0, 4096, size=(2, 3)), bit_depth=12) for _ in range(2)
     ]
     path = tmp_path / "s.raw"
-    path.write_bytes(b"".join(raw_payload(f, header) for f in stack))
+    header = write_raw_dump(path, stack, "raw16le")
+    assert header == FrameFileHeader(
+        format="raw16le", width=3, height=2, bit_depth=12, frame_count=2
+    )
     again = read_raw(path, header)
     for a, b in zip(again, stack):
         assert np.array_equal(a.codes, b.codes)
@@ -220,14 +218,13 @@ def test_write_raw_round_trip(tmp_path):
 
 def test_sidecar_round_trip(tmp_path):
     path = str(tmp_path / "s.raw")
-    header = FrameFileHeader(
-        format="raw16le", width=4, height=4, bit_depth=10, frame_count=3
-    )
-    write_sidecar(path, header, extra={"n_bar": 410.0})
+    header = write_raw_dump(path, [frame_of(np.zeros((4, 4)), bit_depth=10)] * 3, "raw16le")
     assert sidecar_path(path) == path + ".json"
-    got_header, extra = read_sidecar(path)
-    assert got_header == header
-    assert extra["n_bar"] == 410.0
+    assert read_sidecar(path) == header
+    # keys beside the header, such as a camera's own metadata, are ignored
+    write_json(sidecar_path(path), {"n_bar": 410.0, "header": {
+        "format": "raw16le", "width": 4, "height": 4, "bit_depth": 10, "frame_count": 3}})
+    assert read_sidecar(path) == header
 
 
 def test_read_sidecar_missing_returns_none(tmp_path):
