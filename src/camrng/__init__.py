@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _NAMES = {
     "bitstream": "BitString export_stream",
     "characterize": (
-        "PixelStats build_pixel_mask characterize_stack characterize_sweep "
+        "PixelStats build_pixel_mask certify characterize_stack characterize_sweep "
         "estimate_zeta fano_factor find_operating_region pixel_stats "
         "simulate_stacks"
     ),

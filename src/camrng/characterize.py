@@ -18,12 +18,14 @@ sweep keeps only each stack's point.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
 
+from .entropy import entropy_report, epsilon_bound
 from .ingest import (
     read_frames,
     read_manifest,
@@ -145,6 +147,63 @@ class PixelStats:
         t2 = (int((s2 >> 32).sum()) << 32) + int((s2 & 0xFFFFFFFF).sum())
         var = (n * t2 - t1 * t1) / (n * (n - 1)) if n > 1 else None
         return t1 / n, var
+
+
+def certify(
+    stats: PixelStats, usable: np.ndarray | None, sensor: SensorConfig, l: int, k: int,
+    n_blocks: int,
+) -> tuple[dict, str | None]:
+    """The certificate of n_blocks (l, k) blocks hashed from the stack in stats.
+
+    Returns (fields, refusal): the `extract --json` fields mean_code
+    through forced, log2_epsilon None when s*l <= k, and None or why the
+    margin fails and what to do.  Raises ValueError for frames at the dark
+    level, a stack of 1 frame, or one whose usable pixels never vary.
+    """
+    mean, variance = stats.summary(usable)
+    n_bar_est = mean / sensor.zeta - sensor.offset
+    if n_bar_est <= 0:
+        raise ValueError(
+            f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
+            "frames carry no shot noise to extract"
+        )
+    # A stack with no temporal variance holds no shot noise, whatever its
+    # mean code says; variance divides by n - 1, so count frames first.
+    if stats.n_frames < 2:
+        raise ValueError("a stack of 1 frame has no temporal variance to extract")
+    pixel_variance = stats.variance if usable is None else stats.variance[usable]
+    if not pixel_variance.any():
+        raise ValueError(
+            f"no usable pixel varies across the stack's {stats.n_frames} frames; "
+            "frames carry no shot noise to extract"
+        )
+    s = entropy_report(n_bar_est, stats.bit_depth).s
+    try:
+        log2_eps, refusal = float(epsilon_bound(s, l, k)), None
+    except ValueError as exc:
+        log2_eps = None
+        why, advice = "", "Lower k, raise l, or pass"
+        if s > 1:  # then s*l > l > k: the bound refused s itself, whatever k and l
+            why = ("; the count's Poisson entropy per raw bit exceeds 1, so the code "
+                   "cannot carry it")
+            advice = "Pass"
+        refusal = (f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
+                   f"{stats.bit_depth}-bit depth{why}.\n  {advice} --force to extract "
+                   "anyway (output is NOT certified random).")
+    return {
+        "mean_code": mean,
+        "variance_code": variance,
+        "mean_pixel_variance": float(np.mean(pixel_variance)),
+        "estimated_n_bar": n_bar_est,
+        "s": s,
+        # a mean over matrix seeds; halved by Markov for one seed drawn apart from the frames
+        "log2_epsilon": log2_eps,
+        "log2_epsilon_fixed_seed": None if log2_eps is None else log2_eps / 2,
+        # the bound on the whole output: the blocks' distances add up
+        "log2_epsilon_total": None if log2_eps is None else log2_eps + math.log2(n_blocks),
+        # An uncertified output is kept only when the caller forces it.
+        "forced": log2_eps is None,
+    }, refusal
 
 
 def pixel_stats(frames: Iterable[Frame]) -> PixelStats:

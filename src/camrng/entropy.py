@@ -198,6 +198,7 @@ class ExtractorPlan:
             "s": str(self.s),
             "log2_epsilon": str(self.log2_epsilon),
             "log2_epsilon_float": float(self.log2_epsilon),
+            "log2_epsilon_fixed_seed": float(self.log2_epsilon / 2),
             "compression_factor": self.compression_factor,
         }
 

@@ -15,7 +15,7 @@ of byte positions, one tile at a time.  A naive matrix product verifies
 the result in the test suite.
 extract_frames runs all of `camrng extract` in one read of the frames:
 each frame is folded into a PixelStats and extracted in batches, then
-the security margin gate reads the usable codes' exact moments.
+characterize.certify decides the certificate from the PixelStats.
 
 Extraction runs on the calling thread.  Its lookup, a numpy take, holds
 the interpreter lock, so a second thread adds CPU without saving wall
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitstream import BitString, export_stream
-from .characterize import PixelStats
-from .entropy import entropy_report, epsilon_bound
+from .characterize import PixelStats, certify
 from .sensor import Frame, SensorConfig
 
 MAX_BLOCK_BITS = 1 << 20
@@ -371,15 +370,13 @@ def extract_frames(
     of the buffer and its output is whole bytes; blocks lie on one grid
     from the first raw bit, so out gets one extract() of the whole
     stream.  The last, shorter batch takes the tail, whose partial block
-    is discarded.  The exact mean of the usable codes then gives s.
+    is discarded.
 
     Returns (record, refusal): the `extract --json` record up to "out",
-    log2_epsilon None when s*l <= k, and None or why the margin fails and
-    what to do.
-    Raises ValueError for a stack whose first frame has another bit depth
-    than the sensor's, before any extraction; then for a mixed stack, one
-    too short for a whole block, frames at the dark level, or a stack with
-    no temporal variance in its usable pixels.
+    with certify's fields and refusal.  Raises ValueError for a first
+    frame of another bit depth than the sensor's, before any extraction;
+    for a mixed stack, before the odd frame is serialized; for one too
+    short for a whole block; then as certify does.
     """
     l, k = matrix.l, matrix.k
     # Whole chunks, on extract()'s chunk grid.
@@ -394,11 +391,12 @@ def extract_frames(
 
     stats = PixelStats()
     for frame in frames:
-        # Later frames of another depth fail stats.add as a mixed stack.
         if not stats.n_frames and frame.bit_depth != sensor.bit_depth:
             raise ValueError(
                 f"the stack's codes are {frame.bit_depth}-bit, the sensor's {sensor.bit_depth}-bit"
             )
+        # A later frame of another depth or shape fails here, unserialized.
+        stats.add(frame)
         pending.append(frame_to_bits(frame, usable))
         pending_bits = sum(part.n_bits for part in pending)
         if pending_bits >= 8 * batch_bytes:
@@ -408,50 +406,11 @@ def extract_frames(
                 batch = buffered.packed[lo : lo + batch_bytes]
                 extract_batch(BitString(batch, 8 * batch_bytes))
             pending[:] = [BitString(buffered.packed[cut:], pending_bits - 8 * cut)]
-        stats.add(frame)
     residual = extract_batch(concat_streams(pending))
     n_blocks = sum(blocks)
     if n_blocks == 0:
         raise ValueError(f"the stack's {residual} raw bits hold no whole block of l={l}")
-    mean, variance = stats.summary(usable)
-
-    # Estimate the absorbed mean from the data itself, convert it to
-    # entropy per raw bit, and refuse to certify extraction that would
-    # emit more bits than it gathers.
-    n_bar_est = mean / sensor.zeta - sensor.offset
-    if n_bar_est <= 0:
-        raise ValueError(
-            f"estimated absorbed mean {n_bar_est:.3f} e- is not positive; "
-            "frames carry no shot noise to extract"
-        )
-    # A stack with no temporal variance holds no shot noise, whatever its
-    # mean code says; variance divides by n - 1, so count frames first.
-    if stats.n_frames < 2:
-        raise ValueError("a stack of 1 frame has no temporal variance to extract")
-    pixel_variance = stats.variance if usable is None else stats.variance[usable]
-    if not pixel_variance.any():
-        raise ValueError(
-            f"no usable pixel varies across the stack's {stats.n_frames} frames; "
-            "frames carry no shot noise to extract"
-        )
-    s = entropy_report(n_bar_est, stats.bit_depth).s
-    try:
-        log2_eps, refusal = float(epsilon_bound(s, l, k)), None
-    except ValueError as exc:
-        log2_eps = None
-        why, advice = "", "Lower k, raise l, or pass"
-        if s > 1:  # then s*l > l > k: the bound refused s itself, whatever k and l
-            why = (
-                "; the count's Poisson entropy per raw bit exceeds 1, so the code "
-                "cannot carry it"
-            )
-            advice = "Pass"
-        refusal = (
-            f"{exc}\n  s = {s:.4f} from estimated n_bar = {n_bar_est:.1f} at "
-            f"{stats.bit_depth}-bit depth{why}.\n  {advice} --force to extract "
-            "anyway (output is NOT certified random)."
-        )
-
+    fields, refusal = certify(stats, usable, sensor, l, k, n_blocks)
     return {
         "command": "extract",
         "frames": stats.n_frames,
@@ -463,16 +422,7 @@ def extract_frames(
         "output_bits": n_blocks * k,
         "output_bytes": (n_blocks * k + 7) // 8,
         "padding_bits": -n_blocks * k % 8,
-        "mean_code": mean,
-        "variance_code": variance,
-        "mean_pixel_variance": float(np.mean(pixel_variance)),
-        "estimated_n_bar": n_bar_est,
-        "s": s,
-        "log2_epsilon": log2_eps,
-        # the bound on the whole output: the blocks' distances add up
-        "log2_epsilon_total": None if log2_eps is None else log2_eps + math.log2(n_blocks),
-        # An uncertified output is kept only when the caller forces it.
-        "forced": log2_eps is None,
+        **fields,
         "matrix_digest": matrix.digest,
         "matrix_seed": matrix.seed.hex(),
     }, refusal

@@ -12,6 +12,7 @@ import numpy as np
 import camrng
 import camrng.characterize
 import camrng.cli
+import camrng.entropy
 import camrng.extractor
 import camrng.ingest
 import camrng.sensor
@@ -42,16 +43,17 @@ def test_one_worker_baselines_can_pass_n_workers():
 
 
 def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
-    # perfbench's per-layer extractor metrics come from spans around these
-    # names, rebound wherever camrng holds them; a call that bypasses them
-    # reads 0.
-    names = ("frame_to_bits", "concat_streams", "generate_matrix", "extract")
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(camrng.extractor, name)
+    # perfbench's per-layer extractor and entropy metrics come from spans
+    # around these names, rebound wherever camrng holds them; a call that
+    # bypasses them reads 0.
+    reals = [getattr(camrng.extractor, name) for name in (
+        "frame_to_bits", "concat_streams", "generate_matrix", "extract")]
+    reals += [camrng.entropy.entropy_report, camrng.entropy.epsilon_bound]
+    calls = {real.__name__: 0 for real in reals}
+    for real in reals:
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _real=real, **kwargs):
+            calls[_real.__name__] += 1
             return _real(*args, **kwargs)
 
         rebind(real, counted)
@@ -64,7 +66,8 @@ def test_cli_extract_calls_the_traced_extractor_names(tmp_path, rebind):
             "--out", str(tmp_path / "o.bin")]
     assert camrng.cli.main(argv) == 0
     assert calls["frame_to_bits"] == 3
-    assert all(calls[name] >= 1 for name in names), calls
+    assert calls["entropy_report"] == calls["epsilon_bound"] == 1
+    assert all(calls.values()), calls
 
 
 def test_cli_simulate_and_characterize_call_the_traced_frame_names(tmp_path, rebind):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from camrng.characterize import (
     PixelStats,
     build_pixel_mask,
+    certify,
     characterize_sweep,
     estimate_zeta,
     fano_factor,
@@ -17,6 +19,7 @@ from camrng.characterize import (
     pixel_stats,
     simulate_stacks,
 )
+from camrng.cli import main
 from camrng.ingest import read_frames, read_pgm, write_pgm
 from camrng.sensor import Frame, SensorConfig, get_preset, predicted_fano, simulate_stack
 
@@ -359,3 +362,113 @@ def test_mask_pgm_of_an_overlapping_stack_matches_frozen_digest(tmp_path):
     write_pgm(Frame(state, 2), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "5068c716c636565a01277b17cabc1681eeec78f4b1ab23bad0f940e98de1f281"
+
+
+# certify, straight from a PixelStats: no frame is written.
+ATIK = get_preset("atik383l")
+ONE_BIT = SensorConfig("onebit", zeta=1, sigma_t=0.5, offset=0, full_well=1, bit_depth=1)
+LIT = [[[779, 801], [790, 770]], [[812, 760], [795, 805]], [[790, 781], [770, 799]]]
+NO_SHOT_NOISE = "frames carry no shot noise to extract"
+
+
+def stats_of(stack, bit_depth=10) -> PixelStats:
+    stats = PixelStats()
+    for codes in stack:
+        stats.add(frame_of(codes, bit_depth))
+    return stats
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "usable"])
+@pytest.mark.parametrize(
+    "case,config,message",
+    [
+        # atik383l's dark level is 2.3 * 144 = 331.2 codes
+        ("dark", ATIK, f"estimated absorbed mean -11.391 e- is not positive; {NO_SHOT_NOISE}"),
+        ("one_frame", NOKIA, "a stack of 1 frame has no temporal variance to extract"),
+        ("no_variance", NOKIA, f"no usable pixel varies across the stack's 3 frames; "
+                               f"{NO_SHOT_NOISE}"),
+    ],
+)
+def test_certify_refuses_a_degenerate_stack(case, config, message, masked):
+    # Unmasked, the right-hand pixel would rescue the dark and the still stack.
+    right = [[2000], [2100], [2050]] if case == "dark" else [[800], [810], [790]]
+    left = {"dark": [[305], [305], [305]], "one_frame": [[779]],
+            "no_variance": [[779], [779], [779]]}[case]
+    if masked:
+        stack = [[row + pixel] for row, pixel in zip(left, right)]
+        usable = np.array([[True, False]])
+    else:
+        stack, usable = [[codes] for codes in left], None
+    stats = stats_of(stack, config.bit_depth)
+    with pytest.raises(ValueError) as refused:
+        certify(stats, usable, config, 200, 10, 1)
+    assert str(refused.value) == message
+    if masked and case != "one_frame":
+        fields, refusal = certify(stats, None, config, 200, 10, 1)
+        assert refusal is None and not fields["forced"]
+
+
+UNCERTIFIED = {"log2_epsilon": None, "log2_epsilon_fixed_seed": None,
+               "log2_epsilon_total": None, "forced": True}
+
+
+def test_certify_refuses_a_violated_margin():
+    fields, refusal = certify(stats_of(LIT), None, NOKIA, 200, 190, 5)
+    assert refusal == (
+        "no extractable security margin: s*l = 128.098 <= k = 190\n"
+        "  s = 0.6405 from estimated n_bar = 420.6 at 10-bit depth.\n"
+        "  Lower k, raise l, or pass --force to extract anyway (output is NOT certified random)."
+    )
+    assert fields.items() >= UNCERTIFIED.items()
+
+
+def test_certify_refuses_an_entropy_rate_above_1():
+    # At n_bar 0.6 the Poisson count carries 1.47 bits, more than 1-bit
+    # codes hold; no k < l passes, so only --force is offered.
+    stats = stats_of([[[1, 0, 1, 1, 0]], [[0, 1, 1, 0, 1]], [[1, 1, 0, 0, 1]]], 1)
+    fields, refusal = certify(stats, None, ONE_BIT, 200, 10, 5)
+    assert refusal == (
+        "entropy rate s must be in (0, 1], got 1.4740772090654863\n"
+        "  s = 1.4741 from estimated n_bar = 0.6 at 1-bit depth; the count's Poisson "
+        "entropy per raw bit exceeds 1, so the code cannot carry it.\n"
+        "  Pass --force to extract anyway (output is NOT certified random)."
+    )
+    assert fields.items() >= UNCERTIFIED.items()
+
+
+def test_certify_fields_of_a_certified_stack():
+    fields, refusal = certify(stats_of(LIT), None, NOKIA, 200, 10, 5)
+    assert refusal is None
+    assert fields == {
+        "mean_code": 9452 / 12,
+        "variance_code": 252.06060606060606,
+        "mean_pixel_variance": 307.0000000000291,
+        "estimated_n_bar": 9452 / 12 / 1.9 + 6,
+        "s": 0.6404895699586288,
+        "log2_epsilon": -59.04895699586288,
+        "log2_epsilon_fixed_seed": -59.04895699586288 / 2,
+        "log2_epsilon_total": -59.04895699586288 + np.log2(5),
+        "forced": False,
+    }
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "usable"])
+def test_certify_fields_are_those_of_extract_json(tmp_path, capsys, masked):
+    rng = np.random.default_rng(36)
+    stack = [rng.integers(700, 900, (16, 16)) for _ in range(8)]
+    paths, extra, usable = [], [], None
+    for i, codes in enumerate(stack):
+        paths.append(str(tmp_path / f"f{i}.pgm"))
+        write_pgm(frame_of(codes), paths[-1])
+    if masked:
+        state = (rng.random((16, 16)) < 0.2).astype(np.uint8)
+        write_pgm(Frame(state, 2), tmp_path / "mask.pgm")
+        extra, usable = ["--mask", str(tmp_path / "mask.pgm")], state == 0
+    assert main(["extract", "--preset", "nokia-n9", *paths, *extra, "--l", "200",
+                 "--k", "10", "--out", str(tmp_path / "o.bin"), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fields, refusal = certify(stats_of(stack), usable, NOKIA, 200, 10,
+                              doc["blocks_processed"])
+    assert refusal is None
+    assert list(doc)[10:-3] == list(fields)
+    assert {key: doc[key] for key in fields} == fields

@@ -386,7 +386,8 @@ def test_plan_records_of_both_modes_have_the_same_keys_and_types(capsys):
     assert evaluated["s"] == "16/25"
     assert {k: type(v) for k, v in evaluated.items()} == {
         "command": str, "l": int, "k": int, "s": str, "log2_epsilon": str,
-        "log2_epsilon_float": float, "compression_factor": float,
+        "log2_epsilon_float": float, "log2_epsilon_fixed_seed": float,
+        "compression_factor": float,
     }
 
 
@@ -1147,6 +1148,17 @@ def test_extract_refuses_another_bit_depth_before_extracting(tmp_path, capsys, m
     frames = _sixteen_bit_stack(tmp_path / "f")
     assert run("extract", "--preset", "nokia-n9", *frames, "--out", tmp_path / "o.bin") == 1
     assert "the stack's codes are 16-bit" in capsys.readouterr().err
+    assert "extract" not in calls
+    # A later frame of another depth is refused before its bits are
+    # buffered: the 10-bit frame's 10240 bits fall short of a batch of
+    # 2 x 32 blocks of l = 200, and the 8-bit frame's 8192 would fill it.
+    monkeypatch.setattr(extractor, "_CHUNK_BLOCKS", 32)
+    rng = np.random.default_rng(5)
+    ten = _write_frames(tmp_path / "a", [rng.integers(700, 900, (32, 32))], 10)
+    eight = _write_frames(tmp_path / "b", [rng.integers(100, 200, (32, 32))], 8)
+    assert run("extract", "--preset", "nokia-n9", *ten, *eight, "--l", 200, "--k", 10,
+               "--out", tmp_path / "o.bin") == 1
+    assert "frame stack mismatch" in capsys.readouterr().err
     assert "extract" not in calls
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from camrng.extractor import (
     frame_to_bits,
     generate_matrix,
 )
+from camrng.cli import main
+from camrng.ingest import write_pgm
 from camrng.sensor import Frame
 from camrng.entropy import epsilon_bound
 
@@ -371,3 +376,45 @@ def test_a_shannon_rated_bound_is_false_for_a_heavy_atom(hashed_blocks):
     assert shannon_bound == pytest.approx(0.1887, abs=1e-4)
     for hashed in hashed_blocks:
         assert distance_from_uniform(hashed, source) >= 2.0**-2 - 2.0**-8 > shannon_bound
+
+
+# Matrix seeds of the fixed-seed check, none of them in _LHL_SEEDS.
+_FIXED_SEEDS = range(1000, 1128)
+
+
+@pytest.fixture(scope="module")
+def fixed_seed_hashes() -> list[np.ndarray]:
+    """Per matrix seed in _FIXED_SEEDS, the 8-bit output of every 16-bit input."""
+    raw = BitString(_ALL_BLOCKS.view(np.uint8), 16 << 16)
+    return [extract(raw, generate_matrix(seed.to_bytes(32, "big"), 8, 16)).bits.packed
+            for seed in _FIXED_SEEDS]
+
+
+@pytest.mark.parametrize("h", [9, 10, 12, 14, 16])
+def test_fixed_seed_distance_exceeds_2_to_the_e_plus_t_for_at_most_2_to_the_minus_t(
+    fixed_seed_hashes, h
+):
+    # The bound 2^e is on the mean over seeds, so by Markov one seed drawn
+    # independently of the source is farther than 2^(e+t) with probability
+    # at most 2^-t.  The share of 128 seeds may exceed that by 3 binomial
+    # standard deviations of the share.
+    e = float(epsilon_bound(h / 16, 16, 8))
+    distances = np.array([distance_from_uniform(y, flat_source(h)) for y in fixed_seed_hashes])
+    for t in (1, 2, 3):
+        p = 2.0**-t
+        allowance = 3 * math.sqrt(p * (1 - p) / len(distances))
+        assert np.mean(distances > 2.0 ** (e + t)) <= p + allowance
+
+
+def test_extract_and_plan_records_carry_the_fixed_seed_exponent(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    paths = [str(tmp_path / f"f{i}.pgm") for i in range(3)]
+    for path in paths:
+        write_pgm(Frame(rng.integers(700, 900, (32, 32)), 10), path)
+    assert main(["extract", "--preset", "nokia-n9", *paths, "--l", "200", "--k", "20",
+                 "--out", str(tmp_path / "o.bin"), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["log2_epsilon_fixed_seed"] == doc["log2_epsilon"] / 2 < 0
+    assert main(["plan", "--s", "0.64", "--l", "2000", "--k", "500", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["log2_epsilon_fixed_seed"] == float(Fraction(doc["log2_epsilon"]) / 2) == -195.0
